@@ -14,8 +14,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from mczeno.driver import (
+    RunConfig,
     StageError,
     config_from_dict,
     convert_hamiltonian,
@@ -53,7 +55,9 @@ def _parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="levels along the path, as CSV")
     _add_common(spectrum)
     spectrum.add_argument("--k", type=int, help="number of levels (default 8)")
-    spectrum.add_argument("--points", type=int, help="s samples (default 101)")
+    spectrum.add_argument(
+        "--points", type=int, dest="n_points", help="s samples (default 101)"
+    )
 
     qae = sub.add_parser("qae", help="discretized adiabatic evolution")
     _add_common(qae)
@@ -76,27 +80,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    keys = (
-        "mapping",
-        "alpha",
-        "seed",
-        "output",
-        "k",
-        "n_points",
-        "total_time",
-        "delta_t",
-        "n_steps",
-        "trials",
-        "initial_indices",
-    )
-    values = vars(args)
-    out = {k: values[k] for k in keys if values.get(k) is not None}
+    keys = {f.name for f in fields(RunConfig)} - {"source", "method"}
+    out = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     if getattr(args, "initial", None) is not None:
         out["initial_indices"] = tuple(
             int(part) for part in args.initial.split(",") if part.strip()
         )
-    if getattr(args, "points", None) is not None:
-        out["n_points"] = args.points
     return out
 
 
@@ -171,11 +160,14 @@ def _run_scan(args: argparse.Namespace) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
-        for row in result.rows:
-            print(f"{row.coordinate!r}: {row.status}")
-        print(f"wrote {args.output}")
     else:
         print(text, end="")
+    for row in result.rows:  # to stderr when the CSV itself is on stdout
+        cause = f" ({row.message})" if row.message else ""
+        report = sys.stdout if args.output else sys.stderr
+        print(f"{row.coordinate!r}: {row.status}{cause}", file=report)
+    if args.output:
+        print(f"wrote {args.output}")
     return 0 if any(row.status == "ok" for row in result.rows) else 1
 
 

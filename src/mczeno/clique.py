@@ -10,6 +10,7 @@ branch-and-bound search serves as the reference on small graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -81,10 +82,7 @@ def greedy_max_clique(g: CommutationGraph) -> CliqueResult:
     candidates = list(range(len(g)))
     chosen: list[int] = []
     while candidates:
-        best = candidates[0]
-        for v in candidates[1:]:
-            if weights[v] > weights[best]:
-                best = v
+        best = max(candidates, key=lambda v: weights[v])
         chosen.append(best)
         candidates = [v for v in candidates if v != best and g.adjacency[v, best]]
     chosen.sort()
@@ -135,25 +133,18 @@ def brute_force_max_clique(g: CommutationGraph, cap: int = BRUTE_FORCE_CAP) -> C
     return CliqueResult(best_vertices, float(best_weight))
 
 
-def _is_clique(g: CommutationGraph, vertices: tuple[int, ...]) -> bool:
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1:]:
-            if not g.adjacency[u, v]:
-                return False
-    return True
-
-
 def mc_hamiltonian(h: PauliHamiltonian, c: CliqueResult) -> PauliHamiltonian:
     """Sub-Hamiltonian of the clique's terms with original coefficients."""
     if any(v < 0 or v >= len(h.terms) for v in c.vertices):
         raise ValueError("clique vertex outside the Hamiltonian's term range")
-    g = build_graph(h)
-    if not _is_clique(g, c.vertices):
+    terms = [h.terms[v] for v in c.vertices]
+    if len(set(c.vertices)) != len(terms) or not all(
+        commutes(a, b) for a, b in combinations(terms, 2)
+    ):
         raise ValueError("vertex set is not a clique of this Hamiltonian")
-    expected = float(sum(abs(h.terms[v].coefficient) for v in c.vertices))
-    if abs(expected - c.weight) > 1e-9:
+    if abs(sum(abs(t.coefficient) for t in terms) - c.weight) > 1e-9:
         raise ValueError("clique weight does not match the Hamiltonian's terms")
-    return PauliHamiltonian(h.n_qubits, [h.terms[v] for v in c.vertices])
+    return PauliHamiltonian(h.n_qubits, terms)
 
 
 def clique_to_dict(h: PauliHamiltonian, c: CliqueResult) -> dict:

@@ -21,10 +21,15 @@ from mczeno.pauli import PauliHamiltonian, load_hamiltonian, save_hamiltonian
 from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve
 from mczeno.qzp import initial_eigenstate, zeno_statistics, distribution_csv
-from mczeno.spectral import eig, path_spectrum, spectrum_csv
+from mczeno.spectral import path_eigensolutions, path_spectrum, spectrum_csv
 
 METHODS = ("qae", "qzp", "spectrum", "clique", "scan")
 MAPPINGS = ("auto", "none", "jw", "parity")
+_SCAN_COLUMNS = {
+    "exact": "exact_ground_hartree",
+    "qae": "final_energy_hartree",
+    "qzp": "best_energy_hartree",
+}
 
 
 class StageError(RuntimeError):
@@ -41,8 +46,6 @@ class StageError(RuntimeError):
 def _stage(name: str, source: str):
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, source, exc) from exc
 
@@ -132,19 +135,13 @@ def load_qubit_hamiltonian(
     return parity_map(integrals), "parity"
 
 
-def _ground_group_size(values) -> int:
-    edge = values[0] + 1e-9
-    size = 1
-    while size < len(values) and values[size] <= edge:
-        size += 1
-    return size
-
-
-def _execute(config: RunConfig, h: PauliHamiltonian, mapping: str):
-    """Method dispatch: returns (record, csv text or None)."""
-    graph = build_graph(h)
-    clique = greedy_max_clique(graph)
-    mc = mc_hamiltonian(h, clique)
+def _execute(config: RunConfig, methods: tuple[str, ...]):
+    """Staged pipeline for the given methods: returns (record, csv text or None)."""
+    with _stage("load", config.source):
+        h, mapping = load_qubit_hamiltonian(config.source, config.mapping)
+    with _stage("clique", config.source):
+        clique = greedy_max_clique(build_graph(h))
+        mc = mc_hamiltonian(h, clique)
     record = {
         "method": config.method,
         "source": config.source,
@@ -153,7 +150,7 @@ def _execute(config: RunConfig, h: PauliHamiltonian, mapping: str):
         "seed": config.seed,
     }
 
-    if config.method == "clique":
+    if "clique" in methods:
         record.update(
             {
                 "n_terms": len(h.terms),
@@ -169,8 +166,9 @@ def _execute(config: RunConfig, h: PauliHamiltonian, mapping: str):
     )
     record["alpha"] = config.alpha
 
-    if config.method == "spectrum":
-        spectrum = path_spectrum(p, config.n_points, config.k)
+    if "spectrum" in methods:
+        with _stage("spectrum", config.source):
+            spectrum = path_spectrum(p, config.n_points, config.k)
         record.update(
             {
                 "k": config.k,
@@ -186,10 +184,14 @@ def _execute(config: RunConfig, h: PauliHamiltonian, mapping: str):
         )
         return record, spectrum_csv(spectrum)
 
-    exact = eig(p.h_final).eigenvalues
+    with _stage("exact", config.source):
+        exact = next(path_eigensolutions(p, [1.0])).eigenvalues
+    record["exact_ground_hartree"] = float(exact[0])
 
-    if config.method == "qae":
-        result = evolve(p, config.delta_t, initial_eigenstate(p, config.initial_indices[0]))
+    if "qae" in methods:
+        with _stage("qae", config.source):
+            psi0 = initial_eigenstate(p, config.initial_indices[0])
+            result = evolve(p, config.delta_t, psi0)
         record.update(
             {
                 "total_time": config.total_time,
@@ -197,22 +199,22 @@ def _execute(config: RunConfig, h: PauliHamiltonian, mapping: str):
                 "step_count": result.step_count,
                 "final_energy_hartree": result.final_energy,
                 "ground_fidelity": result.ground_fidelity,
-                "exact_ground_hartree": float(exact[0]),
                 "error_hartree": result.final_energy - float(exact[0]),
             }
         )
-        return record, None
 
-    distributions = zeno_statistics(
-        p, config.n_steps, list(config.initial_indices), config.trials, config.seed
-    )
+    if "qzp" not in methods:
+        return record, None
+    with _stage("qzp", config.source):
+        distributions = zeno_statistics(
+            p, config.n_steps, list(config.initial_indices), config.trials, config.seed
+        )
     best_index = min(min(d.counts) for d in distributions)
     record.update(
         {
             "n_steps": config.n_steps,
             "trials": config.trials,
             "initial_indices": list(config.initial_indices),
-            "exact_ground_hartree": float(exact[0]),
             "best_energy_hartree": float(exact[best_index]),
             "distributions": [
                 {
@@ -237,10 +239,7 @@ def run(config: RunConfig) -> dict:
     """
     if config.method == "scan":
         raise ValueError("scan configs are executed by scan(), not run()")
-    with _stage("load", config.source):
-        h, mapping = load_qubit_hamiltonian(config.source, config.mapping)
-    with _stage(config.method, config.source):
-        record, csv_text = _execute(config, h, mapping)
+    record, csv_text = _execute(config, (config.method,))
     if config.output:
         with _stage("write", config.output):
             if config.output.lower().endswith(".csv"):
@@ -276,6 +275,7 @@ class ScanRow:
     status: str
     energies: dict[str, float] = field(default_factory=dict)
     errors: dict[str, float] = field(default_factory=dict)
+    message: str = ""  # cause of a failed or missing point; empty when ok
 
 
 @dataclass(frozen=True)
@@ -295,12 +295,13 @@ def scan(
     Coordinates must be strictly increasing.  The exact column is the
     reference; qae reports the evolved final energy and qzp the lowest
     eigenvalue reached over its trials.  A point whose file is missing
-    (or whose pipeline fails) is flagged in its row and the scan
-    continues.
+    (or whose pipeline fails) is flagged in its row, with the cause in
+    its message, and the scan continues.
     """
-    allowed = {"exact", "qae", "qzp"}
-    if not methods or any(m not in allowed for m in methods):
-        raise ValueError(f"methods must be a non-empty subset of {sorted(allowed)}")
+    if not methods or any(m not in _SCAN_COLUMNS for m in methods):
+        raise ValueError(
+            f"methods must be a non-empty subset of {sorted(_SCAN_COLUMNS)}"
+        )
     if "exact" not in methods:
         raise ValueError("methods must include 'exact' to define error columns")
     coordinates = [c for c, _ in points]
@@ -310,51 +311,18 @@ def scan(
     rows = []
     for coordinate, config in points:
         if not os.path.exists(config.source):
-            rows.append(ScanRow(coordinate, "missing"))
+            rows.append(ScanRow(coordinate, "missing", message="no such file"))
             continue
         try:
-            row = _scan_point(coordinate, config, methods)
+            record, _ = _execute(config, methods)
         except StageError as error:
-            rows.append(ScanRow(coordinate, f"failed: {error.stage}"))
+            status = f"failed: {error.stage}"
+            rows.append(ScanRow(coordinate, status, message=str(error)))
             continue
-        rows.append(row)
+        energies = {m: record[_SCAN_COLUMNS[m]] for m in methods}
+        errors = {m: e - energies["exact"] for m, e in energies.items() if m != "exact"}
+        rows.append(ScanRow(coordinate, "ok", energies, errors))
     return ScanResult(tuple(methods), tuple(rows))
-
-
-def _scan_point(
-    coordinate: float, config: RunConfig, methods: tuple[str, ...]
-) -> ScanRow:
-    with _stage("load", config.source):
-        h, mapping = load_qubit_hamiltonian(config.source, config.mapping)
-    with _stage("clique", config.source):
-        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
-        p = PathHamiltonian(mc, h, alpha=config.alpha, total_time=config.total_time)
-
-    with _stage("exact", config.source):
-        exact = eig(h).eigenvalues
-    energies = {"exact": float(exact[0])}
-    errors = {}
-    if "qae" in methods:
-        with _stage("qae", config.source):
-            result = evolve(
-                p, config.delta_t, initial_eigenstate(p, config.initial_indices[0])
-            )
-        energies["qae"] = result.final_energy
-    if "qzp" in methods:
-        with _stage("qzp", config.source):
-            distributions = zeno_statistics(
-                p,
-                config.n_steps,
-                list(config.initial_indices),
-                config.trials,
-                config.seed,
-            )
-        best_index = min(min(d.counts) for d in distributions)
-        energies["qzp"] = float(exact[best_index])
-    for name, value in energies.items():
-        if name != "exact":
-            errors[name] = value - energies["exact"]
-    return ScanRow(coordinate, "ok", energies, errors)
 
 
 def scan_csv(result: ScanResult) -> str:

@@ -77,6 +77,7 @@ class FermionIntegrals:
 
 _HEADER_END = re.compile(r"(&END|\$END|^\s*/\s*$)", re.IGNORECASE | re.MULTILINE)
 _NORB = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
+_FORTRAN_EXPONENT = str.maketrans("Dd", "Ee")
 
 
 def load_fcidump(path) -> FermionIntegrals:
@@ -84,8 +85,9 @@ def load_fcidump(path) -> FermionIntegrals:
 
     Layout: a namelist header (&FCI ... &END or a bare / terminator),
     then one record per line, ``value i j k l`` with 1-based orbital
-    indices.  All-zero indices carry the core energy, k = l = 0 a
-    one-body element, all positive a chemist two-body element (ij|kl).
+    indices; the value may use a Fortran D exponent (1.0D-02).  All-zero
+    indices carry the core energy, k = l = 0 a one-body element, all
+    positive a chemist two-body element (ij|kl).
     Records with only the first index set (orbital energies) are ignored.
     Each stored element is expanded to its full permutational symmetry
     class.
@@ -114,7 +116,7 @@ def load_fcidump(path) -> FermionIntegrals:
         if len(fields) != 5:
             raise ValueError(f"{path}: bad record {line!r}")
         try:
-            value = float(fields[0])
+            value = float(fields[0].translate(_FORTRAN_EXPONENT))
             i, j, k, l = (int(f) for f in fields[1:])
         except ValueError:
             raise ValueError(f"{path}: non-numeric record {line!r}") from None
@@ -168,40 +170,32 @@ def _multiply(left: _Operator, right: _Operator) -> _Operator:
     return out
 
 
+def _ladders(keys) -> tuple[list[_Operator], list[_Operator]]:
+    """Annihilators (X + iY)/2 and creators (X - iY)/2 of each mode, from
+    the (x, z) masks of its X-like and Y-like Pauli parts."""
+    annihilate = [{x_key: 0.5, y_key: 0.5j} for x_key, y_key in keys]
+    create = [{x_key: 0.5, y_key: -0.5j} for x_key, y_key in keys]
+    return annihilate, create
+
+
 def _jw_ladders(n: int) -> tuple[list[_Operator], list[_Operator]]:
     """Annihilators and creators with Z strings on the lower modes."""
-    lower = [(1 << p) - 1 for p in range(n)]
-    annihilate = []
-    create = []
+    keys = []
     for p in range(n):
-        bit = 1 << p
-        x_part = {(bit, lower[p]): 0.5}
-        y_part = (bit, lower[p] | bit)
-        a = dict(x_part)
-        a[y_part] = 0.5j
-        ad = dict(x_part)
-        ad[y_part] = -0.5j
-        annihilate.append(a)
-        create.append(ad)
-    return annihilate, create
+        bit, lower = 1 << p, (1 << p) - 1
+        keys.append(((bit, lower), (bit, lower | bit)))
+    return _ladders(keys)
 
 
 def _parity_ladders(n: int) -> tuple[list[_Operator], list[_Operator]]:
     """Ladders in the parity basis: X on all higher modes, Z on one lower."""
     full = (1 << n) - 1
-    annihilate = []
-    create = []
+    keys = []
     for p in range(n):
         bit = 1 << p
-        above = full & ~((bit << 1) - 1)
-        z_lower = (bit >> 1) if p > 0 else 0
-        x_key = (above | bit, z_lower)
-        y_key = (above | bit, bit)
-        a = {x_key: 0.5, y_key: 0.5j}
-        ad = {x_key: 0.5, y_key: -0.5j}
-        annihilate.append(a)
-        create.append(ad)
-    return annihilate, create
+        x_mask = full & ~(bit - 1)  # this mode and all higher ones
+        keys.append(((x_mask, bit >> 1), (x_mask, bit)))
+    return _ladders(keys)
 
 
 def _assemble(f: FermionIntegrals, ladders, cap: int) -> PauliHamiltonian:

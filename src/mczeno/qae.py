@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from mczeno.pauli import PauliHamiltonian
-from mczeno.path import PathHamiltonian, h_at
-from mczeno.spectral import dense_matrix, eig
+from mczeno.path import PathHamiltonian, s_grid
+from mczeno.spectral import dense_matrix, eig, path_eigensolutions
 
 DEGENERACY_TOL = 1e-9
 """Eigenvalues closer than this are treated as one degenerate level."""
@@ -91,16 +91,17 @@ def evolve(p: PathHamiltonian, delta_t: float, psi0: np.ndarray) -> QaeResult:
     _check_state(psi0, p.n_qubits)
 
     psi = psi0.astype(complex)
-    for k in range(1, n_steps + 1):
-        h_k = h_at(p, k / n_steps)
-        solution = eig(h_k)
+    for solution in path_eigensolutions(p, s_grid(n_steps)[1:]):
         phases = np.exp(-1j * solution.eigenvalues * delta_t)
         amplitudes = np.conj(psi.conj() @ solution.eigenvectors)
         psi = solution.eigenvectors @ (phases * amplitudes)
 
+    # The last step's eigenbasis is that of H(1) = H_p; phases keep the weights.
+    values = solution.eigenvalues
+    weights = np.abs(amplitudes) ** 2
     return QaeResult(
         final_state=psi,
-        final_energy=energy_expectation(psi, p.h_final),
-        ground_fidelity=ground_space_fidelity(psi, p.h_final),
+        final_energy=float(values @ weights),
+        ground_fidelity=float(weights[values <= values[0] + DEGENERACY_TOL].sum()),
         step_count=n_steps,
     )

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mczeno.path import PathHamiltonian, discretize
+from mczeno.path import PathHamiltonian, s_grid
 from mczeno.qae import DEGENERACY_TOL, basis_state, evolve
-from mczeno.spectral import EigenSolution, diagonal_basis_order, eig
+from mczeno.spectral import EigenSolution, diagonal_basis_order, path_eigensolutions
 from mczeno.pauli import is_all_z
 
 
@@ -111,14 +111,22 @@ def initial_eigenstate(p: PathHamiltonian, initial_index: int) -> np.ndarray:
     by (energy, basis index), so degenerate ground states enumerate in
     lexicographic order and the choice is reproducible.
     """
-    h0 = p.h_initial
+    return _initial_state(p, initial_index)
+
+
+def _initial_state(
+    p: PathHamiltonian, initial_index: int, h0: EigenSolution | None = None
+) -> np.ndarray:
+    """initial_eigenstate; a non-diagonal H(0)'s eigenvectors come from h0 if given."""
     dim = 1 << p.n_qubits
     if not 0 <= initial_index < dim:
         raise ValueError(f"initial_index {initial_index} outside 0..{dim - 1}")
-    if is_all_z(h0):
-        order = diagonal_basis_order(h0)
+    if is_all_z(p.h_initial):
+        order = diagonal_basis_order(p.h_initial)
         return basis_state(p.n_qubits, int(order[initial_index]))
-    return eig(h0).eigenvectors[:, initial_index].astype(complex)
+    if h0 is None:
+        h0 = next(path_eigensolutions(p, [0.0]))
+    return h0.eigenvectors[:, initial_index].astype(complex)
 
 
 def zeno_run(
@@ -140,7 +148,7 @@ def zeno_run(
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if eigensolutions is None:
-        eigensolutions = [eig(h) for h in discretize(p, n_steps)]
+        eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
     if len(eigensolutions) != n_steps + 1:
         raise ValueError("eigensolution list does not match n_steps")
 
@@ -151,7 +159,7 @@ def zeno_run(
         )
         trajectory.append(index0)
     else:
-        psi = initial_eigenstate(p, initial_index)
+        psi = _initial_state(p, initial_index, eigensolutions[0])
 
     for k in range(1, n_steps + 1):
         index, psi = project(
@@ -186,7 +194,7 @@ def zeno_statistics(
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
-    eigensolutions = [eig(h) for h in discretize(p, n_steps)]
+    eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
     out = []
     for slot, initial_index in enumerate(initial_indices):
         counts: dict[int, int] = {}
@@ -218,7 +226,7 @@ def lowest_k_energies(
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     if repetitions < k:
         raise ValueError("repetitions must be at least k")
-    eigensolutions = [eig(h) for h in discretize(p, n_steps)]
+    eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
     observed: dict[int, int] = {}
     for r in range(repetitions):
         trial = zeno_run(
@@ -247,9 +255,8 @@ def qae_then_project(
     The comparison partner for full projection runs: evolve once, then
     sample the final eigenbasis per trial.
     """
-    psi0 = initial_eigenstate(p, initial_index)
-    result = evolve(p, delta_t, psi0)
-    final = eig(p.h_final)
+    result = evolve(p, delta_t, initial_eigenstate(p, initial_index))
+    final = next(path_eigensolutions(p, [1.0]))
     counts: dict[int, int] = {}
     for t in range(trials):
         index, _ = project(result.final_state, final, step_rng(rng_seed, t, 0))

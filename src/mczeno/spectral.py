@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
+import scipy.sparse
 
 from mczeno.pauli import (
     DIMENSION_CAP,
     PauliHamiltonian,
+    _check_cap,
     diagonal_entries,
     ham_matrix,
     is_all_z,
@@ -31,22 +34,38 @@ class PathSpectrum:
     levels: np.ndarray
 
 
+def densify(m: scipy.sparse.spmatrix) -> np.ndarray:
+    """Dense copy of a sparse matrix, dropped to real storage when exactly real."""
+    dense = m.toarray()
+    if np.all(dense.imag == 0.0):
+        return np.ascontiguousarray(dense.real)
+    return dense
+
+
 def dense_matrix(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> np.ndarray:
     """Dense Hermitian matrix, dropped to real storage when exactly real."""
-    m = ham_matrix(h, cap).toarray()
-    if np.all(m.imag == 0.0):
-        return np.ascontiguousarray(m.real)
-    return m
+    return densify(ham_matrix(h, cap))
 
 
-def eig(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> EigenSolution:
-    """Full dense Hermitian eigendecomposition."""
-    m = dense_matrix(h, cap)
+def _solve(m: np.ndarray) -> EigenSolution:
     residue = np.abs(m - m.conj().T).max() if m.size else 0.0
     if residue > 1e-12:
         raise ValueError(f"matrix is not Hermitian (residue {residue:g})")
     values, vectors = np.linalg.eigh(m)
     return EigenSolution(values, vectors)
+
+
+def eig(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> EigenSolution:
+    """Full dense Hermitian eigendecomposition."""
+    return _solve(dense_matrix(h, cap))
+
+
+def path_eigensolutions(
+    p, s_values: Iterable[float], cap: int = DIMENSION_CAP
+) -> Iterator[EigenSolution]:
+    """Eigensolutions of p.matrix(s) for each s in s_values, solved lazily."""
+    _check_cap(p.n_qubits, cap)
+    return (_solve(p.matrix(float(s))) for s in s_values)
 
 
 def lowest_k(h: PauliHamiltonian, k: int, cap: int = DIMENSION_CAP) -> EigenSolution:
@@ -71,14 +90,14 @@ def diagonal_basis_order(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> np.nd
 
 def path_spectrum(p, n_points: int, k: int, cap: int = DIMENSION_CAP) -> PathSpectrum:
     """Lowest k levels at n_points equally spaced s values in [0, 1]."""
-    from mczeno.path import h_at
-
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
+    dim = 1 << p.n_qubits
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must be in 1..{dim}, got {k}")
     s_values = np.array([j / (n_points - 1) for j in range(n_points)])
-    levels = np.empty((n_points, k))
-    for i, s in enumerate(s_values):
-        levels[i] = lowest_k(h_at(p, float(s)), k, cap).eigenvalues
+    solutions = path_eigensolutions(p, s_values, cap)
+    levels = np.array([es.eigenvalues[:k] for es in solutions])
     return PathSpectrum(s_values, levels)
 
 

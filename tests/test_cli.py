@@ -154,3 +154,14 @@ class TestScanCommand:
         )
         assert main(["scan", str(config)]) == 1
         assert "missing" in capsys.readouterr().out
+
+    def test_failed_point_prints_its_cause(self, tmp_path, capsys):
+        (tmp_path / "bad.fcidump").write_text("NORB=2\n 0.5 1 1 0 0\n")
+        config = tmp_path / "scan.json"
+        config.write_text(
+            json.dumps({"points": [{"coordinate": 1.0, "source": "bad.fcidump"}]})
+        )
+        assert main(["scan", str(config), "-o", str(tmp_path / "out.csv")]) == 1
+        out = capsys.readouterr().out
+        assert "1.0: failed: load (stage 'load' failed for" in out
+        assert "malformed FCIDUMP header" in out

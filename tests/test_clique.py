@@ -189,6 +189,12 @@ class TestMcHamiltonian:
         with pytest.raises(ValueError, match="not a clique"):
             mc_hamiltonian(toy_hamiltonian, bad)
 
+    def test_repeated_vertex_rejected(self, toy_hamiltonian):
+        """A term commutes with itself, but a vertex may appear only once."""
+        iz = build_graph(toy_hamiltonian).labels.index("IZ")
+        with pytest.raises(ValueError, match="not a clique"):
+            mc_hamiltonian(toy_hamiltonian, CliqueResult((iz, iz), 8.0))
+
     def test_record_serialization(self, toy_hamiltonian):
         clique = greedy_max_clique(build_graph(toy_hamiltonian))
         doc = clique_to_dict(toy_hamiltonian, clique)

@@ -203,6 +203,17 @@ class TestScan:
         assert [row.status for row in result.rows] == ["ok", "missing", "ok"]
         assert result.rows[1].energies == {}
 
+    def test_failed_point_keeps_its_cause(self, data_dir, tmp_path):
+        bad = tmp_path / "bad.fcidump"
+        bad.write_text("NORB=2\n 0.5 1 1 0 0\n")
+        points = self._points(data_dir)
+        points[1] = (1.2, RunConfig(source=str(bad), method="scan"))
+        result = scan(points)
+        assert [row.status for row in result.rows] == ["ok", "failed: load", "ok"]
+        assert "malformed FCIDUMP header" in result.rows[1].message
+        assert result.rows[0].message == result.rows[2].message == ""
+        assert scan_csv(result).splitlines()[2] == "1.2,,,,failed: load"
+
     def test_coordinates_must_increase(self, data_dir):
         points = self._points(data_dir)
         points[1], points[0] = points[0], points[1]

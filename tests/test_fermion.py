@@ -85,6 +85,28 @@ class TestLoadFcidump:
         with pytest.raises(ValueError, match="non-numeric"):
             load_fcidump(path)
 
+    def test_fortran_d_exponents(self, data_dir, tmp_path):
+        """A D-exponent copy of the bundled H2 file gives the same spectrum."""
+        text = (data_dir / "h2_sto3g_0.7414.fcidump").read_text()
+        header, body = text.split("&END\n")
+        records = [line.split() for line in body.splitlines() if line.strip()]
+        assert all("e" in fields[0] for fields in records)
+        d_form = tmp_path / "d_form.fcidump"
+        d_form.write_text(header + "&END\n" + "".join(
+            " ".join([fields[0].replace("e", "D")] + fields[1:]) + "\n"
+            for fields in records
+        ))
+        e_form = np.linalg.eigvalsh(dense_matrix(jordan_wigner(
+            load_fcidump(data_dir / "h2_sto3g_0.7414.fcidump"))))
+        ours = np.linalg.eigvalsh(dense_matrix(jordan_wigner(load_fcidump(d_form))))
+        assert np.array_equal(ours, e_form)
+
+    def test_malformed_d_exponent_still_rejected(self, tmp_path):
+        path = tmp_path / "dd.fcidump"
+        path.write_text("&FCI NORB=2,\n&END\n 1.0DD-02 1 1 0 0\n")
+        with pytest.raises(ValueError, match="non-numeric"):
+            load_fcidump(path)
+
     def test_bundled_h2_full_ci(self, data_dir):
         """Bundled equilibrium H2 file reaches the expected total energy.
 

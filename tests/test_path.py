@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mczeno.pauli import parse_hamiltonian
+from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
+from mczeno.pauli import load_hamiltonian, parse_hamiltonian
 from mczeno.path import PathHamiltonian, discretize, h_at, x_driver
 from mczeno.spectral import dense_matrix
 
@@ -91,3 +92,42 @@ class TestDiscretize:
     def test_invalid_n(self, demo_path):
         with pytest.raises(ValueError, match="n_steps"):
             discretize(demo_path, 0)
+
+
+def stretched_h2_path(data_dir, alpha):
+    h = load_hamiltonian(data_dir / "h2_2.8_jw.txt")
+    mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+    return PathHamiltonian(mc, h, alpha=alpha)
+
+
+def odd_y_path():
+    h_p = parse_hamiltonian("0.5 ZI\n-0.7 IY\n0.3 XZ\n0.2 YX")
+    return PathHamiltonian(parse_hamiltonian("0.5 ZI\n-0.7 IY"), h_p, alpha=0.5)
+
+
+class TestMatrix:
+    """p.matrix(s) against the Pauli-level reference dense_matrix(h_at(p, s))."""
+
+    @pytest.fixture(params=["h2_2.8_alpha0", "h2_2.8_alpha0.5", "odd_y"])
+    def path(self, request, data_dir):
+        if request.param == "odd_y":
+            return odd_y_path()
+        return stretched_h2_path(data_dir, float(request.param.split("alpha")[1]))
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_endpoints_bit_identical(self, path, s):
+        m = path.matrix(s)
+        reference = dense_matrix(h_at(path, s))
+        assert m.dtype == reference.dtype
+        assert np.array_equal(m, reference)
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.85])
+    def test_interior_points_agree(self, path, s):
+        assert np.abs(path.matrix(s) - dense_matrix(h_at(path, s))).max() <= 1e-12
+
+    def test_odd_y_term_gives_complex_matrix(self):
+        assert np.iscomplexobj(odd_y_path().matrix(0.5))
+
+    def test_s_out_of_range(self, demo_path):
+        with pytest.raises(ValueError, match="s must lie"):
+            demo_path.matrix(1.5)

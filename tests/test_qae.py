@@ -106,6 +106,22 @@ class TestEvolve:
             evolve(p, 0.5, np.full(4, 0.9, dtype=complex))
 
 
+class TestFinalObservables:
+    """evolve() reads them from its last step; the Pauli-level references agree."""
+
+    @pytest.mark.parametrize("fixture,alpha", [
+        ("gapped_four_qubit.txt", 0.0), ("h2_2.8_jw.txt", 0.5),
+    ])
+    def test_match_references(self, data_dir, fixture, alpha):
+        h = load_hamiltonian(data_dir / fixture)
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        p = PathHamiltonian(mc, h, alpha=alpha, total_time=10.0)
+        result = evolve(p, 0.5, initial_eigenstate(p, 0))
+        psi = result.final_state
+        assert abs(result.final_energy - energy_expectation(psi, h)) <= 1e-12
+        assert abs(result.ground_fidelity - ground_space_fidelity(psi, h)) <= 1e-12
+
+
 class TestGroundSpaceFidelity:
     def test_degenerate_ground_space_counts_fully(self):
         """ZZ has a two-fold ground space; any mix of |01> and |10> is in it."""

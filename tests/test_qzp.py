@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
-from mczeno.pauli import load_hamiltonian, parse_hamiltonian
+from mczeno.pauli import is_all_z, load_hamiltonian, parse_hamiltonian
 from mczeno.path import PathHamiltonian
 from mczeno.qae import basis_state
 from mczeno.qzp import (
@@ -289,3 +289,25 @@ class TestDistributionCsv:
     def test_count_total_validated(self):
         with pytest.raises(ValueError, match="do not sum"):
             ZenoDistribution(counts={0: 1}, trials=2, initial_index=0)
+
+
+class TestEigensolveCount:
+    def test_zeno_statistics_solves_each_grid_point_once(self, data_dir, monkeypatch):
+        """The non-diagonal H(0) eigenvector comes from the grid's first point."""
+        h = load_hamiltonian(data_dir / "h2_2.8_jw.txt")
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        assert not is_all_z(mc)
+        p = PathHamiltonian(mc, h, alpha=0.5)
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        n_steps = 10
+        for trials in (1, 30):
+            calls.clear()
+            zeno_statistics(p, n_steps, [0, 1], trials, 5)
+            assert len(calls) <= n_steps + 1
