@@ -152,6 +152,15 @@ def commutes(a: PauliTerm, b: PauliTerm) -> bool:
     return left == right
 
 
+def parity(values: np.ndarray, n_bits: int) -> np.ndarray:
+    """popcount(v) & 1 of each v < 2**n_bits (np.bitwise_count needs numpy 2)."""
+    shift = 1 << max(n_bits - 1, 0).bit_length()
+    while shift > 1:
+        shift >>= 1
+        values = values ^ (values >> shift)
+    return values & 1
+
+
 def _check_cap(n_qubits: int, cap: int) -> None:
     if n_qubits > cap:
         raise ValueError(
@@ -170,7 +179,7 @@ def term_matrix(t: PauliTerm, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matr
     dim = 1 << t.n_qubits
     cols = np.arange(dim, dtype=np.int64)
     rows = cols ^ t.x_mask
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & t.z_mask) & 1)
+    signs = 1.0 - 2.0 * parity(cols & t.z_mask, t.n_qubits)
     n_y = (t.x_mask & t.z_mask).bit_count()
     phase = 1j ** n_y
     data = (t.coefficient * phase) * signs
@@ -204,7 +213,7 @@ def diagonal_entries(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> np.ndarra
     idx = np.arange(1 << h.n_qubits, dtype=np.int64)
     diag = np.zeros(idx.shape, dtype=float)
     for t in h.terms:
-        diag += t.coefficient * (1.0 - 2.0 * (np.bitwise_count(idx & t.z_mask) & 1))
+        diag += t.coefficient * (1.0 - 2.0 * parity(idx & t.z_mask, h.n_qubits))
     return diag
 
 

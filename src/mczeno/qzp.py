@@ -15,12 +15,13 @@ or executed concurrently, without coordinating generator state.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from mczeno.path import PathHamiltonian, s_grid
-from mczeno.qae import DEGENERACY_TOL, basis_state, evolve
+from mczeno.qae import DEGENERACY_TOL, evolve
 from mczeno.spectral import EigenSolution, diagonal_basis_order, path_eigensolutions
 from mczeno.pauli import is_all_z
 
@@ -68,10 +69,55 @@ def step_rng(run_seed: int, trial: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
-def _group_starts(eigenvalues: np.ndarray) -> np.ndarray:
-    """Start offsets of the degenerate eigenvalue groups (sorted input)."""
-    breaks = np.flatnonzero(np.diff(eigenvalues) > DEGENERACY_TOL) + 1
-    return np.concatenate(([0], breaks))
+def _project_block(
+    psi: np.ndarray, es: EigenSolution, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """project() of every column of psi, column j with the uniform draws[j].
+
+    A real state against real eigenvectors stays real, so both products
+    run as real matrix products.
+    """
+    vectors = es.eigenvectors
+    if psi.shape[0] != vectors.shape[0]:
+        raise ValueError(
+            f"state dimension {psi.shape[0]} does not match basis {vectors.shape[0]}"
+        )
+    if np.iscomplexobj(psi) and not psi.imag.any():
+        psi = psi.real
+    amplitudes = vectors.conj().T @ psi
+    weights = np.abs(amplitudes)
+    weights **= 2
+    breaks = np.flatnonzero(np.diff(es.eigenvalues) > DEGENERACY_TOL) + 1
+    starts = np.concatenate(([0], breaks))
+    cumulative = np.cumsum(np.add.reduceat(weights, starts, axis=0), axis=0)
+    totals = cumulative[-1]
+    off = np.abs(totals - 1.0) > 1e-6
+    if off.any():
+        raise ValueError(f"state is not normalized (total weight {totals[off][0]})")
+    chosen = np.count_nonzero(cumulative <= draws * totals, axis=0)
+    np.minimum(chosen, len(starts) - 1, out=chosen)
+    level = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(weights)))
+    amplitudes *= level[:, None] == chosen
+    collapsed = vectors @ amplitudes
+    collapsed /= np.linalg.norm(collapsed, axis=0)
+    return starts[chosen], collapsed
+
+
+def _trajectories(
+    eigensolutions: list[EigenSolution],
+    psi: np.ndarray,
+    rng_seed: int,
+    trial_numbers: range,
+    first_step: int,
+) -> np.ndarray:
+    """Project column t of psi through eigensolutions[first_step:] as trial
+    trial_numbers[t]; returns the sampled ranks, one row per step."""
+    ranks = []
+    for k in range(first_step, len(eigensolutions)):
+        draws = np.array([step_rng(rng_seed, t, k).random() for t in trial_numbers])
+        step_ranks, psi = _project_block(psi, eigensolutions[k], draws)
+        ranks.append(step_ranks)
+    return np.array(ranks)
 
 
 def project(
@@ -82,51 +128,37 @@ def project(
     Returns the sampled level's lowest rank and the normalized collapse
     of psi onto that level's full eigenspace.
     """
-    vectors = es.eigenvectors
-    if psi.shape[0] != vectors.shape[0]:
-        raise ValueError(
-            f"state dimension {psi.shape[0]} does not match basis {vectors.shape[0]}"
-        )
-    amplitudes = np.conj(psi.conj() @ vectors)
-    weights = np.abs(amplitudes) ** 2
-    starts = _group_starts(es.eigenvalues)
-    probs = np.add.reduceat(weights, starts)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"state is not normalized (total weight {total})")
-    draw = rng.random() * total
-    chosen = int(np.searchsorted(np.cumsum(probs), draw, side="right"))
-    chosen = min(chosen, len(starts) - 1)
-    a = int(starts[chosen])
-    b = int(starts[chosen + 1]) if chosen + 1 < len(starts) else len(weights)
-    collapsed = vectors[:, a:b] @ amplitudes[a:b]
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    return a, collapsed
+    ranks, collapsed = _project_block(psi[:, None], es, np.array([rng.random()]))
+    return int(ranks[0]), collapsed[:, 0]
 
 
 def initial_eigenstate(p: PathHamiltonian, initial_index: int) -> np.ndarray:
-    """Eigenstate of H(0) at the given rank.
+    """Eigenstate of H(0) at the given rank, in real storage when H(0) is real.
 
     For a diagonal (all-Z) initial Hamiltonian, ranks order basis states
     by (energy, basis index), so degenerate ground states enumerate in
     lexicographic order and the choice is reproducible.
     """
-    return _initial_state(p, initial_index)
+    return _initial_block(p, [initial_index])[:, 0]
 
 
-def _initial_state(
-    p: PathHamiltonian, initial_index: int, h0: EigenSolution | None = None
+def _initial_block(
+    p: PathHamiltonian, initial_indices: list[int], h0: EigenSolution | None = None
 ) -> np.ndarray:
-    """initial_eigenstate; a non-diagonal H(0)'s eigenvectors come from h0 if given."""
+    """initial_eigenstate of each rank as one column; a non-diagonal H(0)'s
+    eigenvectors come from h0 if given."""
     dim = 1 << p.n_qubits
-    if not 0 <= initial_index < dim:
-        raise ValueError(f"initial_index {initial_index} outside 0..{dim - 1}")
+    for initial_index in dict.fromkeys(initial_indices):
+        if not 0 <= initial_index < dim:
+            raise ValueError(f"initial_index {initial_index} outside 0..{dim - 1}")
     if is_all_z(p.h_initial):
-        order = diagonal_basis_order(p.h_initial)
-        return basis_state(p.n_qubits, int(order[initial_index]))
+        block = np.zeros((dim, len(initial_indices)))
+        rows = diagonal_basis_order(p.h_initial)[initial_indices]
+        block[rows, np.arange(len(initial_indices))] = 1.0
+        return block
     if h0 is None:
         h0 = next(path_eigensolutions(p, [0.0]))
-    return h0.eigenvectors[:, initial_index].astype(complex)
+    return h0.eigenvectors[:, initial_indices]
 
 
 def zeno_run(
@@ -152,27 +184,19 @@ def zeno_run(
     if len(eigensolutions) != n_steps + 1:
         raise ValueError("eigensolution list does not match n_steps")
 
-    trajectory = []
-    if initial_state is not None:
-        index0, psi = project(
-            initial_state, eigensolutions[0], step_rng(rng_seed, trial_number, 0)
-        )
-        trajectory.append(index0)
+    if initial_state is None:
+        psi, first_step = _initial_block(p, [initial_index], eigensolutions[0]), 1
     else:
-        psi = _initial_state(p, initial_index, eigensolutions[0])
-
-    for k in range(1, n_steps + 1):
-        index, psi = project(
-            psi, eigensolutions[k], step_rng(rng_seed, trial_number, k)
-        )
-        trajectory.append(index)
-
+        psi, first_step = initial_state[:, None], 0
+    trials = range(trial_number, trial_number + 1)
+    ranks = _trajectories(eigensolutions, psi, rng_seed, trials, first_step)
+    trajectory = tuple(ranks[:, 0].tolist())
     final_index = trajectory[-1]
     final_energy = float(eigensolutions[-1].eigenvalues[final_index])
     return ZenoTrial(
         final_index=final_index,
         final_energy=final_energy,
-        trajectory=tuple(trajectory),
+        trajectory=trajectory,
         seed=rng_seed,
         initial_index=initial_index,
         trial_number=trial_number,
@@ -190,21 +214,20 @@ def zeno_statistics(
 
     Trial t of the i-th initial index uses trial number
     i * trials_per_initial + t, so results are seed-deterministic and
-    independent of execution order.
+    independent of execution order.  The trials of one initial index
+    are projected together, one state column each.
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
     eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
     out = []
     for slot, initial_index in enumerate(initial_indices):
-        counts: dict[int, int] = {}
-        for t in range(trials_per_initial):
-            trial = zeno_run(
-                p, n_steps, initial_index, rng_seed,
-                trial_number=slot * trials_per_initial + t,
-                eigensolutions=eigensolutions,
-            )
-            counts[trial.final_index] = counts.get(trial.final_index, 0) + 1
+        psi = _initial_block(p, [initial_index] * trials_per_initial, eigensolutions[0])
+        first = slot * trials_per_initial
+        finals = _trajectories(
+            eigensolutions, psi, rng_seed, range(first, first + trials_per_initial), 1
+        )[-1]
+        counts = dict(Counter(finals.tolist()))
         out.append(ZenoDistribution(counts, trials_per_initial, initial_index))
     return out
 
@@ -227,14 +250,9 @@ def lowest_k_energies(
     if repetitions < k:
         raise ValueError("repetitions must be at least k")
     eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
-    observed: dict[int, int] = {}
-    for r in range(repetitions):
-        trial = zeno_run(
-            p, n_steps, r % k, rng_seed,
-            trial_number=r,
-            eigensolutions=eigensolutions,
-        )
-        observed[trial.final_index] = observed.get(trial.final_index, 0) + 1
+    psi = _initial_block(p, [r % k for r in range(repetitions)], eigensolutions[0])
+    finals = _trajectories(eigensolutions, psi, rng_seed, range(repetitions), 1)[-1]
+    observed = Counter(finals.tolist())
     final_values = eigensolutions[-1].eigenvalues
     ranked = sorted(observed)
     energies = tuple(
@@ -257,11 +275,9 @@ def qae_then_project(
     """
     result = evolve(p, delta_t, initial_eigenstate(p, initial_index))
     final = next(path_eigensolutions(p, [1.0]))
-    counts: dict[int, int] = {}
-    for t in range(trials):
-        index, _ = project(result.final_state, final, step_rng(rng_seed, t, 0))
-        counts[index] = counts.get(index, 0) + 1
-    return ZenoDistribution(counts, trials, initial_index)
+    psi = np.repeat(result.final_state[:, None], trials, axis=1)
+    finals = _trajectories([final], psi, rng_seed, range(trials), 0)[-1]
+    return ZenoDistribution(dict(Counter(finals.tolist())), trials, initial_index)
 
 
 def distribution_csv(distributions: list[ZenoDistribution]) -> str:

@@ -109,3 +109,48 @@ def random_spatial_integrals(m: int, rng: np.random.Generator):
     g = g + g.transpose(2, 3, 0, 1)
     core = float(rng.normal())
     return h, g, core
+
+
+ZENO_DEGENERACY_TOL = 1e-9
+"""Eigenvalues closer than this form one degenerate measurement outcome."""
+
+
+def philox_draw(seed: int, trial: int, step: int) -> float:
+    """The uniform draw of one projection event, Philox keyed by (seed, trial, step)."""
+    sequence = np.random.SeedSequence(entropy=(seed, trial, step))
+    return float(np.random.Generator(np.random.Philox(sequence)).random())
+
+
+def zeno_project(psi: np.ndarray, values: np.ndarray, vectors: np.ndarray,
+                 draw: float) -> tuple[int, np.ndarray]:
+    """One Born-rule projection of one state, in complex arithmetic.
+
+    The draw scaled by the total weight picks a degenerate level by its
+    cumulative weight; the state collapses onto that level's whole
+    eigenspace.  Returns the level's lowest rank and the collapsed state.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    amplitudes = np.conj(psi.conj() @ vectors)
+    weights = np.abs(amplitudes) ** 2
+    starts = np.concatenate(
+        ([0], np.flatnonzero(np.diff(values) > ZENO_DEGENERACY_TOL) + 1))
+    probs = np.add.reduceat(weights, starts)
+    chosen = int(np.searchsorted(np.cumsum(probs), draw * probs.sum(), side="right"))
+    chosen = min(chosen, len(starts) - 1)
+    a = int(starts[chosen])
+    b = int(starts[chosen + 1]) if chosen + 1 < len(starts) else len(weights)
+    collapsed = vectors[:, a:b] @ amplitudes[a:b]
+    return a, collapsed / np.linalg.norm(collapsed)
+
+
+def zeno_trajectory(solutions, psi: np.ndarray, seed: int, trial: int,
+                    first_step: int) -> tuple[int, ...]:
+    """Ranks sampled by one trial projected through solutions[first_step:],
+    one state at a time, with the draw of (seed, trial, step) at each step."""
+    ranks = []
+    for step in range(first_step, len(solutions)):
+        es = solutions[step]
+        rank, psi = zeno_project(psi, es.eigenvalues, es.eigenvectors,
+                                 philox_draw(seed, trial, step))
+        ranks.append(rank)
+    return tuple(ranks)

@@ -16,7 +16,15 @@ from mczeno.clique import (
     greedy_max_clique,
     mc_hamiltonian,
 )
-from mczeno.pauli import PauliHamiltonian, ham_matrix, parse_hamiltonian, parse_pauli
+from mczeno.driver import load_qubit_hamiltonian
+from mczeno.pauli import (
+    PauliHamiltonian,
+    commutes,
+    ham_matrix,
+    parse_hamiltonian,
+    parse_pauli,
+)
+from conftest import DATA_DIR
 
 
 def random_graph(rng, m, edge_p=0.5):
@@ -60,6 +68,23 @@ class TestBuildGraph:
     def test_adjacency_symmetric(self, toy_hamiltonian):
         g = build_graph(toy_hamiltonian)
         assert np.array_equal(g.adjacency, g.adjacency.T)
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in DATA_DIR.iterdir()) + ["wide_70_qubit"]
+    )
+    def test_adjacency_matches_pairwise_commutes(self, name):
+        if name == "wide_70_qubit":
+            rng = np.random.default_rng(1)
+            labels = ["".join(rng.choice(list("IIXYZ"), size=70)) for _ in range(12)]
+            h = parse_hamiltonian("\n".join(f"1.0 {label}" for label in labels))
+        else:
+            h, _ = load_qubit_hamiltonian(str(DATA_DIR / name))
+        terms = h.terms
+        reference = np.array([
+            [i != j and commutes(a, b) for j, b in enumerate(terms)]
+            for i, a in enumerate(terms)
+        ])
+        assert np.array_equal(build_graph(h).adjacency, reference)
 
 
 class TestGreedy:

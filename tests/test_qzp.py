@@ -7,7 +7,7 @@ from scipy import stats
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.pauli import is_all_z, load_hamiltonian, parse_hamiltonian
 from mczeno.path import PathHamiltonian
-from mczeno.qae import basis_state
+from mczeno.qae import basis_state, evolve
 from mczeno.qzp import (
     ZenoDistribution,
     distribution_csv,
@@ -19,14 +19,21 @@ from mczeno.qzp import (
     zeno_run,
     zeno_statistics,
 )
-from mczeno.spectral import eig
+from mczeno.path import s_grid
+from mczeno.spectral import eig, path_eigensolutions
+from oracles import philox_draw, zeno_project, zeno_trajectory
+from test_path import odd_y_path
+
+
+def fixture_path(data_dir, name, alpha):
+    h = load_hamiltonian(data_dir / name)
+    mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+    return PathHamiltonian(mc, h, alpha=alpha, total_time=10.0)
 
 
 @pytest.fixture(scope="module")
 def gapped_path(data_dir):
-    h = load_hamiltonian(data_dir / "gapped_four_qubit.txt")
-    mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
-    return PathHamiltonian(mc, h, alpha=0.0, total_time=10.0)
+    return fixture_path(data_dir, "gapped_four_qubit.txt", 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +318,102 @@ class TestEigensolveCount:
             calls.clear()
             zeno_statistics(p, n_steps, [0, 1], trials, 5)
             assert len(calls) <= n_steps + 1
+
+
+class TestInitialStateCost:
+    def test_diagonal_order_computed_once_per_initial_index(
+        self, gapped_path, monkeypatch
+    ):
+        import mczeno.qzp as qzp
+
+        calls = []
+        original = qzp.diagonal_basis_order
+
+        def counting_order(h):
+            calls.append(h)
+            return original(h)
+
+        monkeypatch.setattr(qzp, "diagonal_basis_order", counting_order)
+        zeno_statistics(gapped_path, 5, [0, 1], 30, rng_seed=2)
+        assert len(calls) == 2
+
+
+class TestMatchesPerTrialReference:
+    """Block projection against the one-state-at-a-time complex reference."""
+
+    N_STEPS = 10
+
+    @pytest.fixture(params=["gapped_alpha0", "h2_2.8_alpha0.5", "odd_y"])
+    def path(self, request, data_dir):
+        if request.param == "odd_y":
+            return odd_y_path()
+        if request.param == "gapped_alpha0":
+            return fixture_path(data_dir, "gapped_four_qubit.txt", 0.0)
+        return fixture_path(data_dir, "h2_2.8_jw.txt", 0.5)
+
+    def solutions(self, p):
+        return list(path_eigensolutions(p, s_grid(self.N_STEPS)))
+
+    def test_state_storage_follows_the_hamiltonian(self, path):
+        complex_path = np.iscomplexobj(path.matrix(0.0))
+        assert np.iscomplexobj(initial_eigenstate(path, 0)) == complex_path
+        solution = self.solutions(path)[1]
+        _, collapsed = project(initial_eigenstate(path, 0), solution, step_rng(0, 0, 1))
+        assert np.iscomplexobj(collapsed) == complex_path
+
+    def test_statistics_counts(self, path):
+        trials, seed = 150, 17
+        solutions = self.solutions(path)
+        got = zeno_statistics(path, self.N_STEPS, [0, 1], trials, rng_seed=seed)
+        for slot, initial_index in enumerate([0, 1]):
+            psi = initial_eigenstate(path, initial_index)
+            expected: dict[int, int] = {}
+            for t in range(trials):
+                final = zeno_trajectory(
+                    solutions, psi, seed, slot * trials + t, 1)[-1]
+                expected[final] = expected.get(final, 0) + 1
+            assert got[slot].counts == expected
+
+    def test_run_trajectories(self, path):
+        solutions = self.solutions(path)
+        for t in range(20):
+            trial = zeno_run(path, self.N_STEPS, 1, 5, trial_number=t,
+                             eigensolutions=solutions)
+            psi = initial_eigenstate(path, 1)
+            assert trial.trajectory == zeno_trajectory(solutions, psi, 5, t, 1)
+
+    def test_run_from_user_state_draws_step_zero(self, path):
+        dim = 1 << path.n_qubits
+        rng = np.random.default_rng(4)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi /= np.linalg.norm(psi)
+        solutions = self.solutions(path)
+        for t in range(20):
+            trial = zeno_run(path, self.N_STEPS, 0, 9, trial_number=t,
+                             initial_state=psi, eigensolutions=solutions)
+            assert trial.trajectory == zeno_trajectory(solutions, psi, 9, t, 0)
+
+    def test_lowest_k_energies(self, path):
+        k, repetitions, seed = 3, 60, 8
+        solutions = self.solutions(path)
+        observed: dict[int, int] = {}
+        for r in range(repetitions):
+            psi = initial_eigenstate(path, r % k)
+            final = zeno_trajectory(solutions, psi, seed, r, 1)[-1]
+            observed[final] = observed.get(final, 0) + 1
+        values = solutions[-1].eigenvalues
+        expected = tuple((float(values[i]), observed[i]) for i in sorted(observed)[:k])
+        got = lowest_k_energies(path, self.N_STEPS, k, repetitions, rng_seed=seed)
+        assert got.energies == expected
+
+    def test_qae_then_project(self, path):
+        trials, seed = 200, 3
+        final_state = evolve(path, 0.5, initial_eigenstate(path, 0)).final_state
+        final = next(path_eigensolutions(path, [1.0]))
+        expected: dict[int, int] = {}
+        for t in range(trials):
+            rank, _ = zeno_project(final_state, final.eigenvalues, final.eigenvectors,
+                                   philox_draw(seed, t, 0))
+            expected[rank] = expected.get(rank, 0) + 1
+        got = qae_then_project(path, 0.5, 0, trials=trials, rng_seed=seed)
+        assert got.counts == expected
