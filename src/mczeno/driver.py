@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.fermion import jordan_wigner, load_fcidump, parity_map
 from mczeno.pauli import PauliHamiltonian, load_hamiltonian, save_hamiltonian
-from mczeno.path import PathHamiltonian
+from mczeno.path import PathHamiltonian, s_grid
 from mczeno.qae import evolve
 from mczeno.qzp import initial_eigenstate, zeno_statistics, distribution_csv
 from mczeno.spectral import path_eigensolutions, path_spectrum, spectrum_csv
@@ -100,6 +100,8 @@ class RunConfig:
             raise ValueError(f"n_points must be at least 2, got {self.n_points}")
         if self.alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def config_from_dict(data: dict, **overrides) -> RunConfig:
@@ -185,8 +187,11 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
         return record, spectrum_csv(spectrum)
 
     with _stage("exact", config.source):
-        exact = next(path_eigensolutions(p, [1.0])).eigenvalues
+        final = next(path_eigensolutions(p, [1.0]))
+    exact = final.eigenvalues
     record["exact_ground_hartree"] = float(exact[0])
+    if "qzp" not in methods:
+        del final  # H(1)'s eigenvectors serve only as qzp's last grid point
 
     if "qae" in methods:
         with _stage("qae", config.source):
@@ -206,8 +211,10 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
     if "qzp" not in methods:
         return record, None
     with _stage("qzp", config.source):
+        grid = path_eigensolutions(p, s_grid(config.n_steps)[:-1])
         distributions = zeno_statistics(
-            p, config.n_steps, list(config.initial_indices), config.trials, config.seed
+            p, config.n_steps, list(config.initial_indices), config.trials,
+            config.seed, eigensolutions=[*grid, final],
         )
     best_index = min(min(d.counts) for d in distributions)
     record.update(

@@ -9,12 +9,19 @@ leaks into the results).  The reported index of a degenerate level is
 its lowest rank.
 
 Randomness is counter-based: the draw for (run_seed, trial, step) comes
-from its own Philox stream, so any subset of trials can be reproduced,
-or executed concurrently, without coordinating generator state.
+from its own Philox stream (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011), so any subset of trials can be reproduced,
+or executed concurrently, without coordinating generator state.  The
+draws of one step are computed together, in one vectorized pass over
+the trial numbers (step_draws), and stay bit-identical to each trial's
+own stream (step_rng).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -69,6 +76,134 @@ def step_rng(run_seed: int, trial: int, step: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(sequence))
 
 
+# numpy's SeedSequence hash constants and the Philox4x64 round constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_HASH, _STATE_HASH = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX = (np.uint32(0xCA01F9DD), np.uint32(0x4973F715))
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_U32_16, _U64_11, _U64_32 = np.uint32(16), np.uint64(11), np.uint64(32)
+_U64_MASK32 = np.uint64(_MASK32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _U64_MASK32, _PHILOX_M >> _U64_32
+_INDEX = np.frompyfunc(operator.index, 1, 1)
+_DRAWS_PER_CALL = 1024
+"""Draws of one step_draws call in _trajectories, over as many steps as fit:
+about as many as it takes for the per-draw cost to match the ~0.3 ms a
+call costs at any size, and few enough that its arrays stay near 0.1 MB."""
+
+
+def step_draws(run_seed, trials, step) -> np.ndarray:
+    """step_rng(run_seed, t, step).random() for every trial number t, in one
+    vectorized pass; run_seed, trials and step broadcast together.
+
+    Bit-identical to the scalar streams: numpy's SeedSequence hash of the
+    entropy words of (run_seed, t, step) gives each Philox4x64-10 key, and
+    the draw is the first word of the block at counter 1 as a 53-bit
+    double, all in uint32/uint64 wrap-around arithmetic.  Integers of any
+    size are accepted; a negative one raises ValueError, as in SeedSequence.
+    """
+    numbers = np.broadcast_arrays(*map(_integer_array, (run_seed, trials, step)))
+    if any(a.size and a.min() < 0 for a in numbers):
+        raise ValueError("expected non-negative integer")
+    draws = np.empty(numbers[0].shape)
+    if not draws.size:
+        return draws
+    # the entropy word count of each number decides how the words are mixed
+    counts = [_word_counts(a) for a in numbers]
+    for group_counts in itertools.product(*map(np.unique, counts)):
+        group = np.logical_and.reduce([c == n for c, n in zip(counts, group_counts)])
+        if not group.any():
+            continue
+        entropy = [((a[group] >> 32 * w) & _MASK32).astype(np.uint32)
+                   for a, n in zip(numbers, group_counts) for w in range(n)]
+        words = _philox_first_word(_seed_sequence_key(entropy))
+        draws[group] = (words >> _U64_11) * 2.0**-53
+    return draws
+
+
+def _integer_array(values) -> np.ndarray:
+    """values as an int64 array, or as Python ints (object dtype) past int64;
+    a non-integer raises TypeError."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values
+    values = np.asarray(_INDEX(np.asarray(values, dtype=object)), dtype=object)
+    try:
+        return values.astype(np.int64)
+    except OverflowError:
+        return values
+
+
+def _word_counts(values: np.ndarray) -> np.ndarray:
+    """SeedSequence's 32-bit word count of each non-negative integer."""
+    counts = np.ones(values.shape, dtype=int)
+    for w in range(1, -(-int(values.max()).bit_length() // 32)):
+        counts += (values >> 32 * w) != 0
+    return counts
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of the xor and multiplier constants of n successive hashmixes."""
+    constants = [init]
+    for _ in range(n):
+        constants.append(constants[-1] * mult & _MASK32)
+    column = np.array(constants, dtype=np.uint32)[:, None]
+    return column[:-1], column[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mult
+    return values ^ values >> _U32_16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX[0] * x - _MIX[1] * y
+    return result ^ result >> _U32_16
+
+
+def _seed_sequence_key(entropy: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence(words).generate_state(2, np.uint64) for the words of each
+    column of the entropy rows, as the two rows of the result."""
+    xor, mult = _hash_constants(*_POOL_HASH, 16 + 4 * max(len(entropy) - 4, 0))
+    words = entropy[:4] + [np.zeros_like(entropy[0])] * (4 - len(entropy))
+    pool = _hashmix(np.array(words), xor[:4], mult[:4])
+    used = 4
+    for src in range(4):  # pool[src] is unchanged while it mixes into the others
+        dst = [d for d in range(4) if d != src]
+        hashed = _hashmix(pool[src], xor[used:used + 3], mult[used:used + 3])
+        pool[dst] = _mix(pool[dst], hashed)
+        used += 3
+    for word in entropy[4:]:
+        pool = _mix(pool, _hashmix(word, xor[used:used + 4], mult[used:used + 4]))
+        used += 4
+    state = _hashmix(pool, *_hash_constants(*_STATE_HASH, 4)).astype(np.uint64)
+    return state[0::2] | state[1::2] << _U64_32
+
+
+def _philox_mulhilo(counter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products _PHILOX_M * counter, row by
+    row, from 32-bit halves."""
+    low, high = counter & _U64_MASK32, counter >> _U64_32
+    carry = _PHILOX_M_HI * low + (_PHILOX_M_LO * low >> _U64_32)
+    middle = (carry & _U64_MASK32) + _PHILOX_M_LO * high
+    top = _PHILOX_M_HI * high + (carry >> _U64_32) + (middle >> _U64_32)
+    return top, _PHILOX_M * counter
+
+
+def _philox_first_word(key: np.ndarray) -> np.ndarray:
+    """Word 0 of the Philox4x64-10 block at counter (1, 0, 0, 0) under each
+    key column."""
+    # Round 1 multiplies counter words 0 and 2 by 1 and 0: it leaves the key
+    # in words 0 and 2 and _PHILOX_M[0] in word 3.  even holds words 0 and 2
+    # of the counter, odd words 1 and 3.
+    even, odd = key, np.array([[0], _PHILOX_M[0]], dtype=np.uint64)
+    for _ in range(9):
+        key = key + _PHILOX_W
+        high, low = _philox_mulhilo(even)
+        even, odd = high[::-1] ^ odd ^ key, low[::-1]
+    return even[0]
+
+
 def _project_block(
     psi: np.ndarray, es: EigenSolution, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,9 +231,14 @@ def _project_block(
         raise ValueError(f"state is not normalized (total weight {totals[off][0]})")
     chosen = np.count_nonzero(cumulative <= draws * totals, axis=0)
     np.minimum(chosen, len(starts) - 1, out=chosen)
-    level = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(weights)))
-    amplitudes *= level[:, None] == chosen
-    collapsed = vectors @ amplitudes
+    bounds = np.append(starts, len(weights))
+    if psi.shape[1] == 1:  # only the chosen level's eigenvectors
+        first, stop = bounds[chosen[0]], bounds[chosen[0] + 1]
+        collapsed = vectors[:, first:stop] @ amplitudes[first:stop]
+    else:
+        rows = np.arange(len(weights))[:, None]
+        amplitudes *= (rows >= bounds[chosen]) & (rows < bounds[chosen + 1])
+        collapsed = vectors @ amplitudes
     collapsed /= np.linalg.norm(collapsed, axis=0)
     return starts[chosen], collapsed
 
@@ -112,11 +252,15 @@ def _trajectories(
 ) -> np.ndarray:
     """Project column t of psi through eigensolutions[first_step:] as trial
     trial_numbers[t]; returns the sampled ranks, one row per step."""
+    trials = _integer_array(trial_numbers)
+    steps = np.arange(first_step, len(eigensolutions))
+    per_call = max(1, _DRAWS_PER_CALL // len(trials))
     ranks = []
-    for k in range(first_step, len(eigensolutions)):
-        draws = np.array([step_rng(rng_seed, t, k).random() for t in trial_numbers])
-        step_ranks, psi = _project_block(psi, eigensolutions[k], draws)
-        ranks.append(step_ranks)
+    for begin in range(0, len(steps), per_call):
+        chunk = steps[begin:begin + per_call]
+        for k, draws in zip(chunk, step_draws(rng_seed, trials, chunk[:, None])):
+            step_ranks, psi = _project_block(psi, eigensolutions[k], draws)
+            ranks.append(step_ranks)
     return np.array(ranks)
 
 
@@ -209,17 +353,22 @@ def zeno_statistics(
     initial_indices: list[int],
     trials_per_initial: int,
     rng_seed: int,
+    eigensolutions: list[EigenSolution] | None = None,
 ) -> list[ZenoDistribution]:
     """Final-index statistics, one distribution per initial eigenstate.
 
     Trial t of the i-th initial index uses trial number
     i * trials_per_initial + t, so results are seed-deterministic and
     independent of execution order.  The trials of one initial index
-    are projected together, one state column each.
+    are projected together, one state column each.  eigensolutions, if
+    given, are those of s_grid(n_steps).
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
-    eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
+    if eigensolutions is None:
+        eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
+    if len(eigensolutions) != n_steps + 1:
+        raise ValueError("eigensolution list does not match n_steps")
     out = []
     for slot, initial_index in enumerate(initial_indices):
         psi = _initial_block(p, [initial_index] * trials_per_initial, eigensolutions[0])

@@ -75,6 +75,11 @@ class TestMethodCommands:
         assert code == 0
         assert "over 3 trials" in capsys.readouterr().out
 
+    def test_negative_seed_exits_nonzero(self, data_dir, capsys):
+        code = main(["qzp", str(data_dir / "gapped_four_qubit.txt"), "--seed", "-1"])
+        assert code == 1
+        assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_load_failure_exits_nonzero(self, capsys):
         assert main(["clique", "/nope.txt"]) == 1
         assert "error: stage 'load'" in capsys.readouterr().err

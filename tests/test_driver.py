@@ -48,6 +48,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="alpha"):
             RunConfig(source="x.txt", method="qzp", alpha=-0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_validation(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            RunConfig(source="x.txt", method="qzp", seed=seed)
+
     def test_config_from_dict_overrides(self):
         data = {"alpha": 0.5, "trials": 7}
         config = config_from_dict(data, source="x.txt", method="qzp", seed=3)
@@ -102,6 +107,30 @@ class TestRun:
             [i, direct.counts[i]] for i in sorted(direct.counts)
         ]
         assert record["distributions"][0]["trials"] == 40
+
+    @pytest.mark.parametrize("name", ["gapped_four_qubit.txt", "h2_2.8_jw.txt"])
+    def test_qzp_solves_each_grid_point_once(self, data_dir, monkeypatch, name):
+        """The exact stage's H(1) solution is the last grid point of qzp."""
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        config = RunConfig(source=str(data_dir / name), method="qzp", alpha=0.5,
+                           n_steps=6, trials=20, seed=1)
+        record = run(config)
+        assert len(calls) == 7
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        h = load_hamiltonian(data_dir / name)
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
+        direct = zeno_statistics(p, 6, [0], 20, 1)[0]
+        assert record["distributions"][0]["counts"] == [
+            [i, direct.counts[i]] for i in sorted(direct.counts)
+        ]
 
     def test_spectrum_csv_row_count(self, data_dir, tmp_path):
         out = tmp_path / "levels.csv"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
@@ -15,6 +16,7 @@ from mczeno.qzp import (
     lowest_k_energies,
     project,
     qae_then_project,
+    step_draws,
     step_rng,
     zeno_run,
     zeno_statistics,
@@ -71,6 +73,68 @@ class TestStepRng:
         assert step_rng(1, 0, 0).random() != base
         assert step_rng(0, 1, 0).random() != base
         assert step_rng(0, 0, 1).random() != base
+
+
+def reference_draws(seed, trials, step):
+    return np.array([philox_draw(seed, t, step) for t in trials])
+
+
+class TestStepDraws:
+    """Batched draws equal each (seed, trial, step) Philox stream bit for bit."""
+
+    @pytest.mark.parametrize(
+        "seed, trials, step",
+        [
+            (0, range(3000), 1),
+            (0, range(200), 0),
+            (2**32 + 5, range(300), 3),
+            (2**64 + 1, range(300), 2),
+            (2**70 + 1, range(300), 7),
+            (11, range(300), 2**33),
+            (4, range(2**32 - 150, 2**32 + 150), 5),
+            (9, range(2**64 - 100, 2**64 + 100), 1),
+            (2**80, [3, 2**40, 0, 2**90, 2**32 - 1, 2**32], 2**64),
+        ],
+    )
+    def test_equals_each_stream(self, seed, trials, step):
+        got = step_draws(seed, trials, step)
+        assert np.array_equal(got, reference_draws(seed, trials, step))
+
+    def test_integer_array_of_trials(self):
+        trials = np.array([[0, 5], [2**33, 7]], dtype=np.uint64)
+        expected = reference_draws(13, trials.ravel().tolist(), 4).reshape(2, 2)
+        assert np.array_equal(step_draws(13, trials, 4), expected)
+
+    def test_steps_broadcast_against_trials(self):
+        trials, steps = [0, 5, 2**32 + 1, 2**70], [0, 3, 2**33]
+        expected = np.array([reference_draws(9, trials, s) for s in steps])
+        got = step_draws(9, trials, np.array(steps, dtype=np.uint64)[:, None])
+        assert np.array_equal(got, expected)
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(TypeError):
+            step_draws(0, [1.5], 0)
+
+    def test_empty_trials(self):
+        assert step_draws(0, range(0), 1).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "seed, trials, step",
+        [(-1, range(3), 0), (0, [2, -1], 0), (0, range(3), -2), (0, [2**70, -5], 1)],
+    )
+    def test_negative_input_raises(self, seed, trials, step):
+        with pytest.raises(ValueError, match="non-negative"):
+            step_draws(seed, trials, step)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**96 - 1),
+        st.lists(st.integers(0, 2**96 - 1), min_size=1, max_size=8),
+        st.integers(0, 2**96 - 1),
+    )
+    def test_matches_streams_below_2_96(self, seed, trials, step):
+        got = step_draws(seed, trials, step)
+        assert np.array_equal(got, reference_draws(seed, trials, step))
 
 
 class TestProject:
@@ -373,6 +437,23 @@ class TestMatchesPerTrialReference:
                     solutions, psi, seed, slot * trials + t, 1)[-1]
                 expected[final] = expected.get(final, 0) + 1
             assert got[slot].counts == expected
+
+    @pytest.mark.parametrize("draws_per_call", [1, 25])
+    def test_statistics_counts_with_draws_split_over_calls(
+        self, path, monkeypatch, draws_per_call
+    ):
+        import mczeno.qzp as qzp
+
+        monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", draws_per_call)
+        trials, seed = 12, 4
+        solutions = self.solutions(path)
+        got = zeno_statistics(path, self.N_STEPS, [1], trials, rng_seed=seed)[0]
+        psi = initial_eigenstate(path, 1)
+        expected: dict[int, int] = {}
+        for t in range(trials):
+            final = zeno_trajectory(solutions, psi, seed, t, 1)[-1]
+            expected[final] = expected.get(final, 0) + 1
+        assert got.counts == expected
 
     def test_run_trajectories(self, path):
         solutions = self.solutions(path)
