@@ -86,6 +86,11 @@ class RunConfig:
             not isinstance(i, int) or i < 0 for i in self.initial_indices
         ):
             raise ValueError("initial_indices must be non-negative integers")
+        for name in ("n_steps", "trials", "k", "n_points"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
         if self.total_time <= 0:
             raise ValueError(f"total_time must be positive, got {self.total_time}")
         if self.delta_t <= 0:
@@ -190,13 +195,11 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
         final = next(path_eigensolutions(p, [1.0]))
     exact = final.eigenvalues
     record["exact_ground_hartree"] = float(exact[0])
-    if "qzp" not in methods:
-        del final  # H(1)'s eigenvectors serve only as qzp's last grid point
 
     if "qae" in methods:
         with _stage("qae", config.source):
             psi0 = initial_eigenstate(p, config.initial_indices[0])
-            result = evolve(p, config.delta_t, psi0)
+            result = evolve(p, config.delta_t, psi0, final)
         record.update(
             {
                 "total_time": config.total_time,

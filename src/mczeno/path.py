@@ -3,16 +3,19 @@
 H(s) = (1 - s) H_i + s H_p + alpha s (1 - s) H_X, where H_X is the sum
 of single-qubit X operators.  The quadratic envelope vanishes at both
 endpoints, so s = 0 and s = 1 reproduce the initial and final
-Hamiltonians term for term.  PathHamiltonian builds the sparse H_i, H_p
-and H_X matrices once and forms every dense H(s) from them.
+Hamiltonians term for term.  PathHamiltonian builds H_i, H_p and H_X once,
+on one shared sparsity pattern, so that any sparse or dense H(s) is one
+weighted sum of their value arrays.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
+import scipy.sparse
 
 from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, ham_matrix
 from mczeno.spectral import densify
@@ -46,16 +49,71 @@ class PathHamiltonian:
         return 1.0 - s, s, self.alpha * s * (1.0 - s)
 
     @cached_property
-    def _matrices(self):
-        """Sparse matrices of H_i, H_p and H_X, built on first use."""
-        parts = (self.h_initial, self.h_final, x_driver(self.n_qubits))
-        return [ham_matrix(h) for h in parts]
+    def _pattern(self):
+        """(indptr, indices, data) of H_i, H_p and H_X on one shared CSR
+        sparsity pattern, the union of theirs, built on first use: one row
+        of data per part, zero where that part has no entry."""
+        parts = [ham_matrix(h) for h in
+                 (self.h_initial, self.h_final, x_driver(self.n_qubits))]
+        union = reduce(operator.add, [abs(m) for m in parts])  # nothing cancels
+        keys = _entry_keys(union)
+        dtype = np.result_type(*[m.dtype for m in parts])
+        data = np.zeros((len(parts), union.nnz), dtype=dtype)
+        for row, m in zip(data, parts):
+            row[np.searchsorted(keys, _entry_keys(m))] = m.data
+        return union.indptr, union.indices, data
+
+    @cached_property
+    def _gershgorin(self):
+        """Each part's diagonal and off-diagonal absolute row sums."""
+        indptr, indices, data = self._pattern
+        dim = len(indptr) - 1
+        rows = np.repeat(np.arange(dim), np.diff(indptr))
+        on_diagonal = rows == indices
+        diagonals = np.zeros((len(data), dim))
+        diagonals[:, rows[on_diagonal]] = data[:, on_diagonal].real
+        off = ~on_diagonal
+        off_sums = [np.bincount(rows[off], weights=np.abs(d[off]), minlength=dim)
+                    for d in data]
+        return diagonals, np.array(off_sums)
+
+    def _combine(self, s: float, parts: np.ndarray) -> np.ndarray:
+        """Sum of w * part over the parts of nonzero weight at s, in order."""
+        weighted = [w * part for w, part in zip(self.weights(s), parts) if w != 0.0]
+        return reduce(operator.add, weighted)
+
+    def sparse_matrix(self, s: float) -> scipy.sparse.csr_matrix:
+        """Sparse H(s) on the shared pattern, in real storage when exactly
+        real; zero-weight parts are left out, so H(0) and H(1) hold
+        exactly the values of H_i and H_p."""
+        indptr, indices, data = self._pattern
+        values = self._combine(s, data)
+        if np.iscomplexobj(values) and not values.imag.any():
+            values = values.real
+        dim = 1 << self.n_qubits
+        return scipy.sparse.csr_matrix((values, indices, indptr), shape=(dim, dim))
 
     def matrix(self, s: float) -> np.ndarray:
-        """Dense H(s); zero-weight parts are left out, so H(0) and H(1) are
-        bit-identical to the dense matrices of H_i and H_p."""
-        parts = [w * m for w, m in zip(self.weights(s), self._matrices) if w != 0.0]
-        return densify(sum(parts[1:], parts[0]))
+        """Dense H(s), bit-identical at s = 0 and 1 to the dense matrices
+        of H_i and H_p."""
+        return densify(self.sparse_matrix(s))
+
+    def spectral_bounds(self, s: float) -> tuple[float, float]:
+        """Gershgorin interval [lo, hi] holding every eigenvalue of H(s).
+
+        The weights are non-negative, so the weighted sums of the parts'
+        diagonals and off-diagonal absolute row sums bound those of H(s).
+        """
+        diagonals, off_sums = self._gershgorin
+        centres = self._combine(s, diagonals)
+        radii = self._combine(s, off_sums)
+        return float((centres - radii).min()), float((centres + radii).max())
+
+
+def _entry_keys(m: scipy.sparse.csr_matrix) -> np.ndarray:
+    """row * dim + column of each stored entry, ascending in canonical CSR."""
+    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    return rows * m.shape[1] + m.indices
 
 
 def x_driver(n_qubits: int) -> PauliHamiltonian:

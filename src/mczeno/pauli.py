@@ -168,6 +168,15 @@ def _check_cap(n_qubits: int, cap: int) -> None:
         )
 
 
+def _term_values(t: PauliTerm, cols: np.ndarray) -> np.ndarray:
+    """Entry (c ^ x_mask, c) of the term's matrix for each column c in cols:
+    coeff * i**n_Y * (-1)**popcount(z & c), real when n_Y is even."""
+    signs = 1.0 - 2.0 * parity(cols & t.z_mask, t.n_qubits)
+    n_y = (t.x_mask & t.z_mask).bit_count()
+    data = (t.coefficient * 1j ** n_y) * signs
+    return data.real if n_y % 2 == 0 else data
+
+
 def term_matrix(t: PauliTerm, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matrix:
     """Sparse matrix of a weighted Pauli product, one nonzero per row.
 
@@ -178,26 +187,45 @@ def term_matrix(t: PauliTerm, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matr
     _check_cap(t.n_qubits, cap)
     dim = 1 << t.n_qubits
     cols = np.arange(dim, dtype=np.int64)
-    rows = cols ^ t.x_mask
-    signs = 1.0 - 2.0 * parity(cols & t.z_mask, t.n_qubits)
-    n_y = (t.x_mask & t.z_mask).bit_count()
-    phase = 1j ** n_y
-    data = (t.coefficient * phase) * signs
-    if n_y % 2 == 0:
-        data = data.real
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
+    return scipy.sparse.csr_matrix(
+        (_term_values(t, cols), (cols ^ t.x_mask, cols)), shape=(dim, dim)
+    )
+
+
+def _mask_values(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> dict[int, np.ndarray]:
+    """Per x-mask of h, entry (c ^ x, c) of its matrix for every column c.
+
+    Terms with one x-mask fill the same entries, so each mask's vector
+    sums their values in term order, which is exactly what the sum of
+    their term matrices holds.
+    """
+    _check_cap(h.n_qubits, cap)
+    cols = np.arange(1 << h.n_qubits, dtype=np.int64)
+    values: dict[int, np.ndarray] = {}
+    for t in h.terms:
+        data = _term_values(t, cols)
+        values[t.x_mask] = values[t.x_mask] + data if t.x_mask in values else data
+    return values
 
 
 def ham_matrix(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matrix:
-    """Sparse Hermitian matrix of a Pauli sum."""
-    _check_cap(h.n_qubits, cap)
+    """Sparse Hermitian matrix of a Pauli sum, assembled one x-mask at a time.
+
+    Equal, entry for entry, to the sum of the term matrices in term order;
+    entries that cancel to exactly zero are left out, as that sum drops them.
+    """
+    values = _mask_values(h, cap)
     dim = 1 << h.n_qubits
-    if not h.terms:
+    if not values:
         return scipy.sparse.csr_matrix((dim, dim))
-    total = term_matrix(h.terms[0], cap)
-    for t in h.terms[1:]:
-        total = total + term_matrix(t, cap)
-    return total.tocsr()
+    cols = np.arange(dim, dtype=np.int64)
+    rows = np.concatenate([cols ^ x for x in values])
+    cols = np.tile(cols, len(values))
+    data = np.concatenate(list(values.values()))
+    kept = data != 0
+    return scipy.sparse.csr_matrix(
+        (data[kept], (rows[kept], cols[kept])), shape=(dim, dim)
+    )
 
 
 def is_all_z(h: PauliHamiltonian) -> bool:

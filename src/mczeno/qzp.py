@@ -422,8 +422,8 @@ def qae_then_project(
     The comparison partner for full projection runs: evolve once, then
     sample the final eigenbasis per trial.
     """
-    result = evolve(p, delta_t, initial_eigenstate(p, initial_index))
     final = next(path_eigensolutions(p, [1.0]))
+    result = evolve(p, delta_t, initial_eigenstate(p, initial_index), final)
     psi = np.repeat(result.final_state[:, None], trials, axis=1)
     finals = _trajectories([final], psi, rng_seed, range(trials), 0)[-1]
     return ZenoDistribution(dict(Counter(finals.tolist())), trials, initial_index)

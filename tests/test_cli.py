@@ -80,6 +80,13 @@ class TestMethodCommands:
         assert code == 1
         assert "error: seed must be a non-negative integer" in capsys.readouterr().err
 
+    def test_non_integer_trials_in_config_exits_nonzero(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"trials": 2.5}))
+        code = main(["qzp", str(data_dir / "gapped_four_qubit.txt"), "--config", str(config)])
+        assert code == 1
+        assert "error: trials must be an integer, got 2.5" in capsys.readouterr().err
+
     def test_load_failure_exits_nonzero(self, capsys):
         assert main(["clique", "/nope.txt"]) == 1
         assert "error: stage 'load'" in capsys.readouterr().err

@@ -15,9 +15,10 @@ from mczeno.driver import (
     scan,
     scan_csv,
 )
-from mczeno.pauli import load_hamiltonian
+from mczeno.pauli import is_all_z, load_hamiltonian
 from mczeno.path import PathHamiltonian
-from mczeno.qzp import zeno_statistics
+from mczeno.qae import evolve
+from mczeno.qzp import initial_eigenstate, zeno_statistics
 from mczeno.spectral import eig
 
 
@@ -52,6 +53,17 @@ class TestRunConfig:
     def test_seed_validation(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             RunConfig(source="x.txt", method="qzp", seed=seed)
+
+    @pytest.mark.parametrize("name", ["n_steps", "trials", "k", "n_points"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", None])
+    def test_integer_fields_validated(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            RunConfig(source="x.txt", method="qzp", **{name: value})
+
+    def test_non_integer_trials_rejected_before_any_stage(self, data_dir):
+        source = str(data_dir / "toy_two_qubit.txt")
+        with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+            run(RunConfig(source=source, method="qzp", trials=2.5))
 
     def test_config_from_dict_overrides(self):
         data = {"alpha": 0.5, "trials": 7}
@@ -131,6 +143,33 @@ class TestRun:
         assert record["distributions"][0]["counts"] == [
             [i, direct.counts[i]] for i in sorted(direct.counts)
         ]
+
+    @pytest.mark.parametrize("name, solves", [
+        ("gapped_four_qubit.txt", 1), ("h5_chain_sto3g_1.00.fcidump", 1),
+        ("h2_2.8_jw.txt", 2),
+    ])
+    def test_qae_solves_only_the_endpoints(self, data_dir, monkeypatch, name, solves):
+        """The exact stage's H(1) solution gives qae its final observables,
+        and the steps diagonalize nothing.  H(0) is solved too only when the
+        clique is not diagonal (h2_2.8_jw), for the initial eigenstate."""
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        record = run(RunConfig(source=str(data_dir / name), method="qae", alpha=0.5))
+        assert len(calls) == solves
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        h, _ = load_qubit_hamiltonian(str(data_dir / name))
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        assert is_all_z(mc) == (solves == 1)
+        p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
+        direct = evolve(p, 0.5, initial_eigenstate(p, 0))
+        assert record["final_energy_hartree"] == direct.final_energy
+        assert record["ground_fidelity"] == direct.ground_fidelity
 
     def test_spectrum_csv_row_count(self, data_dir, tmp_path):
         out = tmp_path / "levels.csv"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
-from mczeno.pauli import load_hamiltonian, parse_hamiltonian
+from mczeno.pauli import ham_matrix, load_hamiltonian, parse_hamiltonian
 from mczeno.path import PathHamiltonian, discretize, h_at, x_driver
-from mczeno.spectral import dense_matrix
+from mczeno.spectral import dense_matrix, densify
 
 
 @pytest.fixture()
@@ -124,6 +124,33 @@ class TestMatrix:
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.85])
     def test_interior_points_agree(self, path, s):
         assert np.abs(path.matrix(s) - dense_matrix(h_at(path, s))).max() <= 1e-12
+
+    @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.85])
+    def test_interior_points_bit_identical_to_sum_of_part_matrices(self, path, s):
+        """The shared-pattern sum equals the weighted sum of the parts'
+        own sparse matrices, which is how H(s) was formed before."""
+        parts = (path.h_initial, path.h_final, x_driver(path.n_qubits))
+        weighted = [w * ham_matrix(h) for w, h in zip(path.weights(s), parts) if w]
+        reference = densify(sum(weighted[1:], weighted[0]))
+        m = path.matrix(s)
+        assert m.dtype == reference.dtype
+        assert np.array_equal(m, reference)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
+    def test_sparse_matrix_is_the_dense_matrix(self, path, s):
+        sparse = path.sparse_matrix(s)
+        assert sparse.dtype == path.matrix(s).dtype
+        assert np.array_equal(sparse.toarray(), path.matrix(s))
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
+    def test_spectral_bounds_hold_the_spectrum(self, path, s):
+        lo, hi = path.spectral_bounds(s)
+        values = np.linalg.eigvalsh(path.matrix(s))
+        assert lo <= values[0] and values[-1] <= hi
+
+    def test_bounds_of_a_multiple_of_identity_are_a_point(self):
+        p = PathHamiltonian(parse_hamiltonian("1.5 II"), parse_hamiltonian("-0.5 II"))
+        assert p.spectral_bounds(0.25) == (1.0, 1.0)
 
     def test_odd_y_term_gives_complex_matrix(self):
         assert np.iscomplexobj(odd_y_path().matrix(0.5))

@@ -24,7 +24,10 @@ from mczeno.pauli import (
     serialize_pauli,
     term_matrix,
 )
-from oracles import kron_hamiltonian, kron_term
+from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
+from mczeno.driver import load_qubit_hamiltonian
+from mczeno.path import x_driver
+from oracles import kron_hamiltonian, kron_term, sequential_ham_matrix
 
 
 def term(label, coeff=1.0):
@@ -141,6 +144,52 @@ class TestHamMatrix:
         m = ham_matrix(h).toarray()
         assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
         assert np.allclose(np.diag(m), diagonal_entries(h))
+
+
+def _bundled_hamiltonians():
+    """(name, Hamiltonian) for every bundled fixture, its clique sum and
+    its X driver."""
+    from conftest import DATA_DIR
+
+    out = []
+    for path in sorted(DATA_DIR.iterdir()):
+        h, _ = load_qubit_hamiltonian(str(path))
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        out += [(path.name, h), (f"{path.name}:clique", mc),
+                (f"{path.name}:x_driver", x_driver(h.n_qubits))]
+    return out
+
+
+class TestHamMatrixByMask:
+    """ham_matrix, assembled per x-mask, against the term-by-term sum."""
+
+    @staticmethod
+    def assert_identical(h):
+        ours, reference = ham_matrix(h), sequential_ham_matrix(h)
+        assert ours.dtype == reference.dtype
+        assert ours.nnz == reference.nnz
+        assert np.array_equal(ours.toarray(), reference.toarray())
+
+    @pytest.mark.parametrize("name, h", _bundled_hamiltonians(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_bundled_fixtures_bit_identical(self, name, h):
+        self.assert_identical(h)
+
+    @pytest.mark.parametrize("text", [
+        "0.5 ZI\n-0.7 IY\n0.3 XZ\n0.2 YX\n0.1 XY\n-0.4 YY",
+        "0.3 XZ\n0.2 YX",
+        "1.0 XI\n1.0 XZ\n-2.0 IZ",  # XI + XZ cancels on half the columns
+    ])
+    def test_odd_y_and_cancelling_sums_bit_identical(self, text):
+        self.assert_identical(parse_hamiltonian(text))
+
+    def test_cancelled_entries_left_out(self):
+        m = ham_matrix(parse_hamiltonian("1.0 XI\n1.0 XZ"))
+        assert m.nnz == 2
+        assert not np.any(m.data == 0.0)
+
+    def test_empty_hamiltonian_bit_identical(self):
+        self.assert_identical(PauliHamiltonian(3, []))
 
 
 class TestIsAllZ:

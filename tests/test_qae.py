@@ -2,13 +2,33 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
+from hypothesis import given, settings, strategies as st
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
-from mczeno.pauli import load_hamiltonian, parse_hamiltonian
+from mczeno.pauli import (
+    PauliHamiltonian,
+    PauliTerm,
+    ham_matrix,
+    load_hamiltonian,
+    parse_hamiltonian,
+)
 from mczeno.path import PathHamiltonian
-from mczeno.qae import basis_state, energy_expectation, evolve, ground_space_fidelity
-from mczeno.qzp import initial_eigenstate
-from mczeno.spectral import eig
+from mczeno.qae import (
+    DENSE_STEP_DIMENSION,
+    _bessel_j,
+    basis_state,
+    chebyshev_coefficients,
+    chebyshev_step,
+    energy_expectation,
+    evolve,
+    ground_space_fidelity,
+)
+from mczeno.qzp import initial_eigenstate, qae_then_project
+from mczeno.spectral import eig, path_eigensolutions
+from oracles import eigh_evolve
+from test_path import odd_y_path
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +152,124 @@ class TestGroundSpaceFidelity:
     def test_orthogonal_state_scores_zero(self):
         h = parse_hamiltonian("1.0 ZZ")
         assert ground_space_fidelity(basis_state(2, 0), h) == pytest.approx(0.0, abs=1e-12)
+
+
+def _reference_case(name, data_dir):
+    """(path, delta_t, initial state) of one propagator reference case."""
+    if name == "odd_y":
+        return odd_y_path(), 0.5, basis_state(2, 1)
+    if name == "proportional_to_identity":
+        p = PathHamiltonian(parse_hamiltonian("1.5 II"), parse_hamiltonian("-0.5 II"))
+        return p, 0.5, np.full(4, 0.5, dtype=complex)
+    if name.startswith("eight_qubits"):
+        rng = np.random.default_rng(5)
+        terms = [PauliTerm(8, int(x), int(z), float(rng.normal()))
+                 for x, z in rng.integers(0, 256, size=(40, 2))]
+        if name.endswith("real"):  # even Y counts only
+            terms = [t for t in terms if (t.x_mask & t.z_mask).bit_count() % 2 == 0]
+        h = PauliHamiltonian(8, terms)
+        assert np.iscomplexobj(ham_matrix(h)) != name.endswith("real")
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
+        assert 1 << p.n_qubits > DENSE_STEP_DIMENSION
+        return p, 0.5, initial_eigenstate(p, 0)
+    fixture, alpha, delta_t = {
+        "gapped_alpha0": ("gapped_four_qubit.txt", 0.0, 0.5),
+        "h2_2.8_alpha0.5": ("h2_2.8_jw.txt", 0.5, 0.5),
+        "one_long_step": ("gapped_four_qubit.txt", 0.5, 10.0),
+    }[name]
+    h = load_hamiltonian(data_dir / fixture)
+    mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+    p = PathHamiltonian(mc, h, alpha=alpha, total_time=10.0)
+    return p, delta_t, initial_eigenstate(p, 0)
+
+
+class TestChebyshevPropagator:
+    """evolve() against per-step diagonalization (oracles.eigh_evolve)."""
+
+    @pytest.mark.parametrize("name", [
+        "gapped_alpha0", "h2_2.8_alpha0.5", "odd_y", "proportional_to_identity",
+        "one_long_step", "eight_qubits_complex", "eight_qubits_real",
+    ])
+    def test_matches_per_step_diagonalization(self, data_dir, name):
+        p, delta_t, psi0 = _reference_case(name, data_dir)
+        state, energy, fidelity = eigh_evolve(p, delta_t, psi0)
+        result = evolve(p, delta_t, psi0)
+        assert np.abs(result.final_state - state).max() <= 1e-12
+        assert abs(result.final_energy - energy) <= 1e-12
+        assert abs(result.ground_fidelity - fidelity) <= 1e-12
+
+    def test_long_step_needs_a_long_series(self, data_dir):
+        p, delta_t, _ = _reference_case("one_long_step", data_dir)
+        lo, hi = p.spectral_bounds(1.0)
+        assert len(chebyshev_coefficients((hi - lo) / 2 * delta_t)) > 50
+
+    def test_given_final_solution_is_used(self, data_dir):
+        p, delta_t, psi0 = _reference_case("h2_2.8_alpha0.5", data_dir)
+        final = next(path_eigensolutions(p, [1.0]))
+        given, solved = evolve(p, delta_t, psi0, final), evolve(p, delta_t, psi0)
+        assert np.array_equal(given.final_state, solved.final_state)
+        assert given.final_energy == solved.final_energy
+        assert given.ground_fidelity == solved.ground_fidelity
+        shifted = type(final)(final.eigenvalues + 1.0, final.eigenvectors)
+        moved = evolve(p, delta_t, psi0, shifted).final_energy
+        assert moved == pytest.approx(evolve(p, delta_t, psi0).final_energy + 1.0)
+
+    @pytest.mark.parametrize("n, x", [(30, 1e-8), (42, 0.5), (72, 10.0), (111, 33.3),
+                                      (199, 100.0)])
+    def test_bessel_values(self, n, x):
+        reference = scipy.special.jv(np.arange(n), x)
+        assert np.abs(_bessel_j(n, x) - reference).max() <= 1e-14
+
+    def test_zero_argument_series_is_one(self):
+        assert np.array_equal(chebyshev_coefficients(0.0), [1.0])
+
+    def test_series_cut_below_double_precision(self):
+        coefficients = chebyshev_coefficients(3.0)
+        k = np.arange(len(coefficients) + 40)
+        full = 2.0 * np.abs(scipy.special.jv(k, 3.0))
+        assert full[len(coefficients):].sum() <= np.finfo(float).eps
+        assert full[len(coefficients) - 1] > 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_qubits=st.integers(1, 4),
+        data=st.data(),
+        delta_t=st.floats(0.01, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_step_is_matrix_exponential(self, n_qubits, data, delta_t, seed):
+        """One step of e^{-i H dt}, with H dense or sparse, against expm."""
+        masks = st.integers(0, (1 << n_qubits) - 1)
+        terms = data.draw(st.lists(
+            st.tuples(masks, masks, st.floats(-3.0, 3.0, allow_subnormal=False)),
+            max_size=8,
+        ))
+        h = PauliHamiltonian(n_qubits, [PauliTerm(n_qubits, x, z, c) for x, z, c in terms])
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+        psi /= np.linalg.norm(psi)
+        m = ham_matrix(h)
+        expected = scipy.linalg.expm(-1j * m.toarray() * delta_t) @ psi
+        bounds = PathHamiltonian(h, h).spectral_bounds(1.0)
+        for form in (m, m.toarray()):
+            got = chebyshev_step(form, bounds, delta_t, psi)
+            assert np.abs(got - expected).max() <= 1e-12
+        p = PathHamiltonian(h, h, total_time=delta_t)
+        assert np.abs(evolve(p, delta_t, psi).final_state - expected).max() <= 1e-12
+
+
+class TestEigensolveCount:
+    def test_qae_then_project_solves_final_hamiltonian_once(self, gapped, monkeypatch):
+        h, mc = gapped
+        p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        qae_then_project(p, 0.5, 0, 20, 3)
+        assert len(calls) == 1
