@@ -11,6 +11,7 @@ StageError naming the stage and the offending input.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -91,10 +92,10 @@ class RunConfig:
                 raise ValueError(
                     f"{name} must be an integer, got {getattr(self, name)!r}"
                 )
-        if self.total_time <= 0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
-        if self.delta_t <= 0:
-            raise ValueError(f"delta_t must be positive, got {self.delta_t}")
+        if not 0 < self.total_time < math.inf:
+            raise ValueError(f"total_time must be finite and > 0, got {self.total_time}")
+        if not 0 < self.delta_t < math.inf:
+            raise ValueError(f"delta_t must be finite and > 0, got {self.delta_t}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
         if self.trials < 1:
@@ -103,8 +104,8 @@ class RunConfig:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.n_points < 2:
             raise ValueError(f"n_points must be at least 2, got {self.n_points}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 

@@ -13,9 +13,14 @@ Conventions, fixed here and relied on throughout:
   mode q filled when bit q of j is set, and an annihilator picks up the
   sign (-1)**(number of filled modes below q).
 
-Products of Pauli masks are tracked internally with exact i**k phases;
-Hermitian assembly must end real, and residual imaginary weight above
-1e-12 raises instead of being dropped.
+The mappings work in real strings S(x, z) = X^x Z^z.  Since Y = iXZ, a
+ladder operator (X +- iY)/2 on its mode is (S(x, z_a) -+ S(x, z_b))/2,
+and a product of strings only picks up the sign (-1)**parity(z1 & x2), so
+every integral's strings are formed in real arithmetic, all at once.
+The Y phase is applied once, to the summed strings: S(x, z) is (-i)**n_Y
+times the product with Y where x and z overlap.  A Hermitian input leaves
+no weight on odd n_Y; residual imaginary weight above 1e-12 raises
+instead of being dropped.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm
+from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, parity
 
 _COEFF_DROP = 1e-12
 _IMAG_LIMIT = 1e-12
@@ -77,6 +82,7 @@ class FermionIntegrals:
 
 _HEADER_END = re.compile(r"(&END|\$END|^\s*/\s*$)", re.IGNORECASE | re.MULTILINE)
 _NORB = re.compile(r"NORB\s*=\s*(\d+)", re.IGNORECASE)
+_IUHF = re.compile(r"IUHF\s*=\s*(\d+)", re.IGNORECASE)
 _FORTRAN_EXPONENT = str.maketrans("Dd", "Ee")
 
 
@@ -104,6 +110,9 @@ def load_fcidump(path) -> FermionIntegrals:
     m = int(norb_match.group(1))
     if m < 1:
         raise ValueError(f"{path}: NORB must be positive")
+    iuhf = _IUHF.search(header)
+    if iuhf is not None and int(iuhf.group(1)) != 0:
+        raise ValueError(f"{path}: IUHF={iuhf.group(1)} (unrestricted) is not supported")
 
     h_spatial = np.zeros((m, m))
     g_chemist = np.zeros((m, m, m, m))
@@ -142,103 +151,78 @@ def load_fcidump(path) -> FermionIntegrals:
     return FermionIntegrals.from_spatial(h_spatial, g_chemist, core)
 
 
-# A Pauli mask pair (x, z) names the Hermitian product with Y where both
-# bits overlap; products accumulate exact powers of i.
-_Operator = dict[tuple[int, int], complex]
+def _jw_masks(n: int):
+    """x, z_a and z_b of each mode's ladder strings: Z on the lower modes."""
+    bits = 1 << np.arange(n, dtype=np.int64)
+    return bits, bits - 1, 2 * bits - 1
 
 
-def _pauli_product(
-    x1: int, z1: int, c1: complex, x2: int, z2: int, c2: complex
-) -> tuple[int, int, complex]:
-    x3, z3 = x1 ^ x2, z1 ^ z2
-    phase_power = (
-        (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
-    ) % 4
-    coeff = c1 * c2 * (1j ** phase_power)
-    if (z1 & x2).bit_count() & 1:
-        coeff = -coeff
-    return x3, z3, coeff
+def _parity_masks(n: int):
+    """Parity-basis ladder masks: X on this and all higher modes."""
+    bits = 1 << np.arange(n, dtype=np.int64)
+    return ((1 << n) - 1) & ~(bits - 1), bits >> 1, bits
 
 
-def _multiply(left: _Operator, right: _Operator) -> _Operator:
-    out: _Operator = {}
-    for (x1, z1), c1 in left.items():
-        for (x2, z2), c2 in right.items():
-            x3, z3, c3 = _pauli_product(x1, z1, c1, x2, z2, c2)
-            key = (x3, z3)
-            out[key] = out.get(key, 0.0) + c3
-    return out
+def _strings(masks, operators, weights: np.ndarray, n: int):
+    """(x, z, coeff) of the X^x Z^z strings of sum_k weights[k] L_1 L_2 ...
+
+    Each operator is a (modes, sign) pair: row k applies the ladder
+    (S(x, z_a) + sign S(x, z_b)) / 2 of mode modes[k], with sign -1 for
+    an annihilator and +1 for a creator.  Strings multiply as
+    S(x1, z1) S(x2, z2) = (-1)**parity(z1 & x2) S(x1 ^ x2, z1 ^ z2).
+    """
+    x_mask, z_a, z_b = masks
+    x = np.zeros(len(weights), dtype=np.int64)
+    z, c = x[None, :], weights[None, :]
+    for modes, sign in operators:
+        c = 0.5 * c * (1 - 2 * parity(z & x_mask[modes], n))
+        c = np.concatenate([c, sign * c])
+        z = np.concatenate([z ^ z_a[modes], z ^ z_b[modes]])
+        x = x ^ x_mask[modes]
+    return np.broadcast_to(x, z.shape).ravel(), z.ravel(), c.ravel()
 
 
-def _ladders(keys) -> tuple[list[_Operator], list[_Operator]]:
-    """Annihilators (X + iY)/2 and creators (X - iY)/2 of each mode, from
-    the (x, z) masks of its X-like and Y-like Pauli parts."""
-    annihilate = [{x_key: 0.5, y_key: 0.5j} for x_key, y_key in keys]
-    create = [{x_key: 0.5, y_key: -0.5j} for x_key, y_key in keys]
-    return annihilate, create
-
-
-def _jw_ladders(n: int) -> tuple[list[_Operator], list[_Operator]]:
-    """Annihilators and creators with Z strings on the lower modes."""
-    keys = []
-    for p in range(n):
-        bit, lower = 1 << p, (1 << p) - 1
-        keys.append(((bit, lower), (bit, lower | bit)))
-    return _ladders(keys)
-
-
-def _parity_ladders(n: int) -> tuple[list[_Operator], list[_Operator]]:
-    """Ladders in the parity basis: X on all higher modes, Z on one lower."""
-    full = (1 << n) - 1
-    keys = []
-    for p in range(n):
-        bit = 1 << p
-        x_mask = full & ~(bit - 1)  # this mode and all higher ones
-        keys.append(((x_mask, bit >> 1), (x_mask, bit)))
-    return _ladders(keys)
-
-
-def _assemble(f: FermionIntegrals, ladders, cap: int) -> PauliHamiltonian:
+def _assemble(f: FermionIntegrals, ladder_masks, cap: int) -> PauliHamiltonian:
     n = f.n_orbitals
     if n > cap:
         raise ValueError(f"{n} spin orbitals exceeds the dimension cap of {cap}")
-    annihilate, create = ladders(n)
-    acc: _Operator = {(0, 0): complex(f.core_energy)}
+    if n > 31:
+        raise ValueError(f"{n} spin orbitals exceeds the 31 a packed (x, z) key holds")
+    masks = ladder_masks(n)
+    p, q = np.nonzero(f.one_body)
+    one = _strings(masks, [(p, 1), (q, -1)], f.one_body[p, q], n)
+    p, q, r, s = np.nonzero(f.two_body)
+    live = (p != q) & (r != s)  # a+_p a+_p and a_r a_r are zero
+    p, q, r, s = p[live], q[live], r[live], s[live]
+    two = _strings(masks, [(p, 1), (q, 1), (s, -1), (r, -1)],
+                   0.5 * f.two_body[p, q, r, s], n)
+    x, z, c = (np.concatenate([[first], a, b])
+               for first, a, b in zip((0, 0, f.core_energy), one, two))
+    keys, index = np.unique(x << n | z, return_inverse=True)
+    c = np.bincount(index, weights=c)
+    x, z = keys >> n, keys & ((1 << n) - 1)
 
-    def add(op: _Operator, scale: float) -> None:
-        for key, coeff in op.items():
-            acc[key] = acc.get(key, 0.0) + scale * coeff
-
-    for p, q in np.argwhere(np.abs(f.one_body) > 0.0):
-        add(_multiply(create[p], annihilate[q]), float(f.one_body[p, q]))
-
-    pair_cache: dict[tuple[int, int], _Operator] = {}
-    for p, q, r, s in np.argwhere(np.abs(f.two_body) > 0.0):
-        head = pair_cache.get((p, q))
-        if head is None:
-            head = _multiply(create[p], create[q])
-            pair_cache[(p, q)] = head
-        tail = _multiply(annihilate[s], annihilate[r])
-        add(_multiply(head, tail), 0.5 * float(f.two_body[p, q, r, s]))
-
-    worst_imag = max((abs(c.imag) for c in acc.values()), default=0.0)
+    # S(x, z) = (-i)**n_Y times the product with Y where x and z overlap
+    n_y = (((x & z)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    odd = n_y % 2 == 1
+    worst_imag = np.abs(c[odd]).max(initial=0.0)
     if worst_imag > _IMAG_LIMIT:
         raise ValueError(
             f"mapping left imaginary weight {worst_imag:g}, input not Hermitian"
         )
-    terms = [
-        PauliTerm(n, x, z, float(c.real))
-        for (x, z), c in acc.items()
-        if abs(c.real) > _COEFF_DROP
-    ]
-    return PauliHamiltonian(n, terms)
+    c = np.where(n_y % 4 == 2, -c, c)
+    keep = ~odd & (np.abs(c) > _COEFF_DROP)
+    return PauliHamiltonian(n, [
+        PauliTerm(n, xk, zk, ck) for xk, zk, ck in
+        zip(x[keep].tolist(), z[keep].tolist(), c[keep].tolist())
+    ])
 
 
 def jordan_wigner(f: FermionIntegrals, cap: int = DIMENSION_CAP) -> PauliHamiltonian:
     """Qubit Hamiltonian whose spectrum equals the Fock-space spectrum."""
-    return _assemble(f, _jw_ladders, cap)
+    return _assemble(f, _jw_masks, cap)
 
 
 def parity_map(f: FermionIntegrals, cap: int = DIMENSION_CAP) -> PauliHamiltonian:
     """Parity-basis mapping; spectrum-equivalent to Jordan-Wigner."""
-    return _assemble(f, _parity_ladders, cap)
+    return _assemble(f, _parity_masks, cap)

@@ -10,6 +10,7 @@ weighted sum of their value arrays.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -17,7 +18,7 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.sparse
 
-from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, ham_matrix
+from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, sparse_parts
 from mczeno.spectral import densify
 
 
@@ -33,10 +34,10 @@ class PathHamiltonian:
     def __post_init__(self) -> None:
         if self.h_initial.n_qubits != self.h_final.n_qubits:
             raise ValueError("initial and final Hamiltonians differ in qubit count")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.total_time <= 0:
-            raise ValueError(f"total_time must be positive, got {self.total_time}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.total_time < math.inf:
+            raise ValueError(f"total_time must be finite and > 0, got {self.total_time}")
 
     @property
     def n_qubits(self) -> int:
@@ -51,17 +52,8 @@ class PathHamiltonian:
     @cached_property
     def _pattern(self):
         """(indptr, indices, data) of H_i, H_p and H_X on one shared CSR
-        sparsity pattern, the union of theirs, built on first use: one row
-        of data per part, zero where that part has no entry."""
-        parts = [ham_matrix(h) for h in
-                 (self.h_initial, self.h_final, x_driver(self.n_qubits))]
-        union = reduce(operator.add, [abs(m) for m in parts])  # nothing cancels
-        keys = _entry_keys(union)
-        dtype = np.result_type(*[m.dtype for m in parts])
-        data = np.zeros((len(parts), union.nnz), dtype=dtype)
-        for row, m in zip(data, parts):
-            row[np.searchsorted(keys, _entry_keys(m))] = m.data
-        return union.indptr, union.indices, data
+        pattern, built on first use: one row of data per part."""
+        return sparse_parts((self.h_initial, self.h_final, x_driver(self.n_qubits)))
 
     @cached_property
     def _gershgorin(self):
@@ -108,12 +100,6 @@ class PathHamiltonian:
         centres = self._combine(s, diagonals)
         radii = self._combine(s, off_sums)
         return float((centres - radii).min()), float((centres + radii).max())
-
-
-def _entry_keys(m: scipy.sparse.csr_matrix) -> np.ndarray:
-    """row * dim + column of each stored entry, ascending in canonical CSR."""
-    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-    return rows * m.shape[1] + m.indices
 
 
 def x_driver(n_qubits: int) -> PauliHamiltonian:

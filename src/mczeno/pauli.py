@@ -192,40 +192,55 @@ def term_matrix(t: PauliTerm, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matr
     )
 
 
-def _mask_values(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> dict[int, np.ndarray]:
-    """Per x-mask of h, entry (c ^ x, c) of its matrix for every column c.
+def sparse_parts(
+    hs: Sequence[PauliHamiltonian], cap: int = DIMENSION_CAP
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One CSR layout for the matrices of several Pauli sums on one register.
 
-    Terms with one x-mask fill the same entries, so each mask's vector
-    sums their values in term order, which is exactly what the sum of
-    their term matrices holds.
+    Returns (indptr, indices, data): the canonical CSR pattern (rows in
+    order, ascending columns) of the union of the sums' nonzero entries,
+    and one row of data per sum, zero where that sum has no entry.  A sum
+    is assembled one x-mask at a time: its terms with x-mask x fill the
+    entries (c ^ x, c), so their values there are summed in term order,
+    which is exactly what the sum of their term matrices holds.
     """
-    _check_cap(h.n_qubits, cap)
-    cols = np.arange(1 << h.n_qubits, dtype=np.int64)
-    values: dict[int, np.ndarray] = {}
-    for t in h.terms:
-        data = _term_values(t, cols)
-        values[t.x_mask] = values[t.x_mask] + data if t.x_mask in values else data
-    return values
+    n = hs[0].n_qubits
+    if any(h.n_qubits != n for h in hs):
+        raise ValueError("Pauli sums differ in qubit count")
+    _check_cap(n, cap)
+    dim = 1 << n
+    cols = np.arange(dim, dtype=np.int64)
+    values: dict[tuple[int, int], np.ndarray] = {}
+    for part, h in enumerate(hs):
+        for t in h.terms:
+            key = (t.x_mask, part)
+            data = _term_values(t, cols)
+            values[key] = values[key] + data if key in values else data
+    masks = {x: i for i, x in enumerate(dict.fromkeys(x for x, _ in values))}
+    block = np.zeros((len(hs), len(masks), dim),
+                     dtype=np.result_type(float, *values.values()))
+    for (x, part), data in values.items():
+        block[part, masks[x]] = data
+    flat = np.flatnonzero((block != 0).any(axis=0))  # mask index << n | column
+    col_at = flat & (dim - 1)
+    rows = col_at ^ np.array(list(masks), dtype=np.int64)[flat >> n]
+    order = np.argsort(rows << n | col_at)
+    # the index type scipy would pick, so that building a matrix copies none
+    index = np.int32 if max(dim, len(flat)) < 2**31 else np.int64
+    indptr = np.r_[0, np.bincount(rows, minlength=dim).cumsum()].astype(index)
+    return (indptr, col_at[order].astype(index),
+            block.reshape(len(hs), -1)[:, flat[order]])
 
 
 def ham_matrix(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matrix:
-    """Sparse Hermitian matrix of a Pauli sum, assembled one x-mask at a time.
+    """Sparse Hermitian matrix of a Pauli sum: the one-sum sparse_parts.
 
     Equal, entry for entry, to the sum of the term matrices in term order;
     entries that cancel to exactly zero are left out, as that sum drops them.
     """
-    values = _mask_values(h, cap)
+    indptr, indices, data = sparse_parts([h], cap)
     dim = 1 << h.n_qubits
-    if not values:
-        return scipy.sparse.csr_matrix((dim, dim))
-    cols = np.arange(dim, dtype=np.int64)
-    rows = np.concatenate([cols ^ x for x in values])
-    cols = np.tile(cols, len(values))
-    data = np.concatenate(list(values.values()))
-    kept = data != 0
-    return scipy.sparse.csr_matrix(
-        (data[kept], (rows[kept], cols[kept])), shape=(dim, dim)
-    )
+    return scipy.sparse.csr_matrix((data[0], indices, indptr), shape=(dim, dim))
 
 
 def is_all_z(h: PauliHamiltonian) -> bool:

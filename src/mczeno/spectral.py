@@ -47,25 +47,26 @@ def dense_matrix(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> np.ndarray:
     return densify(ham_matrix(h, cap))
 
 
-def _solve(m: np.ndarray) -> EigenSolution:
+def eig(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> EigenSolution:
+    """Full dense Hermitian eigendecomposition."""
+    m = dense_matrix(h, cap)
     residue = np.abs(m - m.conj().T).max() if m.size else 0.0
     if residue > 1e-12:
         raise ValueError(f"matrix is not Hermitian (residue {residue:g})")
-    values, vectors = np.linalg.eigh(m)
-    return EigenSolution(values, vectors)
-
-
-def eig(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> EigenSolution:
-    """Full dense Hermitian eigendecomposition."""
-    return _solve(dense_matrix(h, cap))
+    return EigenSolution(*np.linalg.eigh(m))
 
 
 def path_eigensolutions(
     p, s_values: Iterable[float], cap: int = DIMENSION_CAP
 ) -> Iterator[EigenSolution]:
-    """Eigensolutions of p.matrix(s) for each s in s_values, solved lazily."""
+    """Eigensolutions of p.matrix(s) for each s in s_values, solved lazily.
+
+    H(s) is a real-weighted sum of the H_i, H_p and H_X values on one
+    pattern, each exactly Hermitian as pauli.sparse_parts builds it, so no
+    point is checked again.
+    """
     _check_cap(p.n_qubits, cap)
-    return (_solve(p.matrix(float(s))) for s in s_values)
+    return (EigenSolution(*np.linalg.eigh(p.matrix(float(s)))) for s in s_values)
 
 
 def lowest_k(h: PauliHamiltonian, k: int, cap: int = DIMENSION_CAP) -> EigenSolution:

@@ -2,10 +2,11 @@
 
 Most of this is built from first principles (explicit Kronecker
 products, occupation-number ladder matrices) so it shares no code path
-with the package under test.  sequential_ham_matrix and eigh_evolve are
-the package's earlier, slower algorithms (a term-by-term sparse sum and
-per-step diagonalization), kept so that the faster ones can be held to
-them.
+with the package under test.  sequential_ham_matrix, eigh_evolve and
+dict_jordan_wigner / dict_parity_map are the package's earlier, slower
+algorithms (a term-by-term sparse sum, per-step diagonalization and
+complex dict-of-masks ladder products), kept so that the faster ones can
+be held to them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from mczeno.pauli import term_matrix
+from mczeno.fermion import FermionIntegrals
+from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, term_matrix
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -115,6 +117,113 @@ def random_spatial_integrals(m: int, rng: np.random.Generator):
     g = g + g.transpose(2, 3, 0, 1)
     core = float(rng.normal())
     return h, g, core
+
+
+# The dict-of-masks fermion mapping the package used before its array
+# form, kept verbatim as the reference for term sets and coefficients.
+_COEFF_DROP = 1e-12
+_IMAG_LIMIT = 1e-12
+
+# A Pauli mask pair (x, z) names the Hermitian product with Y where both
+# bits overlap; products accumulate exact powers of i.
+_Operator = dict[tuple[int, int], complex]
+
+
+def _pauli_product(
+    x1: int, z1: int, c1: complex, x2: int, z2: int, c2: complex
+) -> tuple[int, int, complex]:
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    phase_power = (
+        (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
+    ) % 4
+    coeff = c1 * c2 * (1j ** phase_power)
+    if (z1 & x2).bit_count() & 1:
+        coeff = -coeff
+    return x3, z3, coeff
+
+
+def _multiply(left: _Operator, right: _Operator) -> _Operator:
+    out: _Operator = {}
+    for (x1, z1), c1 in left.items():
+        for (x2, z2), c2 in right.items():
+            x3, z3, c3 = _pauli_product(x1, z1, c1, x2, z2, c2)
+            key = (x3, z3)
+            out[key] = out.get(key, 0.0) + c3
+    return out
+
+
+def _ladders(keys) -> tuple[list[_Operator], list[_Operator]]:
+    """Annihilators (X + iY)/2 and creators (X - iY)/2 of each mode, from
+    the (x, z) masks of its X-like and Y-like Pauli parts."""
+    annihilate = [{x_key: 0.5, y_key: 0.5j} for x_key, y_key in keys]
+    create = [{x_key: 0.5, y_key: -0.5j} for x_key, y_key in keys]
+    return annihilate, create
+
+
+def _jw_ladders(n: int) -> tuple[list[_Operator], list[_Operator]]:
+    """Annihilators and creators with Z strings on the lower modes."""
+    keys = []
+    for p in range(n):
+        bit, lower = 1 << p, (1 << p) - 1
+        keys.append(((bit, lower), (bit, lower | bit)))
+    return _ladders(keys)
+
+
+def _parity_ladders(n: int) -> tuple[list[_Operator], list[_Operator]]:
+    """Ladders in the parity basis: X on all higher modes, Z on one lower."""
+    full = (1 << n) - 1
+    keys = []
+    for p in range(n):
+        bit = 1 << p
+        x_mask = full & ~(bit - 1)  # this mode and all higher ones
+        keys.append(((x_mask, bit >> 1), (x_mask, bit)))
+    return _ladders(keys)
+
+
+def _assemble(f: FermionIntegrals, ladders, cap: int) -> PauliHamiltonian:
+    n = f.n_orbitals
+    if n > cap:
+        raise ValueError(f"{n} spin orbitals exceeds the dimension cap of {cap}")
+    annihilate, create = ladders(n)
+    acc: _Operator = {(0, 0): complex(f.core_energy)}
+
+    def add(op: _Operator, scale: float) -> None:
+        for key, coeff in op.items():
+            acc[key] = acc.get(key, 0.0) + scale * coeff
+
+    for p, q in np.argwhere(np.abs(f.one_body) > 0.0):
+        add(_multiply(create[p], annihilate[q]), float(f.one_body[p, q]))
+
+    pair_cache: dict[tuple[int, int], _Operator] = {}
+    for p, q, r, s in np.argwhere(np.abs(f.two_body) > 0.0):
+        head = pair_cache.get((p, q))
+        if head is None:
+            head = _multiply(create[p], create[q])
+            pair_cache[(p, q)] = head
+        tail = _multiply(annihilate[s], annihilate[r])
+        add(_multiply(head, tail), 0.5 * float(f.two_body[p, q, r, s]))
+
+    worst_imag = max((abs(c.imag) for c in acc.values()), default=0.0)
+    if worst_imag > _IMAG_LIMIT:
+        raise ValueError(
+            f"mapping left imaginary weight {worst_imag:g}, input not Hermitian"
+        )
+    terms = [
+        PauliTerm(n, x, z, float(c.real))
+        for (x, z), c in acc.items()
+        if abs(c.real) > _COEFF_DROP
+    ]
+    return PauliHamiltonian(n, terms)
+
+
+def dict_jordan_wigner(f: FermionIntegrals, cap: int = DIMENSION_CAP) -> PauliHamiltonian:
+    """Jordan-Wigner mapping by exact complex Pauli-mask products."""
+    return _assemble(f, _jw_ladders, cap)
+
+
+def dict_parity_map(f: FermionIntegrals, cap: int = DIMENSION_CAP) -> PauliHamiltonian:
+    """Parity mapping by exact complex Pauli-mask products."""
+    return _assemble(f, _parity_ladders, cap)
 
 
 ZENO_DEGENERACY_TOL = 1e-9

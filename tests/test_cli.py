@@ -80,6 +80,11 @@ class TestMethodCommands:
         assert code == 1
         assert "error: seed must be a non-negative integer" in capsys.readouterr().err
 
+    def test_nan_alpha_exits_nonzero(self, data_dir, capsys):
+        code = main(["qzp", str(data_dir / "gapped_four_qubit.txt"), "--alpha", "nan"])
+        assert code == 1
+        assert "error: alpha must be finite and >= 0, got nan" in capsys.readouterr().err
+
     def test_non_integer_trials_in_config_exits_nonzero(self, data_dir, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"trials": 2.5}))

@@ -49,6 +49,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="alpha"):
             RunConfig(source="x.txt", method="qzp", alpha=-0.1)
 
+    @pytest.mark.parametrize("name", ["alpha", "total_time", "delta_t"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_fields_rejected_before_any_stage(self, data_dir, name, value):
+        source = str(data_dir / "toy_two_qubit.txt")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            run(RunConfig(source=source, method="qzp", **{name: value}))
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
     def test_seed_validation(self, seed):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):

@@ -2,7 +2,8 @@
 
 The reference for every spectrum is the Fock-space brute-force oracle in
 oracles.py, which builds ladder matrices directly from occupation bit
-patterns and never touches Pauli algebra.
+patterns and never touches Pauli algebra.  The term sets are held to the
+earlier dict-of-masks mapping kept in oracles.py.
 """
 
 import numpy as np
@@ -10,7 +11,12 @@ import pytest
 
 from mczeno.fermion import FermionIntegrals, jordan_wigner, load_fcidump, parity_map
 from mczeno.spectral import dense_matrix
-from oracles import fock_hamiltonian, random_spatial_integrals
+from oracles import (
+    dict_jordan_wigner,
+    dict_parity_map,
+    fock_hamiltonian,
+    random_spatial_integrals,
+)
 
 MINIMAL_ONE_BODY = """\
 &FCI NORB=2,NELEC=2,MS2=0,
@@ -71,6 +77,17 @@ class TestLoadFcidump:
         path = tmp_path / "bad.fcidump"
         path.write_text("NORB=2\n 0.5 1 1 0 0\n")
         with pytest.raises(ValueError, match="malformed FCIDUMP header"):
+            load_fcidump(path)
+
+    def test_unrestricted_header_rejected(self, tmp_path):
+        """A UHF file holds two spin blocks; read as RHF, the second
+        silently overwrites the first."""
+        path = tmp_path / "uhf.fcidump"
+        path.write_text(
+            "&FCI NORB=1,NELEC=1,MS2=1,IUHF=1,\n&END\n"
+            " -1.0 1 1 0 0\n -0.9 1 1 0 0\n"
+        )
+        with pytest.raises(ValueError, match=r"uhf\.fcidump: IUHF=1"):
             load_fcidump(path)
 
     def test_index_out_of_range(self, tmp_path):
@@ -152,6 +169,12 @@ class TestJordanWigner:
             jordan_wigner(f)
 
 
+    def test_more_modes_than_packed_masks_hold(self):
+        f = FermionIntegrals(32, np.zeros((32, 32)), np.zeros((32,) * 4), 0.0)
+        with pytest.raises(ValueError, match="packed"):
+            jordan_wigner(f, cap=40)
+
+
 class TestParityMap:
     def test_core_only(self):
         f = FermionIntegrals(2, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)), 0.7)
@@ -190,8 +213,59 @@ class TestValidation:
         with pytest.raises(ValueError, match="not symmetric"):
             FermionIntegrals(2, bad, np.zeros((2, 2, 2, 2)), 0.0)
 
+    @pytest.mark.parametrize("mapping", [jordan_wigner, parity_map])
+    def test_imaginary_weight_raises(self, mapping):
+        """An asymmetry inside the 1e-10 symmetry check leaves weight on
+        strings with an odd number of Y factors."""
+        one_body = np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]])
+        f = FermionIntegrals(2, one_body, np.zeros((2, 2, 2, 2)), 0.0)
+        with pytest.raises(ValueError, match="imaginary weight 1.25e-11"):
+            mapping(f)
+
     def test_broken_two_body_symmetry_rejected(self):
         v = np.zeros((2, 2, 2, 2))
         v[0, 1, 0, 1] = 0.3
         with pytest.raises(ValueError, match="symmetry|hermiticity"):
             FermionIntegrals(2, np.zeros((2, 2)), v, 0.0)
+
+
+def _reference_cases():
+    """(name, integrals) for every bundled FCIDUMP, random spatial integrals
+    for 1 to 3 spatial orbitals, core-only input and two-body-only input."""
+    from conftest import DATA_DIR
+
+    cases = [(path.name, load_fcidump(path))
+             for path in sorted(DATA_DIR.glob("*.fcidump"))]
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 3):
+        for k in range(3):
+            h, g, core = random_spatial_integrals(m, rng)
+            cases.append((f"random_m{m}_{k}", FermionIntegrals.from_spatial(h, g, core)))
+    cases.append(("core_only", FermionIntegrals(
+        2, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)), 0.7)))
+    h, g, core = random_spatial_integrals(2, rng)
+    cases.append(("empty_one_body", FermionIntegrals.from_spatial(
+        np.zeros_like(h), g, core)))
+    return cases
+
+
+class TestArrayMappingMatchesDictReference:
+    """The real-string array mapping against the complex dict-of-masks one.
+
+    The terms and their order must agree exactly; coefficients may move in
+    the last bits because the contributions are summed in another order.
+    """
+
+    @pytest.mark.parametrize("name, f", _reference_cases(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("mapping, reference", [
+        (jordan_wigner, dict_jordan_wigner), (parity_map, dict_parity_map),
+    ], ids=["jw", "parity"])
+    def test_same_terms_same_order(self, name, f, mapping, reference):
+        ours, ref = mapping(f), reference(f)
+        assert [(t.x_mask, t.z_mask) for t in ours] == [
+            (t.x_mask, t.z_mask) for t in ref
+        ]
+        deviation = max((abs(a.coefficient - b.coefficient)
+                         for a, b in zip(ours, ref)), default=0.0)
+        assert deviation <= 1e-13

@@ -72,6 +72,12 @@ class TestHAt:
         with pytest.raises(ValueError, match="s must lie"):
             h_at(demo_path, -0.1)
 
+    @pytest.mark.parametrize("name", ["alpha", "total_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_fields_rejected(self, toy_hamiltonian, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            PathHamiltonian(toy_hamiltonian, toy_hamiltonian, **{name: value})
+
     def test_mismatched_registers_rejected(self, toy_hamiltonian):
         with pytest.raises(ValueError, match="qubit count"):
             PathHamiltonian(parse_hamiltonian("1.0 Z"), toy_hamiltonian)

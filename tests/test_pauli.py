@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mczeno.pauli import (
     PauliHamiltonian,
@@ -22,6 +23,7 @@ from mczeno.pauli import (
     parse_pauli,
     save_hamiltonian,
     serialize_pauli,
+    sparse_parts,
     term_matrix,
 )
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
@@ -190,6 +192,49 @@ class TestHamMatrixByMask:
 
     def test_empty_hamiltonian_bit_identical(self):
         self.assert_identical(PauliHamiltonian(3, []))
+
+
+def _bundled_paths():
+    """(name, (clique, Hamiltonian, X driver)) for every bundled fixture,
+    plus a path between two sums with odd-Y terms."""
+    from conftest import DATA_DIR
+
+    out = []
+    for path in sorted(DATA_DIR.iterdir()):
+        h, _ = load_qubit_hamiltonian(str(path))
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        out.append((path.name, (mc, h, x_driver(h.n_qubits))))
+    odd_y = parse_hamiltonian("0.5 ZI\n-0.7 IY\n0.3 XZ\n0.2 YX\n0.1 XY\n-0.4 YY")
+    out.append(("odd_y", (odd_y, parse_hamiltonian("1.0 XI\n1.0 XZ\n-2.0 IZ"),
+                          x_driver(2))))
+    return out
+
+
+class TestSparseParts:
+    @pytest.mark.parametrize("name, hs", _bundled_paths(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_each_row_is_its_exactly_hermitian_matrix(self, name, hs):
+        """A row, zeros dropped, is ham_matrix of its sum, and equals its
+        own conjugate transpose exactly, so H(s) needs no Hermiticity check."""
+        indptr, indices, data = sparse_parts(hs)
+        dim = 1 << hs[0].n_qubits
+        assert data.shape == (len(hs), len(indices))
+        for h, row in zip(hs, data):
+            m = scipy.sparse.csr_matrix((row, indices, indptr), shape=(dim, dim))
+            assert np.array_equal(m.toarray(), ham_matrix(h).toarray())
+            assert np.array_equal(m.toarray(), m.conj().T.toarray())
+
+    def test_pattern_is_the_union(self):
+        hs = (parse_hamiltonian("1.0 ZI"), parse_hamiltonian("1.0 IX"))
+        indptr, indices, data = sparse_parts(hs)
+        assert indptr.tolist() == [0, 2, 4, 6, 8]
+        assert indices.tolist() == [0, 1, 0, 1, 2, 3, 2, 3]
+        assert data.tolist() == [[1, 0, 0, 1, -1, 0, 0, -1],
+                                 [0, 1, 1, 0, 0, 1, 1, 0]]
+
+    def test_mismatched_registers_rejected(self):
+        with pytest.raises(ValueError, match="qubit count"):
+            sparse_parts((parse_hamiltonian("1.0 Z"), parse_hamiltonian("1.0 ZZ")))
 
 
 class TestIsAllZ:

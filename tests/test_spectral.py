@@ -62,6 +62,15 @@ class TestEig:
         check_invariants(h, eig(h))
 
 
+    def test_non_hermitian_matrix_rejected(self, monkeypatch):
+        import mczeno.spectral
+
+        monkeypatch.setattr(mczeno.spectral, "dense_matrix",
+                            lambda h, cap: np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eig(MINUS_X)
+
+
 class TestLowestK:
     def test_demo_ground(self, toy_hamiltonian):
         solution = lowest_k(toy_hamiltonian, 1)
