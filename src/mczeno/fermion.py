@@ -198,8 +198,12 @@ def _assemble(f: FermionIntegrals, ladder_masks, cap: int) -> PauliHamiltonian:
                    0.5 * f.two_body[p, q, r, s], n)
     x, z, c = (np.concatenate([[first], a, b])
                for first, a, b in zip((0, 0, f.core_energy), one, two))
-    keys, index = np.unique(x << n | z, return_inverse=True)
-    c = np.bincount(index, weights=c)
+    # each string's contributions are summed in ascending |c|, so that
+    # cancelling pairs meet before larger terms can round them apart
+    keys = x << n | z
+    order = np.lexsort((np.abs(c), keys))
+    keys, index = np.unique(keys[order], return_inverse=True)
+    c = np.bincount(index, weights=c[order])
     x, z = keys >> n, keys & ((1 << n) - 1)
 
     # S(x, z) = (-i)**n_Y times the product with Y where x and z overlap

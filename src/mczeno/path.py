@@ -5,7 +5,9 @@ of single-qubit X operators.  The quadratic envelope vanishes at both
 endpoints, so s = 0 and s = 1 reproduce the initial and final
 Hamiltonians term for term.  PathHamiltonian builds H_i, H_p and H_X once,
 on one shared sparsity pattern, so that any sparse or dense H(s) is one
-weighted sum of their value arrays.
+weighted sum of their value arrays.  It also records whether every H(s)
+commutes with the swap of qubits q and q + n/2, which exchanges the
+spin-up and spin-down halves of a Jordan-Wigner register.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.sparse
 
-from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, sparse_parts
+from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, is_all_z, sparse_parts
 from mczeno.spectral import densify
 
 
@@ -48,6 +50,19 @@ class PathHamiltonian:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"s must lie in [0, 1], got {s}")
         return 1.0 - s, s, self.alpha * s * (1.0 - s)
+
+    def is_diagonal(self, s: float) -> bool:
+        """True when every part of nonzero weight at s is all-Z."""
+        w_i, w_p, w_x = self.weights(s)
+        return (w_x == 0.0 and (w_i == 0.0 or is_all_z(self.h_initial))
+                and (w_p == 0.0 or is_all_z(self.h_final)))
+
+    @cached_property
+    def spin_flip_symmetric(self) -> bool:
+        """True when H_i and H_p, and so every H(s), are invariant under the
+        qubit permutation q <-> q + n/2; H_X always is.  False for odd n."""
+        return self.n_qubits % 2 == 0 and all(
+            _halves_swap_symmetric(h) for h in (self.h_initial, self.h_final))
 
     @cached_property
     def _pattern(self):
@@ -100,6 +115,20 @@ class PathHamiltonian:
         centres = self._combine(s, diagonals)
         radii = self._combine(s, off_sums)
         return float((centres - radii).min()), float((centres + radii).max())
+
+
+def _halves_swap_symmetric(h: PauliHamiltonian, tol: float = 1e-12) -> bool:
+    """True when each term's image under the swap of the low and high qubit
+    halves has the same coefficient within tol, a missing term counting as 0."""
+    half = h.n_qubits // 2
+    low = (1 << half) - 1
+
+    def swapped(mask: int) -> int:
+        return (mask & low) << half | mask >> half
+
+    coefficients = {(t.x_mask, t.z_mask): t.coefficient for t in h.terms}
+    return all(abs(c - coefficients.get((swapped(x), swapped(z)), 0.0)) <= tol
+               for (x, z), c in coefficients.items())
 
 
 def x_driver(n_qubits: int) -> PauliHamiltonian:

@@ -2,11 +2,12 @@
 
 Most of this is built from first principles (explicit Kronecker
 products, occupation-number ladder matrices) so it shares no code path
-with the package under test.  sequential_ham_matrix, eigh_evolve and
-dict_jordan_wigner / dict_parity_map are the package's earlier, slower
-algorithms (a term-by-term sparse sum, per-step diagonalization and
-complex dict-of-masks ladder products), kept so that the faster ones can
-be held to them.
+with the package under test.  sequential_ham_matrix, eigh_evolve,
+dict_jordan_wigner / dict_parity_map and full_eigh_solutions are the
+package's earlier, slower algorithms (a term-by-term sparse sum,
+per-step diagonalization, complex dict-of-masks ladder products and one
+full eigh per path point), kept so that the faster ones can be held to
+them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import scipy.sparse
 
 from mczeno.fermion import FermionIntegrals
 from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, term_matrix
+from mczeno.spectral import EigenSolution
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -281,6 +283,12 @@ def sequential_ham_matrix(h) -> scipy.sparse.csr_matrix:
     for t in h.terms[1:]:
         total = total + term_matrix(t)
     return total.tocsr()
+
+
+def full_eigh_solutions(p, s_values) -> list:
+    """One full dense eigh of p.matrix(s) per path point, as (values,
+    vectors) EigenSolutions, with no diagonal or block shortcut."""
+    return [EigenSolution(*np.linalg.eigh(p.matrix(float(s)))) for s in s_values]
 
 
 def eigh_evolve(p, delta_t: float, psi0: np.ndarray):

@@ -127,9 +127,15 @@ class TestRun:
         ]
         assert record["distributions"][0]["trials"] == 40
 
-    @pytest.mark.parametrize("name", ["gapped_four_qubit.txt", "h2_2.8_jw.txt"])
-    def test_qzp_solves_each_grid_point_once(self, data_dir, monkeypatch, name):
-        """The exact stage's H(1) solution is the last grid point of qzp."""
+    @pytest.mark.parametrize("name, shapes", [
+        ("gapped_four_qubit.txt", [(16, 16)] * 6),
+        ("h2_2.8_jw.txt", [(16, 16)] * 7),
+        ("h5_chain_sto3g_1.00.fcidump", [(528, 528), (496, 496)] * 6),
+    ])
+    def test_qzp_solves_each_grid_point_once(self, data_dir, monkeypatch, name, shapes):
+        """The exact stage's H(1) solution is the last grid point of qzp.  A
+        diagonal H(0) (gapped, H5) is sorted, not diagonalized; H5's other
+        points are each solved as two spin-flip blocks."""
         calls = []
         original = np.linalg.eigh
 
@@ -141,9 +147,9 @@ class TestRun:
         config = RunConfig(source=str(data_dir / name), method="qzp", alpha=0.5,
                            n_steps=6, trials=20, seed=1)
         record = run(config)
-        assert len(calls) == 7
+        assert calls == shapes
         monkeypatch.setattr(np.linalg, "eigh", original)
-        h = load_hamiltonian(data_dir / name)
+        h, _ = load_qubit_hamiltonian(str(data_dir / name))
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
         p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
         direct = zeno_statistics(p, 6, [0], 20, 1)[0]
@@ -151,14 +157,16 @@ class TestRun:
             [i, direct.counts[i]] for i in sorted(direct.counts)
         ]
 
-    @pytest.mark.parametrize("name, solves", [
-        ("gapped_four_qubit.txt", 1), ("h5_chain_sto3g_1.00.fcidump", 1),
-        ("h2_2.8_jw.txt", 2),
+    @pytest.mark.parametrize("name, shapes", [
+        ("gapped_four_qubit.txt", [(16, 16)]),
+        ("h5_chain_sto3g_1.00.fcidump", [(528, 528), (496, 496)]),
+        ("h2_2.8_jw.txt", [(16, 16), (16, 16)]),
     ])
-    def test_qae_solves_only_the_endpoints(self, data_dir, monkeypatch, name, solves):
+    def test_qae_solves_only_the_endpoints(self, data_dir, monkeypatch, name, shapes):
         """The exact stage's H(1) solution gives qae its final observables,
         and the steps diagonalize nothing.  H(0) is solved too only when the
-        clique is not diagonal (h2_2.8_jw), for the initial eigenstate."""
+        clique is not diagonal (h2_2.8_jw), for the initial eigenstate; H5's
+        H(1) is solved as two spin-flip blocks."""
         calls = []
         original = np.linalg.eigh
 
@@ -168,15 +176,30 @@ class TestRun:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         record = run(RunConfig(source=str(data_dir / name), method="qae", alpha=0.5))
-        assert len(calls) == solves
+        assert calls == shapes
         monkeypatch.setattr(np.linalg, "eigh", original)
         h, _ = load_qubit_hamiltonian(str(data_dir / name))
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
-        assert is_all_z(mc) == (solves == 1)
+        assert is_all_z(mc) == (name != "h2_2.8_jw.txt")
         p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
         direct = evolve(p, 0.5, initial_eigenstate(p, 0))
         assert record["final_energy_hartree"] == direct.final_energy
         assert record["ground_fidelity"] == direct.ground_fidelity
+
+    def test_blocks_leave_non_diagonal_h0_on_full_eigh(self, data_dir, monkeypatch):
+        """With the spin-flip blocks available at every dimension, a
+        non-diagonal H(0) is still solved by one full eigh: its eigenvectors
+        pick the initial state, and a block basis there moves this qae
+        energy from -0.6793 to -0.5651 Ha."""
+        import mczeno.spectral as spectral
+
+        config = RunConfig(source=str(data_dir / "h2_sto3g_2.8.fcidump"), method="qae",
+                           alpha=0.5)
+        default = run(config)
+        monkeypatch.setattr(spectral, "SPIN_FLIP_DIMENSION", 1)
+        blocks = run(config)  # H(1) is solved in blocks, in another basis
+        for key in ("final_energy_hartree", "ground_fidelity"):
+            assert blocks[key] == pytest.approx(default[key], abs=1e-12)
 
     def test_spectrum_csv_row_count(self, data_dir, tmp_path):
         out = tmp_path / "levels.csv"

@@ -164,3 +164,52 @@ class TestMatrix:
     def test_s_out_of_range(self, demo_path):
         with pytest.raises(ValueError, match="s must lie"):
             demo_path.matrix(1.5)
+
+
+class TestSpinFlipSymmetry:
+    """Detection of invariance under the qubit swap q <-> q + n/2."""
+
+    @pytest.mark.parametrize("name", [
+        "h2_0.7414_jw.txt", "h2_1.2_jw.txt", "h2_2.8_jw.txt",
+        "h2_sto3g_0.7414.fcidump", "h2_sto3g_2.8.fcidump",
+        "h5_chain_sto3g_1.00.fcidump",
+    ])
+    def test_jordan_wigner_fixtures_and_cliques(self, data_dir, name):
+        from mczeno.driver import load_qubit_hamiltonian
+
+        h, _ = load_qubit_hamiltonian(str(data_dir / name))
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        assert PathHamiltonian(mc, h, alpha=0.5).spin_flip_symmetric
+
+    @pytest.mark.parametrize("name", [
+        "h2_0.7414_parity.txt", "gapped_four_qubit.txt", "toy_two_qubit.txt",
+    ])
+    def test_negative_fixtures(self, data_dir, name):
+        h = load_hamiltonian(data_dir / name)
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        assert not PathHamiltonian(mc, h).spin_flip_symmetric
+        assert not PathHamiltonian(h, h).spin_flip_symmetric
+
+    def test_odd_qubit_count(self):
+        """x_driver(3) is invariant under every qubit permutation, but three
+        qubits have no halves to swap."""
+        h = x_driver(3)
+        assert not PathHamiltonian(h, h).spin_flip_symmetric
+
+    def test_only_the_x_driver(self):
+        h = x_driver(4)
+        assert PathHamiltonian(h, h, alpha=1.0).spin_flip_symmetric
+
+    @pytest.mark.parametrize("delta, symmetric", [
+        (0.0, True), (1e-13, True), (1e-9, False),
+    ])
+    def test_one_perturbed_term(self, delta, symmetric):
+        # the swap exchanges qubits 3 <-> 1 and 2 <-> 0: XIZI is ZIXI's image
+        h = parse_hamiltonian(f"0.5 ZIXI\n{0.5 + delta!r} XIZI\n-0.3 ZZZZ\n0.2 YYII\n0.2 IIYY")
+        sym = parse_hamiltonian("1.0 ZIZI\n0.7 IZII\n0.7 IIIZ")
+        assert PathHamiltonian(sym, h).spin_flip_symmetric is symmetric
+        assert PathHamiltonian(h, sym).spin_flip_symmetric is symmetric
+
+    def test_missing_image_term(self):
+        h = parse_hamiltonian("0.5 ZIXI\n0.5 XIZI\n1e-6 IIIY")
+        assert not PathHamiltonian(h, h).spin_flip_symmetric

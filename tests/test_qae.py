@@ -272,4 +272,4 @@ class TestEigensolveCount:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         qae_then_project(p, 0.5, 0, 20, 3)
-        assert len(calls) == 1
+        assert calls == [(16, 16)]

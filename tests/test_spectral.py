@@ -3,16 +3,24 @@
 import numpy as np
 import pytest
 
-from mczeno.pauli import PauliHamiltonian, parse_hamiltonian
-from mczeno.path import PathHamiltonian
+import mczeno.spectral as spectral
+from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
+from mczeno.driver import load_qubit_hamiltonian
+from mczeno.pauli import PauliHamiltonian, PauliTerm, is_all_z, parse_hamiltonian
+from mczeno.path import PathHamiltonian, s_grid
+from mczeno.qae import DEGENERACY_TOL
+from mczeno.qzp import zeno_statistics
 from mczeno.spectral import (
     EigenSolution,
     diagonal_basis_order,
     eig,
     lowest_k,
+    path_eigensolutions,
     path_spectrum,
     spectrum_csv,
+    spin_flip_eigh,
 )
+from oracles import full_eigh_solutions
 
 MINUS_Z = parse_hamiltonian("-1.0 Z")
 MINUS_X = parse_hamiltonian("-1.0 X")
@@ -150,3 +158,185 @@ class TestPathSpectrum:
         assert lines[0] == "s,E0_hartree,E1_hartree"
         assert len(lines) == 5
         assert text == spectrum_csv(path_spectrum(p, 4, 2))
+
+
+def clique_path(data_dir, name: str, alpha: float) -> PathHamiltonian:
+    h, _ = load_qubit_hamiltonian(str(data_dir / name))
+    mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+    return PathHamiltonian(mc, h, alpha=alpha)
+
+
+def swap_symmetric_sum(n: int, seed: int, odd_y: bool, n_terms: int = 40):
+    """n_terms random Pauli products on n qubits, each with its image under
+    the swap of the low and high qubit halves at the same coefficient;
+    terms with an odd number of Y factors only when odd_y is set."""
+    rng = np.random.default_rng([seed, n, odd_y])
+    half = n // 2
+
+    def swapped(mask: int) -> int:
+        return (mask & ((1 << half) - 1)) << half | mask >> half
+
+    terms = []
+    while len(terms) < 2 * n_terms:
+        x, z = (int(v) for v in rng.integers(0, 1 << n, 2))
+        if (x & z).bit_count() % 2 and not odd_y:
+            continue
+        c = float(rng.normal())
+        terms += [PauliTerm(n, x, z, c), PauliTerm(n, swapped(x), swapped(z), c)]
+    return PauliHamiltonian(n, terms)
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shapes of the matrices numpy.linalg.eigh is called on."""
+    calls = []
+    original = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
+def level_labels(values: np.ndarray) -> np.ndarray:
+    return np.r_[0, np.cumsum(np.diff(values) > DEGENERACY_TOL)]
+
+
+def check_against_full_eigh(h: np.ndarray, solution: EigenSolution) -> None:
+    """Residue, orthonormality, eigenvalues and DEGENERACY_TOL level
+    projectors of solution against one full eigh of h.
+
+    A level's projector is determined by any backward-stable solver only to
+    about eps * ||h|| / gap, where gap is its distance to the nearest other
+    level; so the 1e-10 bound applies to levels at least 1e-4 from their
+    neighbours, and nearer ones are held to distance * gap <= 1e-13.
+    """
+    values, vectors = solution.eigenvalues, solution.eigenvectors
+    full_values, full_vectors = np.linalg.eigh(h)
+    assert np.linalg.norm(h @ vectors - vectors * values, axis=0).max() <= 1e-12
+    assert np.abs(vectors.conj().T @ vectors - np.eye(len(h))).max() <= 1e-12
+    assert np.abs(values - full_values).max() <= 1e-12
+    labels = level_labels(full_values)
+    assert np.array_equal(level_labels(values), labels)
+    # ||P_g - P'_g||_F**2 is twice the weight of V'_g outside level g of V
+    overlap = np.abs(full_vectors.conj().T @ vectors) ** 2
+    outside = (overlap * (labels[:, None] != labels)).sum(axis=0)
+    distance = np.sqrt(2 * np.bincount(labels, weights=outside))
+    levels = full_values[np.r_[0, np.flatnonzero(np.diff(labels)) + 1]]
+    gap = np.fmin(np.r_[np.inf, np.diff(levels)], np.r_[np.diff(levels), np.inf])
+    assert distance[gap >= 1e-4].max(initial=0.0) <= 1e-10
+    assert (distance * gap)[gap < 1e-4].max(initial=0.0) <= 1e-13
+
+
+class TestSpinFlipBlocks:
+    H5 = "h5_chain_sto3g_1.00.fcidump"
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_h5_path_points(self, data_dir, eigh_shapes, alpha):
+        p = clique_path(data_dir, self.H5, alpha)
+        assert p.spin_flip_symmetric and is_all_z(p.h_initial)
+        grid = s_grid(4)
+        solutions = list(path_eigensolutions(p, grid))
+        # s = 0 is sorted; every other point is two blocks of 528 and 496
+        assert eigh_shapes == [(528, 528), (496, 496)] * 4
+        for s, solution in zip(grid, solutions):
+            check_against_full_eigh(p.matrix(s), solution)
+
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "odd_y"])
+    def test_random_swap_symmetric_paths(self, n, odd_y):
+        p = PathHamiltonian(swap_symmetric_sum(n, 1, odd_y),
+                            swap_symmetric_sum(n, 2, odd_y), alpha=0.5)
+        assert p.spin_flip_symmetric
+        for s in (0.3, 0.7, 1.0):
+            h = p.matrix(s)
+            assert np.iscomplexobj(h) == odd_y
+            check_against_full_eigh(h, spin_flip_eigh(h))
+
+    def test_dimension_threshold(self, eigh_shapes):
+        """Eight qubits (dim 256) take the blocks, six (dim 64) one eigh."""
+        for n, shapes in [(6, [(64, 64)]), (8, [(136, 136), (120, 120)])]:
+            eigh_shapes.clear()
+            h = swap_symmetric_sum(n, 3, False)
+            next(path_eigensolutions(PathHamiltonian(h, h), [0.5]))
+            assert eigh_shapes == shapes
+
+    def test_exact_ties_merge_stably(self):
+        """At equal eigenvalues the symmetric block's columns come first.  A
+        pi-invariant diagonal with four distinct values ties most eigenvalues
+        of one block to some of the other."""
+        fixed, low, high = spectral._spin_flip_classes(256)
+        image = np.arange(256)
+        image[low], image[high] = high, low
+        d = np.random.default_rng(5).integers(0, 4, 256).astype(float)
+        h = np.diag(np.minimum(d, d[image]))
+        solution = spin_flip_eigh(h)
+        check_against_full_eigh(h, solution)
+        assert np.array_equal(solution.eigenvalues, np.sort(np.diag(h)))
+        vectors = solution.eigenvectors
+        symmetric = (vectors[high] == vectors[low]).all(axis=0)
+        assert symmetric.sum() == len(fixed) + len(low)
+        assert not vectors[np.ix_(fixed, ~symmetric)].any()
+        for value in np.unique(solution.eigenvalues):
+            flags = symmetric[solution.eigenvalues == value]
+            assert 0 < flags.sum() < len(flags)  # a tie across the blocks
+            assert np.array_equal(flags, np.sort(flags)[::-1])
+
+    def test_zeno_counts_match_full_eigh_path(self, data_dir):
+        p = clique_path(data_dir, self.H5, 0.5)
+        n_steps = 4
+        reference = full_eigh_solutions(p, s_grid(n_steps))
+        ours = zeno_statistics(p, n_steps, [0, 1], 100, 11)
+        theirs = zeno_statistics(p, n_steps, [0, 1], 100, 11, eigensolutions=reference)
+        assert [d.counts for d in ours] == [d.counts for d in theirs]
+
+    def test_small_dimensions_keep_full_eigh(self, data_dir, eigh_shapes):
+        p = clique_path(data_dir, "h2_2.8_jw.txt", 0.5)
+        assert p.spin_flip_symmetric
+        grid = s_grid(4)
+        solutions = list(path_eigensolutions(p, grid))
+        assert eigh_shapes == [(16, 16)] * 5
+        for s, solution in zip(grid, solutions):
+            values, vectors = np.linalg.eigh(p.matrix(s))
+            assert np.array_equal(solution.eigenvalues, values)
+            assert np.array_equal(solution.eigenvectors, vectors)
+
+
+DIAGONAL_CLIQUE_FIXTURES = [
+    "gapped_four_qubit.txt", "h2_0.7414_jw.txt", "h2_0.7414_parity.txt",
+    "h2_1.2_jw.txt", "h2_sto3g_0.7414.fcidump", "h2_sto3g_1.2.fcidump",
+    "h5_chain_sto3g_1.00.fcidump", "toy_two_qubit.txt",
+]
+
+
+class TestDiagonalPoints:
+    @pytest.mark.parametrize("name", DIAGONAL_CLIQUE_FIXTURES)
+    def test_sorted_diagonal_equals_eigh(self, data_dir, monkeypatch, name):
+        p = clique_path(data_dir, name, 0.5)
+        assert is_all_z(p.h_initial)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m))
+        solution = next(path_eigensolutions(p, [0.0]))
+        assert calls == []
+        monkeypatch.undo()
+        values, _ = np.linalg.eigh(p.matrix(0.0))
+        assert np.array_equal(solution.eigenvalues, values)
+        order = diagonal_basis_order(p.h_initial)
+        assert np.array_equal(solution.eigenvectors, np.eye(len(order))[:, order])
+
+    def test_interior_point_of_diagonal_path(self, eigh_shapes):
+        p = PathHamiltonian(parse_hamiltonian("1.0 ZI\n0.5 IZ"),
+                            parse_hamiltonian("-1.0 ZZ\n0.25 IZ"))
+        assert p.is_diagonal(0.5)
+        solution = next(path_eigensolutions(p, [0.5]))
+        assert eigh_shapes == []
+        assert np.array_equal(solution.eigenvalues,
+                              np.sort(np.diag(p.matrix(0.5)), kind="stable"))
+
+    def test_driver_makes_point_non_diagonal(self):
+        p = PathHamiltonian(parse_hamiltonian("1.0 ZI"), parse_hamiltonian("-1.0 ZZ"),
+                            alpha=0.5)
+        assert p.is_diagonal(0.0) and p.is_diagonal(1.0)
+        assert not p.is_diagonal(0.5)
