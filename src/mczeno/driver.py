@@ -22,7 +22,12 @@ from mczeno.pauli import PauliHamiltonian, load_hamiltonian, save_hamiltonian
 from mczeno.path import PathHamiltonian, s_grid
 from mczeno.qae import evolve
 from mczeno.qzp import initial_eigenstate, zeno_statistics, distribution_csv
-from mczeno.spectral import path_eigensolutions, path_spectrum, spectrum_csv
+from mczeno.spectral import (
+    path_eigensolutions,
+    path_spectrum,
+    spectrum_csv,
+    symmetry_sectors,
+)
 
 METHODS = ("qae", "qzp", "spectrum", "clique", "scan")
 MAPPINGS = ("auto", "none", "jw", "parity")
@@ -84,11 +89,12 @@ class RunConfig:
             )
         object.__setattr__(self, "initial_indices", tuple(self.initial_indices))
         if not self.initial_indices or any(
-            not isinstance(i, int) or i < 0 for i in self.initial_indices
+            not _is_integer(i) or i < 0 for i in self.initial_indices
         ):
-            raise ValueError("initial_indices must be non-negative integers")
+            raise ValueError("initial_indices must be non-negative integers, "
+                             f"got {self.initial_indices!r}")
         for name in ("n_steps", "trials", "k", "n_points"):
-            if not isinstance(getattr(self, name), int):
+            if not _is_integer(getattr(self, name)):
                 raise ValueError(
                     f"{name} must be an integer, got {getattr(self, name)!r}"
                 )
@@ -106,8 +112,13 @@ class RunConfig:
             raise ValueError(f"n_points must be at least 2, got {self.n_points}")
         if not 0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_integer(value) -> bool:
+    """True for an int that is not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def config_from_dict(data: dict, **overrides) -> RunConfig:
@@ -179,6 +190,7 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
             spectrum = path_spectrum(p, config.n_points, config.k)
         record.update(
             {
+                "symmetry_sectors": [sector.dimension for sector in symmetry_sectors(p)],
                 "k": config.k,
                 "n_points": config.n_points,
                 "initial_ground_hartree": float(spectrum.levels[0, 0]),
@@ -196,6 +208,7 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
         final = next(path_eigensolutions(p, [1.0]))
     exact = final.eigenvalues
     record["exact_ground_hartree"] = float(exact[0])
+    record["symmetry_sectors"] = [sector.dimension for sector in symmetry_sectors(p)]
 
     if "qae" in methods:
         with _stage("qae", config.source):

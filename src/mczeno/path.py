@@ -5,9 +5,10 @@ of single-qubit X operators.  The quadratic envelope vanishes at both
 endpoints, so s = 0 and s = 1 reproduce the initial and final
 Hamiltonians term for term.  PathHamiltonian builds H_i, H_p and H_X once,
 on one shared sparsity pattern, so that any sparse or dense H(s) is one
-weighted sum of their value arrays.  It also records whether every H(s)
-commutes with the swap of qubits q and q + n/2, which exchanges the
-spin-up and spin-down halves of a Jordan-Wigner register.
+weighted sum of their value arrays.  It also finds the qubit permutations
+that fix every H(s) (the swap of the spin-up and spin-down halves of a
+Jordan-Wigner register, and the mirror of a chain's spatial orbitals), and
+the sectors of the group they generate, in which H(s) is block diagonal.
 """
 
 from __future__ import annotations
@@ -22,6 +23,25 @@ import scipy.sparse
 
 from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, is_all_z, sparse_parts
 from mczeno.spectral import densify
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One sector of a group of qubit permutations that fix every H(s).
+
+    basis is its sparse orthonormal 2**n x d matrix U: each column is one
+    orbit of basis states, with entries +-1/sqrt(orbit size).  keys are the
+    flat indices into the d x d block of the entries of U^T P U, and parts
+    their values for P = H_i, H_p and H_X, one row per part.
+    """
+
+    basis: scipy.sparse.csr_matrix
+    keys: np.ndarray
+    parts: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -58,11 +78,70 @@ class PathHamiltonian:
                 and (w_p == 0.0 or is_all_z(self.h_final)))
 
     @cached_property
-    def spin_flip_symmetric(self) -> bool:
-        """True when H_i and H_p, and so every H(s), are invariant under the
-        qubit permutation q <-> q + n/2; H_X always is.  False for odd n."""
-        return self.n_qubits % 2 == 0 and all(
-            _halves_swap_symmetric(h) for h in (self.h_initial, self.h_final))
+    def symmetries(self) -> tuple[np.ndarray, ...]:
+        """The qubit permutations, as target qubit per qubit, that fix H_i
+        and H_p and so every H(s); H_X is fixed by every one.  The candidates
+        are the spin swap q <-> q + n/2 and the mirror of the spatial orbitals
+        inside each half, q <-> (M-1-q mod M) + M floor(q/M) with M = n/2;
+        one that is the identity is skipped, and odd n has none."""
+        n = self.n_qubits
+        if n % 2:
+            return ()
+        q, m = np.arange(n), n // 2
+        candidates = ((q + m) % n, m - 1 - q % m + m * (q // m))
+        return tuple(perm for perm in candidates if not np.array_equal(perm, q) and
+                     all(_invariant(h, perm) for h in (self.h_initial, self.h_final)))
+
+    @cached_property
+    def sectors(self) -> tuple[Sector, ...]:
+        """One Sector per character of the group the symmetries generate,
+        built on first use; () when there is no symmetry.  The characters go
+        in lexicographic order of their signs on the symmetries, + first.
+
+        Of k symmetries, symmetry k-1-j is applied by the group elements g
+        with bit j set, and has sign -1 in the characters c with bit j set:
+        chi_c(g) = (-1)**popcount(g & c).  A basis state's orbit lies in the
+        sector of chi unless an element of chi(g) = -1 fixes the state, and
+        U's column for the orbit holds chi(g) / sqrt(orbit size) at each
+        state that g maps to the orbit's least member.
+        """
+        if not self.symmetries:
+            return ()
+        indptr, indices, data = self._pattern
+        states = np.arange(len(indptr) - 1)
+        images = [states]
+        for perm in reversed(self.symmetries):
+            moved = _permute_bits(states, perm)
+            images += [moved[image] for image in images]
+        images = np.array(images)
+        least = images.min(axis=0)
+        size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
+        to_least = np.argmax(images == least, axis=0)
+        fixed = images == states
+        rows = np.repeat(states, np.diff(indptr))
+        sectors = []
+        for c in range(len(images)):
+            chi = np.array([(-1) ** (g & c).bit_count() for g in range(len(images))])
+            inside = ~(fixed & (chi[:, None] < 0)).any(axis=0)
+            orbits, columns = np.unique(least[inside], return_inverse=True)
+            dimension = len(orbits)
+            column = np.full(len(states), -1)
+            column[inside] = columns
+            sign = chi[to_least]
+            keep = np.flatnonzero(inside[rows] & inside[indices])
+            i, j = rows[keep], indices[keep]
+            keys, at = np.unique(column[i] * dimension + column[j], return_inverse=True)
+            # row k of gather sums the entries of key k, each times U_ik U_jk,
+            # which is exactly 1 / size inside one orbit
+            weights = sign[i] * sign[j] / np.sqrt(size[i] * size[j])
+            gather = scipy.sparse.csr_matrix((weights, (at, np.arange(len(at)))),
+                                             shape=(len(keys), len(at)))
+            basis = scipy.sparse.csr_matrix(
+                (sign[inside] / np.sqrt(size[inside]), (states[inside], columns)),
+                shape=(len(states), dimension))
+            parts = np.ascontiguousarray((gather @ data[:, keep].T).T)
+            sectors.append(Sector(basis, keys, parts))
+        return tuple(sectors)
 
     @cached_property
     def _pattern(self):
@@ -85,20 +164,29 @@ class PathHamiltonian:
         return diagonals, np.array(off_sums)
 
     def _combine(self, s: float, parts: np.ndarray) -> np.ndarray:
-        """Sum of w * part over the parts of nonzero weight at s, in order."""
+        """Sum of w * part over the parts of nonzero weight at s, in order,
+        in real storage when exactly real."""
         weighted = [w * part for w, part in zip(self.weights(s), parts) if w != 0.0]
-        return reduce(operator.add, weighted)
+        values = reduce(operator.add, weighted)
+        if np.iscomplexobj(values) and not values.imag.any():
+            return values.real
+        return values
 
     def sparse_matrix(self, s: float) -> scipy.sparse.csr_matrix:
         """Sparse H(s) on the shared pattern, in real storage when exactly
         real; zero-weight parts are left out, so H(0) and H(1) hold
         exactly the values of H_i and H_p."""
         indptr, indices, data = self._pattern
-        values = self._combine(s, data)
-        if np.iscomplexobj(values) and not values.imag.any():
-            values = values.real
         dim = 1 << self.n_qubits
-        return scipy.sparse.csr_matrix((values, indices, indptr), shape=(dim, dim))
+        return scipy.sparse.csr_matrix((self._combine(s, data), indices, indptr),
+                                       shape=(dim, dim))
+
+    def sector_matrix(self, sector: Sector, s: float) -> np.ndarray:
+        """Dense U^T H(s) U of one of self.sectors, real when exactly real."""
+        values = self._combine(s, sector.parts)
+        block = np.zeros(sector.dimension ** 2, dtype=values.dtype)
+        block[sector.keys] = values
+        return block.reshape(sector.dimension, sector.dimension)
 
     def matrix(self, s: float) -> np.ndarray:
         """Dense H(s), bit-identical at s = 0 and 1 to the dense matrices
@@ -117,18 +205,26 @@ class PathHamiltonian:
         return float((centres - radii).min()), float((centres + radii).max())
 
 
-def _halves_swap_symmetric(h: PauliHamiltonian, tol: float = 1e-12) -> bool:
-    """True when each term's image under the swap of the low and high qubit
-    halves has the same coefficient within tol, a missing term counting as 0."""
-    half = h.n_qubits // 2
-    low = (1 << half) - 1
+def _permute_bits(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """masks with bit q moved to bit perm[q]."""
+    moved = np.zeros_like(masks)
+    for q, target in enumerate(perm):
+        moved |= (masks >> q & 1) << target
+    return moved
 
-    def swapped(mask: int) -> int:
-        return (mask & low) << half | mask >> half
 
-    coefficients = {(t.x_mask, t.z_mask): t.coefficient for t in h.terms}
-    return all(abs(c - coefficients.get((swapped(x), swapped(z)), 0.0)) <= tol
-               for (x, z), c in coefficients.items())
+def _invariant(h: PauliHamiltonian, perm: np.ndarray, tol: float = 1e-12) -> bool:
+    """True when each term's image under the qubit permutation perm has the
+    same coefficient within tol, a missing term counting as 0."""
+    masks = np.array([(t.z_mask, t.x_mask) for t in h.terms], dtype=np.int64)
+    masks = masks.reshape(-1, 2)
+    coefficients = np.array([t.coefficient for t in h.terms])
+    # terms are sorted by (z_mask, x_mask), so the keys ascend
+    keys, image = (m[:, 0] << h.n_qubits | m[:, 1]
+                   for m in (masks, _permute_bits(masks, perm)))
+    at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+    matched = np.where(keys[at] == image, coefficients[at], 0.0)
+    return bool(np.all(np.abs(coefficients - matched) <= tol))
 
 
 def x_driver(n_qubits: int) -> PauliHamiltonian:

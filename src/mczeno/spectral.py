@@ -17,11 +17,13 @@ from mczeno.pauli import (
     is_all_z,
 )
 
-SPIN_FLIP_DIMENSION = 256
-"""Smallest dimension whose path points are solved in the two blocks of the
-spin-flip symmetry: at 64 (6 qubits) gathering the blocks costs as much
-as the half-size eigensolves save, at 256 they take ~0.8 of one full
-eigh, and at 1024 ~0.5."""
+SECTOR_DIMENSION = 256
+"""Smallest dimension whose path points are solved in symmetry sectors.  On
+synthetic paths fixed by the spin swap and the chain mirror, one full eigh
+against the four sectors took 0.03 against 0.11 ms at 16 rows, 0.33
+against 0.37 ms at 64, 5.8 against 2.0 ms at 256 and 0.18 against 0.036 s
+at 1024; at 64 rows the sectors are no faster and cost ~5 ms per path to
+build."""
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,21 @@ def path_eigensolutions(
     H(s) is a real-weighted sum of the H_i, H_p and H_X values on one
     pattern, each exactly Hermitian as pauli.sparse_parts builds it, so no
     point is checked again.  A diagonal H(s) is sorted, not diagonalized.
-    When p is spin-flip symmetric (p.spin_flip_symmetric) and H(s) has at
-    least SPIN_FLIP_DIMENSION rows, the point is solved in the symmetric
-    and antisymmetric blocks of that symmetry (spin_flip_eigh), except at
-    s = 0: there the eigenvectors seed initial states by rank, so H(0)
-    keeps the basis of one full eigh.  Elsewhere only the eigenvalues and
-    the eigenspaces of levels are used, and neither depends on the basis.
+    When H(s) has at least SECTOR_DIMENSION rows and p has symmetry
+    sectors (p.sectors), the point is solved sector by sector
+    (sector_eigh), except at s = 0: there the eigenvectors seed initial
+    states by rank, so H(0) keeps the basis of one full eigh.  Elsewhere
+    only the eigenvalues and the eigenspaces of levels are used, and
+    neither depends on the basis.
     """
     _check_cap(p.n_qubits, cap)
     return (_solve_point(p, float(s)) for s in s_values)
+
+
+def symmetry_sectors(p) -> tuple:
+    """The sectors that solve p's points: p.sectors from SECTOR_DIMENSION
+    rows, else (), so that smaller paths never build them."""
+    return p.sectors if 1 << p.n_qubits >= SECTOR_DIMENSION else ()
 
 
 def _solve_point(p, s: float) -> EigenSolution:
@@ -86,57 +94,31 @@ def _solve_point(p, s: float) -> EigenSolution:
         diagonal = p.sparse_matrix(s).diagonal()
         order = np.argsort(diagonal, kind="stable")
         return EigenSolution(diagonal[order], np.eye(len(order))[:, order])
-    h = p.matrix(s)
-    if s == 0.0 or len(h) < SPIN_FLIP_DIMENSION or not p.spin_flip_symmetric:
-        return EigenSolution(*np.linalg.eigh(h))
-    return spin_flip_eigh(h)
+    if s == 0.0 or not symmetry_sectors(p):
+        return EigenSolution(*np.linalg.eigh(p.matrix(s)))
+    return sector_eigh(p, s)
 
 
-def _spin_flip_classes(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fixed basis indices F of b -> (b_low << n/2) | (b >> n/2) on
-    dim = 2**n states, the lower member L of each swapped pair, and its
-    image pi(L)."""
-    half = (dim.bit_length() - 1) // 2
-    b = np.arange(dim)
-    image = (b & ((1 << half) - 1)) << half | b >> half
-    lower = b < image
-    return b[b == image], b[lower], image[lower]
+def sector_eigh(p, s: float) -> EigenSolution:
+    """Eigensolution of H(s) from one eigh per sector of p (p.sectors).
 
-
-def spin_flip_eigh(h: np.ndarray) -> EigenSolution:
-    """Eigensolution of a Hermitian h that commutes with the half-swap
-    permutation pi of its 2**n basis states (n even), from two half-size
-    eigensolves.
-
-    In the basis e_F, (e_L + e_piL)/sqrt2 of pi-symmetric states, h is
-    [[H_FF, sqrt2 H_FL], [sqrt2 H_LF, H_LL + H_L,piL]]; in the basis
-    (e_L - e_piL)/sqrt2 of antisymmetric ones it is H_LL - H_L,piL.  The
-    eigenvectors map back to rows F, L and pi(L), in the columns of the
-    stable ascending merge of both blocks' eigenvalues.  The blocks are
-    the spin-flip analogue of symmetry tapering (Bravyi, Gambetta,
-    Mezzacapo & Temme, arXiv:1701.08213).
+    Sector chi's d x d block U^T H(s) U is summed from its sparse parts and
+    densified alone, so no dense H(s) is formed; its eigenvectors map back
+    as U W, into the columns of the stable ascending merge of every
+    sector's eigenvalues.  The eigenvector array is in Fortran order, where
+    those columns are contiguous.  This is symmetry tapering (Bravyi,
+    Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a group of qubit
+    permutations.
     """
-    fixed, low, high = _spin_flip_classes(len(h))
-    n_fixed, n_sym = len(fixed), len(fixed) + len(low)
-    root2 = np.sqrt(2.0)
-    symmetric = h[np.ix_(np.r_[fixed, low], np.r_[fixed, low])]
-    symmetric[:n_fixed, n_fixed:] *= root2
-    symmetric[n_fixed:, :n_fixed] *= root2
-    cross = h[np.ix_(low, high)]
-    symmetric[n_fixed:, n_fixed:] += cross
-    sym_values, sym_vectors = np.linalg.eigh(symmetric)
-    anti_values, anti_vectors = np.linalg.eigh(h[np.ix_(low, low)] - cross)
-
-    values = np.concatenate((sym_values, anti_values))
-    rank = np.argsort(np.argsort(values, kind="stable"))
-    sym_cols, anti_cols = np.split(rank, [n_sym])
-    vectors = np.zeros(h.shape, dtype=np.result_type(sym_vectors, anti_vectors))
-    vectors[fixed[:, None], sym_cols] = sym_vectors[:n_fixed]
-    paired, anti = sym_vectors[n_fixed:] / root2, anti_vectors / root2
-    vectors[low[:, None], sym_cols] = paired
-    vectors[high[:, None], sym_cols] = paired
-    vectors[low[:, None], anti_cols] = anti
-    vectors[high[:, None], anti_cols] = -anti
+    sectors = p.sectors
+    solved = [np.linalg.eigh(p.sector_matrix(sector, s)) for sector in sectors]
+    values = np.concatenate([v for v, _ in solved])
+    columns = np.split(np.argsort(np.argsort(values, kind="stable")),
+                       np.cumsum([sector.dimension for sector in sectors[:-1]]))
+    vectors = np.zeros((len(values), len(values)), order="F",
+                       dtype=np.result_type(*(w for _, w in solved)))
+    for sector, (_, w), at in zip(sectors, solved, columns):
+        vectors[:, at] = sector.basis @ w
     return EigenSolution(np.sort(values), vectors)
 
 

@@ -3,11 +3,11 @@
 Most of this is built from first principles (explicit Kronecker
 products, occupation-number ladder matrices) so it shares no code path
 with the package under test.  sequential_ham_matrix, eigh_evolve,
-dict_jordan_wigner / dict_parity_map and full_eigh_solutions are the
-package's earlier, slower algorithms (a term-by-term sparse sum,
-per-step diagonalization, complex dict-of-masks ladder products and one
-full eigh per path point), kept so that the faster ones can be held to
-them.
+dict_jordan_wigner / dict_parity_map, full_eigh_solutions and
+dict_invariant are the package's earlier, slower algorithms (a
+term-by-term sparse sum, per-step diagonalization, complex dict-of-masks
+ladder products, one full eigh per path point and a per-term symmetry
+check), kept so that the faster ones can be held to them.
 """
 
 from __future__ import annotations
@@ -289,6 +289,19 @@ def full_eigh_solutions(p, s_values) -> list:
     """One full dense eigh of p.matrix(s) per path point, as (values,
     vectors) EigenSolutions, with no diagonal or block shortcut."""
     return [EigenSolution(*np.linalg.eigh(p.matrix(float(s)))) for s in s_values]
+
+
+def dict_invariant(h, perm, tol: float = 1e-12) -> bool:
+    """True when each term's image under the qubit permutation perm (qubit q
+    to qubit perm[q]) has the same coefficient within tol, a missing term
+    counting as 0; one dict lookup per term."""
+
+    def moved(mask: int) -> int:
+        return sum(1 << int(perm[q]) for q in range(h.n_qubits) if mask >> q & 1)
+
+    coefficients = {(t.x_mask, t.z_mask): t.coefficient for t in h.terms}
+    return all(abs(c - coefficients.get((moved(x), moved(z)), 0.0)) <= tol
+               for (x, z), c in coefficients.items())
 
 
 def eigh_evolve(p, delta_t: float, psi0: np.ndarray):

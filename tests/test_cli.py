@@ -92,6 +92,19 @@ class TestMethodCommands:
         assert code == 1
         assert "error: trials must be an integer, got 2.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+        ({"initial_indices": [True]}, "initial_indices must be non-negative integers"),
+    ])
+    def test_boolean_integers_in_config_exit_nonzero(self, data_dir, tmp_path, capsys,
+                                                     data, message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(data))
+        code = main(["qzp", str(data_dir / "gapped_four_qubit.txt"), "--config", str(config)])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_load_failure_exits_nonzero(self, capsys):
         assert main(["clique", "/nope.txt"]) == 1
         assert "error: stage 'load'" in capsys.readouterr().err

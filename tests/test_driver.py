@@ -22,6 +22,15 @@ from mczeno.qzp import initial_eigenstate, zeno_statistics
 from mczeno.spectral import eig
 
 
+H5_SECTOR_SHAPES = [(288, 288), (240, 240), (256, 256), (240, 240)]
+
+
+def sector_dimensions(name: str) -> list[int]:
+    """The symmetry_sectors of a run record: H5's four sectors, and none on
+    the 16-dimensional fixtures."""
+    return [288, 240, 256, 240] if name.startswith("h5") else []
+
+
 class TestRunConfig:
     def test_defaults_complete(self):
         config = RunConfig(source="x.txt", method="qzp")
@@ -66,6 +75,18 @@ class TestRunConfig:
     def test_integer_fields_validated(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             RunConfig(source="x.txt", method="qzp", **{name: value})
+
+    @pytest.mark.parametrize("name", ["n_steps", "trials", "k", "n_points", "seed"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected_as_integers(self, name, value):
+        """bool is an int subclass: trials=True would run one trial."""
+        with pytest.raises(ValueError, match=f"^{name} must be a"):
+            RunConfig(source="x.txt", method="qzp", **{name: value})
+
+    @pytest.mark.parametrize("indices", [(True,), (0, False)])
+    def test_boolean_initial_indices_rejected(self, indices):
+        with pytest.raises(ValueError, match="^initial_indices must be non-negative"):
+            RunConfig(source="x.txt", method="qzp", initial_indices=indices)
 
     def test_non_integer_trials_rejected_before_any_stage(self, data_dir):
         source = str(data_dir / "toy_two_qubit.txt")
@@ -130,12 +151,12 @@ class TestRun:
     @pytest.mark.parametrize("name, shapes", [
         ("gapped_four_qubit.txt", [(16, 16)] * 6),
         ("h2_2.8_jw.txt", [(16, 16)] * 7),
-        ("h5_chain_sto3g_1.00.fcidump", [(528, 528), (496, 496)] * 6),
+        ("h5_chain_sto3g_1.00.fcidump", H5_SECTOR_SHAPES * 6),
     ])
     def test_qzp_solves_each_grid_point_once(self, data_dir, monkeypatch, name, shapes):
         """The exact stage's H(1) solution is the last grid point of qzp.  A
         diagonal H(0) (gapped, H5) is sorted, not diagonalized; H5's other
-        points are each solved as two spin-flip blocks."""
+        points are each solved in four symmetry sectors."""
         calls = []
         original = np.linalg.eigh
 
@@ -148,6 +169,7 @@ class TestRun:
                            n_steps=6, trials=20, seed=1)
         record = run(config)
         assert calls == shapes
+        assert record["symmetry_sectors"] == sector_dimensions(name)
         monkeypatch.setattr(np.linalg, "eigh", original)
         h, _ = load_qubit_hamiltonian(str(data_dir / name))
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
@@ -159,14 +181,14 @@ class TestRun:
 
     @pytest.mark.parametrize("name, shapes", [
         ("gapped_four_qubit.txt", [(16, 16)]),
-        ("h5_chain_sto3g_1.00.fcidump", [(528, 528), (496, 496)]),
+        ("h5_chain_sto3g_1.00.fcidump", H5_SECTOR_SHAPES),
         ("h2_2.8_jw.txt", [(16, 16), (16, 16)]),
     ])
     def test_qae_solves_only_the_endpoints(self, data_dir, monkeypatch, name, shapes):
         """The exact stage's H(1) solution gives qae its final observables,
         and the steps diagonalize nothing.  H(0) is solved too only when the
         clique is not diagonal (h2_2.8_jw), for the initial eigenstate; H5's
-        H(1) is solved as two spin-flip blocks."""
+        H(1) is solved in four symmetry sectors."""
         calls = []
         original = np.linalg.eigh
 
@@ -177,6 +199,7 @@ class TestRun:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         record = run(RunConfig(source=str(data_dir / name), method="qae", alpha=0.5))
         assert calls == shapes
+        assert record["symmetry_sectors"] == sector_dimensions(name)
         monkeypatch.setattr(np.linalg, "eigh", original)
         h, _ = load_qubit_hamiltonian(str(data_dir / name))
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
@@ -186,20 +209,20 @@ class TestRun:
         assert record["final_energy_hartree"] == direct.final_energy
         assert record["ground_fidelity"] == direct.ground_fidelity
 
-    def test_blocks_leave_non_diagonal_h0_on_full_eigh(self, data_dir, monkeypatch):
-        """With the spin-flip blocks available at every dimension, a
+    def test_sectors_leave_non_diagonal_h0_on_full_eigh(self, data_dir, monkeypatch):
+        """With the symmetry sectors available at every dimension, a
         non-diagonal H(0) is still solved by one full eigh: its eigenvectors
-        pick the initial state, and a block basis there moves this qae
+        pick the initial state, and a sector basis there moves this qae
         energy from -0.6793 to -0.5651 Ha."""
         import mczeno.spectral as spectral
 
         config = RunConfig(source=str(data_dir / "h2_sto3g_2.8.fcidump"), method="qae",
                            alpha=0.5)
         default = run(config)
-        monkeypatch.setattr(spectral, "SPIN_FLIP_DIMENSION", 1)
-        blocks = run(config)  # H(1) is solved in blocks, in another basis
+        monkeypatch.setattr(spectral, "SECTOR_DIMENSION", 1)
+        sectors = run(config)  # H(1) is solved in sectors, in another basis
         for key in ("final_energy_hartree", "ground_fidelity"):
-            assert blocks[key] == pytest.approx(default[key], abs=1e-12)
+            assert sectors[key] == pytest.approx(default[key], abs=1e-12)
 
     def test_spectrum_csv_row_count(self, data_dir, tmp_path):
         out = tmp_path / "levels.csv"
@@ -217,6 +240,12 @@ class TestRun:
         assert len(lines) == 12
         assert record["initial_ground_hartree"] == pytest.approx(-7.0)
         assert record["final_ground_hartree"] == pytest.approx(-8.0)
+        assert record["symmetry_sectors"] == []
+
+    def test_spectrum_record_names_sectors(self, data_dir):
+        record = run(RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"),
+                               method="spectrum", alpha=0.5, k=2, n_points=2))
+        assert record["symmetry_sectors"] == [288, 240, 256, 240]
 
     def test_qae_record_error_versus_exact(self, data_dir):
         record = run(

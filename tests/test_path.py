@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
-from mczeno.pauli import ham_matrix, load_hamiltonian, parse_hamiltonian
+from mczeno.pauli import (
+    PauliHamiltonian,
+    PauliTerm,
+    ham_matrix,
+    load_hamiltonian,
+    parse_hamiltonian,
+)
 from mczeno.path import PathHamiltonian, discretize, h_at, x_driver
 from mczeno.spectral import dense_matrix, densify
+from oracles import dict_invariant
 
 
 @pytest.fixture()
@@ -166,20 +173,38 @@ class TestMatrix:
             demo_path.matrix(1.5)
 
 
-class TestSpinFlipSymmetry:
-    """Detection of invariance under the qubit swap q <-> q + n/2."""
+SWAP_4 = [2, 3, 0, 1]  # the spin swap on 4 qubits
+MIRROR_4 = [1, 0, 3, 2]  # the chain mirror on 4 qubits
+
+
+def symmetries(p) -> list[list[int]]:
+    return [perm.tolist() for perm in p.symmetries]
+
+
+class TestSymmetries:
+    """Detection of invariance under the spin swap q <-> q + n/2 and the chain
+    mirror q <-> (M-1-q mod M) + M floor(q/M), M = n/2."""
 
     @pytest.mark.parametrize("name", [
         "h2_0.7414_jw.txt", "h2_1.2_jw.txt", "h2_2.8_jw.txt",
         "h2_sto3g_0.7414.fcidump", "h2_sto3g_2.8.fcidump",
-        "h5_chain_sto3g_1.00.fcidump",
     ])
-    def test_jordan_wigner_fixtures_and_cliques(self, data_dir, name):
+    def test_h2_jordan_wigner_fixtures_and_cliques(self, data_dir, name):
+        """H2's bonding and antibonding orbitals differ, so only the spin
+        swap fixes it."""
         from mczeno.driver import load_qubit_hamiltonian
 
         h, _ = load_qubit_hamiltonian(str(data_dir / name))
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
-        assert PathHamiltonian(mc, h, alpha=0.5).spin_flip_symmetric
+        assert symmetries(PathHamiltonian(mc, h, alpha=0.5)) == [SWAP_4]
+
+    def test_h5_chain_has_both(self, data_dir):
+        from mczeno.driver import load_qubit_hamiltonian
+
+        h, _ = load_qubit_hamiltonian(str(data_dir / "h5_chain_sto3g_1.00.fcidump"))
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        assert symmetries(PathHamiltonian(mc, h, alpha=0.5)) == [
+            [5, 6, 7, 8, 9, 0, 1, 2, 3, 4], [4, 3, 2, 1, 0, 9, 8, 7, 6, 5]]
 
     @pytest.mark.parametrize("name", [
         "h2_0.7414_parity.txt", "gapped_four_qubit.txt", "toy_two_qubit.txt",
@@ -187,18 +212,26 @@ class TestSpinFlipSymmetry:
     def test_negative_fixtures(self, data_dir, name):
         h = load_hamiltonian(data_dir / name)
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
-        assert not PathHamiltonian(mc, h).spin_flip_symmetric
-        assert not PathHamiltonian(h, h).spin_flip_symmetric
+        assert PathHamiltonian(mc, h).symmetries == ()
+        assert PathHamiltonian(h, h).sectors == ()
+
+    def test_identity_candidate_skipped(self):
+        """On 2 qubits the chain mirror is the identity: x_driver(2) is fixed
+        by the spin swap alone, in two sectors."""
+        h = x_driver(2)
+        p = PathHamiltonian(h, h)
+        assert symmetries(p) == [[1, 0]]
+        assert [sector.dimension for sector in p.sectors] == [3, 1]
 
     def test_odd_qubit_count(self):
         """x_driver(3) is invariant under every qubit permutation, but three
         qubits have no halves to swap."""
         h = x_driver(3)
-        assert not PathHamiltonian(h, h).spin_flip_symmetric
+        assert PathHamiltonian(h, h).symmetries == ()
 
     def test_only_the_x_driver(self):
         h = x_driver(4)
-        assert PathHamiltonian(h, h, alpha=1.0).spin_flip_symmetric
+        assert symmetries(PathHamiltonian(h, h, alpha=1.0)) == [SWAP_4, MIRROR_4]
 
     @pytest.mark.parametrize("delta, symmetric", [
         (0.0, True), (1e-13, True), (1e-9, False),
@@ -207,9 +240,48 @@ class TestSpinFlipSymmetry:
         # the swap exchanges qubits 3 <-> 1 and 2 <-> 0: XIZI is ZIXI's image
         h = parse_hamiltonian(f"0.5 ZIXI\n{0.5 + delta!r} XIZI\n-0.3 ZZZZ\n0.2 YYII\n0.2 IIYY")
         sym = parse_hamiltonian("1.0 ZIZI\n0.7 IZII\n0.7 IIIZ")
-        assert PathHamiltonian(sym, h).spin_flip_symmetric is symmetric
-        assert PathHamiltonian(h, sym).spin_flip_symmetric is symmetric
+        expected = [SWAP_4] if symmetric else []
+        assert symmetries(PathHamiltonian(sym, h)) == expected
+        assert symmetries(PathHamiltonian(h, sym)) == expected
 
-    def test_missing_image_term(self):
-        h = parse_hamiltonian("0.5 ZIXI\n0.5 XIZI\n1e-6 IIIY")
-        assert not PathHamiltonian(h, h).spin_flip_symmetric
+    def test_mirror_alone(self):
+        # the mirror exchanges qubits 3 <-> 2 and 1 <-> 0
+        h = parse_hamiltonian("0.5 ZIII\n0.5 IZII\n0.3 IIXX\n-0.2 YYII")
+        assert symmetries(PathHamiltonian(h, h)) == [MIRROR_4]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_sums_agree_with_per_term_check(self, seed):
+        """On random sums closed under the group of none, one or both
+        candidates, half of them with one coefficient then moved by 1e-13 or
+        1e-9, the array check finds what a per-term dict check finds."""
+        rng = np.random.default_rng(seed)
+        n = 2 * int(rng.integers(1, 5))
+        q, m = np.arange(n), n // 2
+        candidates = [perm for perm in ((q + m) % n, m - 1 - q % m + m * (q // m))
+                      if not np.array_equal(perm, q)]
+        group = [()]
+        for perm in candidates[:seed % 3]:
+            group += [g + (perm,) for g in group]
+        terms = []
+        for _ in range(10):
+            masks, c = [int(v) for v in rng.integers(0, 1 << n, 2)], float(rng.normal())
+            for g in group:
+                x, z = masks
+                for perm in g:
+                    x, z = (sum(1 << int(perm[b]) for b in range(n) if mask >> b & 1)
+                            for mask in (x, z))
+                terms.append(PauliTerm(n, x, z, c))
+        if seed >= 6:
+            last = terms.pop()
+            terms.append(PauliTerm(n, last.x_mask, last.z_mask,
+                                   last.coefficient + (1e-13, 1e-9)[seed % 2]))
+        h = PauliHamiltonian(n, terms)
+        expected = [perm.tolist() for perm in candidates if dict_invariant(h, perm)]
+        assert symmetries(PathHamiltonian(h, h)) == expected
+
+    @pytest.mark.parametrize("text", ["0.5 ZIXI\n0.5 XIZI\n1e-6 IIIY", "0.5 IIIZ"])
+    def test_missing_image_term(self, text):
+        """A term whose image is absent breaks the symmetry, even when the
+        search for that image ends at a term of the same coefficient."""
+        h = parse_hamiltonian(text)
+        assert PathHamiltonian(h, h).symmetries == ()

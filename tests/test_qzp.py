@@ -385,23 +385,23 @@ class TestEigensolveCount:
 
 
 class TestNonDiagonalInitialBasis:
-    def test_h0_keeps_full_eigh_basis_when_blocks_are_available(
+    def test_h0_keeps_full_eigh_basis_when_sectors_are_available(
         self, data_dir, monkeypatch
     ):
         """H(0) of h2_sto3g_2.8's clique is non-diagonal with a threefold
         ground level, so the rank-0 initial state is whichever vector LAPACK
-        picks (e_3 with one OpenBLAS build; the spin-flip blocks would give
+        picks (e_3 with one OpenBLAS build; the spin-swap sectors would give
         (e_3 + e_12)/sqrt2).  It must stay the full eigh's, whatever
-        dimension the blocks start at.
+        dimension the sectors start at.
         """
         import mczeno.spectral as spectral
         from mczeno.driver import load_qubit_hamiltonian
 
-        monkeypatch.setattr(spectral, "SPIN_FLIP_DIMENSION", 1)
+        monkeypatch.setattr(spectral, "SECTOR_DIMENSION", 1)
         h, _ = load_qubit_hamiltonian(str(data_dir / "h2_sto3g_2.8.fcidump"))
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
         p = PathHamiltonian(mc, h, alpha=0.5)
-        assert p.spin_flip_symmetric and not is_all_z(mc)
+        assert len(p.sectors) == 2 and not is_all_z(mc)
         values, vectors = np.linalg.eigh(p.matrix(0.0))
         assert np.ptp(values[:3]) < 1e-9 < values[3] - values[2]
         h0 = next(path_eigensolutions(p, [0.0]))
@@ -409,7 +409,7 @@ class TestNonDiagonalInitialBasis:
         assert np.array_equal(h0.eigenvectors, vectors)
         for rank in range(3):
             assert np.array_equal(initial_eigenstate(p, rank), vectors[:, rank])
-        # every other point is solved in blocks of 10 and 6
+        # every other point is solved in the spin-swap sectors of 10 and 6
         shapes = []
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape)

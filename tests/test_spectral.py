@@ -1,11 +1,14 @@
 """Eigensolutions, truncation, and path spectra."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-import mczeno.spectral as spectral
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import load_qubit_hamiltonian
+from mczeno.fermion import FermionIntegrals, jordan_wigner
 from mczeno.pauli import PauliHamiltonian, PauliTerm, is_all_z, parse_hamiltonian
 from mczeno.path import PathHamiltonian, s_grid
 from mczeno.qae import DEGENERACY_TOL
@@ -17,8 +20,8 @@ from mczeno.spectral import (
     lowest_k,
     path_eigensolutions,
     path_spectrum,
+    sector_eigh,
     spectrum_csv,
-    spin_flip_eigh,
 )
 from oracles import full_eigh_solutions
 
@@ -166,24 +169,53 @@ def clique_path(data_dir, name: str, alpha: float) -> PathHamiltonian:
     return PathHamiltonian(mc, h, alpha=alpha)
 
 
-def swap_symmetric_sum(n: int, seed: int, odd_y: bool, n_terms: int = 40):
-    """n_terms random Pauli products on n qubits, each with its image under
-    the swap of the low and high qubit halves at the same coefficient;
-    terms with an odd number of Y factors only when odd_y is set."""
+def spin_swap(n: int) -> np.ndarray:
+    return (np.arange(n) + n // 2) % n
+
+
+def chain_mirror(n: int) -> np.ndarray:
+    q, m = np.arange(n), n // 2
+    return m - 1 - q % m + m * (q // m)
+
+
+def permuted(mask: int, perm: np.ndarray) -> int:
+    return sum(1 << int(target) for q, target in enumerate(perm) if mask >> q & 1)
+
+
+def symmetric_sum(n: int, seed: int, odd_y: bool, n_terms: int = 40):
+    """n_terms random Pauli products on n qubits, each with its images under
+    the spin swap, the chain mirror and both at the same coefficient; terms
+    with an odd number of Y factors only when odd_y is set."""
     rng = np.random.default_rng([seed, n, odd_y])
-    half = n // 2
-
-    def swapped(mask: int) -> int:
-        return (mask & ((1 << half) - 1)) << half | mask >> half
-
+    swap, mirror = spin_swap(n), chain_mirror(n)
     terms = []
-    while len(terms) < 2 * n_terms:
+    while len(terms) < 4 * n_terms:
         x, z = (int(v) for v in rng.integers(0, 1 << n, 2))
         if (x & z).bit_count() % 2 and not odd_y:
             continue
         c = float(rng.normal())
-        terms += [PauliTerm(n, x, z, c), PauliTerm(n, swapped(x), swapped(z), c)]
+        for perms in ((), (swap,), (mirror,), (swap, mirror)):
+            image_x, image_z = x, z
+            for perm in perms:
+                image_x, image_z = permuted(image_x, perm), permuted(image_z, perm)
+            terms.append(PauliTerm(n, image_x, image_z, c))
     return PauliHamiltonian(n, terms)
+
+
+@pytest.fixture(scope="module")
+def chain_paths():
+    """Clique paths of generated H4 chains: a palindromic one (fixed by the
+    spin swap and the chain mirror) and one fixed by the spin swap only."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+    from gen_fixtures import chain_integrals
+
+    paths = {}
+    for name, spacings in [("palindromic", [1.0, 1.2, 1.0]),
+                           ("asymmetric", [1.0, 1.2, 1.4])]:
+        h = jordan_wigner(FermionIntegrals.from_spatial(*chain_integrals(spacings)))
+        mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+        paths[name] = PathHamiltonian(mc, h, alpha=0.5)
+    return paths
 
 
 @pytest.fixture
@@ -230,59 +262,87 @@ def check_against_full_eigh(h: np.ndarray, solution: EigenSolution) -> None:
     assert (distance * gap)[gap < 1e-4].max(initial=0.0) <= 1e-13
 
 
-class TestSpinFlipBlocks:
+H5_SECTORS = [(288, 288), (240, 240), (256, 256), (240, 240)]
+
+
+class TestSectorSolve:
     H5 = "h5_chain_sto3g_1.00.fcidump"
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_h5_path_points(self, data_dir, eigh_shapes, alpha):
         p = clique_path(data_dir, self.H5, alpha)
-        assert p.spin_flip_symmetric and is_all_z(p.h_initial)
+        assert len(p.symmetries) == 2 and is_all_z(p.h_initial)
         grid = s_grid(4)
         solutions = list(path_eigensolutions(p, grid))
-        # s = 0 is sorted; every other point is two blocks of 528 and 496
-        assert eigh_shapes == [(528, 528), (496, 496)] * 4
+        # s = 0 is sorted; every other point is solved in four sectors
+        assert eigh_shapes == H5_SECTORS * 4
         for s, solution in zip(grid, solutions):
+            check_against_full_eigh(p.matrix(s), solution)
+
+    @pytest.mark.parametrize("name, dimensions", [
+        ("palindromic", [76, 60, 60, 60]), ("asymmetric", [136, 120]),
+    ])
+    def test_generated_chains(self, chain_paths, eigh_shapes, name, dimensions):
+        p = chain_paths[name]
+        assert [sector.dimension for sector in p.sectors] == dimensions
+        for s in (0.25, 0.5, 1.0):
+            eigh_shapes.clear()
+            solution = next(path_eigensolutions(p, [s]))
+            assert eigh_shapes == [(d, d) for d in dimensions]
             check_against_full_eigh(p.matrix(s), solution)
 
     @pytest.mark.parametrize("n", [6, 8])
     @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "odd_y"])
-    def test_random_swap_symmetric_paths(self, n, odd_y):
-        p = PathHamiltonian(swap_symmetric_sum(n, 1, odd_y),
-                            swap_symmetric_sum(n, 2, odd_y), alpha=0.5)
-        assert p.spin_flip_symmetric
+    def test_random_symmetric_paths(self, n, odd_y):
+        p = PathHamiltonian(symmetric_sum(n, 1, odd_y), symmetric_sum(n, 2, odd_y),
+                            alpha=0.5)
+        assert len(p.symmetries) == 2 and len(p.sectors) == 4
         for s in (0.3, 0.7, 1.0):
             h = p.matrix(s)
             assert np.iscomplexobj(h) == odd_y
-            check_against_full_eigh(h, spin_flip_eigh(h))
+            check_against_full_eigh(h, sector_eigh(p, s))
+
+    def test_sector_bases(self, data_dir):
+        """Each U is orthonormal with entries +-1/sqrt(orbit size), the
+        sectors split the space, and sum_chi U_chi (U^T H U) U^T = H."""
+        p = clique_path(data_dir, self.H5, 0.5)
+        bases = [sector.basis.toarray() for sector in p.sectors]
+        for u in bases:
+            assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-15
+            assert set(np.round(np.abs(u[u != 0]) ** -2, 12)) <= {1.0, 2.0, 4.0}
+        stacked = np.hstack(bases)
+        assert np.abs(stacked.T @ stacked - np.eye(1 << p.n_qubits)).max() <= 1e-15
+        h = p.matrix(0.5)
+        rebuilt = sum(u @ p.sector_matrix(sector, 0.5) @ u.T
+                      for sector, u in zip(p.sectors, bases))
+        assert np.abs(rebuilt - h).max() <= 1e-13
 
     def test_dimension_threshold(self, eigh_shapes):
-        """Eight qubits (dim 256) take the blocks, six (dim 64) one eigh."""
-        for n, shapes in [(6, [(64, 64)]), (8, [(136, 136), (120, 120)])]:
+        """Eight qubits (dim 256) take the sectors, six (dim 64) one eigh."""
+        for n, shapes in [(6, [(64, 64)]), (8, [(76, 76), (60, 60), (60, 60), (60, 60)])]:
             eigh_shapes.clear()
-            h = swap_symmetric_sum(n, 3, False)
+            h = symmetric_sum(n, 3, False)
             next(path_eigensolutions(PathHamiltonian(h, h), [0.5]))
             assert eigh_shapes == shapes
 
     def test_exact_ties_merge_stably(self):
-        """At equal eigenvalues the symmetric block's columns come first.  A
-        pi-invariant diagonal with four distinct values ties most eigenvalues
-        of one block to some of the other."""
-        fixed, low, high = spectral._spin_flip_classes(256)
-        image = np.arange(256)
-        image[low], image[high] = high, low
-        d = np.random.default_rng(5).integers(0, 4, 256).astype(float)
-        h = np.diag(np.minimum(d, d[image]))
-        solution = spin_flip_eigh(h)
-        check_against_full_eigh(h, solution)
-        assert np.array_equal(solution.eigenvalues, np.sort(np.diag(h)))
-        vectors = solution.eigenvectors
-        symmetric = (vectors[high] == vectors[low]).all(axis=0)
-        assert symmetric.sum() == len(fixed) + len(low)
-        assert not vectors[np.ix_(fixed, ~symmetric)].any()
+        """At equal eigenvalues the columns of earlier sectors come first.
+        sum_q Z_q is fixed by every qubit permutation, and its integer
+        levels tie across all four sectors."""
+        n = 8
+        h = PauliHamiltonian(n, [PauliTerm(n, 0, 1 << q, 1.0) for q in range(n)])
+        p = PathHamiltonian(h, h)
+        solution = sector_eigh(p, 0.5)
+        check_against_full_eigh(p.matrix(0.5), solution)
+        assert np.array_equal(solution.eigenvalues, np.sort(np.diag(p.matrix(0.5))))
+        weights = np.array([np.linalg.norm(sector.basis.T @ solution.eigenvectors, axis=0)
+                            for sector in p.sectors])
+        assert np.abs(weights.max(axis=0) - 1.0).max() <= 1e-12
+        labels = weights.argmax(axis=0)
+        assert len(set(labels[solution.eigenvalues == 0.0])) == 4
         for value in np.unique(solution.eigenvalues):
-            flags = symmetric[solution.eigenvalues == value]
-            assert 0 < flags.sum() < len(flags)  # a tie across the blocks
-            assert np.array_equal(flags, np.sort(flags)[::-1])
+            in_level = labels[solution.eigenvalues == value]
+            assert np.array_equal(in_level, np.sort(in_level))
 
     def test_zeno_counts_match_full_eigh_path(self, data_dir):
         p = clique_path(data_dir, self.H5, 0.5)
@@ -294,10 +354,11 @@ class TestSpinFlipBlocks:
 
     def test_small_dimensions_keep_full_eigh(self, data_dir, eigh_shapes):
         p = clique_path(data_dir, "h2_2.8_jw.txt", 0.5)
-        assert p.spin_flip_symmetric
+        assert p.symmetries
         grid = s_grid(4)
         solutions = list(path_eigensolutions(p, grid))
         assert eigh_shapes == [(16, 16)] * 5
+        assert "sectors" not in vars(p)  # never built below SECTOR_DIMENSION
         for s, solution in zip(grid, solutions):
             values, vectors = np.linalg.eigh(p.matrix(s))
             assert np.array_equal(solution.eigenvalues, values)
