@@ -146,9 +146,12 @@ def _run_scan(args: argparse.Namespace) -> int:
     defaults = spec.get("defaults", {})
     base = os.path.dirname(os.path.abspath(args.config))
     points = []
-    for entry in spec.get("points", []):
+    for position, entry in enumerate(spec.get("points", [])):
         data = dict(defaults)
         data.update(entry)
+        for key in ("coordinate", "source"):
+            if key not in data:
+                raise ValueError(f"scan point {position} has no {key!r}")
         coordinate = float(data.pop("coordinate"))
         data.setdefault("method", "scan")
         if not os.path.isabs(data["source"]):

@@ -14,14 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from mczeno.pauli import (
-    DIMENSION_CAP,
-    PauliHamiltonian,
-    commutes,
-    diagonal_entries,
-    is_all_z,
-    parity,
-)
+from mczeno.pauli import PauliHamiltonian, commutes, parity
 
 BRUTE_FORCE_CAP = 24
 """Largest vertex count accepted by the exact clique search."""
@@ -91,7 +84,7 @@ def greedy_max_clique(g: CommutationGraph) -> CliqueResult:
     return CliqueResult(tuple(chosen), float(weights[list(chosen)].sum()) if chosen else 0.0)
 
 
-def brute_force_max_clique(g: CommutationGraph, cap: int = BRUTE_FORCE_CAP) -> CliqueResult:
+def brute_force_max_clique(g: CommutationGraph) -> CliqueResult:
     """Exact maximum-weight clique by branch and bound.
 
     Vertices are expanded in descending weight order; a branch is pruned
@@ -100,8 +93,10 @@ def brute_force_max_clique(g: CommutationGraph, cap: int = BRUTE_FORCE_CAP) -> C
     vertex tuple wins.
     """
     m = len(g)
-    if m > cap:
-        raise ValueError(f"{m} vertices exceeds the exact-search cap of {cap}")
+    if m > BRUTE_FORCE_CAP:
+        raise ValueError(
+            f"{m} vertices exceeds the exact-search cap of {BRUTE_FORCE_CAP}"
+        )
     if m == 0:
         return CliqueResult((), 0.0)
 
@@ -159,22 +154,3 @@ def clique_to_dict(h: PauliHamiltonian, c: CliqueResult) -> dict:
         ],
     }
 
-
-def diagonal_ground_state(
-    h: PauliHamiltonian, cap: int = DIMENSION_CAP
-) -> tuple[str, float, int]:
-    """Minimizing basis state of an all-Z Hamiltonian by full enumeration.
-
-    Returns (bitstring, energy, degeneracy).  The bitstring is printed
-    qubit n-1 first down to qubit 0, matching label order; among
-    degenerate minimizers the lowest basis index is reported.  Degeneracy
-    counts basis states within 1e-12 of the minimum.
-    """
-    if not is_all_z(h):
-        raise ValueError("Hamiltonian is not diagonal (X or Y factors present)")
-    diag = diagonal_entries(h, cap)
-    best = int(np.argmin(diag))
-    energy = float(diag[best])
-    degeneracy = int(np.count_nonzero(diag <= energy + 1e-12))
-    bits = format(best, f"0{h.n_qubits}b")
-    return bits, energy, degeneracy

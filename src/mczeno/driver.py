@@ -87,6 +87,9 @@ class RunConfig:
             raise ValueError(
                 f"mapping must be one of {MAPPINGS}, got {self.mapping!r}"
             )
+        if not isinstance(self.initial_indices, (list, tuple)):
+            raise ValueError("initial_indices must be a list of non-negative integers, "
+                             f"got {self.initial_indices!r}")
         object.__setattr__(self, "initial_indices", tuple(self.initial_indices))
         if not self.initial_indices or any(
             not _is_integer(i) or i < 0 for i in self.initial_indices
@@ -98,6 +101,10 @@ class RunConfig:
                 raise ValueError(
                     f"{name} must be an integer, got {getattr(self, name)!r}"
                 )
+        for name in ("alpha", "total_time", "delta_t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 < self.total_time < math.inf:
             raise ValueError(f"total_time must be finite and > 0, got {self.total_time}")
         if not 0 < self.delta_t < math.inf:
@@ -123,6 +130,8 @@ def _is_integer(value) -> bool:
 
 def config_from_dict(data: dict, **overrides) -> RunConfig:
     """Build a RunConfig from parsed config-file data plus overrides."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {data!r}")
     known = {f.name for f in fields(RunConfig)}
     unknown = sorted(set(data) - known)
     if unknown:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, parity
+from mczeno.pauli import PauliHamiltonian, PauliTerm, _check_cap, parity
 
 _COEFF_DROP = 1e-12
 _IMAG_LIMIT = 1e-12
@@ -182,12 +182,9 @@ def _strings(masks, operators, weights: np.ndarray, n: int):
     return np.broadcast_to(x, z.shape).ravel(), z.ravel(), c.ravel()
 
 
-def _assemble(f: FermionIntegrals, ladder_masks, cap: int) -> PauliHamiltonian:
+def _assemble(f: FermionIntegrals, ladder_masks) -> PauliHamiltonian:
     n = f.n_orbitals
-    if n > cap:
-        raise ValueError(f"{n} spin orbitals exceeds the dimension cap of {cap}")
-    if n > 31:
-        raise ValueError(f"{n} spin orbitals exceeds the 31 a packed (x, z) key holds")
+    _check_cap(n)
     masks = ladder_masks(n)
     p, q = np.nonzero(f.one_body)
     one = _strings(masks, [(p, 1), (q, -1)], f.one_body[p, q], n)
@@ -222,11 +219,11 @@ def _assemble(f: FermionIntegrals, ladder_masks, cap: int) -> PauliHamiltonian:
     ])
 
 
-def jordan_wigner(f: FermionIntegrals, cap: int = DIMENSION_CAP) -> PauliHamiltonian:
+def jordan_wigner(f: FermionIntegrals) -> PauliHamiltonian:
     """Qubit Hamiltonian whose spectrum equals the Fock-space spectrum."""
-    return _assemble(f, _jw_masks, cap)
+    return _assemble(f, _jw_masks)
 
 
-def parity_map(f: FermionIntegrals, cap: int = DIMENSION_CAP) -> PauliHamiltonian:
+def parity_map(f: FermionIntegrals) -> PauliHamiltonian:
     """Parity-basis mapping; spectrum-equivalent to Jordan-Wigner."""
-    return _assemble(f, _parity_masks, cap)
+    return _assemble(f, _parity_masks)

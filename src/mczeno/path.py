@@ -27,17 +27,15 @@ from mczeno.spectral import densify
 
 @dataclass(frozen=True)
 class Sector:
-    """One sector of a group of qubit permutations that fix every H(s).
+    """One block of H(s) in an orthonormal basis of a subspace that every
+    H(s) leaves invariant.
 
-    basis is its sparse orthonormal 2**n x d matrix U: each column is one
-    orbit of basis states, with entries +-1/sqrt(orbit size).  keys are the
-    flat indices into the d x d block of the entries of U^T P U, and parts
-    their values for P = H_i, H_p and H_X, one row per part.
+    basis is the sparse 2**n x d isometry U, and parts are the sparse
+    d x d blocks U^T P U for P = H_i, H_p and H_X, in that order.
     """
 
     basis: scipy.sparse.csr_matrix
-    keys: np.ndarray
-    parts: np.ndarray
+    parts: tuple[scipy.sparse.csr_matrix, ...]
 
     @property
     def dimension(self) -> int:
@@ -103,7 +101,11 @@ class PathHamiltonian:
         chi_c(g) = (-1)**popcount(g & c).  A basis state's orbit lies in the
         sector of chi unless an element of chi(g) = -1 fixes the state, and
         U's column for the orbit holds chi(g) / sqrt(orbit size) at each
-        state that g maps to the orbit's least member.
+        state that g maps to the orbit's least member.  Each part is
+        S^T P S, for S the +-1 pattern of U, with entry (a, b) then divided
+        by sqrt(|a| |b|) for the orbit sizes |a| and |b|.  On the diagonal
+        that is the integer |a|, so an energy shared by an orbit's states
+        stays exact, and exact ties across sectors survive.
         """
         if not self.symmetries:
             return ()
@@ -118,29 +120,24 @@ class PathHamiltonian:
         size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
         to_least = np.argmax(images == least, axis=0)
         fixed = images == states
-        rows = np.repeat(states, np.diff(indptr))
+        matrices = [scipy.sparse.csr_matrix((values, indices, indptr), shape=(len(states),) * 2)
+                    for values in data]
         sectors = []
         for c in range(len(images)):
             chi = np.array([(-1) ** (g & c).bit_count() for g in range(len(images))])
-            inside = ~(fixed & (chi[:, None] < 0)).any(axis=0)
+            inside = np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(axis=0))
             orbits, columns = np.unique(least[inside], return_inverse=True)
-            dimension = len(orbits)
-            column = np.full(len(states), -1)
-            column[inside] = columns
-            sign = chi[to_least]
-            keep = np.flatnonzero(inside[rows] & inside[indices])
-            i, j = rows[keep], indices[keep]
-            keys, at = np.unique(column[i] * dimension + column[j], return_inverse=True)
-            # row k of gather sums the entries of key k, each times U_ik U_jk,
-            # which is exactly 1 / size inside one orbit
-            weights = sign[i] * sign[j] / np.sqrt(size[i] * size[j])
-            gather = scipy.sparse.csr_matrix((weights, (at, np.arange(len(at)))),
-                                             shape=(len(keys), len(at)))
             basis = scipy.sparse.csr_matrix(
-                (sign[inside] / np.sqrt(size[inside]), (states[inside], columns)),
-                shape=(len(states), dimension))
-            parts = np.ascontiguousarray((gather @ data[:, keep].T).T)
-            sectors.append(Sector(basis, keys, parts))
+                (chi[to_least[inside]] / np.sqrt(size[inside]), (inside, columns)),
+                shape=(len(states), len(orbits)))
+            signs, sizes = basis.sign(), size[orbits]
+            signs_t = signs.T.tocsr()  # in CSR, so that no product converts it
+            parts = []
+            for matrix in matrices:
+                part = (signs_t @ matrix @ signs).tocoo()
+                part.data /= np.sqrt(sizes[part.row] * sizes[part.col])
+                parts.append(part.tocsr())
+            sectors.append(Sector(basis, tuple(parts)))
         return tuple(sectors)
 
     @cached_property
@@ -163,7 +160,7 @@ class PathHamiltonian:
                     for d in data]
         return diagonals, np.array(off_sums)
 
-    def _combine(self, s: float, parts: np.ndarray) -> np.ndarray:
+    def _combine(self, s: float, parts) -> np.ndarray:
         """Sum of w * part over the parts of nonzero weight at s, in order,
         in real storage when exactly real."""
         weighted = [w * part for w, part in zip(self.weights(s), parts) if w != 0.0]
@@ -182,11 +179,9 @@ class PathHamiltonian:
                                        shape=(dim, dim))
 
     def sector_matrix(self, sector: Sector, s: float) -> np.ndarray:
-        """Dense U^T H(s) U of one of self.sectors, real when exactly real."""
-        values = self._combine(s, sector.parts)
-        block = np.zeros(sector.dimension ** 2, dtype=values.dtype)
-        block[sector.keys] = values
-        return block.reshape(sector.dimension, sector.dimension)
+        """Dense U^T H(s) U of one of self.sectors, real when exactly real:
+        the weighted sum of its densified parts."""
+        return self._combine(s, [part.toarray() for part in sector.parts])
 
     def matrix(self, s: float) -> np.ndarray:
         """Dense H(s), bit-identical at s = 0 and 1 to the dense matrices

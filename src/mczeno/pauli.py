@@ -161,10 +161,10 @@ def parity(values: np.ndarray, n_bits: int) -> np.ndarray:
     return values & 1
 
 
-def _check_cap(n_qubits: int, cap: int) -> None:
-    if n_qubits > cap:
+def _check_cap(n_qubits: int) -> None:
+    if n_qubits > DIMENSION_CAP:
         raise ValueError(
-            f"{n_qubits} qubits exceeds the dimension cap of {cap}"
+            f"{n_qubits} qubits exceeds the dimension cap of {DIMENSION_CAP}"
         )
 
 
@@ -177,14 +177,14 @@ def _term_values(t: PauliTerm, cols: np.ndarray) -> np.ndarray:
     return data.real if n_y % 2 == 0 else data
 
 
-def term_matrix(t: PauliTerm, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matrix:
+def term_matrix(t: PauliTerm) -> scipy.sparse.csr_matrix:
     """Sparse matrix of a weighted Pauli product, one nonzero per row.
 
     Row j holds the amplitude produced by acting on basis state ``|j>``:
     P|j> = coeff * i**n_Y * (-1)**popcount(z & j) |j ^ x>, with the Y
     phase i**n_Y folded in so real coefficients give a Hermitian matrix.
     """
-    _check_cap(t.n_qubits, cap)
+    _check_cap(t.n_qubits)
     dim = 1 << t.n_qubits
     cols = np.arange(dim, dtype=np.int64)
     return scipy.sparse.csr_matrix(
@@ -193,7 +193,7 @@ def term_matrix(t: PauliTerm, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matr
 
 
 def sparse_parts(
-    hs: Sequence[PauliHamiltonian], cap: int = DIMENSION_CAP
+    hs: Sequence[PauliHamiltonian],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One CSR layout for the matrices of several Pauli sums on one register.
 
@@ -207,7 +207,7 @@ def sparse_parts(
     n = hs[0].n_qubits
     if any(h.n_qubits != n for h in hs):
         raise ValueError("Pauli sums differ in qubit count")
-    _check_cap(n, cap)
+    _check_cap(n)
     dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
     values: dict[tuple[int, int], np.ndarray] = {}
@@ -232,13 +232,13 @@ def sparse_parts(
             block.reshape(len(hs), -1)[:, flat[order]])
 
 
-def ham_matrix(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> scipy.sparse.csr_matrix:
+def ham_matrix(h: PauliHamiltonian) -> scipy.sparse.csr_matrix:
     """Sparse Hermitian matrix of a Pauli sum: the one-sum sparse_parts.
 
     Equal, entry for entry, to the sum of the term matrices in term order;
     entries that cancel to exactly zero are left out, as that sum drops them.
     """
-    indptr, indices, data = sparse_parts([h], cap)
+    indptr, indices, data = sparse_parts([h])
     dim = 1 << h.n_qubits
     return scipy.sparse.csr_matrix((data[0], indices, indptr), shape=(dim, dim))
 
@@ -246,18 +246,6 @@ def ham_matrix(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> scipy.sparse.cs
 def is_all_z(h: PauliHamiltonian) -> bool:
     """True when every term is a product of Z and identity factors only."""
     return all(t.x_mask == 0 for t in h.terms)
-
-
-def diagonal_entries(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> np.ndarray:
-    """Diagonal of an all-Z Hamiltonian over all 2**n basis states."""
-    if not is_all_z(h):
-        raise ValueError("Hamiltonian has X or Y factors, diagonal undefined")
-    _check_cap(h.n_qubits, cap)
-    idx = np.arange(1 << h.n_qubits, dtype=np.int64)
-    diag = np.zeros(idx.shape, dtype=float)
-    for t in h.terms:
-        diag += t.coefficient * (1.0 - 2.0 * parity(idx & t.z_mask, h.n_qubits))
-    return diag
 
 
 def _label_to_masks(label: str) -> tuple[int, int]:

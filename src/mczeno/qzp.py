@@ -29,8 +29,7 @@ import numpy as np
 
 from mczeno.path import PathHamiltonian, s_grid
 from mczeno.qae import DEGENERACY_TOL, evolve
-from mczeno.spectral import EigenSolution, diagonal_basis_order, path_eigensolutions
-from mczeno.pauli import is_all_z
+from mczeno.spectral import EigenSolution, path_eigensolutions
 
 
 @dataclass(frozen=True)
@@ -295,9 +294,9 @@ def _initial_block(
     for initial_index in dict.fromkeys(initial_indices):
         if not 0 <= initial_index < dim:
             raise ValueError(f"initial_index {initial_index} outside 0..{dim - 1}")
-    if is_all_z(p.h_initial):
+    if p.is_diagonal(0.0):
+        rows = np.argsort(p.sparse_matrix(0.0).diagonal(), kind="stable")[initial_indices]
         block = np.zeros((dim, len(initial_indices)))
-        rows = diagonal_basis_order(p.h_initial)[initial_indices]
         block[rows, np.arange(len(initial_indices))] = 1.0
         return block
     if h0 is None:

@@ -8,14 +8,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse
 
-from mczeno.pauli import (
-    DIMENSION_CAP,
-    PauliHamiltonian,
-    _check_cap,
-    diagonal_entries,
-    ham_matrix,
-    is_all_z,
-)
+from mczeno.pauli import PauliHamiltonian, _check_cap, ham_matrix
 
 SECTOR_DIMENSION = 256
 """Smallest dimension whose path points are solved in symmetry sectors.  On
@@ -50,23 +43,21 @@ def densify(m: scipy.sparse.spmatrix) -> np.ndarray:
     return dense
 
 
-def dense_matrix(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> np.ndarray:
+def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
     """Dense Hermitian matrix, dropped to real storage when exactly real."""
-    return densify(ham_matrix(h, cap))
+    return densify(ham_matrix(h))
 
 
-def eig(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> EigenSolution:
+def eig(h: PauliHamiltonian) -> EigenSolution:
     """Full dense Hermitian eigendecomposition."""
-    m = dense_matrix(h, cap)
+    m = dense_matrix(h)
     residue = np.abs(m - m.conj().T).max() if m.size else 0.0
     if residue > 1e-12:
         raise ValueError(f"matrix is not Hermitian (residue {residue:g})")
     return EigenSolution(*np.linalg.eigh(m))
 
 
-def path_eigensolutions(
-    p, s_values: Iterable[float], cap: int = DIMENSION_CAP
-) -> Iterator[EigenSolution]:
+def path_eigensolutions(p, s_values: Iterable[float]) -> Iterator[EigenSolution]:
     """Eigensolutions of p.matrix(s) for each s in s_values, solved lazily.
 
     H(s) is a real-weighted sum of the H_i, H_p and H_X values on one
@@ -79,7 +70,7 @@ def path_eigensolutions(
     only the eigenvalues and the eigenspaces of levels are used, and
     neither depends on the basis.
     """
-    _check_cap(p.n_qubits, cap)
+    _check_cap(p.n_qubits)
     return (_solve_point(p, float(s)) for s in s_values)
 
 
@@ -122,27 +113,16 @@ def sector_eigh(p, s: float) -> EigenSolution:
     return EigenSolution(np.sort(values), vectors)
 
 
-def lowest_k(h: PauliHamiltonian, k: int, cap: int = DIMENSION_CAP) -> EigenSolution:
+def lowest_k(h: PauliHamiltonian, k: int) -> EigenSolution:
     """First k entries of eig(h)."""
     dim = 1 << h.n_qubits
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
-    full = eig(h, cap)
+    full = eig(h)
     return EigenSolution(full.eigenvalues[:k], full.eigenvectors[:, :k])
 
 
-def diagonal_basis_order(h: PauliHamiltonian, cap: int = DIMENSION_CAP) -> np.ndarray:
-    """Basis indices of an all-Z Hamiltonian sorted by (energy, index).
-
-    The stable sort makes eigenstate ranks of a degenerate diagonal
-    spectrum well-defined: ties go to the lower basis index.
-    """
-    if not is_all_z(h):
-        raise ValueError("Hamiltonian is not diagonal")
-    return np.argsort(diagonal_entries(h, cap), kind="stable")
-
-
-def path_spectrum(p, n_points: int, k: int, cap: int = DIMENSION_CAP) -> PathSpectrum:
+def path_spectrum(p, n_points: int, k: int) -> PathSpectrum:
     """Lowest k levels at n_points equally spaced s values in [0, 1]."""
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
@@ -150,7 +130,7 @@ def path_spectrum(p, n_points: int, k: int, cap: int = DIMENSION_CAP) -> PathSpe
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     s_values = np.array([j / (n_points - 1) for j in range(n_points)])
-    solutions = path_eigensolutions(p, s_values, cap)
+    solutions = path_eigensolutions(p, s_values)
     levels = np.array([es.eigenvalues[:k] for es in solutions])
     return PathSpectrum(s_values, levels)
 

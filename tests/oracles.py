@@ -3,11 +3,12 @@
 Most of this is built from first principles (explicit Kronecker
 products, occupation-number ladder matrices) so it shares no code path
 with the package under test.  sequential_ham_matrix, eigh_evolve,
-dict_jordan_wigner / dict_parity_map, full_eigh_solutions and
-dict_invariant are the package's earlier, slower algorithms (a
-term-by-term sparse sum, per-step diagonalization, complex dict-of-masks
-ladder products, one full eigh per path point and a per-term symmetry
-check), kept so that the faster ones can be held to them.
+dict_jordan_wigner / dict_parity_map, full_eigh_solutions,
+dict_invariant and diagonal_entries are the package's earlier, slower
+algorithms (a term-by-term sparse sum, per-step diagonalization, complex
+dict-of-masks ladder products, one full eigh per path point, a per-term
+symmetry check and a term-by-term all-Z diagonal), kept so that the
+faster ones can be held to them.
 """
 
 from __future__ import annotations
@@ -283,6 +284,19 @@ def sequential_ham_matrix(h) -> scipy.sparse.csr_matrix:
     for t in h.terms[1:]:
         total = total + term_matrix(t)
     return total.tocsr()
+
+
+def diagonal_entries(h: PauliHamiltonian) -> np.ndarray:
+    """Diagonal of an all-Z Hamiltonian over all 2**n basis states, summed
+    term by term: coeff * (-1)**popcount(z & j) at basis state j."""
+    if any(t.x_mask for t in h.terms):
+        raise ValueError("Hamiltonian has X or Y factors, diagonal undefined")
+    states = np.arange(1 << h.n_qubits, dtype=np.int64)
+    diag = np.zeros(len(states))
+    for t in h.terms:
+        bits = (states[:, None] & t.z_mask) >> np.arange(h.n_qubits) & 1
+        diag += t.coefficient * (1.0 - 2.0 * (bits.sum(axis=1) & 1))
+    return diag
 
 
 def full_eigh_solutions(p, s_values) -> list:

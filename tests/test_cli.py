@@ -105,6 +105,21 @@ class TestMethodCommands:
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        ({"initial_indices": 0}, "initial_indices must be a list"),
+        ({"alpha": "0.5"}, "alpha must be a number, got '0.5'"),
+        ({"total_time": "10"}, "total_time must be a number, got '10'"),
+        ({"alpha": True}, "alpha must be a number, got True"),
+        ([1, 2], "config must be a JSON object"),
+    ])
+    def test_wrong_value_types_in_config_exit_nonzero(self, data_dir, tmp_path, capsys,
+                                                      data, message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(data))
+        code = main(["qae", str(data_dir / "toy_two_qubit.txt"), "--config", str(config)])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_load_failure_exits_nonzero(self, capsys):
         assert main(["clique", "/nope.txt"]) == 1
         assert "error: stage 'load'" in capsys.readouterr().err
@@ -195,3 +210,15 @@ class TestScanCommand:
         out = capsys.readouterr().out
         assert "1.0: failed: load (stage 'load' failed for" in out
         assert "malformed FCIDUMP header" in out
+
+    @pytest.mark.parametrize("point, missing", [
+        ({"source": "problem.txt"}, "coordinate"), ({"coordinate": 2.0}, "source"),
+    ])
+    def test_point_without_a_required_key_exits_nonzero(self, tmp_path, capsys,
+                                                         point, missing):
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps(
+            {"points": [{"coordinate": 1.0, "source": "problem.txt"}, point]}
+        ))
+        assert main(["scan", str(config)]) == 1
+        assert f"error: scan point 1 has no '{missing}'" in capsys.readouterr().err

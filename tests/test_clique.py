@@ -12,18 +12,11 @@ from mczeno.clique import (
     brute_force_max_clique,
     build_graph,
     clique_to_dict,
-    diagonal_ground_state,
     greedy_max_clique,
     mc_hamiltonian,
 )
 from mczeno.driver import load_qubit_hamiltonian
-from mczeno.pauli import (
-    PauliHamiltonian,
-    commutes,
-    ham_matrix,
-    parse_hamiltonian,
-    parse_pauli,
-)
+from mczeno.pauli import commutes, parse_hamiltonian
 from conftest import DATA_DIR
 
 
@@ -225,42 +218,3 @@ class TestMcHamiltonian:
         doc = clique_to_dict(toy_hamiltonian, clique)
         assert doc["weight"] == 11.0
         assert {m["label"] for m in doc["members"]} == {"II", "IZ", "ZI"}
-
-
-class TestDiagonalGroundState:
-    def test_demo_mc_hamiltonian(self):
-        """2 II - 4 IZ + 5 ZI: enumeration gives -7 at basis index 2 ("10")."""
-        h = parse_hamiltonian("2.0 II\n-4.0 IZ\n5.0 ZI")
-        bits, energy, degeneracy = diagonal_ground_state(h)
-        assert bits == "10"
-        assert energy == pytest.approx(-7.0, abs=0)
-        assert degeneracy == 1
-
-    def test_single_qubit_sign_convention(self):
-        bits, energy, degeneracy = diagonal_ground_state(parse_hamiltonian("-1.0 Z"))
-        assert bits == "0"
-        assert energy == -1.0
-        assert degeneracy == 1
-
-    def test_identity_only_fully_degenerate(self):
-        h = parse_hamiltonian("0.75 III")
-        bits, energy, degeneracy = diagonal_ground_state(h)
-        assert bits == "000"
-        assert energy == 0.75
-        assert degeneracy == 8
-
-    def test_matches_matrix_minimum(self):
-        rng = np.random.default_rng(5)
-        labels = ["III", "ZII", "IZI", "IIZ", "ZZI", "IZZ", "ZIZ", "ZZZ"]
-        for _ in range(20):
-            coeffs = rng.normal(size=len(labels))
-            h = PauliHamiltonian(
-                3, [parse_pauli(f"{c} {lab}") for c, lab in zip(coeffs, labels)]
-            )
-            _, energy, _ = diagonal_ground_state(h)
-            m = ham_matrix(h).toarray()
-            assert energy == pytest.approx(float(np.diag(m).real.min()), abs=1e-12)
-
-    def test_non_diagonal_rejected(self, toy_hamiltonian):
-        with pytest.raises(ValueError, match="not diagonal"):
-            diagonal_ground_state(toy_hamiltonian)

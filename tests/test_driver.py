@@ -88,6 +88,27 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="^initial_indices must be non-negative"):
             RunConfig(source="x.txt", method="qzp", initial_indices=indices)
 
+    @pytest.mark.parametrize("name", ["alpha", "total_time", "delta_t"])
+    @pytest.mark.parametrize("value", [True, "0.5", None, [1.0]])
+    def test_non_numbers_rejected(self, name, value):
+        """bool is an int subclass: alpha=True would run at alpha 1."""
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got"):
+            RunConfig(source="x.txt", method="qzp", **{name: value})
+
+    @pytest.mark.parametrize("indices", [0, "0", None, {0: 1}])
+    def test_initial_indices_must_be_a_sequence(self, indices):
+        with pytest.raises(ValueError, match="^initial_indices must be a list"):
+            RunConfig(source="x.txt", method="qzp", initial_indices=indices)
+
+    def test_initial_indices_list_accepted(self):
+        config = RunConfig(source="x.txt", method="qzp", initial_indices=[0, 2])
+        assert config.initial_indices == (0, 2)
+
+    @pytest.mark.parametrize("data", [[1, 2], "qzp", 3, None])
+    def test_config_from_dict_rejects_non_objects(self, data):
+        with pytest.raises(ValueError, match="^config must be a JSON object"):
+            config_from_dict(data, source="x.txt", method="qae")
+
     def test_non_integer_trials_rejected_before_any_stage(self, data_dir):
         source = str(data_dir / "toy_two_qubit.txt")
         with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):

@@ -169,12 +169,6 @@ class TestJordanWigner:
             jordan_wigner(f)
 
 
-    def test_more_modes_than_packed_masks_hold(self):
-        f = FermionIntegrals(32, np.zeros((32, 32)), np.zeros((32,) * 4), 0.0)
-        with pytest.raises(ValueError, match="packed"):
-            jordan_wigner(f, cap=40)
-
-
 class TestParityMap:
     def test_core_only(self):
         f = FermionIntegrals(2, np.zeros((2, 2)), np.zeros((2, 2, 2, 2)), 0.7)

@@ -12,8 +12,6 @@ from mczeno.pauli import (
     PauliTerm,
     combine,
     commutes,
-    diagonal_entries,
-    format_hamiltonian,
     ham_matrix,
     hamiltonian_from_dict,
     hamiltonian_to_dict,
@@ -29,7 +27,7 @@ from mczeno.pauli import (
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import load_qubit_hamiltonian
 from mczeno.path import x_driver
-from oracles import kron_hamiltonian, kron_term, sequential_ham_matrix
+from oracles import diagonal_entries, kron_hamiltonian, kron_term, sequential_ham_matrix
 
 
 def term(label, coeff=1.0):

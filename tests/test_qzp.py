@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
+from mczeno.driver import load_qubit_hamiltonian
 from mczeno.pauli import is_all_z, load_hamiltonian, parse_hamiltonian
 from mczeno.path import PathHamiltonian
-from mczeno.qae import basis_state, evolve
+from mczeno.qae import evolve
 from mczeno.qzp import (
     ZenoDistribution,
     distribution_csv,
@@ -23,7 +24,7 @@ from mczeno.qzp import (
 )
 from mczeno.path import s_grid
 from mczeno.spectral import eig, path_eigensolutions
-from oracles import philox_draw, zeno_project, zeno_trajectory
+from oracles import diagonal_entries, philox_draw, zeno_project, zeno_trajectory
 from test_path import odd_y_path
 
 
@@ -31,6 +32,22 @@ def fixture_path(data_dir, name, alpha):
     h = load_hamiltonian(data_dir / name)
     mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
     return PathHamiltonian(mc, h, alpha=alpha, total_time=10.0)
+
+
+def bundled_all_z_paths():
+    """The clique path at alpha 0.5 of each bundled fixture whose clique
+    is all-Z, FCIDUMP files under both mappings, named by file and mapping."""
+    from conftest import DATA_DIR
+
+    out = []
+    for path in sorted(DATA_DIR.iterdir()):
+        for mapping in ("jw", "parity") if path.suffix == ".fcidump" else ("none",):
+            h, _ = load_qubit_hamiltonian(str(path), mapping)
+            mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+            if is_all_z(mc):
+                out.append(pytest.param(PathHamiltonian(mc, h, alpha=0.5),
+                                        id=f"{path.name}:{mapping}"))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -209,11 +226,19 @@ class TestInitialEigenstate:
         assert psi[15] == pytest.approx(1.0)
         assert np.linalg.norm(psi) == pytest.approx(1.0)
 
+    def test_diagonal_ranks_order_basis_states_by_energy(self):
+        """2 II - 4 IZ + 5 ZI has diagonal [3, 11, -7, 1]."""
+        h = parse_hamiltonian("2.0 II\n-4.0 IZ\n5.0 ZI")
+        p = PathHamiltonian(h, h)
+        ranks = [np.argmax(initial_eigenstate(p, rank)) for rank in range(4)]
+        assert ranks == [2, 3, 0, 1]
+
     def test_degenerate_diagonal_ranks_enumerate_lexicographically(self):
+        """1.0 ZZ has diagonal [1, -1, -1, 1]: ties go to the lower index."""
         h = parse_hamiltonian("1.0 ZZ")
         p = PathHamiltonian(h, h, total_time=10.0)
-        assert np.argmax(np.abs(initial_eigenstate(p, 0))) == 1
-        assert np.argmax(np.abs(initial_eigenstate(p, 1))) == 2
+        ranks = [np.argmax(initial_eigenstate(p, rank)) for rank in range(4)]
+        assert ranks == [1, 2, 0, 3]
 
     def test_general_initial_satisfies_eigenequation(self, toy_hamiltonian):
         from mczeno.spectral import dense_matrix
@@ -227,6 +252,18 @@ class TestInitialEigenstate:
     def test_index_out_of_range(self, gapped_path):
         with pytest.raises(ValueError, match="outside"):
             initial_eigenstate(gapped_path, 16)
+
+    @pytest.mark.parametrize("p", bundled_all_z_paths())
+    def test_diagonal_bit_equal_to_term_by_term_sum(self, p):
+        """The diagonal that ranks the initial states is the all-Z sum,
+        bit for bit, so the stable order of tied states is unchanged."""
+        diagonal = p.sparse_matrix(0.0).diagonal()
+        reference = diagonal_entries(p.h_initial)
+        assert diagonal.dtype == reference.dtype
+        assert np.array_equal(diagonal, reference)
+        order = np.argsort(reference, kind="stable")
+        for rank in (0, 1, len(order) - 1):
+            assert np.argmax(initial_eigenstate(p, rank)) == order[rank]
 
 
 class TestZenoRun:
@@ -419,21 +456,20 @@ class TestNonDiagonalInitialBasis:
 
 
 class TestInitialStateCost:
-    def test_diagonal_order_computed_once_per_initial_index(
-        self, gapped_path, monkeypatch
-    ):
-        import mczeno.qzp as qzp
-
+    def test_diagonal_read_once_per_initial_index(self, gapped_path, monkeypatch):
+        """One pass over the diagonal of H(0) per initial index, not per trial."""
+        solutions = list(path_eigensolutions(gapped_path, s_grid(5)))
         calls = []
-        original = qzp.diagonal_basis_order
+        original = PathHamiltonian.sparse_matrix
 
-        def counting_order(h):
-            calls.append(h)
-            return original(h)
+        def counting_matrix(p, s):
+            calls.append(s)
+            return original(p, s)
 
-        monkeypatch.setattr(qzp, "diagonal_basis_order", counting_order)
-        zeno_statistics(gapped_path, 5, [0, 1], 30, rng_seed=2)
-        assert len(calls) == 2
+        monkeypatch.setattr(PathHamiltonian, "sparse_matrix", counting_matrix)
+        zeno_statistics(gapped_path, 5, [0, 1], 30, rng_seed=2,
+                        eigensolutions=solutions)
+        assert calls == [0.0, 0.0]
 
 
 class TestMatchesPerTrialReference:

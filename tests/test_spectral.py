@@ -15,7 +15,6 @@ from mczeno.qae import DEGENERACY_TOL
 from mczeno.qzp import zeno_statistics
 from mczeno.spectral import (
     EigenSolution,
-    diagonal_basis_order,
     eig,
     lowest_k,
     path_eigensolutions,
@@ -23,7 +22,7 @@ from mczeno.spectral import (
     sector_eigh,
     spectrum_csv,
 )
-from oracles import full_eigh_solutions
+from oracles import diagonal_entries, full_eigh_solutions
 
 MINUS_Z = parse_hamiltonian("-1.0 Z")
 MINUS_X = parse_hamiltonian("-1.0 X")
@@ -77,7 +76,7 @@ class TestEig:
         import mczeno.spectral
 
         monkeypatch.setattr(mczeno.spectral, "dense_matrix",
-                            lambda h, cap: np.array([[0.0, 1.0], [0.0, 0.0]]))
+                            lambda h: np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError, match="not Hermitian"):
             eig(MINUS_X)
 
@@ -102,24 +101,6 @@ class TestLowestK:
             lowest_k(toy_hamiltonian, 5)
         with pytest.raises(ValueError, match="k must be in"):
             lowest_k(toy_hamiltonian, 0)
-
-
-class TestDiagonalBasisOrder:
-    def test_demo_mc(self):
-        h = parse_hamiltonian("2.0 II\n-4.0 IZ\n5.0 ZI")
-        order = diagonal_basis_order(h)
-        # diagonal entries: j=0 -> 3, j=1 -> 11, j=2 -> -7, j=3 -> 1
-        assert list(order) == [2, 3, 0, 1]
-
-    def test_degenerate_ties_to_lower_index(self):
-        h = parse_hamiltonian("1.0 ZZ")
-        order = diagonal_basis_order(h)
-        # diag = [1, -1, -1, 1]; ties resolved by basis index
-        assert list(order) == [1, 2, 0, 3]
-
-    def test_non_diagonal_rejected(self, toy_hamiltonian):
-        with pytest.raises(ValueError, match="not diagonal"):
-            diagonal_basis_order(toy_hamiltonian)
 
 
 class TestPathSpectrum:
@@ -384,7 +365,7 @@ class TestDiagonalPoints:
         monkeypatch.undo()
         values, _ = np.linalg.eigh(p.matrix(0.0))
         assert np.array_equal(solution.eigenvalues, values)
-        order = diagonal_basis_order(p.h_initial)
+        order = np.argsort(diagonal_entries(p.h_initial), kind="stable")
         assert np.array_equal(solution.eigenvectors, np.eye(len(order))[:, order])
 
     def test_interior_point_of_diagonal_path(self, eigh_shapes):
