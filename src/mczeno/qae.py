@@ -188,11 +188,7 @@ def evolve(
 
     if final is None:
         final = next(path_eigensolutions(p, [1.0]))
-    values, vectors = final.eigenvalues, final.eigenvectors
-    if np.iscomplexobj(vectors):
-        weights = np.abs(psi.conj() @ vectors) ** 2
-    else:  # real products, with no complex copy of the eigenvectors
-        weights = (psi.real @ vectors) ** 2 + (psi.imag @ vectors) ** 2
+    values, weights = final.eigenvalues, final.weights(psi)
     return QaeResult(
         final_state=psi,
         final_energy=float(values @ weights),

@@ -29,7 +29,7 @@ import numpy as np
 
 from mczeno.path import PathHamiltonian, s_grid
 from mczeno.qae import DEGENERACY_TOL, evolve
-from mczeno.spectral import EigenSolution, path_eigensolutions
+from mczeno.spectral import EigenSolution, from_frame, path_eigensolutions, to_frame
 
 
 @dataclass(frozen=True)
@@ -206,40 +206,53 @@ def _philox_first_word(key: np.ndarray) -> np.ndarray:
 def _project_block(
     psi: np.ndarray, es: EigenSolution, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """project() of every column of psi, column j with the uniform draws[j].
+    """project() of every column of psi, column j with the uniform draws[j],
+    for psi in the frame of es (spectral.EigenSolution); the collapsed
+    states stay in that frame.
 
-    A real state against real eigenvectors stays real, so both products
-    run as real matrix products.
+    The amplitudes and the collapse take one product per block of es, so a
+    sectored point costs one d_c x d_c GEMM per sector.  A real state
+    against real eigenvectors stays real, so both run as real products.
     """
-    vectors = es.eigenvectors
-    if psi.shape[0] != vectors.shape[0]:
+    if psi.shape[0] != len(es.eigenvalues):
         raise ValueError(
-            f"state dimension {psi.shape[0]} does not match basis {vectors.shape[0]}"
+            f"state dimension {psi.shape[0]} does not match basis {len(es.eigenvalues)}"
         )
     if np.iscomplexobj(psi) and not psi.imag.any():
         psi = psi.real
-    amplitudes = vectors.conj().T @ psi
+    amplitudes = es.apply(psi, adjoint=True)
     weights = np.abs(amplitudes)
     weights **= 2
-    breaks = np.flatnonzero(np.diff(es.eigenvalues) > DEGENERACY_TOL) + 1
-    starts = np.concatenate(([0], breaks))
-    cumulative = np.cumsum(np.add.reduceat(weights, starts, axis=0), axis=0)
+    first, stop = _draw_levels(es.eigenvalues, es.by_rank(weights), draws)
+    if psi.shape[1] == 1 and es.columns is None:  # only the chosen level's eigenvectors
+        collapsed = es.blocks[0][:, first[0]:stop[0]] @ amplitudes[first[0]:stop[0]]
+    else:
+        ranks = (np.arange(len(weights)) if es.columns is None else es.columns)[:, None]
+        amplitudes *= (ranks >= first) & (ranks < stop)
+        collapsed = es.apply(amplitudes)
+    collapsed /= np.linalg.norm(collapsed, axis=0)
+    return first, collapsed
+
+
+def _draw_levels(
+    values: np.ndarray, weights: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and end rank of the level each draw picks by the Born rule.
+
+    weights holds one column of weights in rank order per draw, or one
+    column for every draw.  A level is a run of values whose steps are at
+    most DEGENERACY_TOL; draw d picks the first level whose cumulative
+    weight exceeds d times the total.
+    """
+    ends = np.append(np.flatnonzero(np.diff(values) > DEGENERACY_TOL) + 1, len(values))
+    cumulative = np.cumsum(weights, axis=0)[ends - 1]
     totals = cumulative[-1]
     off = np.abs(totals - 1.0) > 1e-6
     if off.any():
         raise ValueError(f"state is not normalized (total weight {totals[off][0]})")
     chosen = np.count_nonzero(cumulative <= draws * totals, axis=0)
-    np.minimum(chosen, len(starts) - 1, out=chosen)
-    bounds = np.append(starts, len(weights))
-    if psi.shape[1] == 1:  # only the chosen level's eigenvectors
-        first, stop = bounds[chosen[0]], bounds[chosen[0] + 1]
-        collapsed = vectors[:, first:stop] @ amplitudes[first:stop]
-    else:
-        rows = np.arange(len(weights))[:, None]
-        amplitudes *= (rows >= bounds[chosen]) & (rows < bounds[chosen + 1])
-        collapsed = vectors @ amplitudes
-    collapsed /= np.linalg.norm(collapsed, axis=0)
-    return starts[chosen], collapsed
+    np.minimum(chosen, len(ends) - 1, out=chosen)
+    return np.append(0, ends)[chosen], ends[chosen]
 
 
 def _trajectories(
@@ -250,15 +263,23 @@ def _trajectories(
     first_step: int,
 ) -> np.ndarray:
     """Project column t of psi through eigensolutions[first_step:] as trial
-    trial_numbers[t]; returns the sampled ranks, one row per step."""
+    trial_numbers[t]; returns the sampled ranks, one row per step.
+
+    psi starts in the standard basis and moves into a step's frame only
+    when that differs from the last step's, so a run of sectored steps
+    keeps the trials in sector coordinates throughout.
+    """
     trials = _integer_array(trial_numbers)
     steps = np.arange(first_step, len(eigensolutions))
     per_call = max(1, _DRAWS_PER_CALL // len(trials))
-    ranks = []
+    ranks, frame = [], None
     for begin in range(0, len(steps), per_call):
         chunk = steps[begin:begin + per_call]
         for k, draws in zip(chunk, step_draws(rng_seed, trials, chunk[:, None])):
-            step_ranks, psi = _project_block(psi, eigensolutions[k], draws)
+            es = eigensolutions[k]
+            if es.frame is not frame:
+                psi, frame = to_frame(es.frame, from_frame(frame, psi)), es.frame
+            step_ranks, psi = _project_block(psi, es, draws)
             ranks.append(step_ranks)
     return np.array(ranks)
 
@@ -271,8 +292,9 @@ def project(
     Returns the sampled level's lowest rank and the normalized collapse
     of psi onto that level's full eigenspace.
     """
-    ranks, collapsed = _project_block(psi[:, None], es, np.array([rng.random()]))
-    return int(ranks[0]), collapsed[:, 0]
+    x = to_frame(es.frame, psi[:, None])
+    ranks, collapsed = _project_block(x, es, np.array([rng.random()]))
+    return int(ranks[0]), from_frame(es.frame, collapsed)[:, 0]
 
 
 def initial_eigenstate(p: PathHamiltonian, initial_index: int) -> np.ndarray:
@@ -419,12 +441,15 @@ def qae_then_project(
     """Adiabatic evolution followed by a single final projection.
 
     The comparison partner for full projection runs: evolve once, then
-    sample the final eigenbasis per trial.
+    sample the final eigenbasis per trial.  Every trial projects the same
+    evolved state, so its level weights are computed once, and trial t
+    takes its step-0 draw from them.
     """
     final = next(path_eigensolutions(p, [1.0]))
     result = evolve(p, delta_t, initial_eigenstate(p, initial_index), final)
-    psi = np.repeat(result.final_state[:, None], trials, axis=1)
-    finals = _trajectories([final], psi, rng_seed, range(trials), 0)[-1]
+    draws = step_draws(rng_seed, np.arange(trials), 0)
+    finals, _ = _draw_levels(final.eigenvalues, final.weights(result.final_state)[:, None],
+                             draws)
     return ZenoDistribution(dict(Counter(finals.tolist())), trials, initial_index)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -19,12 +20,92 @@ at 1024; at 64 rows the sectors are no faster and cost ~5 ms per path to
 build."""
 
 
-@dataclass(frozen=True)
 class EigenSolution:
-    """Ascending eigenvalues with column-aligned orthonormal eigenvectors."""
+    """Ascending eigenvalues with column-aligned orthonormal eigenvectors.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    The eigenvectors are held in a frame: the standard basis (frame None)
+    or a path's symmetry sectors (frame p.sectors, path.Sector), whose
+    isometries U_c side by side form an orthogonal Q.  A state in frame
+    coordinates is Q^T psi, each sector's rows stacked in sector order.
+    blocks holds each sector's eigenvectors W_c (d_c x d_c), acting on its
+    rows, and columns the rank of each stacked eigenvector among all
+    eigenvalues: eigenvector columns[i] is Q W e_i.  In the standard basis,
+    EigenSolution(values, vectors) holds the dense eigenvectors as its one
+    block with columns None, and a diagonal H holds no blocks (W = I) and
+    the rank of each basis state.  The dense eigenvectors, 2**n x 2**n, are
+    formed only when read.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
+                 *, frame: tuple | None = None, blocks: tuple = (),
+                 columns: np.ndarray | None = None):
+        self.eigenvalues = eigenvalues
+        self.frame, self.columns = frame, columns
+        self.blocks = blocks if eigenvectors is None else (eigenvectors,)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The eigenvectors as dense columns, formed on first read."""
+        if self.columns is None:
+            return self.blocks[0]
+        dim = len(self.eigenvalues)
+        if not self.blocks:  # the permutation of a diagonal H
+            vectors = np.zeros((dim, dim))
+            vectors[np.arange(dim), self.columns] = 1.0
+            return vectors
+        vectors = np.zeros((dim, dim), order="F", dtype=np.result_type(*self.blocks))
+        for sector, (rows, w) in zip(self.frame, self._pieces()):
+            vectors[:, self.columns[rows]] = sector.basis @ w
+        return vectors
+
+    def _pieces(self) -> list[tuple[slice, np.ndarray]]:
+        """(rows, W_c) of each block, rows being its stacked rows."""
+        ends = np.cumsum([len(w) for w in self.blocks])
+        return [(slice(end - len(w), end), w) for end, w in zip(ends, self.blocks)]
+
+    def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """W x, or when adjoint W^H x (x's amplitude on each eigenvector, in
+        stacked order), for x in frame coordinates; a new array."""
+        if not self.blocks:
+            return x.copy()
+        out = np.empty(x.shape, dtype=np.result_type(x, *self.blocks))
+        for rows, w in self._pieces():
+            out[rows] = (w.conj().T if adjoint else w) @ x[rows]
+        return out
+
+    def by_rank(self, x: np.ndarray) -> np.ndarray:
+        """The rows of x, one per stacked eigenvector, in rank order."""
+        if self.columns is None:
+            return x
+        ranked = np.empty_like(x)
+        ranked[self.columns] = x
+        return ranked
+
+    def weights(self, psi: np.ndarray) -> np.ndarray:
+        """|<v_r|psi>|^2 of a full-space state psi for each rank r.  Real
+        eigenvectors act on the real and imaginary parts of psi apart, with
+        no complex copy of either."""
+        if any(map(np.iscomplexobj, self.blocks)):
+            weights = np.abs(self.apply(to_frame(self.frame, psi), adjoint=True)) ** 2
+        else:
+            weights = sum(self.apply(to_frame(self.frame, part), adjoint=True) ** 2
+                          for part in (psi.real, psi.imag))
+        return self.by_rank(weights)
+
+
+def to_frame(frame: tuple | None, psi: np.ndarray) -> np.ndarray:
+    """psi's coordinates in frame: psi in the standard basis (frame None),
+    else Q^T psi, Q being the sectors' isometries side by side."""
+    return psi if frame is None else _isometries(frame).T @ psi
+
+
+def from_frame(frame: tuple | None, x: np.ndarray) -> np.ndarray:
+    """The full-space state whose coordinates in frame are x."""
+    return x if frame is None else _isometries(frame) @ x
+
+
+def _isometries(frame: tuple) -> scipy.sparse.csr_matrix:
+    return scipy.sparse.hstack([sector.basis for sector in frame], format="csr")
 
 
 @dataclass(frozen=True)
@@ -84,33 +165,28 @@ def _solve_point(p, s: float) -> EigenSolution:
     if p.is_diagonal(s):
         diagonal = p.sparse_matrix(s).diagonal()
         order = np.argsort(diagonal, kind="stable")
-        return EigenSolution(diagonal[order], np.eye(len(order))[:, order])
+        return EigenSolution(diagonal[order], columns=np.argsort(order))
     if s == 0.0 or not symmetry_sectors(p):
         return EigenSolution(*np.linalg.eigh(p.matrix(s)))
     return sector_eigh(p, s)
 
 
 def sector_eigh(p, s: float) -> EigenSolution:
-    """Eigensolution of H(s) from one eigh per sector of p (p.sectors).
+    """Eigensolution of H(s) in the frame of p's sectors (p.sectors), from
+    one eigh per sector.
 
     Sector chi's d x d block U^T H(s) U is summed from its sparse parts and
-    densified alone, so no dense H(s) is formed; its eigenvectors map back
-    as U W, into the columns of the stable ascending merge of every
-    sector's eigenvalues.  The eigenvector array is in Fortran order, where
-    those columns are contiguous.  This is symmetry tapering (Bravyi,
+    densified alone, so no dense H(s) is formed.  Its eigenvectors W stay
+    d x d blocks, and their columns land in the stable ascending merge of
+    every sector's eigenvalues.  This is symmetry tapering (Bravyi,
     Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a group of qubit
     permutations.
     """
-    sectors = p.sectors
-    solved = [np.linalg.eigh(p.sector_matrix(sector, s)) for sector in sectors]
+    solved = [np.linalg.eigh(p.sector_matrix(sector, s)) for sector in p.sectors]
     values = np.concatenate([v for v, _ in solved])
-    columns = np.split(np.argsort(np.argsort(values, kind="stable")),
-                       np.cumsum([sector.dimension for sector in sectors[:-1]]))
-    vectors = np.zeros((len(values), len(values)), order="F",
-                       dtype=np.result_type(*(w for _, w in solved)))
-    for sector, (_, w), at in zip(sectors, solved, columns):
-        vectors[:, at] = sector.basis @ w
-    return EigenSolution(np.sort(values), vectors)
+    return EigenSolution(np.sort(values), frame=p.sectors,
+                         blocks=tuple(w for _, w in solved),
+                         columns=np.argsort(np.argsort(values, kind="stable")))
 
 
 def lowest_k(h: PauliHamiltonian, k: int) -> EigenSolution:

@@ -305,6 +305,22 @@ def full_eigh_solutions(p, s_values) -> list:
     return [EigenSolution(*np.linalg.eigh(p.matrix(float(s)))) for s in s_values]
 
 
+def scattered_sector_eigh(p, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and dense eigenvectors of H(s) from one eigh per sector of
+    p: each sector's U W is written into the columns of the stable ascending
+    merge of every sector's eigenvalues, in a Fortran-order array."""
+    sectors = p.sectors
+    solved = [np.linalg.eigh(p.sector_matrix(sector, s)) for sector in sectors]
+    values = np.concatenate([v for v, _ in solved])
+    columns = np.split(np.argsort(np.argsort(values, kind="stable")),
+                       np.cumsum([sector.dimension for sector in sectors[:-1]]))
+    vectors = np.zeros((len(values), len(values)), order="F",
+                       dtype=np.result_type(*(w for _, w in solved)))
+    for sector, (_, w), at in zip(sectors, solved, columns):
+        vectors[:, at] = sector.basis @ w
+    return np.sort(values), vectors
+
+
 def dict_invariant(h, perm, tol: float = 1e-12) -> bool:
     """True when each term's image under the qubit permutation perm (qubit q
     to qubit perm[q]) has the same coefficient within tol, a missing term

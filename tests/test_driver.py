@@ -1,5 +1,7 @@
 """Pipeline configuration, execution, persistence, and scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,23 @@ class TestRun:
             [i, direct.counts[i]] for i in sorted(direct.counts)
         ]
         assert record["distributions"][0]["trials"] == 40
+
+    H5_QZP_PEAK_BYTES = 60e6
+    """Traced peak of one H5 qzp run at the benchmark's settings.  With every
+    sectored point kept as its four blocks (2.1 MB a point) it reads about
+    35 MB; a dense 1024 x 1024 eigenvector matrix per grid point (8.4 MB
+    each, eleven held at once) takes it past 100 MB."""
+
+    def test_h5_qzp_peak_memory(self, data_dir):
+        config = RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"),
+                           method="qzp", alpha=0.5, n_steps=10, trials=200, seed=13)
+        tracemalloc.start()
+        try:
+            run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.H5_QZP_PEAK_BYTES
 
     @pytest.mark.parametrize("name, shapes", [
         ("gapped_four_qubit.txt", [(16, 16)] * 6),

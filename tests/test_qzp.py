@@ -23,9 +23,16 @@ from mczeno.qzp import (
     zeno_statistics,
 )
 from mczeno.path import s_grid
-from mczeno.spectral import eig, path_eigensolutions
-from oracles import diagonal_entries, philox_draw, zeno_project, zeno_trajectory
+from mczeno.spectral import EigenSolution, eig, path_eigensolutions
+from oracles import (
+    diagonal_entries,
+    full_eigh_solutions,
+    philox_draw,
+    zeno_project,
+    zeno_trajectory,
+)
 from test_path import odd_y_path
+from test_spectral import sectored_path
 
 
 def fixture_path(data_dir, name, alpha):
@@ -568,3 +575,71 @@ class TestMatchesPerTrialReference:
             expected[rank] = expected.get(rank, 0) + 1
         got = qae_then_project(path, 0.5, 0, trials=trials, rng_seed=seed)
         assert got.counts == expected
+
+
+@pytest.fixture(scope="module", params=["h5", "real", "odd_y"])
+def sectored(request, data_dir):
+    """A 10- or 8-qubit path whose points with s > 0 are solved in four
+    sectors: H5 (H(0) sorted) or a random path (H(0) by one full eigh)."""
+    return sectored_path(data_dir, request.param)
+
+
+def random_state(dim: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+class TestSectorFrameProjection:
+    """Trials at sectored points are projected in sector coordinates, and no
+    dense 2**n x 2**n eigenvector matrix is formed for them."""
+
+    N_STEPS = 5
+
+    @pytest.mark.parametrize("name", ["real", "odd_y"])
+    def test_statistics_counts_match_full_eigh(self, data_dir, name):
+        """H5's counts are held to the same reference by test_spectral's
+        TestSectorSolve::test_zeno_counts_match_full_eigh_path."""
+        p = sectored_path(data_dir, name)
+        grid = s_grid(self.N_STEPS)
+        solutions = list(path_eigensolutions(p, grid))
+        ours = zeno_statistics(p, self.N_STEPS, [0, 1], 100, 11, eigensolutions=solutions)
+        assert not any("eigenvectors" in vars(es) for es in solutions[1:])
+        theirs = zeno_statistics(p, self.N_STEPS, [0, 1], 100, 11,
+                                 eigensolutions=full_eigh_solutions(p, grid))
+        assert [d.counts for d in ours] == [d.counts for d in theirs]
+
+    def test_run_from_user_state(self, sectored):
+        """Step 0 projects in the standard basis, the rest in the sectors."""
+        solutions = list(path_eigensolutions(sectored, s_grid(self.N_STEPS)))
+        assert solutions[0].frame is None
+        assert all(es.frame is sectored.sectors for es in solutions[1:])
+        psi = random_state(1 << sectored.n_qubits, 5)
+        trials = [zeno_run(sectored, self.N_STEPS, 0, 9, trial_number=t,
+                           initial_state=psi, eigensolutions=solutions)
+                  for t in range(10)]
+        assert not any("eigenvectors" in vars(es) for es in solutions[1:])
+        for t, trial in enumerate(trials):
+            assert trial.trajectory == zeno_trajectory(solutions, psi, 9, t, 0)
+
+    def test_project_matches_dense_solution(self, sectored):
+        solution = next(path_eigensolutions(sectored, [0.5]))
+        dense = EigenSolution(solution.eigenvalues, solution.eigenvectors)
+        psi = random_state(1 << sectored.n_qubits, 6)
+        for t in range(5):
+            rank, collapsed = project(psi, solution, step_rng(3, t, 1))
+            dense_rank, dense_collapsed = project(psi, dense, step_rng(3, t, 1))
+            assert rank == dense_rank
+            assert np.abs(collapsed - dense_collapsed).max() <= 1e-12
+
+    def test_evolve_matches_dense_solution(self, sectored):
+        p = PathHamiltonian(sectored.h_initial, sectored.h_final, alpha=0.5,
+                            total_time=1.0)
+        final = next(path_eigensolutions(p, [1.0]))
+        assert final.frame is p.sectors
+        psi0 = initial_eigenstate(p, 0)
+        got = evolve(p, 0.5, psi0, final)
+        assert "eigenvectors" not in vars(final)
+        want = evolve(p, 0.5, psi0, EigenSolution(final.eigenvalues, final.eigenvectors))
+        assert abs(got.final_energy - want.final_energy) <= 1e-12
+        assert abs(got.ground_fidelity - want.ground_fidelity) <= 1e-12

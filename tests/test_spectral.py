@@ -22,7 +22,7 @@ from mczeno.spectral import (
     sector_eigh,
     spectrum_csv,
 )
-from oracles import diagonal_entries, full_eigh_solutions
+from oracles import diagonal_entries, full_eigh_solutions, scattered_sector_eigh
 
 MINUS_Z = parse_hamiltonian("-1.0 Z")
 MINUS_X = parse_hamiltonian("-1.0 X")
@@ -344,6 +344,50 @@ class TestSectorSolve:
             values, vectors = np.linalg.eigh(p.matrix(s))
             assert np.array_equal(solution.eigenvalues, values)
             assert np.array_equal(solution.eigenvectors, vectors)
+
+
+def sectored_path(data_dir, name: str) -> PathHamiltonian:
+    """H5's clique path at alpha 0.5, or a random 8-qubit path fixed by the
+    spin swap and the chain mirror ("real" or "odd_y")."""
+    if name == "h5":
+        return clique_path(data_dir, TestSectorSolve.H5, 0.5)
+    odd_y = name == "odd_y"
+    return PathHamiltonian(symmetric_sum(8, 1, odd_y), symmetric_sum(8, 2, odd_y),
+                           alpha=0.5)
+
+
+class TestSectorFrame:
+    """Sectored points keep one eigenvector block per sector; the dense
+    eigenvectors are formed only when read."""
+
+    @pytest.mark.parametrize("name", ["h5", "real", "odd_y"])
+    def test_eigenvectors_equal_dense_scatter(self, data_dir, name):
+        p = sectored_path(data_dir, name)
+        for s in (0.5, 1.0):
+            solution = next(path_eigensolutions(p, [s]))
+            assert solution.frame is p.sectors
+            assert [w.shape for w in solution.blocks] == [
+                (sector.dimension,) * 2 for sector in p.sectors]
+            assert "eigenvectors" not in vars(solution)
+            values, vectors = scattered_sector_eigh(p, s)
+            assert np.array_equal(solution.eigenvalues, values)
+            assert solution.eigenvectors.dtype == vectors.dtype
+            assert solution.eigenvectors.flags.f_contiguous
+            assert np.array_equal(solution.eigenvectors, vectors)
+
+    def test_diagonal_point_forms_permutation_on_read(self, data_dir):
+        p = sectored_path(data_dir, "h5")
+        solution = next(path_eigensolutions(p, [0.0]))
+        assert solution.frame is None and solution.blocks == ()
+        assert "eigenvectors" not in vars(solution)
+        order = np.argsort(diagonal_entries(p.h_initial), kind="stable")
+        assert np.array_equal(solution.eigenvectors, np.eye(len(order))[:, order])
+
+    def test_given_eigenvectors_are_kept(self):
+        values, vectors = np.linalg.eigh(np.diag([2.0, 1.0]) + 0.5)
+        solution = EigenSolution(values, vectors)
+        assert solution.frame is None and solution.columns is None
+        assert solution.eigenvectors is vectors
 
 
 DIAGONAL_CLIQUE_FIXTURES = [
