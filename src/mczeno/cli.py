@@ -17,6 +17,7 @@ import sys
 from dataclasses import fields
 
 from mczeno.driver import (
+    MAPPINGS,
     RunConfig,
     StageError,
     config_from_dict,
@@ -30,7 +31,7 @@ from mczeno.driver import (
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("source", help="Pauli text/JSON file or FCIDUMP")
     parser.add_argument("--config", help="JSON file with run parameters")
-    parser.add_argument("--mapping", choices=["auto", "none", "jw", "parity"])
+    parser.add_argument("--mapping", choices=MAPPINGS)
     parser.add_argument("--alpha", type=float, help="transverse driver weight")
     parser.add_argument("--seed", type=int, help="random seed (default 0)")
     parser.add_argument("-o", "--output", help="result file (.json or .csv)")
@@ -139,25 +140,35 @@ def _report(record: dict, output: str | None) -> None:
         print(f"wrote {output}")
 
 
+def _json(value, kind: type, what: str):
+    """value, or a ValueError naming what unless it is a JSON object or array."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def _run_scan(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
-        spec = json.load(handle)
-    methods = tuple(spec.get("methods", ["exact", "qzp"]))
-    defaults = spec.get("defaults", {})
+        spec = _json(json.load(handle), dict, "scan spec")
+    methods = tuple(_json(spec.get("methods", ["exact", "qzp"]), list, "scan methods"))
+    defaults = _json(spec.get("defaults", {}), dict, "scan defaults")
     base = os.path.dirname(os.path.abspath(args.config))
     points = []
-    for position, entry in enumerate(spec.get("points", [])):
-        data = dict(defaults)
-        data.update(entry)
+    for position, entry in enumerate(_json(spec.get("points", []), list, "scan points")):
+        data = {**defaults, **_json(entry, dict, f"scan point {position}")}
         for key in ("coordinate", "source"):
             if key not in data:
                 raise ValueError(f"scan point {position} has no {key!r}")
-        coordinate = float(data.pop("coordinate"))
         data.setdefault("method", "scan")
-        if not os.path.isabs(data["source"]):
-            data["source"] = os.path.join(base, data["source"])
         overrides = {"seed": args.seed} if args.seed is not None else {}
-        points.append((coordinate, config_from_dict(data, **overrides)))
+        try:
+            coordinate = float(data.pop("coordinate"))
+            if not os.path.isabs(data["source"]):
+                data["source"] = os.path.join(base, data["source"])
+            points.append((coordinate, config_from_dict(data, **overrides)))
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"scan point {position}: {error}") from None
     result = scan(points, methods)
     text = scan_csv(result)
     if args.output:

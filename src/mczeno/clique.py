@@ -142,15 +142,3 @@ def mc_hamiltonian(h: PauliHamiltonian, c: CliqueResult) -> PauliHamiltonian:
     if abs(sum(abs(t.coefficient) for t in terms) - c.weight) > 1e-9:
         raise ValueError("clique weight does not match the Hamiltonian's terms")
     return PauliHamiltonian(h.n_qubits, terms)
-
-
-def clique_to_dict(h: PauliHamiltonian, c: CliqueResult) -> dict:
-    """Structured record of a clique for reports and rendering."""
-    return {
-        "weight": c.weight,
-        "members": [
-            {"label": h.terms[v].label, "coefficient": h.terms[v].coefficient}
-            for v in c.vertices
-        ],
-    }
-

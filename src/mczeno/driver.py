@@ -2,8 +2,8 @@
 
 A RunConfig names a Hamiltonian source and a method; run() drives the
 stages (load, optional fermion-to-qubit mapping, commuting-subset
-extraction, then the method itself) and returns a JSON-native result
-record.  scan() repeats the pipeline over a geometry coordinate and
+extraction, the path's symmetry sectors, then the method itself) and
+returns a JSON-native result record.  scan() repeats the pipeline over a geometry coordinate and
 collects energy and error columns.  Any stage failure is re-raised as a
 StageError naming the stage and the offending input.
 """
@@ -96,29 +96,21 @@ class RunConfig:
         ):
             raise ValueError("initial_indices must be non-negative integers, "
                              f"got {self.initial_indices!r}")
-        for name in ("n_steps", "trials", "k", "n_points"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                )
-        for name in ("alpha", "total_time", "delta_t"):
+        if self.method == "qae" and len(self.initial_indices) > 1:
+            raise ValueError("initial_indices must hold one index for method 'qae', "
+                             f"got {self.initial_indices!r}")
+        for name, least in {"n_steps": 1, "trials": 1, "k": 1, "n_points": 2}.items():
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        for name, relation in {"alpha": ">=", "total_time": ">", "delta_t": ">"}.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0 < self.total_time < math.inf:
-            raise ValueError(f"total_time must be finite and > 0, got {self.total_time}")
-        if not 0 < self.delta_t < math.inf:
-            raise ValueError(f"delta_t must be finite and > 0, got {self.delta_t}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be at least 1, got {self.n_steps}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be at least 2, got {self.n_points}")
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+            if not 0 <= value < math.inf or relation == ">" and value == 0:
+                raise ValueError(f"{name} must be finite and {relation} 0, got {value}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -193,13 +185,14 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
         mc, h, alpha=config.alpha, total_time=config.total_time
     )
     record["alpha"] = config.alpha
+    with _stage("path", config.source):
+        record["symmetry_sectors"] = [sector.dimension for sector in symmetry_sectors(p)]
 
     if "spectrum" in methods:
         with _stage("spectrum", config.source):
             spectrum = path_spectrum(p, config.n_points, config.k)
         record.update(
             {
-                "symmetry_sectors": [sector.dimension for sector in symmetry_sectors(p)],
                 "k": config.k,
                 "n_points": config.n_points,
                 "initial_ground_hartree": float(spectrum.levels[0, 0]),
@@ -217,7 +210,6 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
         final = next(path_eigensolutions(p, [1.0]))
     exact = final.eigenvalues
     record["exact_ground_hartree"] = float(exact[0])
-    record["symmetry_sectors"] = [sector.dimension for sector in symmetry_sectors(p)]
 
     if "qae" in methods:
         with _stage("qae", config.source):
@@ -225,6 +217,7 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
             result = evolve(p, config.delta_t, psi0, final)
         record.update(
             {
+                "initial_index": config.initial_indices[0],
                 "total_time": config.total_time,
                 "delta_t": config.delta_t,
                 "step_count": result.step_count,
@@ -331,7 +324,7 @@ def scan(
     (or whose pipeline fails) is flagged in its row, with the cause in
     its message, and the scan continues.
     """
-    if not methods or any(m not in _SCAN_COLUMNS for m in methods):
+    if not methods or not all(isinstance(m, str) and m in _SCAN_COLUMNS for m in methods):
         raise ValueError(
             f"methods must be a non-empty subset of {sorted(_SCAN_COLUMNS)}"
         )

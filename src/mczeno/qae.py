@@ -25,9 +25,6 @@ from mczeno.pauli import PauliHamiltonian, ham_matrix
 from mczeno.path import PathHamiltonian, s_grid
 from mczeno.spectral import EigenSolution, eig, path_eigensolutions
 
-DEGENERACY_TOL = 1e-9
-"""Eigenvalues closer than this are treated as one degenerate level."""
-
 DENSE_STEP_DIMENSION = 128
 """Largest dimension whose steps use a dense H(s): up to it, the call
 overhead of a sparse product outweighs the work it saves."""
@@ -75,12 +72,9 @@ def energy_expectation(psi: np.ndarray, h: PauliHamiltonian) -> float:
 
 
 def ground_space_fidelity(psi: np.ndarray, h: PauliHamiltonian) -> float:
-    """Squared overlap with the (possibly degenerate) ground eigenspace."""
+    """Born weight of psi on the (possibly degenerate) ground level of h."""
     solution = eig(h)
-    values = solution.eigenvalues
-    ground = values <= values[0] + DEGENERACY_TOL
-    overlaps = solution.eigenvectors[:, ground].conj().T @ psi
-    return float(np.sum(np.abs(overlaps) ** 2))
+    return float(solution.weights(psi)[:solution.level_ends[0]].sum())
 
 
 def _bessel_j(n: int, x: float) -> np.ndarray:
@@ -188,10 +182,10 @@ def evolve(
 
     if final is None:
         final = next(path_eigensolutions(p, [1.0]))
-    values, weights = final.eigenvalues, final.weights(psi)
+    weights = final.weights(psi)
     return QaeResult(
         final_state=psi,
-        final_energy=float(values @ weights),
-        ground_fidelity=float(weights[values <= values[0] + DEGENERACY_TOL].sum()),
+        final_energy=float(final.eigenvalues @ weights),
+        ground_fidelity=float(weights[:final.level_ends[0]].sum()),
         step_count=n_steps,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mczeno.path import PathHamiltonian, s_grid
-from mczeno.qae import DEGENERACY_TOL, evolve
+from mczeno.qae import evolve
 from mczeno.spectral import EigenSolution, from_frame, path_eigensolutions, to_frame
 
 
@@ -218,12 +218,10 @@ def _project_block(
         raise ValueError(
             f"state dimension {psi.shape[0]} does not match basis {len(es.eigenvalues)}"
         )
-    if np.iscomplexobj(psi) and not psi.imag.any():
-        psi = psi.real
     amplitudes = es.apply(psi, adjoint=True)
     weights = np.abs(amplitudes)
     weights **= 2
-    first, stop = _draw_levels(es.eigenvalues, es.by_rank(weights), draws)
+    first, stop = _draw_levels(es, es.by_rank(weights), draws)
     if psi.shape[1] == 1 and es.columns is None:  # only the chosen level's eigenvectors
         collapsed = es.blocks[0][:, first[0]:stop[0]] @ amplitudes[first[0]:stop[0]]
     else:
@@ -235,16 +233,15 @@ def _project_block(
 
 
 def _draw_levels(
-    values: np.ndarray, weights: np.ndarray, draws: np.ndarray
+    es: EigenSolution, weights: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """First and end rank of the level each draw picks by the Born rule.
+    """First and end rank of the level (es.level_ends) each draw picks by the Born rule.
 
     weights holds one column of weights in rank order per draw, or one
-    column for every draw.  A level is a run of values whose steps are at
-    most DEGENERACY_TOL; draw d picks the first level whose cumulative
+    column for every draw; draw d picks the first level whose cumulative
     weight exceeds d times the total.
     """
-    ends = np.append(np.flatnonzero(np.diff(values) > DEGENERACY_TOL) + 1, len(values))
+    ends = es.level_ends
     cumulative = np.cumsum(weights, axis=0)[ends - 1]
     totals = cumulative[-1]
     off = np.abs(totals - 1.0) > 1e-6
@@ -310,20 +307,15 @@ def initial_eigenstate(p: PathHamiltonian, initial_index: int) -> np.ndarray:
 def _initial_block(
     p: PathHamiltonian, initial_indices: list[int], h0: EigenSolution | None = None
 ) -> np.ndarray:
-    """initial_eigenstate of each rank as one column; a non-diagonal H(0)'s
-    eigenvectors come from h0 if given."""
+    """initial_eigenstate of each rank as one column, read from h0, the
+    eigensolution of H(0), which is solved here when not given."""
     dim = 1 << p.n_qubits
     for initial_index in dict.fromkeys(initial_indices):
         if not 0 <= initial_index < dim:
             raise ValueError(f"initial_index {initial_index} outside 0..{dim - 1}")
-    if p.is_diagonal(0.0):
-        rows = np.argsort(p.sparse_matrix(0.0).diagonal(), kind="stable")[initial_indices]
-        block = np.zeros((dim, len(initial_indices)))
-        block[rows, np.arange(len(initial_indices))] = 1.0
-        return block
     if h0 is None:
         h0 = next(path_eigensolutions(p, [0.0]))
-    return h0.eigenvectors[:, initial_indices]
+    return h0.vectors(initial_indices)
 
 
 def zeno_run(
@@ -448,8 +440,7 @@ def qae_then_project(
     final = next(path_eigensolutions(p, [1.0]))
     result = evolve(p, delta_t, initial_eigenstate(p, initial_index), final)
     draws = step_draws(rng_seed, np.arange(trials), 0)
-    finals, _ = _draw_levels(final.eigenvalues, final.weights(result.final_state)[:, None],
-                             draws)
+    finals, _ = _draw_levels(final, final.weights(result.final_state)[:, None], draws)
     return ZenoDistribution(dict(Counter(finals.tolist())), trials, initial_index)
 
 

@@ -19,6 +19,9 @@ against 0.37 ms at 64, 5.8 against 2.0 ms at 256 and 0.18 against 0.036 s
 at 1024; at 64 rows the sectors are no faster and cost ~5 ms per path to
 build."""
 
+DEGENERACY_TOL = 1e-9
+"""Largest step between successive eigenvalues of one degenerate level."""
+
 
 class EigenSolution:
     """Ascending eigenvalues with column-aligned orthonormal eigenvectors.
@@ -44,18 +47,33 @@ class EigenSolution:
         self.blocks = blocks if eigenvectors is None else (eigenvectors,)
 
     @cached_property
+    def level_ends(self) -> np.ndarray:
+        """End rank of each degenerate level, ascending.  A level is a run of
+        eigenvalues whose successive steps are at most DEGENERACY_TOL, so
+        rank 0 through level_ends[0] - 1 is the ground level."""
+        steps = np.diff(self.eigenvalues)
+        return np.append(np.flatnonzero(steps > DEGENERACY_TOL) + 1, len(self.eigenvalues))
+
+    @cached_property
     def eigenvectors(self) -> np.ndarray:
         """The eigenvectors as dense columns, formed on first read."""
         if self.columns is None:
             return self.blocks[0]
-        dim = len(self.eigenvalues)
-        if not self.blocks:  # the permutation of a diagonal H
-            vectors = np.zeros((dim, dim))
-            vectors[np.arange(dim), self.columns] = 1.0
-            return vectors
-        vectors = np.zeros((dim, dim), order="F", dtype=np.result_type(*self.blocks))
-        for sector, (rows, w) in zip(self.frame, self._pieces()):
-            vectors[:, self.columns[rows]] = sector.basis @ w
+        return self.vectors(np.arange(len(self.eigenvalues)))
+
+    def vectors(self, ranks) -> np.ndarray:
+        """The standard-basis eigenvectors of the given ranks as columns of a
+        new array, in Fortran order unless the eigenvectors are held dense."""
+        if self.columns is None:
+            return self.blocks[0][:, ranks]
+        stacked = self.by_rank(np.arange(len(self.columns)))[ranks]
+        vectors = np.zeros((len(self.columns), len(stacked)), order="F",
+                           dtype=np.result_type(float, *self.blocks))
+        if not self.blocks:  # stacked rows are basis states
+            vectors[stacked, np.arange(len(stacked))] = 1.0
+        for sector, (rows, w) in zip(self.frame or (), self._pieces()):
+            mine = (stacked >= rows.start) & (stacked < rows.stop)
+            vectors[:, mine] = sector.basis @ w[:, stacked[mine] - rows.start]
         return vectors
 
     def _pieces(self) -> list[tuple[slice, np.ndarray]]:
@@ -82,15 +100,8 @@ class EigenSolution:
         return ranked
 
     def weights(self, psi: np.ndarray) -> np.ndarray:
-        """|<v_r|psi>|^2 of a full-space state psi for each rank r.  Real
-        eigenvectors act on the real and imaginary parts of psi apart, with
-        no complex copy of either."""
-        if any(map(np.iscomplexobj, self.blocks)):
-            weights = np.abs(self.apply(to_frame(self.frame, psi), adjoint=True)) ** 2
-        else:
-            weights = sum(self.apply(to_frame(self.frame, part), adjoint=True) ** 2
-                          for part in (psi.real, psi.imag))
-        return self.by_rank(weights)
+        """|<v_r|psi>|^2 of a full-space state psi for each rank r."""
+        return self.by_rank(np.abs(self.apply(to_frame(self.frame, psi), adjoint=True)) ** 2)
 
 
 def to_frame(frame: tuple | None, psi: np.ndarray) -> np.ndarray:

@@ -338,8 +338,10 @@ def eigh_evolve(p, delta_t: float, psi0: np.ndarray):
     """Discretized adiabatic evolution with every step's propagator taken
     from a full eigendecomposition of the dense H(s).
 
-    Returns the final state, its energy and its ground-space weight, both
-    read in the eigenbasis of the last step's H(1).
+    Returns the final state, its energy and its ground-level weight, all
+    read in the eigenbasis of the last step's H(1); the ground level is the
+    run of eigenvalues from the lowest whose steps are at most
+    ZENO_DEGENERACY_TOL.
     """
     n_steps = round(p.total_time / delta_t)
     psi = np.asarray(psi0, dtype=complex)
@@ -348,5 +350,5 @@ def eigh_evolve(p, delta_t: float, psi0: np.ndarray):
         amplitudes = vectors.conj().T @ psi
         psi = vectors @ (np.exp(-1j * values * delta_t) * amplitudes)
     weights = np.abs(amplitudes) ** 2
-    ground = values <= values[0] + ZENO_DEGENERACY_TOL
+    ground = np.r_[0, np.cumsum(np.diff(values) > ZENO_DEGENERACY_TOL)] == 0
     return psi, float(values @ weights), float(weights[ground].sum())

@@ -222,3 +222,26 @@ class TestScanCommand:
         ))
         assert main(["scan", str(config)]) == 1
         assert f"error: scan point 1 has no '{missing}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ([1, 2], "scan spec must be a JSON object, got [1, 2]"),
+        ({"points": [3]}, "scan point 0 must be a JSON object, got 3"),
+        ({"defaults": 5, "points": [{"coordinate": 1.0, "source": "problem.txt"}]},
+         "scan defaults must be a JSON object, got 5"),
+        ({"points": [{"coordinate": 1.0, "source": 5}]},
+         "scan point 0: expected str, bytes or os.PathLike object, not int"),
+        ({"points": [{"coordinate": None, "source": "problem.txt"}]},
+         "scan point 0: float() argument must be"),
+        ({"points": 5}, "scan points must be a JSON array, got 5"),
+        ({"points": [{"coordinate": 1.0, "source": "problem.txt", "trials": 0}]},
+         "scan point 0: trials must be at least 1, got 0"),
+        ({"methods": [["exact"]]}, "methods must be a non-empty subset of"),
+    ], ids=["top_level_list", "point_not_object", "defaults_not_object",
+            "source_not_string", "coordinate_null", "points_not_list", "bad_field",
+            "methods_not_names"])
+    def test_malformed_spec_exits_nonzero(self, tmp_path, capsys, spec, message):
+        """A malformed spec is reported on one error line, never a traceback."""
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps(spec))
+        assert main(["scan", str(config)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from mczeno.clique import (
     CommutationGraph,
     brute_force_max_clique,
     build_graph,
-    clique_to_dict,
     greedy_max_clique,
     mc_hamiltonian,
 )
@@ -212,9 +211,3 @@ class TestMcHamiltonian:
         iz = build_graph(toy_hamiltonian).labels.index("IZ")
         with pytest.raises(ValueError, match="not a clique"):
             mc_hamiltonian(toy_hamiltonian, CliqueResult((iz, iz), 8.0))
-
-    def test_record_serialization(self, toy_hamiltonian):
-        clique = greedy_max_clique(build_graph(toy_hamiltonian))
-        doc = clique_to_dict(toy_hamiltonian, clique)
-        assert doc["weight"] == 11.0
-        assert {m["label"] for m in doc["members"]} == {"II", "IZ", "ZI"}

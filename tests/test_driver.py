@@ -1,5 +1,6 @@
 """Pipeline configuration, execution, persistence, and scans."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -101,6 +102,13 @@ class TestRunConfig:
     def test_initial_indices_must_be_a_sequence(self, indices):
         with pytest.raises(ValueError, match="^initial_indices must be a list"):
             RunConfig(source="x.txt", method="qzp", initial_indices=indices)
+
+    def test_qae_takes_one_initial_index(self):
+        """qae evolves one state; a second index would be silently ignored."""
+        with pytest.raises(ValueError, match="^initial_indices must hold one index "
+                                             "for method 'qae', got \\(1, 2\\)"):
+            RunConfig(source="x.txt", method="qae", initial_indices=(1, 2))
+        assert RunConfig(source="x.txt", method="qae", initial_indices=[1]).initial_indices == (1,)
 
     def test_initial_indices_list_accepted(self):
         config = RunConfig(source="x.txt", method="qzp", initial_indices=[0, 2])
@@ -249,6 +257,13 @@ class TestRun:
         assert record["final_energy_hartree"] == direct.final_energy
         assert record["ground_fidelity"] == direct.ground_fidelity
 
+    def test_qae_record_names_its_initial_index(self, data_dir):
+        source = str(data_dir / "gapped_four_qubit.txt")
+        records = [run(RunConfig(source=source, method="qae", initial_indices=(index,)))
+                   for index in (0, 1)]
+        assert [record["initial_index"] for record in records] == [0, 1]
+        assert records[0]["final_energy_hartree"] != records[1]["final_energy_hartree"]
+
     def test_sectors_leave_non_diagonal_h0_on_full_eigh(self, data_dir, monkeypatch):
         """With the symmetry sectors available at every dimension, a
         non-diagonal H(0) is still solved by one full eigh: its eigenvectors
@@ -305,6 +320,14 @@ class TestRun:
     def test_missing_file_names_load_stage(self):
         with pytest.raises(StageError, match="stage 'load' failed for /nope.txt"):
             run(RunConfig(source="/nope.txt", method="clique"))
+
+    def test_symmetric_input_past_the_cap_names_path_stage(self, tmp_path):
+        """The path's symmetry sectors are built in a stage of their own, so
+        an input past the dimension cap fails there, before any solve."""
+        source = tmp_path / "sixteen.txt"
+        source.write_text("1.0 " + "Z" * 16 + "\n")
+        with pytest.raises(StageError, match="stage 'path' failed .* dimension cap"):
+            run(RunConfig(source=str(source), method="qae"))
 
     def test_csv_output_rejected_for_clique(self, data_dir, tmp_path):
         config = RunConfig(
@@ -403,6 +426,14 @@ class TestScan:
             "coordinate,exact_hartree,qae_hartree,qzp_hartree,"
             "qae_error_hartree,qzp_error_hartree,status"
         )
+
+    def test_qae_column_evolves_the_first_initial_index(self, data_dir):
+        """A scan's qzp column reads every initial index, its qae column the
+        first one."""
+        points = self._points(data_dir, initial_indices=(1, 2))[2:]
+        row = scan(points, methods=("exact", "qae")).rows[0]
+        config = dataclasses.replace(points[0][1], method="qae", initial_indices=(1,))
+        assert row.energies["qae"] == run(config)["final_energy_hartree"]
 
     def test_csv_missing_row_has_empty_cells(self, data_dir):
         points = [

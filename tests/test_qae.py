@@ -26,7 +26,7 @@ from mczeno.qae import (
     ground_space_fidelity,
 )
 from mczeno.qzp import initial_eigenstate, qae_then_project
-from mczeno.spectral import eig, path_eigensolutions
+from mczeno.spectral import EigenSolution, eig, path_eigensolutions
 from oracles import eigh_evolve
 from test_path import odd_y_path
 
@@ -140,6 +140,32 @@ class TestFinalObservables:
         psi = result.final_state
         assert abs(result.final_energy - energy_expectation(psi, h)) <= 1e-12
         assert abs(result.ground_fidelity - ground_space_fidelity(psi, h)) <= 1e-12
+
+
+class TestGroundLevel:
+    """The ground level is a chain of eigenvalue steps of at most
+    DEGENERACY_TOL (EigenSolution.level_ends), as a Zeno projection groups
+    levels, even where the chain spans more than DEGENERACY_TOL."""
+
+    VALUES = (0.0, 6e-10, 1.2e-9, 1.0)
+
+    def test_evolve_reads_the_chained_ground_level(self, toy_hamiltonian):
+        final = EigenSolution(np.array(self.VALUES), np.eye(4))
+        p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
+        result = evolve(p, 0.5, np.full(4, 0.5, dtype=complex), final)
+        weights = np.abs(result.final_state) ** 2
+        assert weights[3] > 1e-3
+        assert result.ground_fidelity == pytest.approx(weights[:3].sum(), abs=1e-15)
+        assert final.level_ends.tolist() == [3, 4]
+
+    def test_ground_space_fidelity_reads_the_chained_ground_level(self):
+        v = np.array(self.VALUES)  # on |00>, |01>, |10>, |11>
+        d, a, b, c = map(float, np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1],
+                                          [1, -1, -1, 1]]) @ v / 4)
+        h = parse_hamiltonian(f"{d!r} II\n{a!r} ZI\n{b!r} IZ\n{c!r} ZZ")
+        assert np.abs(eig(h).eigenvalues - v).max() <= 1e-15
+        psi = np.full(4, 0.5, dtype=complex)
+        assert ground_space_fidelity(psi, h) == pytest.approx(0.75, abs=1e-12)
 
 
 class TestGroundSpaceFidelity:

@@ -11,9 +11,9 @@ from mczeno.driver import load_qubit_hamiltonian
 from mczeno.fermion import FermionIntegrals, jordan_wigner
 from mczeno.pauli import PauliHamiltonian, PauliTerm, is_all_z, parse_hamiltonian
 from mczeno.path import PathHamiltonian, s_grid
-from mczeno.qae import DEGENERACY_TOL
 from mczeno.qzp import zeno_statistics
 from mczeno.spectral import (
+    DEGENERACY_TOL,
     EigenSolution,
     eig,
     lowest_k,
@@ -374,6 +374,24 @@ class TestSectorFrame:
             assert solution.eigenvectors.dtype == vectors.dtype
             assert solution.eigenvectors.flags.f_contiguous
             assert np.array_equal(solution.eigenvectors, vectors)
+
+    @pytest.mark.parametrize("name, s", [("dense", 0.5), ("h5", 0.0), ("h5", 0.5),
+                                         ("odd_y", 0.5)])
+    def test_vectors_are_eigenvector_columns(self, data_dir, name, s):
+        """vectors(ranks) of a dense, a sorted-diagonal and a sectored point
+        equals the columns of eigenvectors bit for bit, in any rank order."""
+        if name == "dense":
+            solution = EigenSolution(*np.linalg.eigh(sectored_path(data_dir, "real").matrix(s)))
+        else:
+            solution = next(path_eigensolutions(sectored_path(data_dir, name), [s]))
+        assert (solution.columns is None) == (name == "dense")
+        assert bool(solution.blocks) == (s > 0.0)
+        ranks = np.random.default_rng(3).permutation(len(solution.eigenvalues))[:40]
+        ranks = [*ranks, ranks[0], 0, len(solution.eigenvalues) - 1]
+        vectors = solution.vectors(ranks)
+        assert "eigenvectors" not in vars(solution)
+        assert vectors.dtype == solution.eigenvectors.dtype
+        assert np.array_equal(vectors, solution.eigenvectors[:, ranks])
 
     def test_diagonal_point_forms_permutation_on_read(self, data_dir):
         p = sectored_path(data_dir, "h5")
