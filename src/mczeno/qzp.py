@@ -11,10 +11,16 @@ its lowest rank.
 Randomness is counter-based: the draw for (run_seed, trial, step) comes
 from its own Philox stream (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC 2011), so any subset of trials can be reproduced,
-or executed concurrently, without coordinating generator state.  The
-draws of one step are computed together, in one vectorized pass over
-the trial numbers (step_draws), and stay bit-identical to each trial's
-own stream (step_rng).
+or executed concurrently, without coordinating generator state.  Draws
+are computed in blocks of up to 4,096, one vectorized pass over trial
+and step numbers each (step_draws): a block covers several steps while
+the trials are few, and part of one step when they are many.  Every draw
+stays bit-identical to its trial's own stream (step_rng).
+
+The trials of one run are projected together, with one state column per
+distinct state rather than per trial, so the cost of a step follows the
+number of distinct states; each trial adds only its draw and a search in
+its state's cumulative level weights.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +92,12 @@ _U32_16, _U64_11, _U64_32 = np.uint32(16), np.uint64(11), np.uint64(32)
 _U64_MASK32 = np.uint64(_MASK32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _U64_MASK32, _PHILOX_M >> _U64_32
 _INDEX = np.frompyfunc(operator.index, 1, 1)
-_DRAWS_PER_CALL = 1024
-"""Draws of one step_draws call in _trajectories, over as many steps as fit:
-about as many as it takes for the per-draw cost to match the ~0.3 ms a
-call costs at any size, and few enough that its arrays stay near 0.1 MB."""
+_DRAWS_PER_CALL = 4096
+"""Most draws of one step_draws call (_draws).  On a 2-core x86_64 machine
+with numpy 2.4 a call costs 0.2-0.4 ms at any size, plus ~0.3 us a draw:
+1,024-draw calls took 0.6-1.0 us a draw, 4,096-draw calls 0.33-0.52 us
+and 16,384-draw calls 0.38-0.44 us.  Its temporaries take ~220 B a draw,
+0.9 MB at 4,096."""
 
 
 def step_draws(run_seed, trials, step) -> np.ndarray:
@@ -109,7 +118,8 @@ def step_draws(run_seed, trials, step) -> np.ndarray:
         return draws
     # the entropy word count of each number decides how the words are mixed
     counts = [_word_counts(a) for a in numbers]
-    for group_counts in itertools.product(*map(np.unique, counts)):
+    present = [np.flatnonzero(np.bincount(c.ravel())) for c in counts]
+    for group_counts in itertools.product(*present):
         group = np.logical_and.reduce([c == n for c, n in zip(counts, group_counts)])
         if not group.any():
             continue
@@ -204,15 +214,21 @@ def _philox_first_word(key: np.ndarray) -> np.ndarray:
 
 
 def _project_block(
-    psi: np.ndarray, es: EigenSolution, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """project() of every column of psi, column j with the uniform draws[j],
-    for psi in the frame of es (spectral.EigenSolution); the collapsed
-    states stay in that frame.
+    psi: np.ndarray, es: EigenSolution, draws: np.ndarray, owner: np.ndarray,
+    collapse: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """project() of every trial, trial i from state psi[:, owner[i]] with the
+    uniform draws[i], for psi in the frame of es (spectral.EigenSolution).
 
-    The amplitudes and the collapse take one product per block of es, so a
-    sectored point costs one d_c x d_c GEMM per sector.  A real state
-    against real eigenvectors stays real, so both run as real products.
+    Returns each trial's level (its lowest rank) and, when collapse is set,
+    the distinct collapsed states in that frame with the column of each
+    trial's.  Amplitudes and Born weights are computed once per column of
+    psi.  A trial landing on a one-dimensional level collapses onto its
+    eigenvector up to a phase, which no later Born weight sees, so all such
+    trials share one column; a degenerate level keeps one column per state
+    it collapsed.  Each column is P psi / |P psi| of its first trial, from
+    one product per block of es, so a sectored point costs one d_c x d_c
+    GEMM per sector.  A real state against real eigenvectors stays real.
     """
     if psi.shape[0] != len(es.eigenvalues):
         raise ValueError(
@@ -221,63 +237,98 @@ def _project_block(
     amplitudes = es.apply(psi, adjoint=True)
     weights = np.abs(amplitudes)
     weights **= 2
-    first, stop = _draw_levels(es, es.by_rank(weights), draws)
-    if psi.shape[1] == 1 and es.columns is None:  # only the chosen level's eigenvectors
-        collapsed = es.blocks[0][:, first[0]:stop[0]] @ amplitudes[first[0]:stop[0]]
+    levels = _draw_levels(es, es.by_rank(weights), draws, owner)
+    del weights
+    ends = es.level_ends
+    starts = np.append(0, ends)
+    ranks = starts[levels]
+    if not collapse:
+        return ranks, None, None
+    if len(levels) > 1:  # one trial keeps its one column
+        keys = np.where(ends[levels] - ranks > 1, owner * len(ends) + levels, levels)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        levels, amplitudes, owner = levels[first], amplitudes[:, owner[first]], inverse
+    lo, hi = starts[levels], ends[levels]
+    if len(levels) == 1 and es.columns is None:  # only the chosen level's eigenvectors
+        collapsed = es.blocks[0][:, lo[0]:hi[0]] @ amplitudes[lo[0]:hi[0]]
     else:
-        ranks = (np.arange(len(weights)) if es.columns is None else es.columns)[:, None]
-        amplitudes *= (ranks >= first) & (ranks < stop)
+        columns = (np.arange(len(amplitudes)) if es.columns is None else es.columns)[:, None]
+        amplitudes *= (columns >= lo) & (columns < hi)
         collapsed = es.apply(amplitudes)
     collapsed /= np.linalg.norm(collapsed, axis=0)
-    return first, collapsed
+    return ranks, collapsed, owner
 
 
 def _draw_levels(
-    es: EigenSolution, weights: np.ndarray, draws: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and end rank of the level (es.level_ends) each draw picks by the Born rule.
+    es: EigenSolution, weights: np.ndarray, draws: np.ndarray, owner: np.ndarray
+) -> np.ndarray:
+    """Level (index into es.level_ends) each draw picks by the Born rule.
 
-    weights holds one column of weights in rank order per draw, or one
-    column for every draw; draw d picks the first level whose cumulative
-    weight exceeds d times the total.
+    weights holds one column of weights in rank order per state, and draw i
+    falls on state owner[i]: it picks the first level whose cumulative
+    weight exceeds draws[i] times the state's total.  weights is
+    overwritten.
     """
     ends = es.level_ends
-    cumulative = np.cumsum(weights, axis=0)[ends - 1]
+    cumulative = np.cumsum(weights, axis=0, out=weights)[ends - 1]
     totals = cumulative[-1]
     off = np.abs(totals - 1.0) > 1e-6
     if off.any():
         raise ValueError(f"state is not normalized (total weight {totals[off][0]})")
-    chosen = np.count_nonzero(cumulative <= draws * totals, axis=0)
-    np.minimum(chosen, len(ends) - 1, out=chosen)
-    return np.append(0, ends)[chosen], ends[chosen]
+    x = draws * totals[owner]
+    if len(totals) == 1:  # as for one trial: the complex keys cost ~10% of its run
+        chosen = np.searchsorted(cumulative[:, 0], x, "right")
+    else:
+        # One search over every state at once: complex numbers order by
+        # real part first, so with state j as the real part each state's
+        # cumulative weights form one ascending run of the row.
+        row = np.empty(cumulative.shape[::-1], dtype=complex)
+        row.real, row.imag = np.arange(len(totals))[:, None], cumulative.T
+        chosen = np.searchsorted(row.ravel(), owner + 1j * x, "right") - owner * len(ends)
+    return np.minimum(chosen, len(ends) - 1, out=chosen)
+
+
+def _draws(run_seed: int, trials: np.ndarray, steps: np.ndarray) -> Iterator[np.ndarray]:
+    """step_draws(run_seed, trials, k) for each step k of steps in turn, from
+    calls of at most _DRAWS_PER_CALL draws: several steps share a call while
+    the trials are few, and one step takes several calls when they are many."""
+    width = max(1, min(len(trials), _DRAWS_PER_CALL))
+    per_call = _DRAWS_PER_CALL // width
+    for begin in range(0, len(steps), per_call):
+        chunk = steps[begin:begin + per_call, None]
+        block = np.empty((len(chunk), len(trials)))
+        for t in range(0, len(trials), width):
+            block[:, t:t + width] = step_draws(run_seed, trials[t:t + width], chunk)
+        yield from block
 
 
 def _trajectories(
     eigensolutions: list[EigenSolution],
     psi: np.ndarray,
+    owner: np.ndarray,
     rng_seed: int,
     trial_numbers: range,
     first_step: int,
 ) -> np.ndarray:
-    """Project column t of psi through eigensolutions[first_step:] as trial
-    trial_numbers[t]; returns the sampled ranks, one row per step.
+    """Project trial t, from state psi[:, owner[t]], through
+    eigensolutions[first_step:] as trial trial_numbers[t]; returns the
+    sampled ranks, one row per step.
 
-    psi starts in the standard basis and moves into a step's frame only
-    when that differs from the last step's, so a run of sectored steps
-    keeps the trials in sector coordinates throughout.
+    psi holds each distinct state once (_project_block).  It starts in the
+    standard basis and moves into a step's frame only when that differs
+    from the last step's, so a run of sectored steps keeps the states in
+    sector coordinates throughout.  The last step only draws its ranks.
     """
     trials = _integer_array(trial_numbers)
     steps = np.arange(first_step, len(eigensolutions))
-    per_call = max(1, _DRAWS_PER_CALL // len(trials))
     ranks, frame = [], None
-    for begin in range(0, len(steps), per_call):
-        chunk = steps[begin:begin + per_call]
-        for k, draws in zip(chunk, step_draws(rng_seed, trials, chunk[:, None])):
-            es = eigensolutions[k]
-            if es.frame is not frame:
-                psi, frame = to_frame(es.frame, from_frame(frame, psi)), es.frame
-            step_ranks, psi = _project_block(psi, es, draws)
-            ranks.append(step_ranks)
+    for k, draws in zip(steps, _draws(rng_seed, trials, steps)):
+        es = eigensolutions[k]
+        if es.frame is not frame:
+            psi, frame = to_frame(es.frame, from_frame(frame, psi)), es.frame
+        step_ranks, psi, owner = _project_block(
+            psi, es, draws, owner, collapse=k < steps[-1])
+        ranks.append(step_ranks)
     return np.array(ranks)
 
 
@@ -290,7 +341,8 @@ def project(
     of psi onto that level's full eigenspace.
     """
     x = to_frame(es.frame, psi[:, None])
-    ranks, collapsed = _project_block(x, es, np.array([rng.random()]))
+    draw, owner = np.array([rng.random()]), np.zeros(1, np.intp)
+    ranks, collapsed, _ = _project_block(x, es, draw, owner)
     return int(ranks[0]), from_frame(es.frame, collapsed)[:, 0]
 
 
@@ -310,7 +362,7 @@ def _initial_block(
     """initial_eigenstate of each rank as one column, read from h0, the
     eigensolution of H(0), which is solved here when not given."""
     dim = 1 << p.n_qubits
-    for initial_index in dict.fromkeys(initial_indices):
+    for initial_index in initial_indices:
         if not 0 <= initial_index < dim:
             raise ValueError(f"initial_index {initial_index} outside 0..{dim - 1}")
     if h0 is None:
@@ -346,7 +398,8 @@ def zeno_run(
     else:
         psi, first_step = initial_state[:, None], 0
     trials = range(trial_number, trial_number + 1)
-    ranks = _trajectories(eigensolutions, psi, rng_seed, trials, first_step)
+    ranks = _trajectories(eigensolutions, psi, np.zeros(1, np.intp), rng_seed, trials,
+                          first_step)
     trajectory = tuple(ranks[:, 0].tolist())
     final_index = trajectory[-1]
     final_energy = float(eigensolutions[-1].eigenvalues[final_index])
@@ -373,8 +426,8 @@ def zeno_statistics(
     Trial t of the i-th initial index uses trial number
     i * trials_per_initial + t, so results are seed-deterministic and
     independent of execution order.  The trials of one initial index
-    are projected together, one state column each.  eigensolutions, if
-    given, are those of s_grid(n_steps).
+    are projected together, one state column per distinct state.
+    eigensolutions, if given, are those of s_grid(n_steps).
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
@@ -384,11 +437,10 @@ def zeno_statistics(
         raise ValueError("eigensolution list does not match n_steps")
     out = []
     for slot, initial_index in enumerate(initial_indices):
-        psi = _initial_block(p, [initial_index] * trials_per_initial, eigensolutions[0])
-        first = slot * trials_per_initial
-        finals = _trajectories(
-            eigensolutions, psi, rng_seed, range(first, first + trials_per_initial), 1
-        )[-1]
+        psi = _initial_block(p, [initial_index], eigensolutions[0])
+        owner = np.zeros(trials_per_initial, dtype=np.intp)
+        trials = range(slot * trials_per_initial, (slot + 1) * trials_per_initial)
+        finals = _trajectories(eigensolutions, psi, owner, rng_seed, trials, 1)[-1]
         counts = dict(Counter(finals.tolist()))
         out.append(ZenoDistribution(counts, trials_per_initial, initial_index))
     return out
@@ -412,8 +464,9 @@ def lowest_k_energies(
     if repetitions < k:
         raise ValueError("repetitions must be at least k")
     eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
-    psi = _initial_block(p, [r % k for r in range(repetitions)], eigensolutions[0])
-    finals = _trajectories(eigensolutions, psi, rng_seed, range(repetitions), 1)[-1]
+    psi = _initial_block(p, list(range(k)), eigensolutions[0])
+    owner = np.arange(repetitions) % k
+    finals = _trajectories(eigensolutions, psi, owner, rng_seed, range(repetitions), 1)[-1]
     observed = Counter(finals.tolist())
     final_values = eigensolutions[-1].eigenvalues
     ranked = sorted(observed)
@@ -439,8 +492,10 @@ def qae_then_project(
     """
     final = next(path_eigensolutions(p, [1.0]))
     result = evolve(p, delta_t, initial_eigenstate(p, initial_index), final)
-    draws = step_draws(rng_seed, np.arange(trials), 0)
-    finals, _ = _draw_levels(final, final.weights(result.final_state)[:, None], draws)
+    psi = to_frame(final.frame, result.final_state[:, None])
+    draws = next(_draws(rng_seed, np.arange(trials), np.array([0])))
+    owner = np.zeros(trials, dtype=np.intp)
+    finals, _, _ = _project_block(psi, final, draws, owner, collapse=False)
     return ZenoDistribution(dict(Counter(finals.tolist())), trials, initial_index)
 
 

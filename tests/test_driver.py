@@ -180,21 +180,29 @@ class TestRun:
         assert record["distributions"][0]["trials"] == 40
 
     H5_QZP_PEAK_BYTES = 60e6
-    """Traced peak of one H5 qzp run at the benchmark's settings.  With every
-    sectored point kept as its four blocks (2.1 MB a point) it reads about
-    35 MB; a dense 1024 x 1024 eigenvector matrix per grid point (8.4 MB
-    each, eleven held at once) takes it past 100 MB."""
+    """Traced peak of one H5 qzp run at the benchmark's settings, with 200 or
+    5,000 trials.  With every sectored point kept as its four blocks (2.1 MB
+    a point) and one state column per distinct state, it reads about 27 and
+    37 MB; a dense 1024 x 1024 eigenvector matrix per grid point (8.4 MB
+    each, eleven held at once) takes it past 100 MB, and one state column
+    per trial takes 5,000 trials past 300 MB."""
 
-    def test_h5_qzp_peak_memory(self, data_dir):
+    @staticmethod
+    def h5_qzp_peak(data_dir, trials: int) -> int:
         config = RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"),
-                           method="qzp", alpha=0.5, n_steps=10, trials=200, seed=13)
+                           method="qzp", alpha=0.5, n_steps=10, trials=trials, seed=13)
         tracemalloc.start()
         try:
             run(config)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.H5_QZP_PEAK_BYTES
+
+    def test_h5_qzp_peak_memory(self, data_dir):
+        assert self.h5_qzp_peak(data_dir, 200) < self.H5_QZP_PEAK_BYTES
+
+    def test_h5_qzp_peak_memory_grows_with_distinct_states_not_trials(self, data_dir):
+        assert self.h5_qzp_peak(data_dir, 5000) < self.H5_QZP_PEAK_BYTES
 
     @pytest.mark.parametrize("name, shapes", [
         ("gapped_four_qubit.txt", [(16, 16)] * 6),

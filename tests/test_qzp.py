@@ -577,6 +577,85 @@ class TestMatchesPerTrialReference:
         got = qae_then_project(path, 0.5, 0, trials=trials, rng_seed=seed)
         assert got.counts == expected
 
+    def test_qae_then_project_with_draws_split_over_calls(self, path, monkeypatch):
+        import mczeno.qzp as qzp
+
+        whole = qae_then_project(path, 0.5, 0, trials=50, rng_seed=3)
+        monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", 7)
+        assert qae_then_project(path, 0.5, 0, trials=50, rng_seed=3).counts == whole.counts
+
+
+def fixed_path_solutions(bases, values):
+    """EigenSolutions of a path given point by point, as eigenvector
+    columns and eigenvalues."""
+    return [EigenSolution(np.asarray(v, dtype=float), b) for b, v in zip(bases, values)]
+
+
+class TestDistinctStates:
+    """Trials share a state column while their states are equal, and a
+    degenerate level keeps the state each trial collapsed."""
+
+    def test_two_states_collapse_onto_one_degenerate_level(self, toy_hamiltonian):
+        """From e_0, step 1 lands on (e_0 + e_1)/sqrt2 or (e_0 - e_1)/sqrt2.
+        Step 2's twofold level holds both whole, so each survives, and step
+        3 measures which one it was.  Trials that met on that level must not
+        share one collapsed state."""
+        p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian)
+        plus, minus = np.array([1, 1, 0, 0]) / np.sqrt(2), np.array([1, -1, 0, 0]) / np.sqrt(2)
+        split = np.column_stack([plus, minus, np.eye(4)[:, 2], np.eye(4)[:, 3]])
+        solutions = fixed_path_solutions(
+            [np.eye(4), split, np.eye(4), split],
+            [[0, 1, 2, 3], [0, 1, 2, 3], [0, 0, 1, 2], [0, 1, 2, 3]])
+        trials, seed = 100, 6
+        got = zeno_statistics(p, 3, [0], trials, seed, eigensolutions=solutions)[0]
+        step_1 = [zeno_trajectory(solutions, np.eye(4)[:, 0], seed, t, 1)[0]
+                  for t in range(trials)]
+        assert got.counts == {0: step_1.count(0), 1: step_1.count(1)}
+        assert 0 < got.counts[0] < trials
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_random_degenerate_path_matches_reference(self, toy_hamiltonian, dtype):
+        """Eight-dimensional random bases whose levels are one-, two- and
+        threefold, so trials meet on degenerate levels from many states."""
+        rng = np.random.default_rng(12)
+        values = [0, 0, 1, 2, 2, 2, 3, 4]
+        bases = [np.eye(8)]
+        for _ in range(6):
+            m = rng.normal(size=(8, 8))
+            if dtype is complex:
+                m = m + 1j * rng.normal(size=(8, 8))
+            bases.append(np.linalg.qr(m)[0])
+        solutions = fixed_path_solutions(bases, [values] * len(bases))
+        three_qubits = PathHamiltonian(parse_hamiltonian("1.0 ZII"),
+                                       parse_hamiltonian("1.0 XII"))
+        trials, seed = 300, 21
+        got = zeno_statistics(three_qubits, 6, [2], trials, seed, eigensolutions=solutions)
+        psi = np.eye(8)[:, 2]
+        expected: dict[int, int] = {}
+        for t in range(trials):
+            final = zeno_trajectory(solutions, psi, seed, t, 1)[-1]
+            expected[final] = expected.get(final, 0) + 1
+        assert got[0].counts == expected
+
+    def test_draw_calls_bounded(self, gapped_path, monkeypatch):
+        """Every step_draws call makes at most _DRAWS_PER_CALL draws, however
+        many trials share a step."""
+        import mczeno.qzp as qzp
+
+        sizes = []
+        original = qzp.step_draws
+
+        def recording_draws(run_seed, trials, step):
+            draws = original(run_seed, trials, step)
+            sizes.append(draws.size)
+            return draws
+
+        monkeypatch.setattr(qzp, "step_draws", recording_draws)
+        monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", 7)
+        zeno_statistics(gapped_path, 4, [0, 1], 20, 9)
+        qae_then_project(gapped_path, 0.5, 0, trials=20, rng_seed=9)
+        assert max(sizes) <= 7 and sum(sizes) == 2 * 20 * 4 + 20
+
 
 @pytest.fixture(scope="module", params=["h5", "real", "odd_y"])
 def sectored(request, data_dir):
