@@ -9,7 +9,7 @@ branch-and-bound search serves as the reference on small graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -24,17 +24,15 @@ BRUTE_FORCE_CAP = 24
 class CommutationGraph:
     """Weighted commutation graph of a Pauli Hamiltonian.
 
-    vertex_weights[i] is |coefficient| of term term_index[i]; adjacency is
-    symmetric with a False diagonal (no self-loops).
+    vertex_weights[i] is |coefficient| of term i; adjacency is symmetric
+    with a False diagonal (no self-loops).
     """
 
     vertex_weights: np.ndarray
     adjacency: np.ndarray
-    term_index: tuple[int, ...]
-    labels: tuple[str, ...] = field(default=())
 
     def __len__(self) -> int:
-        return len(self.term_index)
+        return len(self.vertex_weights)
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class CliqueResult:
 def build_graph(h: PauliHamiltonian) -> CommutationGraph:
     """Graph with one vertex per term and edges between commuting pairs."""
     terms = h.terms
-    m = len(terms)
     dtype = np.min_scalar_type((1 << h.n_qubits) - 1)
     x = np.array([t.x_mask for t in terms], dtype=dtype)
     z = np.array([t.z_mask for t in terms], dtype=dtype)
@@ -56,12 +53,7 @@ def build_graph(h: PauliHamiltonian) -> CommutationGraph:
     adjacency = parity((x[:, None] & z) ^ (z[:, None] & x), h.n_qubits) == 0
     np.fill_diagonal(adjacency, False)
     weights = np.array([abs(t.coefficient) for t in terms], dtype=float)
-    return CommutationGraph(
-        vertex_weights=weights,
-        adjacency=adjacency,
-        term_index=tuple(range(m)),
-        labels=tuple(t.label for t in terms),
-    )
+    return CommutationGraph(vertex_weights=weights, adjacency=adjacency)
 
 
 def greedy_max_clique(g: CommutationGraph) -> CliqueResult:

@@ -226,9 +226,9 @@ def _project_block(
     psi.  A trial landing on a one-dimensional level collapses onto its
     eigenvector up to a phase, which no later Born weight sees, so all such
     trials share one column; a degenerate level keeps one column per state
-    it collapsed.  Each column is P psi / |P psi| of its first trial, from
-    one product per block of es, so a sectored point costs one d_c x d_c
-    GEMM per sector.  A real state against real eigenvectors stays real.
+    it collapsed.  Each column is P psi / |P psi| of its first trial, its
+    amplitudes outside the level zeroed and mapped back by es.apply.  A
+    real state against real eigenvectors stays real.
     """
     if psi.shape[0] != len(es.eigenvalues):
         raise ValueError(
@@ -237,7 +237,7 @@ def _project_block(
     amplitudes = es.apply(psi, adjoint=True)
     weights = np.abs(amplitudes)
     weights **= 2
-    levels = _draw_levels(es, es.by_rank(weights), draws, owner)
+    levels = _draw_levels(es, weights, draws, owner)
     del weights
     ends = es.level_ends
     starts = np.append(0, ends)
@@ -248,13 +248,9 @@ def _project_block(
         keys = np.where(ends[levels] - ranks > 1, owner * len(ends) + levels, levels)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         levels, amplitudes, owner = levels[first], amplitudes[:, owner[first]], inverse
-    lo, hi = starts[levels], ends[levels]
-    if len(levels) == 1 and es.columns is None:  # only the chosen level's eigenvectors
-        collapsed = es.blocks[0][:, lo[0]:hi[0]] @ amplitudes[lo[0]:hi[0]]
-    else:
-        columns = (np.arange(len(amplitudes)) if es.columns is None else es.columns)[:, None]
-        amplitudes *= (columns >= lo) & (columns < hi)
-        collapsed = es.apply(amplitudes)
+    rank = np.arange(len(amplitudes))[:, None]
+    amplitudes *= (rank >= starts[levels]) & (rank < ends[levels])
+    collapsed = es.apply(amplitudes)
     collapsed /= np.linalg.norm(collapsed, axis=0)
     return ranks, collapsed, owner
 
@@ -370,6 +366,19 @@ def _initial_block(
     return h0.vectors(initial_indices)
 
 
+def _grid_solutions(
+    p: PathHamiltonian, n_steps: int, eigensolutions: list[EigenSolution] | None = None
+) -> list[EigenSolution]:
+    """The eigensolutions of s_grid(n_steps), solved here when not given."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    if eigensolutions is None:
+        return list(path_eigensolutions(p, s_grid(n_steps)))
+    if len(eigensolutions) != n_steps + 1:
+        raise ValueError("eigensolution list does not match n_steps")
+    return eigensolutions
+
+
 def zeno_run(
     p: PathHamiltonian,
     n_steps: int,
@@ -386,13 +395,7 @@ def zeno_run(
     step-0 random draw; exact initial eigenstates skip that step because
     the projection would be the identity on them.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    if eigensolutions is None:
-        eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
-    if len(eigensolutions) != n_steps + 1:
-        raise ValueError("eigensolution list does not match n_steps")
-
+    eigensolutions = _grid_solutions(p, n_steps, eigensolutions)
     if initial_state is None:
         psi, first_step = _initial_block(p, [initial_index], eigensolutions[0]), 1
     else:
@@ -431,10 +434,7 @@ def zeno_statistics(
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
-    if eigensolutions is None:
-        eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
-    if len(eigensolutions) != n_steps + 1:
-        raise ValueError("eigensolution list does not match n_steps")
+    eigensolutions = _grid_solutions(p, n_steps, eigensolutions)
     out = []
     for slot, initial_index in enumerate(initial_indices):
         psi = _initial_block(p, [initial_index], eigensolutions[0])
@@ -463,7 +463,7 @@ def lowest_k_energies(
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     if repetitions < k:
         raise ValueError("repetitions must be at least k")
-    eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
+    eigensolutions = _grid_solutions(p, n_steps)
     psi = _initial_block(p, list(range(k)), eigensolutions[0])
     owner = np.arange(repetitions) % k
     finals = _trajectories(eigensolutions, psi, owner, rng_seed, range(repetitions), 1)[-1]
@@ -490,12 +490,13 @@ def qae_then_project(
     evolved state, so its level weights are computed once, and trial t
     takes its step-0 draw from them.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     final = next(path_eigensolutions(p, [1.0]))
     result = evolve(p, delta_t, initial_eigenstate(p, initial_index), final)
-    psi = to_frame(final.frame, result.final_state[:, None])
-    draws = next(_draws(rng_seed, np.arange(trials), np.array([0])))
     owner = np.zeros(trials, dtype=np.intp)
-    finals, _, _ = _project_block(psi, final, draws, owner, collapse=False)
+    finals = _trajectories([final], result.final_state[:, None], owner, rng_seed,
+                           range(trials), 0)[-1]
     return ZenoDistribution(dict(Counter(finals.tolist())), trials, initial_index)
 
 

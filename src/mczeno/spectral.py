@@ -24,27 +24,32 @@ DEGENERACY_TOL = 1e-9
 
 
 class EigenSolution:
-    """Ascending eigenvalues with column-aligned orthonormal eigenvectors.
+    """Ascending eigenvalues with orthonormal eigenvectors, held in a frame.
 
-    The eigenvectors are held in a frame: the standard basis (frame None)
-    or a path's symmetry sectors (frame p.sectors, path.Sector), whose
-    isometries U_c side by side form an orthogonal Q.  A state in frame
-    coordinates is Q^T psi, each sector's rows stacked in sector order.
-    blocks holds each sector's eigenvectors W_c (d_c x d_c), acting on its
-    rows, and columns the rank of each stacked eigenvector among all
-    eigenvalues: eigenvector columns[i] is Q W e_i.  In the standard basis,
-    EigenSolution(values, vectors) holds the dense eigenvectors as its one
-    block with columns None, and a diagonal H holds no blocks (W = I) and
-    the rank of each basis state.  The dense eigenvectors, 2**n x 2**n, are
-    formed only when read.
+    The frame is the standard basis (None) or a path's symmetry sectors
+    (p.sectors, path.Sector), whose isometries U_c side by side form an
+    orthogonal Q; a state in frame coordinates is Q^T psi, each sector's
+    rows stacked in sector order.  blocks holds triples (rows, ranks, W):
+    column j of W, on the frame rows rows, is the eigenvector of rank
+    ranks[j], W None being the identity.  Dense eigenvectors (lowest_k's
+    first k columns too) are one block, a sorted diagonal H the basis state
+    of each rank with W None, and a sectored point one d_c x d_c W per
+    sector.  Every amplitude taken or returned is in rank order, so no
+    caller sees the blocks; the dense 2**n x 2**n eigenvectors are formed
+    only when read.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
-                 *, frame: tuple | None = None, blocks: tuple = (),
-                 columns: np.ndarray | None = None):
-        self.eigenvalues = eigenvalues
-        self.frame, self.columns = frame, columns
-        self.blocks = blocks if eigenvectors is None else (eigenvectors,)
+                 *, frame: tuple | None = None, blocks: tuple = ()):
+        if eigenvectors is not None:
+            blocks = ((slice(None), slice(None), eigenvectors),)
+            self.eigenvectors = eigenvectors
+        if not blocks:
+            raise ValueError("EigenSolution needs eigenvectors or blocks")
+        self.eigenvalues, self.frame, self.blocks = eigenvalues, frame, blocks
+        # frame rows: more than the eigenvalues when lowest_k kept k columns
+        self._rows = len(eigenvalues) if eigenvectors is None else len(eigenvectors)
+        self._dtype = np.result_type(float, *(w for _, _, w in self.blocks if w is not None))
 
     @cached_property
     def level_ends(self) -> np.ndarray:
@@ -57,51 +62,32 @@ class EigenSolution:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """The eigenvectors as dense columns, formed on first read."""
-        if self.columns is None:
-            return self.blocks[0]
         return self.vectors(np.arange(len(self.eigenvalues)))
 
     def vectors(self, ranks) -> np.ndarray:
         """The standard-basis eigenvectors of the given ranks as columns of a
-        new array, in Fortran order unless the eigenvectors are held dense."""
-        if self.columns is None:
-            return self.blocks[0][:, ranks]
-        stacked = self.by_rank(np.arange(len(self.columns)))[ranks]
-        vectors = np.zeros((len(self.columns), len(stacked)), order="F",
-                           dtype=np.result_type(float, *self.blocks))
-        if not self.blocks:  # stacked rows are basis states
-            vectors[stacked, np.arange(len(stacked))] = 1.0
-        for sector, (rows, w) in zip(self.frame or (), self._pieces()):
-            mine = (stacked >= rows.start) & (stacked < rows.stop)
-            vectors[:, mine] = sector.basis @ w[:, stacked[mine] - rows.start]
-        return vectors
-
-    def _pieces(self) -> list[tuple[slice, np.ndarray]]:
-        """(rows, W_c) of each block, rows being its stacked rows."""
-        ends = np.cumsum([len(w) for w in self.blocks])
-        return [(slice(end - len(w), end), w) for end, w in zip(ends, self.blocks)]
+        new Fortran-order array."""
+        units = np.zeros((len(self.eigenvalues), len(ranks)))
+        units[ranks, np.arange(len(ranks))] = 1.0
+        return np.asfortranarray(from_frame(self.frame, self.apply(units)))
 
     def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """W x, or when adjoint W^H x (x's amplitude on each eigenvector, in
-        stacked order), for x in frame coordinates; a new array."""
-        if not self.blocks:
-            return x.copy()
-        out = np.empty(x.shape, dtype=np.result_type(x, *self.blocks))
-        for rows, w in self._pieces():
-            out[rows] = (w.conj().T if adjoint else w) @ x[rows]
+        """V x, the frame coordinates of rank-order amplitudes x, or when
+        adjoint V^H x, the rank-order amplitudes of x in frame coordinates;
+        column r of V is the eigenvector of rank r.  A new array."""
+        n = len(self.eigenvalues) if adjoint else self._rows
+        out = np.empty((n, *x.shape[1:]), dtype=np.result_type(x, self._dtype))
+        for rows, ranks, w in self.blocks:
+            source, target = (rows, ranks) if adjoint else (ranks, rows)
+            y = x[source]
+            if w is not None:
+                y = (w.conj().T if adjoint else w) @ y
+            out[target] = y
         return out
-
-    def by_rank(self, x: np.ndarray) -> np.ndarray:
-        """The rows of x, one per stacked eigenvector, in rank order."""
-        if self.columns is None:
-            return x
-        ranked = np.empty_like(x)
-        ranked[self.columns] = x
-        return ranked
 
     def weights(self, psi: np.ndarray) -> np.ndarray:
         """|<v_r|psi>|^2 of a full-space state psi for each rank r."""
-        return self.by_rank(np.abs(self.apply(to_frame(self.frame, psi), adjoint=True)) ** 2)
+        return np.abs(self.apply(to_frame(self.frame, psi), adjoint=True)) ** 2
 
 
 def to_frame(frame: tuple | None, psi: np.ndarray) -> np.ndarray:
@@ -176,7 +162,7 @@ def _solve_point(p, s: float) -> EigenSolution:
     if p.is_diagonal(s):
         diagonal = p.sparse_matrix(s).diagonal()
         order = np.argsort(diagonal, kind="stable")
-        return EigenSolution(diagonal[order], columns=np.argsort(order))
+        return EigenSolution(diagonal[order], blocks=((order, slice(None), None),))
     if s == 0.0 or not symmetry_sectors(p):
         return EigenSolution(*np.linalg.eigh(p.matrix(s)))
     return sector_eigh(p, s)
@@ -195,9 +181,10 @@ def sector_eigh(p, s: float) -> EigenSolution:
     """
     solved = [np.linalg.eigh(p.sector_matrix(sector, s)) for sector in p.sectors]
     values = np.concatenate([v for v, _ in solved])
-    return EigenSolution(np.sort(values), frame=p.sectors,
-                         blocks=tuple(w for _, w in solved),
-                         columns=np.argsort(np.argsort(values, kind="stable")))
+    ranks = np.argsort(np.argsort(values, kind="stable"))
+    ends = np.cumsum([0] + [len(v) for v, _ in solved])
+    return EigenSolution(np.sort(values), frame=p.sectors, blocks=tuple(
+        (slice(a, b), ranks[a:b], w) for a, b, (_, w) in zip(ends, ends[1:], solved)))
 
 
 def lowest_k(h: PauliHamiltonian, k: int) -> EigenSolution:

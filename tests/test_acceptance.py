@@ -68,8 +68,8 @@ def test_criterion_01_golden_clique(data_dir):
     graph = build_graph(h)
     greedy = greedy_max_clique(graph)
     exact = brute_force_max_clique(graph)
-    greedy_labels = sorted(graph.labels[v] for v in greedy.vertices)
-    exact_labels = sorted(graph.labels[v] for v in exact.vertices)
+    greedy_labels = sorted(h.terms[v].label for v in greedy.vertices)
+    exact_labels = sorted(h.terms[v].label for v in exact.vertices)
     alternative = sum(
         abs(h.coefficient_of(label)) for label in ("II", "IX", "ZI")
     )

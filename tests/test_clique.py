@@ -19,19 +19,24 @@ from mczeno.pauli import commutes, parse_hamiltonian
 from conftest import DATA_DIR
 
 
+def labels_of(h) -> list[str]:
+    """The label of each term of h, in vertex order."""
+    return [t.label for t in h.terms]
+
+
 def random_graph(rng, m, edge_p=0.5):
     adjacency = rng.random((m, m)) < edge_p
     adjacency = np.triu(adjacency, 1)
     adjacency = adjacency | adjacency.T
     weights = rng.random(m) + 0.05
-    return CommutationGraph(weights, adjacency, tuple(range(m)))
+    return CommutationGraph(weights, adjacency)
 
 
 class TestBuildGraph:
     def test_demo_graph_edges(self, toy_hamiltonian):
         """Edges: II-IX, II-IZ, II-ZI, IZ-ZI, IX-ZI; weights 2,3,4,5."""
         g = build_graph(toy_hamiltonian)
-        labels = g.labels
+        labels = labels_of(toy_hamiltonian)
         by_label = {lab: i for i, lab in enumerate(labels)}
         edges = {
             tuple(sorted((labels[i], labels[j])))
@@ -81,27 +86,26 @@ class TestBuildGraph:
 
 class TestGreedy:
     def test_demo_clique(self, toy_hamiltonian):
-        g = build_graph(toy_hamiltonian)
-        result = greedy_max_clique(g)
-        members = {g.labels[v] for v in result.vertices}
+        result = greedy_max_clique(build_graph(toy_hamiltonian))
+        members = {toy_hamiltonian.terms[v].label for v in result.vertices}
         assert members == {"II", "IZ", "ZI"}
         assert result.weight == pytest.approx(11.0, abs=0)
 
     def test_empty_graph(self):
-        g = CommutationGraph(np.zeros(0), np.zeros((0, 0), dtype=bool), ())
+        g = CommutationGraph(np.zeros(0), np.zeros((0, 0), dtype=bool))
         assert greedy_max_clique(g) == CliqueResult((), 0.0)
 
     def test_complete_graph_takes_all(self):
         m = 5
         adjacency = ~np.eye(m, dtype=bool)
-        g = CommutationGraph(np.arange(1.0, m + 1), adjacency, tuple(range(m)))
+        g = CommutationGraph(np.arange(1.0, m + 1), adjacency)
         result = greedy_max_clique(g)
         assert result.vertices == tuple(range(m))
         assert result.weight == pytest.approx(15.0)
 
     def test_tie_breaks_to_lowest_index(self):
         adjacency = np.zeros((3, 3), dtype=bool)
-        g = CommutationGraph(np.array([2.0, 2.0, 2.0]), adjacency, (0, 1, 2))
+        g = CommutationGraph(np.array([2.0, 2.0, 2.0]), adjacency)
         assert greedy_max_clique(g).vertices == (0,)
 
     def test_always_valid_and_maximal_on_random_graphs(self):
@@ -133,9 +137,7 @@ class TestGreedy:
                 lookups += 1
                 return self.inner[key]
 
-        counted = CommutationGraph(
-            g.vertex_weights, g.adjacency, g.term_index
-        )
+        counted = CommutationGraph(g.vertex_weights, g.adjacency)
         object.__setattr__(counted, "adjacency", CountingAdjacency(g.adjacency))
         greedy_max_clique(counted)
         assert lookups <= m * m
@@ -143,23 +145,18 @@ class TestGreedy:
 
 class TestBruteForce:
     def test_demo_graph(self, toy_hamiltonian):
-        g = build_graph(toy_hamiltonian)
-        result = brute_force_max_clique(g)
-        assert {g.labels[v] for v in result.vertices} == {"II", "IZ", "ZI"}
+        result = brute_force_max_clique(build_graph(toy_hamiltonian))
+        assert {toy_hamiltonian.terms[v].label for v in result.vertices} == {"II", "IZ", "ZI"}
         assert result.weight == pytest.approx(11.0, abs=0)
 
     def test_rejected_alternative_weighs_10(self, toy_hamiltonian):
         """Dropping IZ leaves the next-best commuting set {II, IX, ZI}."""
         g = build_graph(toy_hamiltonian)
-        keep = [i for i, lab in enumerate(g.labels) if lab != "IZ"]
-        sub = CommutationGraph(
-            g.vertex_weights[keep],
-            g.adjacency[np.ix_(keep, keep)],
-            tuple(range(len(keep))),
-            tuple(g.labels[i] for i in keep),
-        )
+        keep = [i for i, lab in enumerate(labels_of(toy_hamiltonian)) if lab != "IZ"]
+        sub = CommutationGraph(g.vertex_weights[keep], g.adjacency[np.ix_(keep, keep)])
         result = brute_force_max_clique(sub)
-        assert {sub.labels[v] for v in result.vertices} == {"II", "IX", "ZI"}
+        assert {toy_hamiltonian.terms[keep[v]].label for v in result.vertices} == {
+            "II", "IX", "ZI"}
         assert result.weight == pytest.approx(10.0, abs=0)
 
     def test_single_vertex(self):
@@ -199,15 +196,14 @@ class TestMcHamiltonian:
         assert mc_hamiltonian(h, clique) == h
 
     def test_non_clique_rejected(self, toy_hamiltonian):
-        g = build_graph(toy_hamiltonian)
-        ix = g.labels.index("IX")
-        iz = g.labels.index("IZ")
+        ix = labels_of(toy_hamiltonian).index("IX")
+        iz = labels_of(toy_hamiltonian).index("IZ")
         bad = CliqueResult((ix, iz), 7.0)
         with pytest.raises(ValueError, match="not a clique"):
             mc_hamiltonian(toy_hamiltonian, bad)
 
     def test_repeated_vertex_rejected(self, toy_hamiltonian):
         """A term commutes with itself, but a vertex may appear only once."""
-        iz = build_graph(toy_hamiltonian).labels.index("IZ")
+        iz = labels_of(toy_hamiltonian).index("IZ")
         with pytest.raises(ValueError, match="not a clique"):
             mc_hamiltonian(toy_hamiltonian, CliqueResult((iz, iz), 8.0))

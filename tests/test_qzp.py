@@ -343,6 +343,18 @@ class TestZenoStatistics:
         with pytest.raises(ValueError, match="at least 1"):
             zeno_statistics(single_qubit_path, 5, [0], 0, rng_seed=0)
 
+    def test_zero_steps_rejected_with_given_solutions(self, single_qubit_path):
+        """A one-point list matches n_steps 0 in length, but no step is left
+        to project; zeno_run and lowest_k_energies share the check."""
+        h0 = next(path_eigensolutions(single_qubit_path, [0.0]))
+        message = "n_steps must be at least 1, got 0"
+        with pytest.raises(ValueError, match=message):
+            zeno_statistics(single_qubit_path, 0, [0], 10, 1, eigensolutions=[h0])
+        with pytest.raises(ValueError, match=message):
+            zeno_run(single_qubit_path, 0, 0, rng_seed=1, eigensolutions=[h0])
+        with pytest.raises(ValueError, match=message):
+            lowest_k_energies(single_qubit_path, 0, k=1, repetitions=2, rng_seed=1)
+
 
 class TestLowestKEnergies:
     def test_recovers_four_lowest_exactly(self, gapped_path):
@@ -389,6 +401,11 @@ class TestQaeThenProject:
         a = qae_then_project(single_qubit_path, 0.5, 0, trials=30, rng_seed=8)
         b = qae_then_project(single_qubit_path, 0.5, 0, trials=30, rng_seed=8)
         assert a == b
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_count_validation(self, single_qubit_path, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            qae_then_project(single_qubit_path, 0.5, 0, trials=trials, rng_seed=8)
 
 
 class TestDistributionCsv:

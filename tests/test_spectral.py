@@ -96,6 +96,19 @@ class TestLowestK:
         h = parse_hamiltonian("0.7 II")
         assert np.allclose(lowest_k(h, 3).eigenvalues, [0.7, 0.7, 0.7])
 
+    def test_truncated_solution_keeps_rank_order(self, toy_hamiltonian):
+        """k columns of 2**n rows: vectors, apply and weights still work."""
+        full, solution = eig(toy_hamiltonian), lowest_k(toy_hamiltonian, 2)
+        assert np.array_equal(solution.vectors([1, 0]), full.eigenvectors[:, [1, 0]])
+        psi = np.full(4, 0.5)
+        assert np.abs(solution.weights(psi) - full.weights(psi)[:2]).max() <= 1e-12
+        amplitudes = solution.apply(psi, adjoint=True)
+        assert solution.apply(amplitudes).shape == (4,)
+
+    def test_solution_needs_eigenvectors(self):
+        with pytest.raises(ValueError, match="eigenvectors or blocks"):
+            EigenSolution(np.array([0.0, 1.0]))
+
     def test_k_out_of_range(self, toy_hamiltonian):
         with pytest.raises(ValueError, match="k must be in"):
             lowest_k(toy_hamiltonian, 5)
@@ -366,7 +379,7 @@ class TestSectorFrame:
         for s in (0.5, 1.0):
             solution = next(path_eigensolutions(p, [s]))
             assert solution.frame is p.sectors
-            assert [w.shape for w in solution.blocks] == [
+            assert [w.shape for _, _, w in solution.blocks] == [
                 (sector.dimension,) * 2 for sector in p.sectors]
             assert "eigenvectors" not in vars(solution)
             values, vectors = scattered_sector_eigh(p, s)
@@ -380,23 +393,20 @@ class TestSectorFrame:
     def test_vectors_are_eigenvector_columns(self, data_dir, name, s):
         """vectors(ranks) of a dense, a sorted-diagonal and a sectored point
         equals the columns of eigenvectors bit for bit, in any rank order."""
-        if name == "dense":
-            solution = EigenSolution(*np.linalg.eigh(sectored_path(data_dir, "real").matrix(s)))
-        else:
-            solution = next(path_eigensolutions(sectored_path(data_dir, name), [s]))
-        assert (solution.columns is None) == (name == "dense")
-        assert bool(solution.blocks) == (s > 0.0)
+        solution = rank_order_solution(data_dir, name, s)
         ranks = np.random.default_rng(3).permutation(len(solution.eigenvalues))[:40]
         ranks = [*ranks, ranks[0], 0, len(solution.eigenvalues) - 1]
+        held = set(vars(solution))  # a dense solution holds its given eigenvectors
         vectors = solution.vectors(ranks)
-        assert "eigenvectors" not in vars(solution)
+        assert set(vars(solution)) == held
         assert vectors.dtype == solution.eigenvectors.dtype
         assert np.array_equal(vectors, solution.eigenvectors[:, ranks])
 
     def test_diagonal_point_forms_permutation_on_read(self, data_dir):
         p = sectored_path(data_dir, "h5")
         solution = next(path_eigensolutions(p, [0.0]))
-        assert solution.frame is None and solution.blocks == ()
+        assert solution.frame is None
+        assert [w for _, _, w in solution.blocks] == [None]  # W = I: a gather by rank
         assert "eigenvectors" not in vars(solution)
         order = np.argsort(diagonal_entries(p.h_initial), kind="stable")
         assert np.array_equal(solution.eigenvectors, np.eye(len(order))[:, order])
@@ -404,8 +414,61 @@ class TestSectorFrame:
     def test_given_eigenvectors_are_kept(self):
         values, vectors = np.linalg.eigh(np.diag([2.0, 1.0]) + 0.5)
         solution = EigenSolution(values, vectors)
-        assert solution.frame is None and solution.columns is None
+        assert solution.frame is None and len(solution.blocks) == 1
         assert solution.eigenvectors is vectors
+
+
+def rank_order_solution(data_dir, name: str, s: float) -> EigenSolution:
+    """A dense solution of the random 8-qubit path's H(s) ("dense"), else
+    path_eigensolutions' solution of sectored_path(name) at s."""
+    if name == "dense":
+        return EigenSolution(*np.linalg.eigh(sectored_path(data_dir, "real").matrix(s)))
+    return next(path_eigensolutions(sectored_path(data_dir, name), [s]))
+
+
+RANK_ORDER_POINTS = [("dense", 0.5), ("h5", 0.0), ("h5", 0.5), ("odd_y", 0.5)]
+"""A dense, a sorted-diagonal and two sectored points."""
+
+
+class TestRankOrder:
+    """apply and weights take and return amplitudes in rank order, whatever
+    the form in which a solution holds its eigenvectors."""
+
+    @pytest.mark.parametrize("name, s", RANK_ORDER_POINTS)
+    def test_apply_inverts_its_adjoint(self, data_dir, name, s):
+        solution = rank_order_solution(data_dir, name, s)
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(len(solution.eigenvalues), 3)) + 1j * rng.normal(
+            size=(len(solution.eigenvalues), 3))
+        back = solution.apply(solution.apply(x, adjoint=True))
+        assert np.abs(back - x).max() <= 1e-12
+
+    @pytest.mark.parametrize("name, s", RANK_ORDER_POINTS)
+    def test_weights_are_born_weights_by_rank(self, data_dir, name, s):
+        solution = rank_order_solution(data_dir, name, s)
+        rng = np.random.default_rng(6)
+        psi = rng.normal(size=len(solution.eigenvalues)) + 1j * rng.normal(
+            size=len(solution.eigenvalues))
+        psi /= np.linalg.norm(psi)
+        weights = solution.weights(psi)
+        want = np.abs(solution.eigenvectors.conj().T @ psi) ** 2
+        assert np.abs(weights - want).max() <= 1e-12
+        # rank r carries eigenvalue r: the weights give <psi|H|psi>
+        h = sectored_path(data_dir, "real" if name == "dense" else name).matrix(s)
+        assert abs(weights @ solution.eigenvalues - np.vdot(psi, h @ psi).real) <= 1e-10
+
+    @pytest.mark.parametrize("name, s", RANK_ORDER_POINTS)
+    def test_adjoint_reads_amplitudes_by_rank(self, data_dir, name, s):
+        """Amplitude r of eigenvector r, in frame coordinates, is e_r."""
+        solution = rank_order_solution(data_dir, name, s)
+        ranks = [0, 7, len(solution.eigenvalues) - 1]
+        frame = solution.frame
+        x = (solution.vectors(ranks) if frame is None
+             else np.vstack([sector.basis.T @ solution.vectors(ranks) for sector in frame]))
+        amplitudes = solution.apply(x, adjoint=True)
+        want = np.zeros_like(amplitudes)
+        want[ranks, range(len(ranks))] = 1.0
+        assert np.abs(amplitudes - want).max() <= 1e-12
 
 
 DIAGONAL_CLIQUE_FIXTURES = [
