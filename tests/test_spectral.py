@@ -21,6 +21,7 @@ from mczeno.spectral import (
     path_spectrum,
     sector_eigh,
     spectrum_csv,
+    to_frame,
 )
 from oracles import diagonal_entries, full_eigh_solutions, scattered_sector_eigh
 
@@ -459,12 +460,10 @@ class TestRankOrder:
 
     @pytest.mark.parametrize("name, s", RANK_ORDER_POINTS)
     def test_adjoint_reads_amplitudes_by_rank(self, data_dir, name, s):
-        """Amplitude r of eigenvector r, in frame coordinates, is e_r."""
+        """The adjoint maps the eigenvector of rank r to e_r."""
         solution = rank_order_solution(data_dir, name, s)
         ranks = [0, 7, len(solution.eigenvalues) - 1]
-        frame = solution.frame
-        x = (solution.vectors(ranks) if frame is None
-             else np.vstack([sector.basis.T @ solution.vectors(ranks) for sector in frame]))
+        x = to_frame(solution.frame, solution.vectors(ranks))
         amplitudes = solution.apply(x, adjoint=True)
         want = np.zeros_like(amplitudes)
         want[ranks, range(len(ranks))] = 1.0
