@@ -84,9 +84,13 @@ def _overrides(args: argparse.Namespace) -> dict:
     keys = {f.name for f in fields(RunConfig)} - {"source", "method"}
     out = {k: v for k, v in vars(args).items() if k in keys and v is not None}
     if getattr(args, "initial", None) is not None:
-        out["initial_indices"] = tuple(
-            int(part) for part in args.initial.split(",") if part.strip()
-        )
+        try:
+            out["initial_indices"] = tuple(
+                int(part) for part in args.initial.split(",") if part.strip()
+            )
+        except ValueError:
+            raise ValueError(f"--initial must be comma-separated integers, "
+                             f"got {args.initial!r}") from None
     return out
 
 

@@ -21,8 +21,7 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.sparse
 
-from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, is_all_z, sparse_parts
-from mczeno.spectral import densify
+from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, densify, is_all_z, sparse_parts
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,14 @@ class PathHamiltonian:
                 parts.append(part.tocsr())
             sectors.append(Sector(basis, tuple(parts)))
         return tuple(sectors)
+
+    @cached_property
+    def frame(self) -> scipy.sparse.csr_matrix:
+        """The orthogonal Q whose columns are the sectors' isometries side by
+        side, in sector order, built on first use for a path with sectors.  A
+        sectored eigensolution (spectral.sector_eigh) holds its eigenvectors
+        on Q's columns."""
+        return scipy.sparse.hstack([sector.basis for sector in self.sectors], format="csr")
 
     @cached_property
     def _pattern(self):

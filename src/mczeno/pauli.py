@@ -47,13 +47,13 @@ class PauliTerm:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
+        if self.x_mask < 0 or self.z_mask < 0:
+            raise ValueError("masks must be non-negative")
         full = (1 << self.n_qubits) - 1
         if self.x_mask & ~full or self.z_mask & ~full:
             raise ValueError(
                 f"mask uses bits beyond the low {self.n_qubits}"
             )
-        if self.x_mask < 0 or self.z_mask < 0:
-            raise ValueError("masks must be non-negative")
         if not math.isfinite(self.coefficient):
             raise ValueError(f"coefficient must be finite, got {self.coefficient}")
 
@@ -241,6 +241,14 @@ def ham_matrix(h: PauliHamiltonian) -> scipy.sparse.csr_matrix:
     indptr, indices, data = sparse_parts([h])
     dim = 1 << h.n_qubits
     return scipy.sparse.csr_matrix((data[0], indices, indptr), shape=(dim, dim))
+
+
+def densify(m: scipy.sparse.spmatrix) -> np.ndarray:
+    """Dense copy of a sparse matrix, dropped to real storage when exactly real."""
+    dense = m.toarray()
+    if np.all(dense.imag == 0.0):
+        return np.ascontiguousarray(dense.real)
+    return dense
 
 
 def is_all_z(h: PauliHamiltonian) -> bool:

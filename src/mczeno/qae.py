@@ -73,6 +73,7 @@ def energy_expectation(psi: np.ndarray, h: PauliHamiltonian) -> float:
 
 def ground_space_fidelity(psi: np.ndarray, h: PauliHamiltonian) -> float:
     """Born weight of psi on the (possibly degenerate) ground level of h."""
+    _check_state(psi, h.n_qubits, tol=1e-6)
     solution = eig(h)
     return float(solution.weights(psi)[:solution.level_ends[0]].sum())
 

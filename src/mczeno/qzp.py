@@ -36,7 +36,7 @@ import numpy as np
 
 from mczeno.path import PathHamiltonian, s_grid
 from mczeno.qae import evolve
-from mczeno.spectral import EigenSolution, from_frame, path_eigensolutions, to_frame
+from mczeno.spectral import EigenSolution, path_eigensolutions
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,14 @@ def _project_block(
     psi: np.ndarray, es: EigenSolution, draws: np.ndarray, owner: np.ndarray,
     collapse: bool = True,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """project() of every trial, trial i from state psi[:, owner[i]] with the
-    uniform draws[i], for psi in the frame of es (spectral.EigenSolution).
+    """project() of every trial, trial i from the standard-basis state
+    psi[:, owner[i]] with the uniform draws[i], against es
+    (spectral.EigenSolution).
 
     Returns each trial's level (its lowest rank) and, when collapse is set,
-    the distinct collapsed states in that frame with the column of each
-    trial's.  Amplitudes and Born weights are computed once per column of
-    psi.  A trial landing on a one-dimensional level collapses onto its
+    the distinct collapsed states with the column of each trial's.
+    Amplitudes and Born weights are computed once per column of psi.  A
+    trial landing on a one-dimensional level collapses onto its
     eigenvector up to a phase, which no later Born weight sees, so all such
     trials share one column; a degenerate level keeps one column per state
     it collapsed.  Each column is P psi / |P psi| of its first trial, its
@@ -310,20 +311,15 @@ def _trajectories(
     eigensolutions[first_step:] as trial trial_numbers[t]; returns the
     sampled ranks, one row per step.
 
-    psi holds each distinct state once (_project_block).  It starts in the
-    standard basis and moves into a step's frame only when that differs
-    from the last step's, so a run of sectored steps keeps the states in
-    sector coordinates throughout.  The last step only draws its ranks.
+    psi holds each distinct state once, in the standard basis
+    (_project_block).  The last step only draws its ranks.
     """
     trials = _integer_array(trial_numbers)
     steps = np.arange(first_step, len(eigensolutions))
-    ranks, frame = [], None
+    ranks = []
     for k, draws in zip(steps, _draws(rng_seed, trials, steps)):
-        es = eigensolutions[k]
-        if es.frame is not frame:
-            psi, frame = to_frame(es.frame, from_frame(frame, psi)), es.frame
         step_ranks, psi, owner = _project_block(
-            psi, es, draws, owner, collapse=k < steps[-1])
+            psi, eigensolutions[k], draws, owner, collapse=k < steps[-1])
         ranks.append(step_ranks)
     return np.array(ranks)
 
@@ -336,10 +332,9 @@ def project(
     Returns the sampled level's lowest rank and the normalized collapse
     of psi onto that level's full eigenspace.
     """
-    x = to_frame(es.frame, psi[:, None])
     draw, owner = np.array([rng.random()]), np.zeros(1, np.intp)
-    ranks, collapsed, _ = _project_block(x, es, draw, owner)
-    return int(ranks[0]), from_frame(es.frame, collapsed)[:, 0]
+    ranks, collapsed, _ = _project_block(psi[:, None], es, draw, owner)
+    return int(ranks[0]), collapsed[:, 0]
 
 
 def initial_eigenstate(p: PathHamiltonian, initial_index: int) -> np.ndarray:
@@ -370,11 +365,10 @@ def _grid_solutions(
     p: PathHamiltonian, n_steps: int, eigensolutions: list[EigenSolution] | None = None
 ) -> list[EigenSolution]:
     """The eigensolutions of s_grid(n_steps), solved here when not given."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    grid = s_grid(n_steps)
     if eigensolutions is None:
-        return list(path_eigensolutions(p, s_grid(n_steps)))
-    if len(eigensolutions) != n_steps + 1:
+        return list(path_eigensolutions(p, grid))
+    if len(eigensolutions) != len(grid):
         raise ValueError("eigensolution list does not match n_steps")
     return eigensolutions
 

@@ -9,7 +9,8 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse
 
-from mczeno.pauli import PauliHamiltonian, _check_cap, ham_matrix
+from mczeno.pauli import PauliHamiltonian, _check_cap, densify, ham_matrix
+from mczeno.path import s_grid
 
 SECTOR_DIMENSION = 256
 """Smallest dimension whose path points are solved in symmetry sectors.  On
@@ -24,23 +25,23 @@ DEGENERACY_TOL = 1e-9
 
 
 class EigenSolution:
-    """Ascending eigenvalues with orthonormal eigenvectors, held in a frame.
+    """Ascending eigenvalues with orthonormal eigenvectors, held in blocks.
 
-    The frame is the standard basis (None) or a path's symmetry sectors
-    (p.sectors, path.Sector), whose isometries U_c side by side form an
-    orthogonal Q; a state in frame coordinates is Q^T psi, each sector's
-    rows stacked in sector order.  blocks holds triples (rows, ranks, W):
-    column j of W, on the frame rows rows, is the eigenvector of rank
-    ranks[j], W None being the identity.  Dense eigenvectors (lowest_k's
-    first k columns too) are one block, a sorted diagonal H the basis state
-    of each rank with W None, and a sectored point one d_c x d_c W per
-    sector.  Every amplitude taken or returned is in rank order, so no
-    caller sees the blocks; the dense 2**n x 2**n eigenvectors are formed
+    blocks holds triples (rows, ranks, W): column j of W, on the rows rows
+    of the frame, is the eigenvector of rank ranks[j], W None being the
+    identity.  The frame is the standard basis (None) or the orthogonal Q
+    of a path's symmetry sectors (PathHamiltonian.frame, the sectors'
+    isometries U_c side by side).  Dense eigenvectors (lowest_k's first k
+    columns too) are one block, a sorted diagonal H the basis state of each
+    rank with W None, and a sectored point one d_c x d_c W per sector, on
+    that sector's columns of Q.  apply, weights and vectors take and return
+    standard-basis states and amplitudes in rank order, so no caller sees
+    the frame or the blocks; the dense 2**n x 2**n eigenvectors are formed
     only when read.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
-                 *, frame: tuple | None = None, blocks: tuple = ()):
+                 *, frame: scipy.sparse.csr_matrix | None = None, blocks: tuple = ()):
         if eigenvectors is not None:
             blocks = ((slice(None), slice(None), eigenvectors),)
             self.eigenvectors = eigenvectors
@@ -69,12 +70,16 @@ class EigenSolution:
         new Fortran-order array."""
         units = np.zeros((len(self.eigenvalues), len(ranks)))
         units[ranks, np.arange(len(ranks))] = 1.0
-        return np.asfortranarray(from_frame(self.frame, self.apply(units)))
+        return np.asfortranarray(self.apply(units))
 
     def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """V x, the frame coordinates of rank-order amplitudes x, or when
-        adjoint V^H x, the rank-order amplitudes of x in frame coordinates;
-        column r of V is the eigenvector of rank r.  A new array."""
+        """V x, the standard-basis state of rank-order amplitudes x, or when
+        adjoint V^H x, the rank-order amplitudes of the standard-basis state
+        x; column r of V is the eigenvector of rank r.  A sectored solution
+        applies Q^T on entry to the adjoint and Q on exit from the forward
+        map.  A new array."""
+        if adjoint and self.frame is not None:
+            x = self.frame.T @ x
         n = len(self.eigenvalues) if adjoint else self._rows
         out = np.empty((n, *x.shape[1:]), dtype=np.result_type(x, self._dtype))
         for rows, ranks, w in self.blocks:
@@ -83,26 +88,11 @@ class EigenSolution:
             if w is not None:
                 y = (w.conj().T if adjoint else w) @ y
             out[target] = y
-        return out
+        return out if adjoint or self.frame is None else self.frame @ out
 
     def weights(self, psi: np.ndarray) -> np.ndarray:
-        """|<v_r|psi>|^2 of a full-space state psi for each rank r."""
-        return np.abs(self.apply(to_frame(self.frame, psi), adjoint=True)) ** 2
-
-
-def to_frame(frame: tuple | None, psi: np.ndarray) -> np.ndarray:
-    """psi's coordinates in frame: psi in the standard basis (frame None),
-    else Q^T psi, Q being the sectors' isometries side by side."""
-    return psi if frame is None else _isometries(frame).T @ psi
-
-
-def from_frame(frame: tuple | None, x: np.ndarray) -> np.ndarray:
-    """The full-space state whose coordinates in frame are x."""
-    return x if frame is None else _isometries(frame) @ x
-
-
-def _isometries(frame: tuple) -> scipy.sparse.csr_matrix:
-    return scipy.sparse.hstack([sector.basis for sector in frame], format="csr")
+        """|<v_r|psi>|^2 of a standard-basis state psi for each rank r."""
+        return np.abs(self.apply(psi, adjoint=True)) ** 2
 
 
 @dataclass(frozen=True)
@@ -111,14 +101,6 @@ class PathSpectrum:
 
     s_values: np.ndarray
     levels: np.ndarray
-
-
-def densify(m: scipy.sparse.spmatrix) -> np.ndarray:
-    """Dense copy of a sparse matrix, dropped to real storage when exactly real."""
-    dense = m.toarray()
-    if np.all(dense.imag == 0.0):
-        return np.ascontiguousarray(dense.real)
-    return dense
 
 
 def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
@@ -169,8 +151,8 @@ def _solve_point(p, s: float) -> EigenSolution:
 
 
 def sector_eigh(p, s: float) -> EigenSolution:
-    """Eigensolution of H(s) in the frame of p's sectors (p.sectors), from
-    one eigh per sector.
+    """Eigensolution of H(s) on the frame of p's sectors (p.sectors,
+    p.frame), from one eigh per sector.
 
     Sector chi's d x d block U^T H(s) U is summed from its sparse parts and
     densified alone, so no dense H(s) is formed.  Its eigenvectors W stay
@@ -183,7 +165,7 @@ def sector_eigh(p, s: float) -> EigenSolution:
     values = np.concatenate([v for v, _ in solved])
     ranks = np.argsort(np.argsort(values, kind="stable"))
     ends = np.cumsum([0] + [len(v) for v, _ in solved])
-    return EigenSolution(np.sort(values), frame=p.sectors, blocks=tuple(
+    return EigenSolution(np.sort(values), frame=p.frame, blocks=tuple(
         (slice(a, b), ranks[a:b], w) for a, b, (_, w) in zip(ends, ends[1:], solved)))
 
 
@@ -203,7 +185,7 @@ def path_spectrum(p, n_points: int, k: int) -> PathSpectrum:
     dim = 1 << p.n_qubits
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
-    s_values = np.array([j / (n_points - 1) for j in range(n_points)])
+    s_values = np.array(s_grid(n_points - 1))
     solutions = path_eigensolutions(p, s_values)
     levels = np.array([es.eigenvalues[:k] for es in solutions])
     return PathSpectrum(s_values, levels)

@@ -85,6 +85,12 @@ class TestMethodCommands:
         assert code == 1
         assert "error: alpha must be finite and >= 0, got nan" in capsys.readouterr().err
 
+    def test_non_integer_initial_exits_nonzero(self, data_dir, capsys):
+        code = main(["qzp", str(data_dir / "gapped_four_qubit.txt"), "--initial", "a,b"])
+        assert code == 1
+        assert ("error: --initial must be comma-separated integers, got 'a,b'"
+                in capsys.readouterr().err)
+
     def test_non_integer_trials_in_config_exits_nonzero(self, data_dir, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"trials": 2.5}))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import (
@@ -197,6 +198,17 @@ class TestRun:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_h5_qzp_builds_sector_frame_once(self, data_dir, monkeypatch):
+        """Three initial indices share one stacked sector basis."""
+        calls = []
+        hstack = scipy.sparse.hstack
+        monkeypatch.setattr(scipy.sparse, "hstack",
+                            lambda *a, **k: calls.append(1) or hstack(*a, **k))
+        run(RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"),
+                      method="qzp", alpha=0.5, n_steps=10, trials=20, seed=13,
+                      initial_indices=(0, 1, 2)))
+        assert len(calls) == 1
 
     def test_h5_qzp_peak_memory(self, data_dir):
         assert self.h5_qzp_peak(data_dir, 200) < self.H5_QZP_PEAK_BYTES

@@ -7,12 +7,13 @@ from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.pauli import (
     PauliHamiltonian,
     PauliTerm,
+    densify,
     ham_matrix,
     load_hamiltonian,
     parse_hamiltonian,
 )
 from mczeno.path import PathHamiltonian, discretize, h_at, x_driver
-from mczeno.spectral import dense_matrix, densify
+from mczeno.spectral import dense_matrix
 from oracles import dict_invariant
 
 

@@ -34,6 +34,18 @@ def term(label, coeff=1.0):
     return parse_pauli(f"{coeff} {label}")
 
 
+class TestTermValidation:
+    @pytest.mark.parametrize("x_mask, z_mask", [(-1, 0), (0, -4), (-2, -2)])
+    def test_negative_mask_rejected(self, x_mask, z_mask):
+        with pytest.raises(ValueError, match="^masks must be non-negative$"):
+            PauliTerm(2, x_mask, z_mask, 1.0)
+
+    @pytest.mark.parametrize("x_mask, z_mask", [(4, 0), (0, 0b110), (8, 8)])
+    def test_mask_beyond_register_rejected(self, x_mask, z_mask):
+        with pytest.raises(ValueError, match="^mask uses bits beyond the low 2$"):
+            PauliTerm(2, x_mask, z_mask, 1.0)
+
+
 class TestCommutes:
     def test_identity_commutes_with_everything(self):
         for label in ["IX", "XY", "ZZ", "YI"]:

@@ -185,6 +185,19 @@ class TestGroundSpaceFidelity:
         h = parse_hamiltonian("1.0 ZZ")
         assert ground_space_fidelity(basis_state(2, 0), h) == pytest.approx(0.0, abs=1e-12)
 
+    def test_unnormalized_rejected(self, data_dir):
+        """Twice the ground eigenvector would score 4."""
+        h = load_hamiltonian(data_dir / "h2_0.7414_jw.txt")
+        ground = eig(h).eigenvectors[:, 0]
+        assert ground_space_fidelity(ground, h) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="not normalized"):
+            ground_space_fidelity(2.0 * ground, h)
+
+    def test_dimension_mismatch(self, data_dir):
+        h = load_hamiltonian(data_dir / "h2_0.7414_jw.txt")
+        with pytest.raises(ValueError, match="^state has dimension"):
+            ground_space_fidelity(np.ones(8) / np.sqrt(8), h)
+
 
 def _reference_case(name, data_dir):
     """(path, delta_t, initial state) of one propagator reference case."""

@@ -688,8 +688,8 @@ def random_state(dim: int, seed: int) -> np.ndarray:
 
 
 class TestSectorFrameProjection:
-    """Trials at sectored points are projected in sector coordinates, and no
-    dense 2**n x 2**n eigenvector matrix is formed for them."""
+    """Trials at sectored points are projected through the sector blocks,
+    and no dense 2**n x 2**n eigenvector matrix is formed for them."""
 
     N_STEPS = 5
 
@@ -707,10 +707,11 @@ class TestSectorFrameProjection:
         assert [d.counts for d in ours] == [d.counts for d in theirs]
 
     def test_run_from_user_state(self, sectored):
-        """Step 0 projects in the standard basis, the rest in the sectors."""
+        """Step 0 projects onto a standard-basis solution, the rest onto
+        sectored ones."""
         solutions = list(path_eigensolutions(sectored, s_grid(self.N_STEPS)))
         assert solutions[0].frame is None
-        assert all(es.frame is sectored.sectors for es in solutions[1:])
+        assert all(es.frame is sectored.frame for es in solutions[1:])
         psi = random_state(1 << sectored.n_qubits, 5)
         trials = [zeno_run(sectored, self.N_STEPS, 0, 9, trial_number=t,
                            initial_state=psi, eigensolutions=solutions)
@@ -733,7 +734,7 @@ class TestSectorFrameProjection:
         p = PathHamiltonian(sectored.h_initial, sectored.h_final, alpha=0.5,
                             total_time=1.0)
         final = next(path_eigensolutions(p, [1.0]))
-        assert final.frame is p.sectors
+        assert final.frame is p.frame
         psi0 = initial_eigenstate(p, 0)
         got = evolve(p, 0.5, psi0, final)
         assert "eigenvectors" not in vars(final)

@@ -21,7 +21,6 @@ from mczeno.spectral import (
     path_spectrum,
     sector_eigh,
     spectrum_csv,
-    to_frame,
 )
 from oracles import diagonal_entries, full_eigh_solutions, scattered_sector_eigh
 
@@ -306,6 +305,7 @@ class TestSectorSolve:
             assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-15
             assert set(np.round(np.abs(u[u != 0]) ** -2, 12)) <= {1.0, 2.0, 4.0}
         stacked = np.hstack(bases)
+        assert np.array_equal(p.frame.toarray(), stacked)
         assert np.abs(stacked.T @ stacked - np.eye(1 << p.n_qubits)).max() <= 1e-15
         h = p.matrix(0.5)
         rebuilt = sum(u @ p.sector_matrix(sector, 0.5) @ u.T
@@ -379,7 +379,7 @@ class TestSectorFrame:
         p = sectored_path(data_dir, name)
         for s in (0.5, 1.0):
             solution = next(path_eigensolutions(p, [s]))
-            assert solution.frame is p.sectors
+            assert solution.frame is p.frame
             assert [w.shape for _, _, w in solution.blocks] == [
                 (sector.dimension,) * 2 for sector in p.sectors]
             assert "eigenvectors" not in vars(solution)
@@ -432,8 +432,21 @@ RANK_ORDER_POINTS = [("dense", 0.5), ("h5", 0.0), ("h5", 0.5), ("odd_y", 0.5)]
 
 
 class TestRankOrder:
-    """apply and weights take and return amplitudes in rank order, whatever
-    the form in which a solution holds its eigenvectors."""
+    """apply and weights map standard-basis states to amplitudes in rank
+    order and back, whatever the form in which a solution holds its
+    eigenvectors."""
+
+    @pytest.mark.parametrize("name, s", RANK_ORDER_POINTS)
+    def test_apply_is_eigenvector_product(self, data_dir, name, s):
+        """apply(a) is V a and apply(x, adjoint=True) is V^H x for
+        standard-basis x, V being the dense eigenvectors."""
+        solution = rank_order_solution(data_dir, name, s)
+        rng = np.random.default_rng(4)
+        a, x = (rng.normal(size=(len(solution.eigenvalues), 3))
+                + 1j * rng.normal(size=(len(solution.eigenvalues), 3)) for _ in range(2))
+        vectors = solution.eigenvectors
+        assert np.abs(solution.apply(a) - vectors @ a).max() <= 1e-12
+        assert np.abs(solution.apply(x, adjoint=True) - vectors.conj().T @ x).max() <= 1e-12
 
     @pytest.mark.parametrize("name, s", RANK_ORDER_POINTS)
     def test_apply_inverts_its_adjoint(self, data_dir, name, s):
@@ -463,8 +476,7 @@ class TestRankOrder:
         """The adjoint maps the eigenvector of rank r to e_r."""
         solution = rank_order_solution(data_dir, name, s)
         ranks = [0, 7, len(solution.eigenvalues) - 1]
-        x = to_frame(solution.frame, solution.vectors(ranks))
-        amplitudes = solution.apply(x, adjoint=True)
+        amplitudes = solution.apply(solution.vectors(ranks), adjoint=True)
         want = np.zeros_like(amplitudes)
         want[ranks, range(len(ranks))] = 1.0
         assert np.abs(amplitudes - want).max() <= 1e-12
