@@ -40,7 +40,7 @@ from mczeno.qzp import (
     zeno_run,
     zeno_statistics,
 )
-from mczeno.spectral import EigenSolution, PathSpectrum, eig, lowest_k, path_spectrum
+from mczeno.spectral import EigenSolution, PathSpectrum, eig, path_spectrum
 
 __all__ = [
     "CliqueResult",
@@ -72,7 +72,6 @@ __all__ = [
     "jordan_wigner",
     "load_fcidump",
     "load_hamiltonian",
-    "lowest_k",
     "lowest_k_energies",
     "mc_hamiltonian",
     "parity_map",

@@ -167,11 +167,13 @@ def _run_scan(args: argparse.Namespace) -> int:
         data.setdefault("method", "scan")
         overrides = {"seed": args.seed} if args.seed is not None else {}
         try:
-            coordinate = float(data.pop("coordinate"))
+            coordinate = data.pop("coordinate")
+            if isinstance(coordinate, bool) or not isinstance(coordinate, (int, float)):
+                raise ValueError(f"coordinate must be a JSON number, got {coordinate!r}")
             if not os.path.isabs(data["source"]):
                 data["source"] = os.path.join(base, data["source"])
-            points.append((coordinate, config_from_dict(data, **overrides)))
-        except (TypeError, ValueError) as error:
+            points.append((float(coordinate), config_from_dict(data, **overrides)))
+        except (TypeError, ValueError, OverflowError) as error:
             raise ValueError(f"scan point {position}: {error}") from None
     result = scan(points, methods)
     text = scan_csv(result)

@@ -318,11 +318,11 @@ def scan(
 ) -> ScanResult:
     """Run the pipeline per geometry point and tabulate energies.
 
-    Coordinates must be strictly increasing.  The exact column is the
-    reference; qae reports the evolved final energy and qzp the lowest
-    eigenvalue reached over its trials.  A point whose file is missing
-    (or whose pipeline fails) is flagged in its row, with the cause in
-    its message, and the scan continues.
+    Coordinates must be finite and strictly increasing.  The exact column
+    is the reference; qae reports the evolved final energy and qzp the
+    lowest eigenvalue reached over its trials.  A point whose file is
+    missing (or whose pipeline fails) is flagged in its row, with the
+    cause in its message, and the scan continues.
     """
     if not methods or not all(isinstance(m, str) and m in _SCAN_COLUMNS for m in methods):
         raise ValueError(
@@ -331,6 +331,9 @@ def scan(
     if "exact" not in methods:
         raise ValueError("methods must include 'exact' to define error columns")
     coordinates = [c for c, _ in points]
+    for c in coordinates:
+        if not math.isfinite(c):
+            raise ValueError(f"scan coordinate {c!r} is not finite")
     if any(b <= a for a, b in zip(coordinates, coordinates[1:])):
         raise ValueError("scan coordinates must be strictly increasing")
 

@@ -334,9 +334,14 @@ def hamiltonian_from_dict(doc: dict) -> PauliHamiltonian:
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in Hamiltonian document") from None
     terms = []
-    for entry in raw:
-        x, z = _label_to_masks(entry["label"])
-        terms.append(PauliTerm(n, x, z, float(entry["coeff"])))
+    for position, entry in enumerate(raw):
+        try:
+            label, coeff = entry["label"], float(entry["coeff"])
+        except KeyError as missing:
+            raise ValueError(f"term {position} has no field {missing}") from None
+        if len(label) != n:
+            raise ValueError(f"term {position} label {label!r} is not {n} characters wide")
+        terms.append(PauliTerm(n, *_label_to_masks(label), coeff))
     return PauliHamiltonian(n, terms)
 
 

@@ -17,10 +17,10 @@ and step numbers each (step_draws): a block covers several steps while
 the trials are few, and part of one step when they are many.  Every draw
 stays bit-identical to its trial's own stream (step_rng).
 
-The trials of one run are projected together, with one state column per
-distinct state rather than per trial, so the cost of a step follows the
-number of distinct states; each trial adds only its draw and a search in
-its state's cumulative level weights.
+The trials of one call are projected together, whatever their initial
+state, with one state column per distinct state rather than per trial,
+so the cost of a step follows the number of distinct states; each trial
+adds only its draw and a search in its state's cumulative level weights.
 """
 
 from __future__ import annotations
@@ -422,22 +422,19 @@ def zeno_statistics(
 
     Trial t of the i-th initial index uses trial number
     i * trials_per_initial + t, so results are seed-deterministic and
-    independent of execution order.  The trials of one initial index
-    are projected together, one state column per distinct state.
-    eigensolutions, if given, are those of s_grid(n_steps).
+    independent of execution order.  The trials of every initial index
+    are projected together as one block, one state column per distinct
+    state.  eigensolutions, if given, are those of s_grid(n_steps).
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
     eigensolutions = _grid_solutions(p, n_steps, eigensolutions)
-    out = []
-    for slot, initial_index in enumerate(initial_indices):
-        psi = _initial_block(p, [initial_index], eigensolutions[0])
-        owner = np.zeros(trials_per_initial, dtype=np.intp)
-        trials = range(slot * trials_per_initial, (slot + 1) * trials_per_initial)
-        finals = _trajectories(eigensolutions, psi, owner, rng_seed, trials, 1)[-1]
-        counts = dict(Counter(finals.tolist()))
-        out.append(ZenoDistribution(counts, trials_per_initial, initial_index))
-    return out
+    psi = _initial_block(p, list(initial_indices), eigensolutions[0])
+    owner = np.repeat(np.arange(len(initial_indices)), trials_per_initial)
+    finals = _trajectories(eigensolutions, psi, owner, rng_seed, range(len(owner)), 1)[-1]
+    rows = finals.reshape(-1, trials_per_initial)
+    return [ZenoDistribution(dict(Counter(row.tolist())), trials_per_initial, i)
+            for i, row in zip(initial_indices, rows)]
 
 
 def lowest_k_energies(

@@ -31,25 +31,26 @@ class EigenSolution:
     of the frame, is the eigenvector of rank ranks[j], W None being the
     identity.  The frame is the standard basis (None) or the orthogonal Q
     of a path's symmetry sectors (PathHamiltonian.frame, the sectors'
-    isometries U_c side by side).  Dense eigenvectors (lowest_k's first k
-    columns too) are one block, a sorted diagonal H the basis state of each
-    rank with W None, and a sectored point one d_c x d_c W per sector, on
-    that sector's columns of Q.  apply, weights and vectors take and return
-    standard-basis states and amplitudes in rank order, so no caller sees
-    the frame or the blocks; the dense 2**n x 2**n eigenvectors are formed
-    only when read.
+    isometries U_c side by side).  Every solution is a complete basis: dense
+    eigenvectors are one square block, a sorted diagonal H the basis state
+    of each rank with W None, and a sectored point one d_c x d_c W per
+    sector, on that sector's columns of Q.  apply, weights and vectors take
+    and return standard-basis states and amplitudes in rank order, so no
+    caller sees the frame or the blocks; the dense 2**n x 2**n eigenvectors
+    are formed only when read.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
                  *, frame: scipy.sparse.csr_matrix | None = None, blocks: tuple = ()):
         if eigenvectors is not None:
+            if eigenvectors.shape != (len(eigenvalues),) * 2:
+                raise ValueError(f"eigenvectors of shape {eigenvectors.shape} are not "
+                                 f"square with the {len(eigenvalues)} eigenvalues")
             blocks = ((slice(None), slice(None), eigenvectors),)
             self.eigenvectors = eigenvectors
         if not blocks:
             raise ValueError("EigenSolution needs eigenvectors or blocks")
         self.eigenvalues, self.frame, self.blocks = eigenvalues, frame, blocks
-        # frame rows: more than the eigenvalues when lowest_k kept k columns
-        self._rows = len(eigenvalues) if eigenvectors is None else len(eigenvectors)
         self._dtype = np.result_type(float, *(w for _, _, w in self.blocks if w is not None))
 
     @cached_property
@@ -80,8 +81,8 @@ class EigenSolution:
         map.  A new array."""
         if adjoint and self.frame is not None:
             x = self.frame.T @ x
-        n = len(self.eigenvalues) if adjoint else self._rows
-        out = np.empty((n, *x.shape[1:]), dtype=np.result_type(x, self._dtype))
+        n, dtype = len(self.eigenvalues), np.result_type(x, self._dtype)
+        out = np.empty((n, *x.shape[1:]), dtype=dtype)
         for rows, ranks, w in self.blocks:
             source, target = (rows, ranks) if adjoint else (ranks, rows)
             y = x[source]
@@ -167,15 +168,6 @@ def sector_eigh(p, s: float) -> EigenSolution:
     ends = np.cumsum([0] + [len(v) for v, _ in solved])
     return EigenSolution(np.sort(values), frame=p.frame, blocks=tuple(
         (slice(a, b), ranks[a:b], w) for a, b, (_, w) in zip(ends, ends[1:], solved)))
-
-
-def lowest_k(h: PauliHamiltonian, k: int) -> EigenSolution:
-    """First k entries of eig(h)."""
-    dim = 1 << h.n_qubits
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in 1..{dim}, got {k}")
-    full = eig(h)
-    return EigenSolution(full.eigenvalues[:k], full.eigenvectors[:, :k])
 
 
 def path_spectrum(p, n_points: int, k: int) -> PathSpectrum:

@@ -237,14 +237,24 @@ class TestScanCommand:
         ({"points": [{"coordinate": 1.0, "source": 5}]},
          "scan point 0: expected str, bytes or os.PathLike object, not int"),
         ({"points": [{"coordinate": None, "source": "problem.txt"}]},
-         "scan point 0: float() argument must be"),
+         "scan point 0: coordinate must be a JSON number, got None"),
+        ({"points": [{"coordinate": True, "source": "problem.txt"}]},
+         "scan point 0: coordinate must be a JSON number, got True"),
+        ({"points": [{"coordinate": "1.2", "source": "problem.txt"}]},
+         "scan point 0: coordinate must be a JSON number, got '1.2'"),
+        ({"points": [{"coordinate": float("nan"), "source": "problem.txt"},
+                     {"coordinate": float("nan"), "source": "problem.txt"}]},
+         "scan coordinate nan is not finite"),
+        ({"points": [{"coordinate": 10**400, "source": "problem.txt"}]},
+         "scan point 0: int too large to convert to float"),
         ({"points": 5}, "scan points must be a JSON array, got 5"),
         ({"points": [{"coordinate": 1.0, "source": "problem.txt", "trials": 0}]},
          "scan point 0: trials must be at least 1, got 0"),
         ({"methods": [["exact"]]}, "methods must be a non-empty subset of"),
     ], ids=["top_level_list", "point_not_object", "defaults_not_object",
-            "source_not_string", "coordinate_null", "points_not_list", "bad_field",
-            "methods_not_names"])
+            "source_not_string", "coordinate_null", "coordinate_bool",
+            "coordinate_string", "coordinate_nan", "coordinate_too_large",
+            "points_not_list", "bad_field", "methods_not_names"])
     def test_malformed_spec_exits_nonzero(self, tmp_path, capsys, spec, message):
         """A malformed spec is reported on one error line, never a traceback."""
         config = tmp_path / "scan.json"

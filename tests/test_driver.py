@@ -1,6 +1,7 @@
 """Pipeline configuration, execution, persistence, and scans."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -428,6 +429,15 @@ class TestScan:
         points = self._points(data_dir)
         points[1], points[0] = points[0], points[1]
         with pytest.raises(ValueError, match="strictly increasing"):
+            scan(points)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_coordinates_must_be_finite(self, data_dir, bad):
+        """NaN fails every ordering test and inf passes it as the last point,
+        so each is rejected by name."""
+        points = self._points(data_dir)
+        points[-1] = (bad, points[-1][1])
+        with pytest.raises(ValueError, match=f"^scan coordinate {bad!r} is not finite$"):
             scan(points)
 
     def test_methods_validation(self, data_dir):

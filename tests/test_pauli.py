@@ -339,3 +339,20 @@ class TestFileFormats:
     def test_dict_round_trip(self, toy_hamiltonian):
         doc = hamiltonian_to_dict(toy_hamiltonian)
         assert hamiltonian_from_dict(doc) == toy_hamiltonian
+
+    @pytest.mark.parametrize("label, position", [("Z", 0), ("XXXX", 1)])
+    def test_dict_label_width_must_match(self, label, position):
+        """Every label has n_qubits characters, as in the text format: a
+        narrower one is not padded with identities."""
+        terms = [{"coeff": 1.0, "label": "ZZZ"}, {"coeff": 0.5, "label": "IXX"}]
+        terms[position]["label"] = label
+        with pytest.raises(ValueError, match=rf"^term {position} label '{label}' "
+                                             "is not 3 characters wide$"):
+            hamiltonian_from_dict({"n_qubits": 3, "terms": terms})
+
+    @pytest.mark.parametrize("field", ["label", "coeff"])
+    def test_dict_term_missing_field(self, field):
+        terms = [{"coeff": 1.0, "label": "ZI"}, {"coeff": 0.5, "label": "XX"}]
+        del terms[1][field]
+        with pytest.raises(ValueError, match=f"^term 1 has no field '{field}'$"):
+            hamiltonian_from_dict({"n_qubits": 2, "terms": terms})

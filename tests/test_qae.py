@@ -61,7 +61,7 @@ class TestEnergyExpectation:
         assert energy_expectation(psi, toy_hamiltonian) == pytest.approx(5.0, abs=1e-12)
 
     def test_dimension_mismatch(self, toy_hamiltonian):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="^state has dimension"):
             energy_expectation(np.ones(8, dtype=complex) / np.sqrt(8), toy_hamiltonian)
 
     def test_unnormalized_rejected(self, toy_hamiltonian):
@@ -123,7 +123,7 @@ class TestEvolve:
 
     def test_dimension_mismatch_rejected(self, toy_hamiltonian):
         p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="^state has dimension"):
             evolve(p, 0.5, basis_state(3, 0))
 
     def test_unnormalized_initial_state_rejected(self, toy_hamiltonian):

@@ -339,6 +339,27 @@ class TestZenoStatistics:
         assert both[0] == alone[0]
         assert both[1].initial_index == 1
 
+    def test_initial_indices_share_one_block(self, gapped_path, monkeypatch):
+        """Every initial index is sampled in one _trajectories call, as trial
+        numbers 0..3 * trials - 1 with one start column per index."""
+        import mczeno.qzp as qzp
+
+        calls = []
+        original = qzp._trajectories
+
+        def recording_trajectories(eigensolutions, psi, owner, *args):
+            calls.append((psi.shape[1], owner.tolist(), args))
+            return original(eigensolutions, psi, owner, *args)
+
+        monkeypatch.setattr(qzp, "_trajectories", recording_trajectories)
+        got = zeno_statistics(gapped_path, 5, [0, 1, 2], 4, rng_seed=3)
+        assert calls == [(3, [0] * 4 + [1] * 4 + [2] * 4, (3, range(12), 1))]
+        assert [d.initial_index for d in got] == [0, 1, 2]
+        assert all(d.trials == 4 for d in got)
+
+    def test_no_initial_indices(self, single_qubit_path):
+        assert zeno_statistics(single_qubit_path, 5, [], 10, rng_seed=0) == []
+
     def test_trial_count_validation(self, single_qubit_path):
         with pytest.raises(ValueError, match="at least 1"):
             zeno_statistics(single_qubit_path, 5, [0], 0, rng_seed=0)

@@ -1,4 +1,4 @@
-"""Eigensolutions, truncation, and path spectra."""
+"""Eigensolutions, complete bases, and path spectra."""
 
 import sys
 from pathlib import Path
@@ -16,7 +16,6 @@ from mczeno.spectral import (
     DEGENERACY_TOL,
     EigenSolution,
     eig,
-    lowest_k,
     path_eigensolutions,
     path_spectrum,
     sector_eigh,
@@ -81,39 +80,19 @@ class TestEig:
             eig(MINUS_X)
 
 
-class TestLowestK:
-    def test_demo_ground(self, toy_hamiltonian):
-        solution = lowest_k(toy_hamiltonian, 1)
-        assert np.allclose(solution.eigenvalues, [-8.0], atol=1e-12)
-
-    def test_full_k_equals_eig(self, toy_hamiltonian):
-        assert np.allclose(
-            lowest_k(toy_hamiltonian, 4).eigenvalues,
-            eig(toy_hamiltonian).eigenvalues,
-        )
-
-    def test_identity_k3(self):
-        h = parse_hamiltonian("0.7 II")
-        assert np.allclose(lowest_k(h, 3).eigenvalues, [0.7, 0.7, 0.7])
-
-    def test_truncated_solution_keeps_rank_order(self, toy_hamiltonian):
-        """k columns of 2**n rows: vectors, apply and weights still work."""
-        full, solution = eig(toy_hamiltonian), lowest_k(toy_hamiltonian, 2)
-        assert np.array_equal(solution.vectors([1, 0]), full.eigenvectors[:, [1, 0]])
-        psi = np.full(4, 0.5)
-        assert np.abs(solution.weights(psi) - full.weights(psi)[:2]).max() <= 1e-12
-        amplitudes = solution.apply(psi, adjoint=True)
-        assert solution.apply(amplitudes).shape == (4,)
-
+class TestEigenSolution:
     def test_solution_needs_eigenvectors(self):
         with pytest.raises(ValueError, match="eigenvectors or blocks"):
             EigenSolution(np.array([0.0, 1.0]))
 
-    def test_k_out_of_range(self, toy_hamiltonian):
-        with pytest.raises(ValueError, match="k must be in"):
-            lowest_k(toy_hamiltonian, 5)
-        with pytest.raises(ValueError, match="k must be in"):
-            lowest_k(toy_hamiltonian, 0)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_truncated_eigenvectors_rejected(self, toy_hamiltonian, k):
+        """Every solution is a complete basis: k < n columns do not make one."""
+        full = eig(toy_hamiltonian)
+        with pytest.raises(ValueError, match=r"not square with the 4 eigenvalues"):
+            EigenSolution(full.eigenvalues, full.eigenvectors[:, :k])
+        with pytest.raises(ValueError, match=r"not square with the 2 eigenvalues"):
+            EigenSolution(full.eigenvalues[:2], full.eigenvectors[:, :2])
 
 
 class TestPathSpectrum:
