@@ -26,6 +26,7 @@ from mczeno.driver import (
     scan,
     scan_csv,
 )
+from mczeno.pauli import _json
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -144,14 +145,6 @@ def _report(record: dict, output: str | None) -> None:
         print(f"wrote {output}")
 
 
-def _json(value, kind: type, what: str):
-    """value, or a ValueError naming what unless it is a JSON object or array."""
-    if not isinstance(value, kind):
-        name = "object" if kind is dict else "array"
-        raise ValueError(f"{what} must be a JSON {name}, got {value!r}")
-    return value
-
-
 def _run_scan(args: argparse.Namespace) -> int:
     with open(args.config) as handle:
         spec = _json(json.load(handle), dict, "scan spec")
@@ -167,9 +160,7 @@ def _run_scan(args: argparse.Namespace) -> int:
         data.setdefault("method", "scan")
         overrides = {"seed": args.seed} if args.seed is not None else {}
         try:
-            coordinate = data.pop("coordinate")
-            if isinstance(coordinate, bool) or not isinstance(coordinate, (int, float)):
-                raise ValueError(f"coordinate must be a JSON number, got {coordinate!r}")
+            coordinate = _json(data.pop("coordinate"), (int, float), "coordinate")
             if not os.path.isabs(data["source"]):
                 data["source"] = os.path.join(base, data["source"])
             points.append((float(coordinate), config_from_dict(data, **overrides)))

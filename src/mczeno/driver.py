@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.fermion import jordan_wigner, load_fcidump, parity_map
-from mczeno.pauli import PauliHamiltonian, load_hamiltonian, save_hamiltonian
+from mczeno.pauli import PauliHamiltonian, _json, load_hamiltonian, save_hamiltonian
 from mczeno.path import PathHamiltonian, s_grid
 from mczeno.qae import evolve
 from mczeno.qzp import initial_eigenstate, zeno_statistics, distribution_csv
@@ -122,8 +122,7 @@ def _is_integer(value) -> bool:
 
 def config_from_dict(data: dict, **overrides) -> RunConfig:
     """Build a RunConfig from parsed config-file data plus overrides."""
-    if not isinstance(data, dict):
-        raise ValueError(f"config must be a JSON object, got {data!r}")
+    _json(data, dict, "config")
     known = {f.name for f in fields(RunConfig)}
     unknown = sorted(set(data) - known)
     if unknown:

@@ -47,6 +47,9 @@ class FermionIntegrals:
 
     def __post_init__(self) -> None:
         n = self.n_orbitals
+        for name in ("one_body", "two_body", "core_energy"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.one_body.shape != (n, n):
             raise ValueError(f"one_body must be {n}x{n}")
         if self.two_body.shape != (n, n, n, n):
@@ -129,6 +132,8 @@ def load_fcidump(path) -> FermionIntegrals:
             i, j, k, l = (int(f) for f in fields[1:])
         except ValueError:
             raise ValueError(f"{path}: non-numeric record {line!r}") from None
+        if not np.isfinite(value):
+            raise ValueError(f"{path}: non-finite value in record {line!r}")
         for idx in (i, j, k, l):
             if idx < 0 or idx > m:
                 raise ValueError(f"{path}: orbital index {idx} out of range 1..{m}")

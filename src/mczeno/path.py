@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.sparse
 
-from mczeno.pauli import PauliHamiltonian, PauliTerm, combine, densify, is_all_z, sparse_parts
+from mczeno.pauli import PauliHamiltonian, PauliTerm, densify, is_all_z, sparse_parts
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,15 @@ class PathHamiltonian:
         return self._combine(s, [part.toarray() for part in sector.parts])
 
     def matrix(self, s: float) -> np.ndarray:
-        """Dense H(s), bit-identical at s = 0 and 1 to the dense matrices
-        of H_i and H_p."""
-        return densify(self.sparse_matrix(s))
+        """Dense H(s), densified from the shared pattern, bit-identical at
+        s = 0 and 1 to the dense matrices of H_i and H_p."""
+        indptr, indices, data = self._pattern
+        return densify(indptr, indices, self._combine(s, data))
+
+    def diagonal(self, s: float) -> np.ndarray:
+        """The real diagonal of H(s): the weighted sum of the parts'
+        diagonals, entry for entry that of sparse_matrix(s)."""
+        return self._combine(s, self._gershgorin[0])
 
     def spectral_bounds(self, s: float) -> tuple[float, float]:
         """Gershgorin interval [lo, hi] holding every eigenvalue of H(s).
@@ -201,9 +207,7 @@ class PathHamiltonian:
         The weights are non-negative, so the weighted sums of the parts'
         diagonals and off-diagonal absolute row sums bound those of H(s).
         """
-        diagonals, off_sums = self._gershgorin
-        centres = self._combine(s, diagonals)
-        radii = self._combine(s, off_sums)
+        centres, radii = self.diagonal(s), self._combine(s, self._gershgorin[1])
         return float((centres - radii).min()), float((centres + radii).max())
 
 
@@ -240,7 +244,7 @@ def x_driver(n_qubits: int) -> PauliHamiltonian:
 def h_at(p: PathHamiltonian, s: float) -> PauliHamiltonian:
     """Instantaneous Hamiltonian at path parameter s in [0, 1]."""
     parts = zip(p.weights(s), (p.h_initial, p.h_final, x_driver(p.n_qubits)))
-    return combine([(w, h) for w, h in parts if w != 0.0])
+    return PauliHamiltonian(p.n_qubits, [t.scaled(w) for w, h in parts if w for t in h.terms])
 
 
 def s_grid(n_steps: int) -> list[float]:

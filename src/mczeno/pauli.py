@@ -243,11 +243,12 @@ def ham_matrix(h: PauliHamiltonian) -> scipy.sparse.csr_matrix:
     return scipy.sparse.csr_matrix((data[0], indices, indptr), shape=(dim, dim))
 
 
-def densify(m: scipy.sparse.spmatrix) -> np.ndarray:
-    """Dense copy of a sparse matrix, dropped to real storage when exactly real."""
-    dense = m.toarray()
-    if np.all(dense.imag == 0.0):
-        return np.ascontiguousarray(dense.real)
+def densify(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Dense matrix of values on a sparse_parts CSR pattern, in their dtype.
+    They are added onto zeros, as scipy densifies, so -0.0 reads 0.0."""
+    dim = len(indptr) - 1
+    dense = np.zeros((dim, dim), dtype=values.dtype)
+    dense[np.repeat(np.arange(dim), np.diff(indptr)), indices] += values
     return dense
 
 
@@ -284,8 +285,6 @@ def parse_pauli(text: str) -> PauliTerm:
         raise ValueError(f"coefficient not parseable: {raw_coeff!r}") from None
     if not math.isfinite(coeff):
         raise ValueError(f"coefficient must be finite, got {raw_coeff!r}")
-    if not label:
-        raise ValueError("empty Pauli label")
     x, z = _label_to_masks(label)
     return PauliTerm(len(label), x, z, coeff)
 
@@ -328,21 +327,39 @@ def hamiltonian_to_dict(h: PauliHamiltonian) -> dict:
 
 
 def hamiltonian_from_dict(doc: dict) -> PauliHamiltonian:
+    """Read the JSON form: an object with an integer n_qubits and an array of
+    terms, each an object with a string label and a number coeff.  An error
+    names the field, and the term by its position."""
+    doc = _json(doc, dict, "Hamiltonian document")
     try:
-        n = int(doc["n_qubits"])
-        raw = doc["terms"]
+        n = _json(doc["n_qubits"], int, "n_qubits")
+        raw = _json(doc["terms"], list, "terms")
     except KeyError as missing:
         raise ValueError(f"missing field {missing} in Hamiltonian document") from None
     terms = []
     for position, entry in enumerate(raw):
+        entry = _json(entry, dict, f"term {position}")
         try:
-            label, coeff = entry["label"], float(entry["coeff"])
+            label = _json(entry["label"], str, f"term {position} label")
+            coeff = _json(entry["coeff"], (int, float), f"term {position} coeff")
         except KeyError as missing:
             raise ValueError(f"term {position} has no field {missing}") from None
         if len(label) != n:
             raise ValueError(f"term {position} label {label!r} is not {n} characters wide")
-        terms.append(PauliTerm(n, *_label_to_masks(label), coeff))
+        terms.append(PauliTerm(n, *_label_to_masks(label), float(coeff)))
     return PauliHamiltonian(n, terms)
+
+
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               (int, float): "number"}
+
+
+def _json(value, kind, what: str):
+    """value, or a ValueError naming what unless it is a JSON value of kind, a
+    key of _JSON_TYPES; true and false are neither integers nor numbers."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 def load_hamiltonian(path) -> PauliHamiltonian:
@@ -361,20 +378,3 @@ def save_hamiltonian(h: PauliHamiltonian, path, header: str | None = None) -> No
             handle.write("\n")
         else:
             handle.write(format_hamiltonian(h, header))
-
-
-def combine(parts: Sequence[tuple[float, PauliHamiltonian]]) -> PauliHamiltonian:
-    """Weighted sum of Hamiltonians, canonicalized.
-
-    Zero-weight parts contribute exactly-zero coefficients, which the
-    canonical form drops, so endpoint sums stay term-for-term exact.
-    """
-    if not parts:
-        raise ValueError("nothing to combine")
-    n = parts[0][1].n_qubits
-    terms: list[PauliTerm] = []
-    for weight, h in parts:
-        if h.n_qubits != n:
-            raise ValueError("qubit counts differ across combined Hamiltonians")
-        terms.extend(t.scaled(weight) for t in h.terms)
-    return PauliHamiltonian(n, terms)

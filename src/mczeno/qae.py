@@ -175,11 +175,9 @@ def evolve(
     _check_state(psi0, p.n_qubits)
 
     psi = psi0.astype(complex)
+    h_of = p.matrix if 1 << p.n_qubits <= DENSE_STEP_DIMENSION else p.sparse_matrix
     for s in s_grid(n_steps)[1:]:
-        h = p.sparse_matrix(s)
-        if h.shape[0] <= DENSE_STEP_DIMENSION:
-            h = h.toarray()
-        psi = chebyshev_step(h, p.spectral_bounds(s), delta_t, psi)
+        psi = chebyshev_step(h_of(s), p.spectral_bounds(s), delta_t, psi)
 
     if final is None:
         final = next(path_eigensolutions(p, [1.0]))

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse
 
-from mczeno.pauli import PauliHamiltonian, _check_cap, densify, ham_matrix
+from mczeno.pauli import PauliHamiltonian, _check_cap, densify, sparse_parts
 from mczeno.path import s_grid
 
 SECTOR_DIMENSION = 256
@@ -105,8 +105,9 @@ class PathSpectrum:
 
 
 def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
-    """Dense Hermitian matrix, dropped to real storage when exactly real."""
-    return densify(ham_matrix(h))
+    """Dense Hermitian matrix from its sparse_parts: complex only with odd-Y terms."""
+    indptr, indices, data = sparse_parts([h])
+    return densify(indptr, indices, data[0])
 
 
 def eig(h: PauliHamiltonian) -> EigenSolution:
@@ -143,7 +144,7 @@ def symmetry_sectors(p) -> tuple:
 
 def _solve_point(p, s: float) -> EigenSolution:
     if p.is_diagonal(s):
-        diagonal = p.sparse_matrix(s).diagonal()
+        diagonal = p.diagonal(s)
         order = np.argsort(diagonal, kind="stable")
         return EigenSolution(diagonal[order], blocks=((order, slice(None), None),))
     if s == 0.0 or not symmetry_sectors(p):

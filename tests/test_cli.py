@@ -130,6 +130,31 @@ class TestMethodCommands:
         assert main(["clique", "/nope.txt"]) == 1
         assert "error: stage 'load'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"n_qubits": 1, "terms": [{"label": "Z", "coeff": True}]},
+         "term 0 coeff must be a JSON number, got True"),
+        ({"n_qubits": "1", "terms": [{"label": "Z", "coeff": 1.0}]},
+         "n_qubits must be a JSON integer, got '1'"),
+    ])
+    def test_loose_json_hamiltonian_exits_nonzero(self, tmp_path, capsys, doc, message):
+        source = tmp_path / "ham.json"
+        source.write_text(json.dumps(doc))
+        assert main(["clique", str(source)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: stage 'load' failed for {source}: {message}\n"
+
+    def test_non_finite_fcidump_record_exits_nonzero(self, data_dir, tmp_path, capsys):
+        text = (data_dir / "h2_sto3g_0.7414.fcidump").read_text()
+        first = "6.7448875894435101e-01   1   1   1   1"
+        assert first in text
+        source = tmp_path / "nan.fcidump"
+        source.write_text(text.replace(first, "nan 1 1 1 1"))
+        assert main(["qzp", str(source)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: stage 'load' failed for {source}: {source}: "
+                                "non-finite value in record 'nan 1 1 1 1'\n")
+
 
 class TestHamCommand:
     def test_fcidump_conversion(self, data_dir, tmp_path, capsys):

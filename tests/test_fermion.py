@@ -6,6 +6,8 @@ patterns and never touches Pauli algebra.  The term sets are held to the
 earlier dict-of-masks mapping kept in oracles.py.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,22 @@ class TestLoadFcidump:
         path = tmp_path / "nan.fcidump"
         path.write_text("&FCI NORB=2,\n&END\n x.5 1 1 0 0\n")
         with pytest.raises(ValueError, match="non-numeric"):
+            load_fcidump(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1.0D+999"])
+    def test_non_finite_value_names_its_record(self, data_dir, tmp_path, value):
+        """A non-finite first record of the bundled H2 file is rejected, not
+        dropped by comparisons that NaN fails."""
+        text = (data_dir / "h2_sto3g_0.7414.fcidump").read_text()
+        header, body = text.split("&END\n")
+        records = body.splitlines()
+        first = records[0].split()
+        assert first[1:] == ["1", "1", "1", "1"]
+        records[0] = " ".join([value] + first[1:])
+        path = tmp_path / "bad.fcidump"
+        path.write_text(header + "&END\n" + "\n".join(records) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: non-finite value in record "
+                                             rf"'{re.escape(records[0])}'$"):
             load_fcidump(path)
 
     def test_fortran_d_exponents(self, data_dir, tmp_path):
@@ -215,6 +233,18 @@ class TestValidation:
         f = FermionIntegrals(2, one_body, np.zeros((2, 2, 2, 2)), 0.0)
         with pytest.raises(ValueError, match="imaginary weight 1.25e-11"):
             mapping(f)
+
+    @pytest.mark.parametrize("field", ["one_body", "two_body", "core_energy"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrals_rejected(self, field, bad):
+        fields = {"one_body": np.zeros((2, 2)), "two_body": np.zeros((2, 2, 2, 2)),
+                  "core_energy": 0.0}
+        if field == "core_energy":
+            fields[field] = bad
+        else:
+            fields[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            FermionIntegrals(2, **fields)
 
     def test_broken_two_body_symmetry_rejected(self):
         v = np.zeros((2, 2, 2, 2))

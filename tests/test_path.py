@@ -1,19 +1,23 @@
 """Path Hamiltonian construction, endpoints, and discretization."""
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
+from mczeno.driver import load_qubit_hamiltonian
 from mczeno.pauli import (
     PauliHamiltonian,
     PauliTerm,
-    densify,
     ham_matrix,
     load_hamiltonian,
     parse_hamiltonian,
 )
 from mczeno.path import PathHamiltonian, discretize, h_at, x_driver
-from mczeno.spectral import dense_matrix
+from mczeno.qae import basis_state, evolve
+from mczeno.spectral import dense_matrix, path_eigensolutions
 from oracles import dict_invariant
 
 
@@ -142,10 +146,13 @@ class TestMatrix:
     @pytest.mark.parametrize("s", [0.05, 0.3, 0.5, 0.85])
     def test_interior_points_bit_identical_to_sum_of_part_matrices(self, path, s):
         """The shared-pattern sum equals the weighted sum of the parts'
-        own sparse matrices, which is how H(s) was formed before."""
+        own sparse matrices, which is how H(s) was formed before, densified
+        by toarray and dropped to real storage when exactly real."""
         parts = (path.h_initial, path.h_final, x_driver(path.n_qubits))
         weighted = [w * ham_matrix(h) for w, h in zip(path.weights(s), parts) if w]
-        reference = densify(sum(weighted[1:], weighted[0]))
+        reference = sum(weighted[1:], weighted[0]).toarray()
+        if not reference.imag.any():
+            reference = np.ascontiguousarray(reference.real)
         m = path.matrix(s)
         assert m.dtype == reference.dtype
         assert np.array_equal(m, reference)
@@ -172,6 +179,67 @@ class TestMatrix:
     def test_s_out_of_range(self, demo_path):
         with pytest.raises(ValueError, match="s must lie"):
             demo_path.matrix(1.5)
+
+
+@functools.cache
+def bundled_clique_paths() -> dict:
+    """The clique path at alpha 0.5 of each bundled fixture, FCIDUMP files
+    under both mappings, by file and mapping, and the odd-Y path."""
+    from conftest import DATA_DIR
+
+    paths = {"odd_y": odd_y_path()}
+    for path in sorted(DATA_DIR.iterdir()):
+        for mapping in ("jw", "parity") if path.suffix == ".fcidump" else ("none",):
+            h, _ = load_qubit_hamiltonian(str(path), mapping)
+            mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+            paths[f"{path.name}:{mapping}"] = PathHamiltonian(mc, h, alpha=0.5)
+    return paths
+
+
+class TestDenseAndDiagonalForms:
+    """Dense and diagonal H(s) are read off the shared pattern, never
+    converted from a sparse matrix."""
+
+    @pytest.fixture()
+    def no_csr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CSR matrix was built")
+
+        monkeypatch.setattr(scipy.sparse, "csr_matrix", refuse)
+
+    def test_path_matrix_builds_no_csr(self, data_dir, no_csr):
+        p = stretched_h2_path(data_dir, 0.5)
+        for s in (0.0, 0.5, 1.0):
+            assert p.matrix(s).shape == (16, 16)
+
+    def test_dense_matrix_builds_no_csr(self, data_dir, no_csr):
+        h = load_hamiltonian(data_dir / "h2_2.8_jw.txt")
+        assert dense_matrix(h).shape == (16, 16)
+
+    def test_h5_diagonal_and_initial_point_build_no_csr(self, no_csr):
+        h5_path = bundled_clique_paths()["h5_chain_sto3g_1.00.fcidump:jw"]
+        assert h5_path.diagonal(0.0).shape == (1024,)
+        solution = next(path_eigensolutions(h5_path, [0.0]))
+        assert solution.eigenvalues.shape == (1024,)
+
+    def test_qae_evolve_builds_no_csr(self, data_dir, no_csr):
+        p = stretched_h2_path(data_dir, 0.5)
+        result = evolve(p, 0.5, basis_state(4, 3))
+        assert result.step_count == 20
+
+    @pytest.mark.parametrize("name", list(bundled_clique_paths()))
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+    def test_diagonal_is_the_sparse_diagonal(self, name, s):
+        """Bit for bit, and in its dtype wherever H(s) is diagonal; a complex
+        H(s) has a complex CSR diagonal with no imaginary part."""
+        p = bundled_clique_paths()[name]
+        diagonal, reference = p.diagonal(s), p.sparse_matrix(s).diagonal()
+        assert diagonal.dtype == np.float64
+        if p.is_diagonal(s) or not np.iscomplexobj(reference):
+            assert reference.dtype == diagonal.dtype
+        else:
+            assert not reference.imag.any()
+        assert diagonal.tobytes() == np.ascontiguousarray(reference.real).tobytes()
 
 
 SWAP_4 = [2, 3, 0, 1]  # the spin swap on 4 qubits

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import scipy.sparse
 from mczeno.pauli import (
     PauliHamiltonian,
     PauliTerm,
-    combine,
     commutes,
     ham_matrix,
     hamiltonian_from_dict,
@@ -136,7 +136,7 @@ class TestHamMatrix:
     def test_linearity(self):
         h1 = parse_hamiltonian("1.5 XY\n-2.0 ZZ")
         h2 = parse_hamiltonian("0.5 XY\n3.0 IX")
-        total = combine([(1.0, h1), (1.0, h2)])
+        total = PauliHamiltonian(2, h1.terms + h2.terms)
         m = ham_matrix(total).toarray()
         assert np.allclose(m, ham_matrix(h1).toarray() + ham_matrix(h2).toarray(),
                            atol=1e-12)
@@ -356,3 +356,36 @@ class TestFileFormats:
         del terms[1][field]
         with pytest.raises(ValueError, match=f"^term 1 has no field '{field}'$"):
             hamiltonian_from_dict({"n_qubits": 2, "terms": terms})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("coeff", True, "term 1 coeff must be a JSON number, got True"),
+        ("coeff", "1.5", "term 1 coeff must be a JSON number, got '1.5'"),
+        ("coeff", "x", "term 1 coeff must be a JSON number, got 'x'"),
+        ("coeff", None, "term 1 coeff must be a JSON number, got None"),
+        ("label", 12, "term 1 label must be a JSON string, got 12"),
+    ])
+    def test_dict_term_field_of_wrong_type(self, field, value, message):
+        terms = [{"coeff": 1.0, "label": "ZI"}, {"coeff": 0.5, "label": "XX"}]
+        terms[1][field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hamiltonian_from_dict({"n_qubits": 2, "terms": terms})
+
+    def test_dict_integer_coefficient_is_a_number(self):
+        h = hamiltonian_from_dict({"n_qubits": 1, "terms": [{"coeff": 2, "label": "Z"}]})
+        assert h.coefficient_of("Z") == 2.0
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n_qubits": 2.7, "terms": []}, "n_qubits must be a JSON integer, got 2.7"),
+        ({"n_qubits": 2.0, "terms": []}, "n_qubits must be a JSON integer, got 2.0"),
+        ({"n_qubits": "2", "terms": []}, "n_qubits must be a JSON integer, got '2'"),
+        ({"n_qubits": True, "terms": []}, "n_qubits must be a JSON integer, got True"),
+        ({"n_qubits": 1, "terms": {"label": "Z", "coeff": 1.0}},
+         "terms must be a JSON array, got {'label': 'Z', 'coeff': 1.0}"),
+        ({"n_qubits": 1, "terms": [{"label": "Z", "coeff": 1.0}, 3]},
+         "term 1 must be a JSON object, got 3"),
+        ([{"n_qubits": 1}], "Hamiltonian document must be a JSON object, got [{'n_qubits': 1}]"),
+        ({"terms": []}, "missing field 'n_qubits' in Hamiltonian document"),
+    ])
+    def test_dict_document_of_wrong_shape(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hamiltonian_from_dict(doc)

@@ -506,13 +506,10 @@ class TestInitialStateCost:
         solution: H(0) is not read again, per initial index or per trial."""
         solutions = list(path_eigensolutions(gapped_path, s_grid(5)))
         calls = []
-        original = PathHamiltonian.sparse_matrix
-
-        def counting_matrix(p, s):
-            calls.append(s)
-            return original(p, s)
-
-        monkeypatch.setattr(PathHamiltonian, "sparse_matrix", counting_matrix)
+        for name in ("diagonal", "matrix"):
+            original = getattr(PathHamiltonian, name)
+            monkeypatch.setattr(PathHamiltonian, name, lambda p, s, read=original:
+                                calls.append(s) or read(p, s))
         zeno_statistics(gapped_path, 5, [0, 1], 30, rng_seed=2,
                         eigensolutions=solutions)
         assert calls == []
