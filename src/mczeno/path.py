@@ -19,26 +19,54 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-import scipy.sparse
 
 from mczeno.pauli import PauliHamiltonian, PauliTerm, densify, is_all_z, sparse_parts
 
 
 @dataclass(frozen=True)
 class Sector:
-    """One block of H(s) in an orthonormal basis of a subspace that every
-    H(s) leaves invariant.
+    """One block of H(s) in an orthonormal basis U of a subspace that every
+    H(s) leaves invariant, held as index arrays.
 
-    basis is the sparse 2**n x d isometry U, and parts are the sparse
-    d x d blocks U^T P U for P = H_i, H_p and H_X, in that order.
+    U has one nonzero entry per inside state: states[k], ascending, lies
+    on column columns[k] of U with entry coefficients[k], chi / sqrt(orbit
+    size).  parts holds one row per P = H_i, H_p and H_X, in that order: the
+    entries of the d x d block U^T P U at the flat positions a * d + b in
+    entries, ascending; every other entry of the block is zero.
     """
 
-    basis: scipy.sparse.csr_matrix
-    parts: tuple[scipy.sparse.csr_matrix, ...]
+    states: np.ndarray
+    columns: np.ndarray
+    coefficients: np.ndarray
+    entries: np.ndarray
+    parts: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return self.basis.shape[1]
+        return int(self.columns.max()) + 1
+
+
+@dataclass(frozen=True)
+class Frame:
+    """The orthogonal Q whose columns are the isometries U of a path's
+    sectors side by side, as two padded gathers: column j of Q holds
+    column_weights[j, k] in row column_rows[j, k], and row i holds
+    row_weights[i, k] in column row_columns[i, k], a weight of 0 padding
+    each to its longest column or row.
+    """
+
+    column_rows: np.ndarray
+    column_weights: np.ndarray
+    row_columns: np.ndarray
+    row_weights: np.ndarray
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Q^T x for standard-basis states x, a vector or columns."""
+        return np.einsum("jk,jk...->j...", self.column_weights, x[self.column_rows])
+
+    def embed(self, z: np.ndarray) -> np.ndarray:
+        """Q z, the standard-basis states of frame coordinates z."""
+        return np.einsum("ik,ik...->i...", self.row_weights, z[self.row_columns])
 
 
 @dataclass(frozen=True)
@@ -100,16 +128,18 @@ class PathHamiltonian:
         chi_c(g) = (-1)**popcount(g & c).  A basis state's orbit lies in the
         sector of chi unless an element of chi(g) = -1 fixes the state, and
         U's column for the orbit holds chi(g) / sqrt(orbit size) at each
-        state that g maps to the orbit's least member.  Each part is
-        S^T P S, for S the +-1 pattern of U, with entry (a, b) then divided
-        by sqrt(|a| |b|) for the orbit sizes |a| and |b|.  On the diagonal
-        that is the integer |a|, so an energy shared by an orbit's states
-        stays exact, and exact ties across sectors survive.
+        state that g maps to the orbit's least member.  Entry (a, b) of each
+        part sums chi chi' P_ij over the pattern entries (i, j) with i in
+        orbit a and j in orbit b, by one np.bincount over the keys a * d + b,
+        and is then divided by sqrt(|a| |b|) for the orbit sizes |a| and |b|.
+        On the diagonal that is the integer |a|, so an energy shared by an
+        orbit's states stays exact, and exact ties across sectors survive.
         """
         if not self.symmetries:
             return ()
         indptr, indices, data = self._pattern
         states = np.arange(len(indptr) - 1)
+        counts = np.diff(indptr)
         images = [states]
         for perm in reversed(self.symmetries):
             moved = _permute_bits(states, perm)
@@ -119,33 +149,35 @@ class PathHamiltonian:
         size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
         to_least = np.argmax(images == least, axis=0)
         fixed = images == states
-        matrices = [scipy.sparse.csr_matrix((values, indices, indptr), shape=(len(states),) * 2)
-                    for values in data]
         sectors = []
         for c in range(len(images)):
             chi = np.array([(-1) ** (g & c).bit_count() for g in range(len(images))])
             inside = np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(axis=0))
             orbits, columns = np.unique(least[inside], return_inverse=True)
-            basis = scipy.sparse.csr_matrix(
-                (chi[to_least[inside]] / np.sqrt(size[inside]), (inside, columns)),
-                shape=(len(states), len(orbits)))
-            signs, sizes = basis.sign(), size[orbits]
-            signs_t = signs.T.tocsr()  # in CSR, so that no product converts it
-            parts = []
-            for matrix in matrices:
-                part = (signs_t @ matrix @ signs).tocoo()
-                part.data /= np.sqrt(sizes[part.row] * sizes[part.col])
-                parts.append(part.tocsr())
-            sectors.append(Sector(basis, tuple(parts)))
+            d = len(orbits)
+            signs, column_of = np.zeros(len(states)), np.zeros(len(states), dtype=np.int64)
+            signs[inside], column_of[inside] = chi[to_least[inside]], columns
+            # each pattern entry's +-1 weight, zero unless both ends are inside
+            weight = np.repeat(signs, counts) * signs[indices]
+            keys = np.repeat(column_of * d, counts) + column_of[indices]
+            sums = np.array([_sum_at(keys, values * weight, d * d) for values in data])
+            entries = np.flatnonzero(sums.any(axis=0))
+            sizes = size[orbits[entries // d]] * size[orbits[entries % d]]
+            parts = sums[:, entries] / np.sqrt(sizes)
+            sectors.append(Sector(inside, columns, signs[inside] / np.sqrt(size[inside]),
+                                  entries, parts))
         return tuple(sectors)
 
     @cached_property
-    def frame(self) -> scipy.sparse.csr_matrix:
-        """The orthogonal Q whose columns are the sectors' isometries side by
-        side, in sector order, built on first use for a path with sectors.  A
-        sectored eigensolution (spectral.sector_eigh) holds its eigenvectors
-        on Q's columns."""
-        return scipy.sparse.hstack([sector.basis for sector in self.sectors], format="csr")
+    def frame(self) -> Frame:
+        """The Frame of self.sectors, in sector order, built on first use for
+        a path with sectors.  A sectored eigensolution (spectral.sector_eigh)
+        holds its eigenvectors on its columns."""
+        offsets = np.cumsum([0] + [sector.dimension for sector in self.sectors])
+        states, columns, weights = (np.concatenate(arrays) for arrays in zip(*(
+            (sector.states, sector.columns + offset, sector.coefficients)
+            for sector, offset in zip(self.sectors, offsets))))
+        return Frame(*_padded(columns, states, weights), *_padded(states, columns, weights))
 
     @cached_property
     def _pattern(self):
@@ -179,7 +211,10 @@ class PathHamiltonian:
     def sparse_matrix(self, s: float) -> scipy.sparse.csr_matrix:
         """Sparse H(s) on the shared pattern, in real storage when exactly
         real; zero-weight parts are left out, so H(0) and H(1) hold
-        exactly the values of H_i and H_p."""
+        exactly the values of H_i and H_p.  The one method of a path that
+        imports scipy."""
+        import scipy.sparse
+
         indptr, indices, data = self._pattern
         dim = 1 << self.n_qubits
         return scipy.sparse.csr_matrix((self._combine(s, data), indices, indptr),
@@ -187,8 +222,11 @@ class PathHamiltonian:
 
     def sector_matrix(self, sector: Sector, s: float) -> np.ndarray:
         """Dense U^T H(s) U of one of self.sectors, real when exactly real:
-        the weighted sum of its densified parts."""
-        return self._combine(s, [part.toarray() for part in sector.parts])
+        the weighted sum of its parts, placed at their entries."""
+        values = self._combine(s, sector.parts)
+        block = np.zeros(sector.dimension ** 2, dtype=values.dtype)
+        block[sector.entries] = values
+        return block.reshape(sector.dimension, sector.dimension)
 
     def matrix(self, s: float) -> np.ndarray:
         """Dense H(s), densified from the shared pattern, bit-identical at
@@ -209,6 +247,26 @@ class PathHamiltonian:
         """
         centres, radii = self.diagonal(s), self._combine(s, self._gershgorin[1])
         return float((centres - radii).min()), float((centres + radii).max())
+
+
+def _sum_at(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The sum of values at each key in range(size), by one np.bincount
+    (two when the values are complex)."""
+    if np.iscomplexobj(values):
+        return _sum_at(keys, values.real, size) + 1j * _sum_at(keys, values.imag, size)
+    return np.bincount(keys, weights=values, minlength=size)
+
+
+def _padded(keys: np.ndarray, values: np.ndarray, weights: np.ndarray):
+    """(index, weight) arrays whose row k lists the values of key k, in
+    ascending order, and their weights, padded by index 0 and weight 0."""
+    order = np.lexsort((values, keys))
+    keys = keys[order]
+    slot = np.arange(len(keys)) - np.searchsorted(keys, keys)
+    index = np.zeros((keys[-1] + 1, slot.max() + 1), dtype=np.intp)
+    padded = np.zeros(index.shape)
+    index[keys, slot], padded[keys, slot] = values[order], weights[order]
+    return index, padded
 
 
 def _permute_bits(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 DIMENSION_CAP = 14
 """Largest qubit count for which dense 2**n work is permitted by default."""
@@ -184,6 +183,8 @@ def term_matrix(t: PauliTerm) -> scipy.sparse.csr_matrix:
     P|j> = coeff * i**n_Y * (-1)**popcount(z & j) |j ^ x>, with the Y
     phase i**n_Y folded in so real coefficients give a Hermitian matrix.
     """
+    import scipy.sparse
+
     _check_cap(t.n_qubits)
     dim = 1 << t.n_qubits
     cols = np.arange(dim, dtype=np.int64)
@@ -238,6 +239,8 @@ def ham_matrix(h: PauliHamiltonian) -> scipy.sparse.csr_matrix:
     Equal, entry for entry, to the sum of the term matrices in term order;
     entries that cancel to exactly zero are left out, as that sum drops them.
     """
+    import scipy.sparse
+
     indptr, indices, data = sparse_parts([h])
     dim = 1 << h.n_qubits
     return scipy.sparse.csr_matrix((data[0], indices, indptr), shape=(dim, dim))
@@ -328,8 +331,8 @@ def hamiltonian_to_dict(h: PauliHamiltonian) -> dict:
 
 def hamiltonian_from_dict(doc: dict) -> PauliHamiltonian:
     """Read the JSON form: an object with an integer n_qubits and an array of
-    terms, each an object with a string label and a number coeff.  An error
-    names the field, and the term by its position."""
+    terms, each an object with a string label and a number coeff, finite as
+    a float.  An error names the field, and the term by its position."""
     doc = _json(doc, dict, "Hamiltonian document")
     try:
         n = _json(doc["n_qubits"], int, "n_qubits")
@@ -346,7 +349,13 @@ def hamiltonian_from_dict(doc: dict) -> PauliHamiltonian:
             raise ValueError(f"term {position} has no field {missing}") from None
         if len(label) != n:
             raise ValueError(f"term {position} label {label!r} is not {n} characters wide")
-        terms.append(PauliTerm(n, *_label_to_masks(label), float(coeff)))
+        try:
+            coeff = float(coeff)
+        except OverflowError:
+            raise ValueError(f"term {position} coeff is too large for a float") from None
+        if not math.isfinite(coeff):
+            raise ValueError(f"term {position} coeff must be finite, got {coeff!r}")
+        terms.append(PauliTerm(n, *_label_to_masks(label), coeff))
     return PauliHamiltonian(n, terms)
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse
 
 from mczeno.pauli import PauliHamiltonian, ham_matrix
 from mczeno.path import PathHamiltonian, s_grid
@@ -27,7 +26,8 @@ from mczeno.spectral import EigenSolution, eig, path_eigensolutions
 
 DENSE_STEP_DIMENSION = 128
 """Largest dimension whose steps use a dense H(s): up to it, the call
-overhead of a sparse product outweighs the work it saves."""
+overhead of a sparse product outweighs the work it saves.  Only the sparse
+steps above it import scipy."""
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def chebyshev_step(h, bounds: tuple[float, float], dt: float, psi: np.ndarray) -
     centre, radius = (lo + hi) / 2.0, (hi - lo) / 2.0
     series = partial(_chebyshev_sum, h, centre, radius,
                      chebyshev_coefficients(radius * dt))
-    if scipy.sparse.issparse(h) and not np.iscomplexobj(h):
+    if not isinstance(h, np.ndarray) and not np.iscomplexobj(h):
         total = series(psi.real) + 1j * series(psi.imag)
     else:
         total = series(psi)

@@ -7,10 +7,9 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
-import scipy.sparse
 
 from mczeno.pauli import PauliHamiltonian, _check_cap, densify, sparse_parts
-from mczeno.path import s_grid
+from mczeno.path import Frame, s_grid
 
 SECTOR_DIMENSION = 256
 """Smallest dimension whose path points are solved in symmetry sectors.  On
@@ -31,17 +30,17 @@ class EigenSolution:
     of the frame, is the eigenvector of rank ranks[j], W None being the
     identity.  The frame is the standard basis (None) or the orthogonal Q
     of a path's symmetry sectors (PathHamiltonian.frame, the sectors'
-    isometries U_c side by side).  Every solution is a complete basis: dense
-    eigenvectors are one square block, a sorted diagonal H the basis state
-    of each rank with W None, and a sectored point one d_c x d_c W per
-    sector, on that sector's columns of Q.  apply, weights and vectors take
-    and return standard-basis states and amplitudes in rank order, so no
-    caller sees the frame or the blocks; the dense 2**n x 2**n eigenvectors
-    are formed only when read.
+    isometries U_c side by side, held as numpy index arrays).  Every
+    solution is a complete basis: dense eigenvectors are one square block,
+    a sorted diagonal H the basis state of each rank with W None, and a
+    sectored point one d_c x d_c W per sector, on that sector's columns of
+    Q.  apply, weights and vectors take and return standard-basis states
+    and amplitudes in rank order, so no caller sees the frame or the
+    blocks; the dense 2**n x 2**n eigenvectors are formed only when read.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
-                 *, frame: scipy.sparse.csr_matrix | None = None, blocks: tuple = ()):
+                 *, frame: Frame | None = None, blocks: tuple = ()):
         if eigenvectors is not None:
             if eigenvectors.shape != (len(eigenvalues),) * 2:
                 raise ValueError(f"eigenvectors of shape {eigenvectors.shape} are not "
@@ -80,7 +79,7 @@ class EigenSolution:
         applies Q^T on entry to the adjoint and Q on exit from the forward
         map.  A new array."""
         if adjoint and self.frame is not None:
-            x = self.frame.T @ x
+            x = self.frame.project(x)
         n, dtype = len(self.eigenvalues), np.result_type(x, self._dtype)
         out = np.empty((n, *x.shape[1:]), dtype=dtype)
         for rows, ranks, w in self.blocks:
@@ -89,7 +88,7 @@ class EigenSolution:
             if w is not None:
                 y = (w.conj().T if adjoint else w) @ y
             out[target] = y
-        return out if adjoint or self.frame is None else self.frame @ out
+        return out if adjoint or self.frame is None else self.frame.embed(out)
 
     def weights(self, psi: np.ndarray) -> np.ndarray:
         """|<v_r|psi>|^2 of a standard-basis state psi for each rank r."""
@@ -156,12 +155,12 @@ def sector_eigh(p, s: float) -> EigenSolution:
     """Eigensolution of H(s) on the frame of p's sectors (p.sectors,
     p.frame), from one eigh per sector.
 
-    Sector chi's d x d block U^T H(s) U is summed from its sparse parts and
-    densified alone, so no dense H(s) is formed.  Its eigenvectors W stay
-    d x d blocks, and their columns land in the stable ascending merge of
-    every sector's eigenvalues.  This is symmetry tapering (Bravyi,
-    Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a group of qubit
-    permutations.
+    Sector chi's dense d x d block U^T H(s) U is the weighted sum of its
+    parts (PathHamiltonian.sector_matrix), so no dense H(s) is formed.  Its
+    eigenvectors W stay d x d blocks, and their columns land in the stable
+    ascending merge of every sector's eigenvalues.  This is symmetry
+    tapering (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a
+    group of qubit permutations.
     """
     solved = [np.linalg.eigh(p.sector_matrix(sector, s)) for sector in p.sectors]
     values = np.concatenate([v for v, _ in solved])

@@ -4,11 +4,12 @@ Most of this is built from first principles (explicit Kronecker
 products, occupation-number ladder matrices) so it shares no code path
 with the package under test.  sequential_ham_matrix, eigh_evolve,
 dict_jordan_wigner / dict_parity_map, full_eigh_solutions,
-dict_invariant and diagonal_entries are the package's earlier, slower
-algorithms (a term-by-term sparse sum, per-step diagonalization, complex
-dict-of-masks ladder products, one full eigh per path point, a per-term
-symmetry check and a term-by-term all-Z diagonal), kept so that the
-faster ones can be held to them.
+dict_invariant, diagonal_entries and sandwich_sectors are the package's
+earlier, slower algorithms (a term-by-term sparse sum, per-step
+diagonalization, complex dict-of-masks ladder products, one full eigh per
+path point, a per-term symmetry check, a term-by-term all-Z diagonal and
+sparse S^T P S sector parts), kept so that the faster ones can be held to
+them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import scipy.sparse
 
 from mczeno.fermion import FermionIntegrals
+from mczeno.path import _permute_bits
 from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, term_matrix
 from mczeno.spectral import EigenSolution
 
@@ -317,8 +319,70 @@ def scattered_sector_eigh(p, s: float) -> tuple[np.ndarray, np.ndarray]:
     vectors = np.zeros((len(values), len(values)), order="F",
                        dtype=np.result_type(*(w for _, w in solved)))
     for sector, (_, w), at in zip(sectors, solved, columns):
-        vectors[:, at] = sector.basis @ w
+        vectors[:, at] = sector_basis(sector, len(values)) @ w
     return np.sort(values), vectors
+
+
+def sector_basis(sector, dim: int) -> np.ndarray:
+    """The sector's isometry U as a dense dim x d matrix."""
+    u = np.zeros((dim, sector.dimension))
+    u[sector.states, sector.columns] = sector.coefficients
+    return u
+
+
+def sector_part(sector, k: int) -> np.ndarray:
+    """Part k (H_i, H_p or H_X) of the sector as a dense d x d block."""
+    block = np.zeros(sector.dimension ** 2, dtype=sector.parts.dtype)
+    block[sector.entries] = sector.parts[k]
+    return block.reshape(sector.dimension, sector.dimension)
+
+
+def frame_matrices(frame) -> tuple[np.ndarray, np.ndarray]:
+    """The dense Q of a path.Frame, once from its columns and once from its
+    rows, each padding entry adding 0."""
+    columns, rows = np.arange(len(frame.column_rows)), np.arange(len(frame.row_columns))
+    by_columns, by_rows = np.zeros((2, len(rows), len(columns)))
+    np.add.at(by_columns, (frame.column_rows, columns[:, None]), frame.column_weights)
+    np.add.at(by_rows, (rows[:, None], frame.row_columns), frame.row_weights)
+    return by_columns, by_rows
+
+
+def sandwich_sectors(p) -> list:
+    """(U, parts) for each character of p's symmetry group, in p.sectors
+    order, as sparse scipy matrices: the orbit and character rules of
+    PathHamiltonian.sectors, with each part formed as S^T P S for S the +-1
+    pattern of U and entry (a, b) then divided by sqrt(|a| |b|) for the two
+    orbit sizes."""
+    indptr, indices, data = p._pattern
+    states = np.arange(len(indptr) - 1)
+    images = [states]
+    for perm in reversed(p.symmetries):
+        moved = _permute_bits(states, perm)
+        images += [moved[image] for image in images]
+    images = np.array(images)
+    least = images.min(axis=0)
+    size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
+    to_least = np.argmax(images == least, axis=0)
+    fixed = images == states
+    matrices = [scipy.sparse.csr_matrix((values, indices, indptr), shape=(len(states),) * 2)
+                for values in data]
+    sectors = []
+    for c in range(len(images)):
+        chi = np.array([(-1) ** (g & c).bit_count() for g in range(len(images))])
+        inside = np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(axis=0))
+        orbits, columns = np.unique(least[inside], return_inverse=True)
+        basis = scipy.sparse.csr_matrix(
+            (chi[to_least[inside]] / np.sqrt(size[inside]), (inside, columns)),
+            shape=(len(states), len(orbits)))
+        signs, sizes = basis.sign(), size[orbits]
+        signs_t = signs.T.tocsr()
+        parts = []
+        for matrix in matrices:
+            part = (signs_t @ matrix @ signs).tocoo()
+            part.data /= np.sqrt(sizes[part.row] * sizes[part.col])
+            parts.append(part.tocsr())
+        sectors.append((basis, parts))
+    return sectors
 
 
 def dict_invariant(h, perm, tol: float = 1e-12) -> bool:

@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import (
@@ -21,6 +20,7 @@ from mczeno.driver import (
     scan_csv,
 )
 from mczeno.pauli import is_all_z, load_hamiltonian
+from mczeno import path as path_module
 from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve
 from mczeno.qzp import initial_eigenstate, zeno_statistics
@@ -201,15 +201,17 @@ class TestRun:
             tracemalloc.stop()
 
     def test_h5_qzp_builds_sector_frame_once(self, data_dir, monkeypatch):
-        """Three initial indices share one stacked sector basis."""
+        """Three initial indices and ten sectored points share one build of
+        H5's four sectors and of their stacked frame."""
         calls = []
-        hstack = scipy.sparse.hstack
-        monkeypatch.setattr(scipy.sparse, "hstack",
-                            lambda *a, **k: calls.append(1) or hstack(*a, **k))
+        for name in ("Sector", "Frame"):
+            built = getattr(path_module, name)
+            monkeypatch.setattr(path_module, name, lambda *a, name=name, built=built:
+                                calls.append(name) or built(*a))
         run(RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"),
                       method="qzp", alpha=0.5, n_steps=10, trials=20, seed=13,
                       initial_indices=(0, 1, 2)))
-        assert len(calls) == 1
+        assert calls == ["Sector"] * 4 + ["Frame"]
 
     def test_h5_qzp_peak_memory(self, data_dir):
         assert self.h5_qzp_peak(data_dir, 200) < self.H5_QZP_PEAK_BYTES

@@ -18,7 +18,12 @@ from mczeno.pauli import (
 from mczeno.path import PathHamiltonian, discretize, h_at, x_driver
 from mczeno.qae import basis_state, evolve
 from mczeno.spectral import dense_matrix, path_eigensolutions
-from oracles import dict_invariant
+from oracles import (
+    dict_invariant,
+    sandwich_sectors,
+    sector_basis,
+    sector_part,
+)
 
 
 @pytest.fixture()
@@ -354,3 +359,34 @@ class TestSymmetries:
         search for that image ends at a term of the same coefficient."""
         h = parse_hamiltonian(text)
         assert PathHamiltonian(h, h).symmetries == ()
+
+
+class TestSectorParts:
+    """Sectors are index arrays whose parts are summed by one bincount; they
+    equal the sparse S^T P S construction they replaced."""
+
+    @pytest.mark.parametrize("name", [name for name, p in bundled_clique_paths().items()
+                                      if p.symmetries])
+    def test_parts_equal_sandwich_reference(self, name):
+        p = bundled_clique_paths()[name]
+        reference = sandwich_sectors(p)
+        assert len(reference) == len(p.sectors) >= 2
+        deviation = 0.0
+        for sector, (basis, parts) in zip(p.sectors, reference):
+            assert np.array_equal(sector_basis(sector, 1 << p.n_qubits), basis.toarray())
+            for k, part in enumerate(parts):
+                deviation = max(deviation, np.abs(sector_part(sector, k) - part.toarray()).max())
+        print(f"{name}: largest part deviation from S^T P S {deviation:.1e}")
+        assert deviation <= 1e-14
+
+    @pytest.mark.parametrize("name", ["h2_2.8_jw.txt:none", "h5_chain_sto3g_1.00.fcidump:jw"])
+    def test_frame_applies_the_stacked_bases(self, name):
+        """The frame's two gathers are Q^T x and Q z for Q the sectors'
+        bases side by side, for complex vectors and columns."""
+        p = bundled_clique_paths()[name]
+        q = np.hstack([sector_basis(sector, 1 << p.n_qubits) for sector in p.sectors])
+        rng = np.random.default_rng(2)
+        for shape in [(len(q),), (len(q), 3)]:
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.abs(p.frame.project(x) - q.T @ x).max() <= 1e-15
+            assert np.abs(p.frame.embed(x) - q @ x).max() <= 1e-15

@@ -370,6 +370,18 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             hamiltonian_from_dict({"n_qubits": 2, "terms": terms})
 
+    @pytest.mark.parametrize("coeff, message", [
+        ("NaN", "term 1 coeff must be finite, got nan"),
+        ("-Infinity", "term 1 coeff must be finite, got -inf"),
+        ("1" + "0" * 400, "term 1 coeff is too large for a float"),
+    ])
+    def test_dict_coefficient_not_a_finite_float(self, coeff, message):
+        """json reads the NaN and Infinity literals, and integers of any size."""
+        text = ('{"n_qubits": 1, "terms": [{"coeff": 1.0, "label": "Z"}, '
+                f'{{"coeff": {coeff}, "label": "X"}}]}}')
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hamiltonian_from_dict(json.loads(text))
+
     def test_dict_integer_coefficient_is_a_number(self):
         h = hamiltonian_from_dict({"n_qubits": 1, "terms": [{"coeff": 2, "label": "Z"}]})
         assert h.coefficient_of("Z") == 2.0

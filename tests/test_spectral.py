@@ -21,7 +21,14 @@ from mczeno.spectral import (
     sector_eigh,
     spectrum_csv,
 )
-from oracles import diagonal_entries, full_eigh_solutions, scattered_sector_eigh
+from oracles import (
+    diagonal_entries,
+    frame_matrices,
+    full_eigh_solutions,
+    sandwich_sectors,
+    scattered_sector_eigh,
+    sector_basis,
+)
 
 MINUS_Z = parse_hamiltonian("-1.0 Z")
 MINUS_X = parse_hamiltonian("-1.0 X")
@@ -279,12 +286,14 @@ class TestSectorSolve:
         """Each U is orthonormal with entries +-1/sqrt(orbit size), the
         sectors split the space, and sum_chi U_chi (U^T H U) U^T = H."""
         p = clique_path(data_dir, self.H5, 0.5)
-        bases = [sector.basis.toarray() for sector in p.sectors]
+        bases = [sector_basis(sector, 1 << p.n_qubits) for sector in p.sectors]
         for u in bases:
             assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-15
             assert set(np.round(np.abs(u[u != 0]) ** -2, 12)) <= {1.0, 2.0, 4.0}
         stacked = np.hstack(bases)
-        assert np.array_equal(p.frame.toarray(), stacked)
+        reference = [basis.toarray() for basis, _ in sandwich_sectors(p)]
+        assert np.array_equal(stacked, np.hstack(reference))
+        assert all(np.array_equal(q, stacked) for q in frame_matrices(p.frame))
         assert np.abs(stacked.T @ stacked - np.eye(1 << p.n_qubits)).max() <= 1e-15
         h = p.matrix(0.5)
         rebuilt = sum(u @ p.sector_matrix(sector, 0.5) @ u.T
@@ -309,7 +318,8 @@ class TestSectorSolve:
         solution = sector_eigh(p, 0.5)
         check_against_full_eigh(p.matrix(0.5), solution)
         assert np.array_equal(solution.eigenvalues, np.sort(np.diag(p.matrix(0.5))))
-        weights = np.array([np.linalg.norm(sector.basis.T @ solution.eigenvectors, axis=0)
+        weights = np.array([np.linalg.norm(sector_basis(sector, 1 << n).T
+                                           @ solution.eigenvectors, axis=0)
                             for sector in p.sectors])
         assert np.abs(weights.max(axis=0) - 1.0).max() <= 1e-12
         labels = weights.argmax(axis=0)
