@@ -374,7 +374,7 @@ class TestFileFormats:
         ("NaN", "term 1 coeff must be finite, got nan"),
         ("-Infinity", "term 1 coeff must be finite, got -inf"),
         ("1" + "0" * 400, "term 1 coeff is too large for a float"),
-    ])
+    ], ids=["nan", "minus_infinity", "integer_of_401_digits"])
     def test_dict_coefficient_not_a_finite_float(self, coeff, message):
         """json reads the NaN and Infinity literals, and integers of any size."""
         text = ('{"n_qubits": 1, "terms": [{"coeff": 1.0, "label": "Z"}, '
