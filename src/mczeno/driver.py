@@ -19,12 +19,13 @@ from dataclasses import dataclass, field, fields
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.fermion import jordan_wigner, load_fcidump, parity_map
 from mczeno.pauli import PauliHamiltonian, _json, load_hamiltonian, save_hamiltonian
-from mczeno.path import PathHamiltonian, s_grid
+from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve
-from mczeno.qzp import initial_eigenstate, zeno_statistics, distribution_csv
+from mczeno.qzp import distribution_csv, initial_eigenstate, zeno_grid, zeno_statistics
 from mczeno.spectral import (
     path_eigensolutions,
     path_spectrum,
+    sector_weights,
     spectrum_csv,
     symmetry_sectors,
 )
@@ -223,17 +224,19 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
                 "final_energy_hartree": result.final_energy,
                 "ground_fidelity": result.ground_fidelity,
                 "error_hartree": result.final_energy - float(exact[0]),
+                "sector_weights": sector_weights(p, psi0).tolist(),
             }
         )
 
     if "qzp" not in methods:
         return record, None
     with _stage("qzp", config.source):
-        grid = path_eigensolutions(p, s_grid(config.n_steps)[:-1])
+        grid, starts = zeno_grid(p, config.n_steps, list(config.initial_indices), final)
         distributions = zeno_statistics(
             p, config.n_steps, list(config.initial_indices), config.trials,
-            config.seed, eigensolutions=[*grid, final],
+            config.seed, eigensolutions=grid,
         )
+        weights = sector_weights(p, starts).T.tolist()
     best_index = min(min(d.counts) for d in distributions)
     record.update(
         {
@@ -247,8 +250,9 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
                     "trials": d.trials,
                     "ground_frequency": d.counts.get(0, 0) / d.trials,
                     "counts": [[i, d.counts[i]] for i in sorted(d.counts)],
+                    "sector_weights": w,
                 }
-                for d in distributions
+                for d, w in zip(distributions, weights)
             ],
         }
     )

@@ -130,8 +130,11 @@ class PathHamiltonian:
         U's column for the orbit holds chi(g) / sqrt(orbit size) at each
         state that g maps to the orbit's least member.  Entry (a, b) of each
         part sums chi chi' P_ij over the pattern entries (i, j) with i in
-        orbit a and j in orbit b, by one np.bincount over the keys a * d + b,
-        and is then divided by sqrt(|a| |b|) for the orbit sizes |a| and |b|.
+        orbit a and j in orbit b, in pattern order, and is then divided by
+        sqrt(|a| |b|) for the orbit sizes |a| and |b|.  The orbit pairs that
+        the pattern holds are found once per path by np.unique, and each part
+        is one np.bincount over them, so the build takes memory in proportion
+        to the pattern's entries, not to d * d.
         On the diagonal that is the integer |a|, so an energy shared by an
         orbit's states stays exact, and exact ties across sectors survive.
         """
@@ -139,7 +142,6 @@ class PathHamiltonian:
             return ()
         indptr, indices, data = self._pattern
         states = np.arange(len(indptr) - 1)
-        counts = np.diff(indptr)
         images = [states]
         for perm in reversed(self.symmetries):
             moved = _permute_bits(states, perm)
@@ -149,23 +151,29 @@ class PathHamiltonian:
         size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
         to_least = np.argmax(images == least, axis=0)
         fixed = images == states
+        # each pattern entry (i, j) by its pair of orbits, keyed by their least
+        # members, and by the pair of elements taking i and j to them
+        rows = np.repeat(states, np.diff(indptr))
+        pairs, pair_of = np.unique(least[rows] * len(states) + least[indices],
+                                   return_inverse=True)
+        moves = to_least[rows] * len(images) + to_least[indices]
+        del rows
         sectors = []
         for c in range(len(images)):
             chi = np.array([(-1) ** (g & c).bit_count() for g in range(len(images))])
             inside = np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(axis=0))
             orbits, columns = np.unique(least[inside], return_inverse=True)
             d = len(orbits)
-            signs, column_of = np.zeros(len(states)), np.zeros(len(states), dtype=np.int64)
-            signs[inside], column_of[inside] = chi[to_least[inside]], columns
-            # each pattern entry's +-1 weight, zero unless both ends are inside
-            weight = np.repeat(signs, counts) * signs[indices]
-            keys = np.repeat(column_of * d, counts) + column_of[indices]
-            sums = np.array([_sum_at(keys, values * weight, d * d) for values in data])
-            entries = np.flatnonzero(sums.any(axis=0))
-            sizes = size[orbits[entries // d]] * size[orbits[entries % d]]
-            parts = sums[:, entries] / np.sqrt(sizes)
-            sectors.append(Sector(inside, columns, signs[inside] / np.sqrt(size[inside]),
-                                  entries, parts))
+            column_of = np.full(len(states), -1)
+            column_of[inside] = columns
+            weight = np.outer(chi, chi).ravel()[moves]
+            sums = np.array([_sum_at(pair_of, values * weight, len(pairs)) for values in data])
+            a, b = np.divmod(pairs, len(states))
+            kept = (column_of[a] >= 0) & (column_of[b] >= 0) & sums.any(axis=0)
+            a, b = a[kept], b[kept]
+            parts = sums[:, kept] / np.sqrt(size[a] * size[b])
+            sectors.append(Sector(inside, columns, chi[to_least[inside]] / np.sqrt(size[inside]),
+                                  column_of[a] * d + column_of[b], parts))
         return tuple(sectors)
 
     @cached_property

@@ -231,10 +231,8 @@ def _project_block(
     amplitudes outside the level zeroed and mapped back by es.apply.  A
     real state against real eigenvectors stays real.
     """
-    if psi.shape[0] != len(es.eigenvalues):
-        raise ValueError(
-            f"state dimension {psi.shape[0]} does not match basis {len(es.eigenvalues)}"
-        )
+    if psi.shape[0] != es.dimension:
+        raise ValueError(f"state dimension {psi.shape[0]} does not match basis {es.dimension}")
     amplitudes = es.apply(psi, adjoint=True)
     weights = np.abs(amplitudes)
     weights **= 2
@@ -361,6 +359,26 @@ def _initial_block(
     return h0.vectors(initial_indices)
 
 
+def zeno_grid(
+    p: PathHamiltonian, n_steps: int, initial_indices: list[int],
+    final: EigenSolution | None = None,
+) -> tuple[list[EigenSolution], np.ndarray]:
+    """The eigensolutions of s_grid(n_steps) for runs from the given H(0)
+    ranks that report only final ranks, and the start states as columns.
+
+    s = 0 and s = 1 are solved whole; final, when given, is the solution at
+    s = 1.  The interior points solve only the symmetry sectors the starts
+    reach (path_eigensolutions' start), so their ranks count only those
+    sectors' levels.
+    """
+    grid = s_grid(n_steps)
+    h0 = next(path_eigensolutions(p, grid[:1]))
+    psi = _initial_block(p, initial_indices, h0)
+    if final is None:
+        final = next(path_eigensolutions(p, grid[-1:]))
+    return [h0, *path_eigensolutions(p, grid[1:-1], start=psi), final], psi
+
+
 def _grid_solutions(
     p: PathHamiltonian, n_steps: int, eigensolutions: list[EigenSolution] | None = None
 ) -> list[EigenSolution]:
@@ -424,12 +442,17 @@ def zeno_statistics(
     i * trials_per_initial + t, so results are seed-deterministic and
     independent of execution order.  The trials of every initial index
     are projected together as one block, one state column per distinct
-    state.  eigensolutions, if given, are those of s_grid(n_steps).
+    state.  eigensolutions, if given, are those of s_grid(n_steps), whole
+    or as zeno_grid solves them for these initial indices, which is how
+    they are solved here otherwise.
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
-    eigensolutions = _grid_solutions(p, n_steps, eigensolutions)
-    psi = _initial_block(p, list(initial_indices), eigensolutions[0])
+    if eigensolutions is None:
+        eigensolutions, psi = zeno_grid(p, n_steps, list(initial_indices))
+    else:
+        eigensolutions = _grid_solutions(p, n_steps, eigensolutions)
+        psi = _initial_block(p, list(initial_indices), eigensolutions[0])
     owner = np.repeat(np.arange(len(initial_indices)), trials_per_initial)
     finals = _trajectories(eigensolutions, psi, owner, rng_seed, range(len(owner)), 1)[-1]
     rows = finals.reshape(-1, trials_per_initial)
@@ -448,14 +471,14 @@ def lowest_k_energies(
 
     Starts trials from the k lowest eigenstates of H(0) in rotation
     (repetitions total) and gathers the distinct final energies seen.
+    The path is solved by zeno_grid.
     """
     dim = 1 << p.n_qubits
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     if repetitions < k:
         raise ValueError("repetitions must be at least k")
-    eigensolutions = _grid_solutions(p, n_steps)
-    psi = _initial_block(p, list(range(k)), eigensolutions[0])
+    eigensolutions, psi = zeno_grid(p, n_steps, list(range(k)))
     owner = np.arange(repetitions) % k
     finals = _trajectories(eigensolutions, psi, owner, rng_seed, range(repetitions), 1)[-1]
     observed = Counter(finals.tolist())

@@ -30,13 +30,17 @@ class EigenSolution:
     of the frame, is the eigenvector of rank ranks[j], W None being the
     identity.  The frame is the standard basis (None) or the orthogonal Q
     of a path's symmetry sectors (PathHamiltonian.frame, the sectors'
-    isometries U_c side by side, held as numpy index arrays).  Every
-    solution is a complete basis: dense eigenvectors are one square block,
-    a sorted diagonal H the basis state of each rank with W None, and a
-    sectored point one d_c x d_c W per sector, on that sector's columns of
-    Q.  apply, weights and vectors take and return standard-basis states
-    and amplitudes in rank order, so no caller sees the frame or the
-    blocks; the dense 2**n x 2**n eigenvectors are formed only when read.
+    isometries U_c side by side, held as numpy index arrays).  Dense
+    eigenvectors are one square block, a sorted diagonal H the basis state
+    of each rank with W None, and a sectored point one d_c x d_c W per
+    solved sector, on that sector's columns of Q.  Every solution is a
+    complete basis of the reached sectors: of the whole space, or of the
+    sectors a sectored point solved (sector_eigh), whose eigenvalues, and
+    so levels and ranks, count only their levels.  dimension is the length
+    of a state, the frame's rows.  apply, weights and vectors take and
+    return standard-basis states and amplitudes in rank order, so no
+    caller sees the frame or the blocks; the dense eigenvectors are formed
+    only when read.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
@@ -51,6 +55,7 @@ class EigenSolution:
             raise ValueError("EigenSolution needs eigenvectors or blocks")
         self.eigenvalues, self.frame, self.blocks = eigenvalues, frame, blocks
         self._dtype = np.result_type(float, *(w for _, _, w in self.blocks if w is not None))
+        self.dimension = len(eigenvalues) if frame is None else len(frame.row_columns)
 
     @cached_property
     def level_ends(self) -> np.ndarray:
@@ -62,7 +67,8 @@ class EigenSolution:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """The eigenvectors as dense columns, formed on first read."""
+        """The eigenvectors as dense columns of dimension rows, formed on
+        first read."""
         return self.vectors(np.arange(len(self.eigenvalues)))
 
     def vectors(self, ranks) -> np.ndarray:
@@ -77,11 +83,12 @@ class EigenSolution:
         adjoint V^H x, the rank-order amplitudes of the standard-basis state
         x; column r of V is the eigenvector of rank r.  A sectored solution
         applies Q^T on entry to the adjoint and Q on exit from the forward
-        map.  A new array."""
+        map, the forward map leaving the frame columns of unsolved sectors
+        zero.  A new array."""
         if adjoint and self.frame is not None:
             x = self.frame.project(x)
-        n, dtype = len(self.eigenvalues), np.result_type(x, self._dtype)
-        out = np.empty((n, *x.shape[1:]), dtype=dtype)
+        n = len(self.eigenvalues) if adjoint else self.dimension
+        out = np.zeros((n, *x.shape[1:]), dtype=np.result_type(x, self._dtype))
         for rows, ranks, w in self.blocks:
             source, target = (rows, ranks) if adjoint else (ranks, rows)
             y = x[source]
@@ -118,7 +125,8 @@ def eig(h: PauliHamiltonian) -> EigenSolution:
     return EigenSolution(*np.linalg.eigh(m))
 
 
-def path_eigensolutions(p, s_values: Iterable[float]) -> Iterator[EigenSolution]:
+def path_eigensolutions(p, s_values: Iterable[float], *,
+                        start: np.ndarray | None = None) -> Iterator[EigenSolution]:
     """Eigensolutions of p.matrix(s) for each s in s_values, solved lazily.
 
     H(s) is a real-weighted sum of the H_i, H_p and H_X values on one
@@ -130,9 +138,20 @@ def path_eigensolutions(p, s_values: Iterable[float]) -> Iterator[EigenSolution]
     states by rank, so H(0) keeps the basis of one full eigh.  Elsewhere
     only the eigenvalues and the eigenspaces of levels are used, and
     neither depends on the basis.
+
+    start, the standard-basis states of a run as columns, restricts each
+    sectored point with 0 < s < 1 to the sectors those states reach: every
+    H(s) is block diagonal in the sectors, so a state's weight in each is
+    fixed along the path, and a sector where every state has exactly zero
+    amplitude is never reached.  Such a point is a complete basis of the
+    reached sectors only; its ranks must not be reported.
     """
     _check_cap(p.n_qubits)
-    return (_solve_point(p, float(s)) for s in s_values)
+    reached = None
+    if start is not None and symmetry_sectors(p):
+        reached = [bool(np.any(z != 0)) for z in _sector_amplitudes(p, start)]
+    return (_solve_point(p, float(s), reached if 0.0 < s < 1.0 else None)
+            for s in s_values)
 
 
 def symmetry_sectors(p) -> tuple:
@@ -141,33 +160,58 @@ def symmetry_sectors(p) -> tuple:
     return p.sectors if 1 << p.n_qubits >= SECTOR_DIMENSION else ()
 
 
-def _solve_point(p, s: float) -> EigenSolution:
+def sector_weights(p, states: np.ndarray) -> np.ndarray:
+    """w_c = |U_c^T psi|^2 of standard-basis states psi (a vector or
+    columns), one row per sector of symmetry_sectors(p); no rows when
+    there are none.  Every H(s) keeps these weights fixed along the path."""
+    weights = [np.sum(np.abs(z) ** 2, axis=0) for z in _sector_amplitudes(p, states)]
+    return np.array(weights).reshape(-1, *states.shape[1:])
+
+
+def _sector_amplitudes(p, states: np.ndarray) -> list[np.ndarray]:
+    """U_c^T psi for each sector of symmetry_sectors(p), from one
+    projection onto the frame."""
+    if not symmetry_sectors(p):
+        return []
+    return np.split(p.frame.project(states), _offsets(p)[1:-1])
+
+
+def _offsets(p) -> np.ndarray:
+    """Each sector's first column on p.frame, then the frame's width."""
+    return np.cumsum([0] + [sector.dimension for sector in p.sectors])
+
+
+def _solve_point(p, s: float, reached: list[bool] | None) -> EigenSolution:
     if p.is_diagonal(s):
         diagonal = p.diagonal(s)
         order = np.argsort(diagonal, kind="stable")
         return EigenSolution(diagonal[order], blocks=((order, slice(None), None),))
     if s == 0.0 or not symmetry_sectors(p):
         return EigenSolution(*np.linalg.eigh(p.matrix(s)))
-    return sector_eigh(p, s)
+    return sector_eigh(p, s, reached)
 
 
-def sector_eigh(p, s: float) -> EigenSolution:
+def sector_eigh(p, s: float, reached: list[bool] | None = None) -> EigenSolution:
     """Eigensolution of H(s) on the frame of p's sectors (p.sectors,
-    p.frame), from one eigh per sector.
+    p.frame), from one eigh per sector, or per sector c with reached[c]
+    when reached is given: a complete basis of the reached sectors.
 
     Sector chi's dense d x d block U^T H(s) U is the weighted sum of its
     parts (PathHamiltonian.sector_matrix), so no dense H(s) is formed.  Its
     eigenvectors W stay d x d blocks, and their columns land in the stable
-    ascending merge of every sector's eigenvalues.  This is symmetry
+    ascending merge of every solved sector's eigenvalues.  This is symmetry
     tapering (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a
     group of qubit permutations.
     """
-    solved = [np.linalg.eigh(p.sector_matrix(sector, s)) for sector in p.sectors]
-    values = np.concatenate([v for v, _ in solved])
+    offsets = _offsets(p)
+    solved = [(slice(a, b), *np.linalg.eigh(p.sector_matrix(sector, s)))
+              for c, (sector, a, b) in enumerate(zip(p.sectors, offsets, offsets[1:]))
+              if reached is None or reached[c]]
+    values = np.concatenate([v for _, v, _ in solved])
     ranks = np.argsort(np.argsort(values, kind="stable"))
-    ends = np.cumsum([0] + [len(v) for v, _ in solved])
+    ends = np.cumsum([0] + [len(v) for _, v, _ in solved])
     return EigenSolution(np.sort(values), frame=p.frame, blocks=tuple(
-        (slice(a, b), ranks[a:b], w) for a, b, (_, w) in zip(ends, ends[1:], solved)))
+        (rows, ranks[a:b], w) for a, b, (rows, _, w) in zip(ends, ends[1:], solved)))
 
 
 def path_spectrum(p, n_points: int, k: int) -> PathSpectrum:

@@ -222,12 +222,13 @@ class TestRun:
     @pytest.mark.parametrize("name, shapes", [
         ("gapped_four_qubit.txt", [(16, 16)] * 6),
         ("h2_2.8_jw.txt", [(16, 16)] * 7),
-        ("h5_chain_sto3g_1.00.fcidump", H5_SECTOR_SHAPES * 6),
+        ("h5_chain_sto3g_1.00.fcidump", H5_SECTOR_SHAPES + [(288, 288), (256, 256)] * 5),
     ])
     def test_qzp_solves_each_grid_point_once(self, data_dir, monkeypatch, name, shapes):
         """The exact stage's H(1) solution is the last grid point of qzp.  A
-        diagonal H(0) (gapped, H5) is sorted, not diagonalized; H5's other
-        points are each solved in four symmetry sectors."""
+        diagonal H(0) (gapped, H5) is sorted, not diagonalized; H5's H(1) is
+        solved in all four symmetry sectors, and each interior point only in
+        the two that the rank-0 start reaches."""
         calls = []
         original = np.linalg.eigh
 
@@ -319,6 +320,23 @@ class TestRun:
         assert record["initial_ground_hartree"] == pytest.approx(-7.0)
         assert record["final_ground_hartree"] == pytest.approx(-8.0)
         assert record["symmetry_sectors"] == []
+
+    @pytest.mark.parametrize("name, weights", [
+        ("h5_chain_sto3g_1.00.fcidump", [[0.5, 0.0, 0.5, 0.0], [0.25] * 4]),
+        ("h2_2.8_jw.txt", [[], []]),
+    ])
+    def test_records_give_start_sector_weights(self, data_dir, name, weights):
+        """Each qzp distribution and the qae record give the start's weight
+        in each of symmetry_sectors.  H5's rank-0 start, basis state 992, is
+        split evenly by the chain mirror and fixed by the spin swap; its
+        rank-2 start is fixed by neither."""
+        source = str(data_dir / name)
+        record = run(RunConfig(source=source, method="qzp", alpha=0.5, n_steps=2,
+                               trials=5, initial_indices=(0, 2)))
+        for distribution, want in zip(record["distributions"], weights, strict=True):
+            assert distribution["sector_weights"] == pytest.approx(want, abs=1e-15)
+        record = run(RunConfig(source=source, method="qae", alpha=0.5, delta_t=5.0))
+        assert record["sector_weights"] == pytest.approx(weights[0], abs=1e-15)
 
     def test_spectrum_record_names_sectors(self, data_dir):
         record = run(RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"),

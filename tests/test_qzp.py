@@ -10,6 +10,7 @@ from mczeno.driver import load_qubit_hamiltonian
 from mczeno.pauli import is_all_z, load_hamiltonian, parse_hamiltonian
 from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve
+import mczeno.qzp as qzp
 from mczeno.qzp import (
     ZenoDistribution,
     distribution_csv,
@@ -20,6 +21,7 @@ from mczeno.qzp import (
     step_draws,
     step_rng,
     zeno_run,
+    zeno_grid,
     zeno_statistics,
 )
 from mczeno.path import s_grid
@@ -32,7 +34,7 @@ from oracles import (
     zeno_trajectory,
 )
 from test_path import odd_y_path
-from test_spectral import sectored_path
+from test_spectral import clique_path, sectored_path
 
 
 def fixture_path(data_dir, name, alpha):
@@ -759,3 +761,66 @@ class TestSectorFrameProjection:
         want = evolve(p, 0.5, psi0, EigenSolution(final.eigenvalues, final.eigenvectors))
         assert abs(got.final_energy - want.final_energy) <= 1e-12
         assert abs(got.ground_fidelity - want.ground_fidelity) <= 1e-12
+
+
+class TestReachedSectors:
+    """Interior points of a Zeno grid solve only the symmetry sectors its
+    starts reach; the counts and energies equal those of a grid solved
+    whole.  At alpha 0 H5's H(s) has many degenerate levels, where a level
+    could chain through an unreached sector's eigenvalue."""
+
+    H5 = "h5_chain_sto3g_1.00.fcidump"
+    TRIALS, REPETITIONS, SEED = 200, 40, 5
+
+    @pytest.fixture(scope="class")
+    def cache(self):
+        """Paths by alpha and complete grids by (alpha, n_steps), shared by
+        the parameters of one class run."""
+        return {}
+
+    @pytest.mark.parametrize("starts", [(0,), (0, 1, 2, 3)])
+    @pytest.mark.parametrize("n_steps", [10, 40])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    def test_restricted_grid_matches_complete(self, data_dir, monkeypatch, cache,
+                                              alpha, n_steps, starts):
+        if alpha not in cache:
+            cache[alpha] = clique_path(data_dir, self.H5, alpha)
+        p = cache[alpha]
+        if (alpha, n_steps) not in cache:  # every point solved whole
+            cache[alpha, n_steps] = list(path_eigensolutions(p, s_grid(n_steps)))
+        complete = cache[alpha, n_steps]
+        grid, psi = zeno_grid(p, n_steps, list(starts))
+        solved = 2 if starts == (0,) else 4  # rank 0 reaches two sectors
+        assert all(len(es.blocks) == solved for es in grid[1:-1])
+        assert len(grid[-1].blocks) == 4 and grid[0].frame is None
+        assert np.array_equal(psi, complete[0].vectors(list(starts)))
+        results = []
+        for solutions in (grid, complete):
+            monkeypatch.setattr(qzp, "zeno_grid", lambda *args: (solutions, psi))
+            results.append((
+                zeno_statistics(p, n_steps, list(starts), self.TRIALS, self.SEED,
+                                eigensolutions=solutions),
+                lowest_k_energies(p, n_steps, len(starts), self.REPETITIONS, self.SEED),
+            ))
+        assert results[0] == results[1]
+
+    def test_zeno_statistics_solves_reached_sectors(self, data_dir, monkeypatch):
+        """Without given eigensolutions the grid is zeno_grid's."""
+        p = clique_path(data_dir, self.H5, 0.5)
+        shapes = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or original(m))
+        zeno_statistics(p, 3, [0], 10, 1)
+        lowest_k_energies(p, 3, 1, 10, 1)
+        h1 = [(288, 288), (240, 240), (256, 256), (240, 240)]
+        assert shapes == (h1 + [(288, 288), (256, 256)] * 2) * 2
+
+    def test_wrong_length_state_raises_against_restricted_solution(self, data_dir):
+        p = clique_path(data_dir, self.H5, 0.5)
+        grid, psi = zeno_grid(p, 2, [0])
+        solution = grid[1]
+        assert len(solution.eigenvalues) == 544 and solution.dimension == 1024
+        rank, collapsed = project(psi[:, 0], solution, step_rng(1, 0, 1))
+        assert collapsed.shape == (1024,)
+        with pytest.raises(ValueError, match="state dimension 544 does not match basis 1024"):
+            project(np.eye(544)[:, 0], solution, step_rng(1, 0, 1))

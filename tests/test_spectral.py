@@ -19,6 +19,7 @@ from mczeno.spectral import (
     path_eigensolutions,
     path_spectrum,
     sector_eigh,
+    sector_weights,
     spectrum_csv,
 )
 from oracles import (
@@ -414,6 +415,77 @@ def rank_order_solution(data_dir, name: str, s: float) -> EigenSolution:
     if name == "dense":
         return EigenSolution(*np.linalg.eigh(sectored_path(data_dir, "real").matrix(s)))
     return next(path_eigensolutions(sectored_path(data_dir, name), [s]))
+
+
+class TestReachedSectorSolve:
+    """With a start, points with 0 < s < 1 solve only the sectors where a
+    start state has a nonzero amplitude: a complete basis of those sectors."""
+
+    @staticmethod
+    def sector_state(p, c: int, seed: int) -> np.ndarray:
+        """A random unit state inside sector c."""
+        u = sector_basis(p.sectors[c], 1 << p.n_qubits)
+        psi = u @ np.random.default_rng(seed).normal(size=u.shape[1])
+        return psi / np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("name", ["h5", "odd_y"])
+    def test_residue_in_every_sector_solves_every_sector(self, data_dir, eigh_shapes, name):
+        p = sectored_path(data_dir, name)
+        dim = 1 << p.n_qubits
+        residue = 1e-17 * np.random.default_rng(2).normal(size=(dim, 1))
+        start = self.sector_state(p, 0, 1)[:, None] + residue
+        assert 0.0 < sector_weights(p, start)[1:].max() < 1e-30
+        whole = next(path_eigensolutions(p, [0.5]))
+        eigh_shapes.clear()
+        solution = next(path_eigensolutions(p, [0.5], start=start))
+        assert eigh_shapes == [(sector.dimension,) * 2 for sector in p.sectors]
+        assert np.array_equal(solution.eigenvalues, whole.eigenvalues)
+        assert np.array_equal(solution.eigenvectors, whole.eigenvectors)
+
+    @pytest.mark.parametrize("name", ["h5", "odd_y"])
+    def test_start_in_two_sectors(self, data_dir, eigh_shapes, name):
+        """Sectors 1 and 3 are solved at s = 0.5 alone; s = 0 and s = 1 are
+        solved whole.  The solution is a complete basis of those sectors."""
+        p = sectored_path(data_dir, name)
+        dim = 1 << p.n_qubits
+        start = np.column_stack([self.sector_state(p, c, c) for c in (1, 3)])
+        assert np.abs(sector_weights(p, start) - [[0, 0], [1, 0], [0, 0], [0, 1]]).max() <= 1e-15
+        h0, solution, h1 = path_eigensolutions(p, [0.0, 0.5, 1.0], start=start)
+        dimensions = [sector.dimension for sector in p.sectors]
+        assert eigh_shapes[-6:-4] == [(dimensions[1],) * 2, (dimensions[3],) * 2]
+        assert len(h0.eigenvalues) == len(h1.eigenvalues) == dim
+        blocks = [np.linalg.eigh(p.sector_matrix(p.sectors[c], 0.5))[0] for c in (1, 3)]
+        assert np.array_equal(solution.eigenvalues, np.sort(np.concatenate(blocks)))
+        assert solution.dimension == dim and "eigenvectors" not in vars(solution)
+        vectors = solution.eigenvectors
+        assert vectors.shape == (dim, dimensions[1] + dimensions[3])
+        assert np.abs(vectors.conj().T @ vectors - np.eye(vectors.shape[1])).max() <= 1e-12
+        h = p.matrix(0.5)
+        assert np.abs(h @ vectors - vectors * solution.eigenvalues).max() <= 1e-10
+        unsolved = np.hstack([sector_basis(p.sectors[c], dim) for c in (0, 2)])
+        assert np.abs(unsolved.T @ vectors).max() <= 1e-15  # zero-filled frame columns
+        amplitudes = solution.apply(start, adjoint=True)
+        assert np.abs(solution.apply(amplitudes) - start).max() <= 1e-12
+        assert len(solution.level_ends) and solution.level_ends[-1] == vectors.shape[1]
+
+    def test_sector_weights_are_frame_projections(self, data_dir):
+        p = sectored_path(data_dir, "h5")
+        psi = np.random.default_rng(2).normal(size=(1 << p.n_qubits, 3))
+        psi /= np.linalg.norm(psi, axis=0)
+        want = [np.linalg.norm(sector_basis(sector, len(psi)).T @ psi, axis=0) ** 2
+                for sector in p.sectors]
+        got = sector_weights(p, psi)
+        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(got.sum(axis=0) - 1.0).max() <= 1e-14
+        assert np.abs(sector_weights(p, psi[:, 0]) - got[:, 0]).max() <= 1e-15
+
+    def test_paths_without_sectors(self, data_dir, eigh_shapes):
+        p = clique_path(data_dir, "h2_2.8_jw.txt", 0.5)
+        start = np.eye(16)[:, :2]
+        assert sector_weights(p, start).shape == (0, 2)
+        solution = next(path_eigensolutions(p, [0.5], start=start))
+        assert eigh_shapes == [(16, 16)] and len(solution.eigenvalues) == 16
+        assert "sectors" not in vars(p)
 
 
 RANK_ORDER_POINTS = [("dense", 0.5), ("h5", 0.0), ("h5", 0.5), ("odd_y", 0.5)]
