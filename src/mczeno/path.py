@@ -30,43 +30,33 @@ class Sector:
 
     U has one nonzero entry per inside state: states[k], ascending, lies
     on column columns[k] of U with entry coefficients[k], chi / sqrt(orbit
-    size).  parts holds one row per P = H_i, H_p and H_X, in that order: the
-    entries of the d x d block U^T P U at the flat positions a * d + b in
-    entries, ascending; every other entry of the block is zero.
+    size).  The same entries, gathered by column, are column_states[j, k]
+    and column_weights[j, k] for column j, padded to the longest column by
+    state 0 and weight 0.  parts holds one row per P = H_i, H_p and H_X, in
+    that order: the entries of the d x d block U^T P U at the flat positions
+    a * d + b in entries, ascending; every other entry of the block is zero.
     """
 
     states: np.ndarray
     columns: np.ndarray
     coefficients: np.ndarray
+    column_states: np.ndarray
+    column_weights: np.ndarray
     entries: np.ndarray
     parts: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return int(self.columns.max()) + 1
-
-
-@dataclass(frozen=True)
-class Frame:
-    """The orthogonal Q whose columns are the isometries U of a path's
-    sectors side by side, as two padded gathers: column j of Q holds
-    column_weights[j, k] in row column_rows[j, k], and row i holds
-    row_weights[i, k] in column row_columns[i, k], a weight of 0 padding
-    each to its longest column or row.
-    """
-
-    column_rows: np.ndarray
-    column_weights: np.ndarray
-    row_columns: np.ndarray
-    row_weights: np.ndarray
+        return len(self.column_states)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Q^T x for standard-basis states x, a vector or columns."""
-        return np.einsum("jk,jk...->j...", self.column_weights, x[self.column_rows])
+        """U^T x for standard-basis states x, a vector or columns."""
+        return np.einsum("jk,jk...->j...", self.column_weights, x[self.column_states])
 
-    def embed(self, z: np.ndarray) -> np.ndarray:
-        """Q z, the standard-basis states of frame coordinates z."""
-        return np.einsum("ik,ik...->i...", self.row_weights, z[self.row_columns])
+    def embed(self, z: np.ndarray, out: np.ndarray) -> None:
+        """Add U z, the standard-basis states of sector coordinates z, into
+        out; each inside state lies on one column, so no padding is needed."""
+        out[self.states] += np.einsum("k,k...->k...", self.coefficients, z[self.columns])
 
 
 @dataclass(frozen=True)
@@ -172,20 +162,11 @@ class PathHamiltonian:
             kept = (column_of[a] >= 0) & (column_of[b] >= 0) & sums.any(axis=0)
             a, b = a[kept], b[kept]
             parts = sums[:, kept] / np.sqrt(size[a] * size[b])
-            sectors.append(Sector(inside, columns, chi[to_least[inside]] / np.sqrt(size[inside]),
+            coefficients = chi[to_least[inside]] / np.sqrt(size[inside])
+            sectors.append(Sector(inside, columns, coefficients,
+                                  *_padded(columns, inside, coefficients),
                                   column_of[a] * d + column_of[b], parts))
         return tuple(sectors)
-
-    @cached_property
-    def frame(self) -> Frame:
-        """The Frame of self.sectors, in sector order, built on first use for
-        a path with sectors.  A sectored eigensolution (spectral.sector_eigh)
-        holds its eigenvectors on its columns."""
-        offsets = np.cumsum([0] + [sector.dimension for sector in self.sectors])
-        states, columns, weights = (np.concatenate(arrays) for arrays in zip(*(
-            (sector.states, sector.columns + offset, sector.coefficients)
-            for sector, offset in zip(self.sectors, offsets))))
-        return Frame(*_padded(columns, states, weights), *_padded(states, columns, weights))
 
     @cached_property
     def _pattern(self):

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from mczeno.pauli import PauliHamiltonian, _check_cap, densify, sparse_parts
-from mczeno.path import Frame, s_grid
+from mczeno.path import Sector, s_grid
 
 SECTOR_DIMENSION = 256
 """Smallest dimension whose path points are solved in symmetry sectors.  On
@@ -26,25 +26,24 @@ DEGENERACY_TOL = 1e-9
 class EigenSolution:
     """Ascending eigenvalues with orthonormal eigenvectors, held in blocks.
 
-    blocks holds triples (rows, ranks, W): column j of W, on the rows rows
-    of the frame, is the eigenvector of rank ranks[j], W None being the
-    identity.  The frame is the standard basis (None) or the orthogonal Q
-    of a path's symmetry sectors (PathHamiltonian.frame, the sectors'
-    isometries U_c side by side, held as numpy index arrays).  Dense
+    blocks holds triples (rows, ranks, W): column j of W is the eigenvector
+    of rank ranks[j], on the standard-basis rows rows, W None being the
+    identity, or in the coordinates of rows when rows is a path.Sector,
+    whose isometry U maps them to standard-basis states.  Dense
     eigenvectors are one square block, a sorted diagonal H the basis state
     of each rank with W None, and a sectored point one d_c x d_c W per
-    solved sector, on that sector's columns of Q.  Every solution is a
-    complete basis of the reached sectors: of the whole space, or of the
-    sectors a sectored point solved (sector_eigh), whose eigenvalues, and
-    so levels and ranks, count only their levels.  dimension is the length
-    of a state, the frame's rows.  apply, weights and vectors take and
-    return standard-basis states and amplitudes in rank order, so no
-    caller sees the frame or the blocks; the dense eigenvectors are formed
-    only when read.
+    solved sector.  Every solution is a complete basis of the reached
+    sectors: of the whole space, or of the sectors a sectored point solved
+    (sector_eigh), whose eigenvalues, and so levels and ranks, count only
+    their levels.  dimension is the length of a state, by default the
+    level count.  apply, weights and vectors take and return
+    standard-basis states and amplitudes in rank order, so no caller sees
+    the sectors or the blocks; the dense eigenvectors are formed only when
+    read.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray | None = None,
-                 *, frame: Frame | None = None, blocks: tuple = ()):
+                 *, blocks: tuple = (), dimension: int | None = None):
         if eigenvectors is not None:
             if eigenvectors.shape != (len(eigenvalues),) * 2:
                 raise ValueError(f"eigenvectors of shape {eigenvectors.shape} are not "
@@ -53,9 +52,9 @@ class EigenSolution:
             self.eigenvectors = eigenvectors
         if not blocks:
             raise ValueError("EigenSolution needs eigenvectors or blocks")
-        self.eigenvalues, self.frame, self.blocks = eigenvalues, frame, blocks
+        self.eigenvalues, self.blocks = eigenvalues, blocks
         self._dtype = np.result_type(float, *(w for _, _, w in self.blocks if w is not None))
-        self.dimension = len(eigenvalues) if frame is None else len(frame.row_columns)
+        self.dimension = len(eigenvalues) if dimension is None else dimension
 
     @cached_property
     def level_ends(self) -> np.ndarray:
@@ -81,21 +80,25 @@ class EigenSolution:
     def apply(self, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """V x, the standard-basis state of rank-order amplitudes x, or when
         adjoint V^H x, the rank-order amplitudes of the standard-basis state
-        x; column r of V is the eigenvector of rank r.  A sectored solution
-        applies Q^T on entry to the adjoint and Q on exit from the forward
-        map, the forward map leaving the frame columns of unsolved sectors
+        x; column r of V is the eigenvector of rank r.  A sector block
+        projects x through its sector's U on the adjoint and embeds its
+        result on the forward map, so the states of unsolved sectors stay
         zero.  A new array."""
-        if adjoint and self.frame is not None:
-            x = self.frame.project(x)
         n = len(self.eigenvalues) if adjoint else self.dimension
         out = np.zeros((n, *x.shape[1:]), dtype=np.result_type(x, self._dtype))
         for rows, ranks, w in self.blocks:
+            if isinstance(rows, Sector):
+                if adjoint:
+                    out[ranks] = w.conj().T @ rows.project(x)
+                else:
+                    rows.embed(w @ x[ranks], out)
+                continue
             source, target = (rows, ranks) if adjoint else (ranks, rows)
             y = x[source]
             if w is not None:
                 y = (w.conj().T if adjoint else w) @ y
             out[target] = y
-        return out if adjoint or self.frame is None else self.frame.embed(out)
+        return out
 
     def weights(self, psi: np.ndarray) -> np.ndarray:
         """|<v_r|psi>|^2 of a standard-basis state psi for each rank r."""
@@ -169,16 +172,8 @@ def sector_weights(p, states: np.ndarray) -> np.ndarray:
 
 
 def _sector_amplitudes(p, states: np.ndarray) -> list[np.ndarray]:
-    """U_c^T psi for each sector of symmetry_sectors(p), from one
-    projection onto the frame."""
-    if not symmetry_sectors(p):
-        return []
-    return np.split(p.frame.project(states), _offsets(p)[1:-1])
-
-
-def _offsets(p) -> np.ndarray:
-    """Each sector's first column on p.frame, then the frame's width."""
-    return np.cumsum([0] + [sector.dimension for sector in p.sectors])
+    """U_c^T psi for each sector of symmetry_sectors(p)."""
+    return [sector.project(states) for sector in symmetry_sectors(p)]
 
 
 def _solve_point(p, s: float, reached: list[bool] | None) -> EigenSolution:
@@ -192,9 +187,9 @@ def _solve_point(p, s: float, reached: list[bool] | None) -> EigenSolution:
 
 
 def sector_eigh(p, s: float, reached: list[bool] | None = None) -> EigenSolution:
-    """Eigensolution of H(s) on the frame of p's sectors (p.sectors,
-    p.frame), from one eigh per sector, or per sector c with reached[c]
-    when reached is given: a complete basis of the reached sectors.
+    """Eigensolution of H(s) in p's sectors (p.sectors), from one eigh per
+    sector, or per sector c with reached[c] when reached is given: a
+    complete basis of the reached sectors, with one block per solved sector.
 
     Sector chi's dense d x d block U^T H(s) U is the weighted sum of its
     parts (PathHamiltonian.sector_matrix), so no dense H(s) is formed.  Its
@@ -203,15 +198,13 @@ def sector_eigh(p, s: float, reached: list[bool] | None = None) -> EigenSolution
     tapering (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a
     group of qubit permutations.
     """
-    offsets = _offsets(p)
-    solved = [(slice(a, b), *np.linalg.eigh(p.sector_matrix(sector, s)))
-              for c, (sector, a, b) in enumerate(zip(p.sectors, offsets, offsets[1:]))
-              if reached is None or reached[c]]
+    solved = [(sector, *np.linalg.eigh(p.sector_matrix(sector, s)))
+              for c, sector in enumerate(p.sectors) if reached is None or reached[c]]
     values = np.concatenate([v for _, v, _ in solved])
     ranks = np.argsort(np.argsort(values, kind="stable"))
     ends = np.cumsum([0] + [len(v) for _, v, _ in solved])
-    return EigenSolution(np.sort(values), frame=p.frame, blocks=tuple(
-        (rows, ranks[a:b], w) for a, b, (rows, _, w) in zip(ends, ends[1:], solved)))
+    return EigenSolution(np.sort(values), dimension=1 << p.n_qubits, blocks=tuple(
+        (sector, ranks[a:b], w) for a, b, (sector, _, w) in zip(ends, ends[1:], solved)))
 
 
 def path_spectrum(p, n_points: int, k: int) -> PathSpectrum:

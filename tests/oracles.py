@@ -337,14 +337,11 @@ def sector_part(sector, k: int) -> np.ndarray:
     return block.reshape(sector.dimension, sector.dimension)
 
 
-def frame_matrices(frame) -> tuple[np.ndarray, np.ndarray]:
-    """The dense Q of a path.Frame, once from its columns and once from its
-    rows, each padding entry adding 0."""
-    columns, rows = np.arange(len(frame.column_rows)), np.arange(len(frame.row_columns))
-    by_columns, by_rows = np.zeros((2, len(rows), len(columns)))
-    np.add.at(by_columns, (frame.column_rows, columns[:, None]), frame.column_weights)
-    np.add.at(by_rows, (rows[:, None], frame.row_columns), frame.row_weights)
-    return by_columns, by_rows
+def solved_sectors(solution, p) -> list:
+    """The index in p.sectors of each block's sector, in block order, None
+    for a block on standard-basis rows."""
+    return [next((c for c, sector in enumerate(p.sectors) if rows is sector), None)
+            for rows, _, _ in solution.blocks]
 
 
 def sandwich_sectors(p) -> list:

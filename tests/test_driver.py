@@ -200,18 +200,16 @@ class TestRun:
         finally:
             tracemalloc.stop()
 
-    def test_h5_qzp_builds_sector_frame_once(self, data_dir, monkeypatch):
+    def test_h5_qzp_builds_sectors_once(self, data_dir, monkeypatch):
         """Three initial indices and ten sectored points share one build of
-        H5's four sectors and of their stacked frame."""
+        H5's four sectors."""
         calls = []
-        for name in ("Sector", "Frame"):
-            built = getattr(path_module, name)
-            monkeypatch.setattr(path_module, name, lambda *a, name=name, built=built:
-                                calls.append(name) or built(*a))
+        built = path_module.Sector
+        monkeypatch.setattr(path_module, "Sector", lambda *a: calls.append("Sector") or built(*a))
         run(RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"),
                       method="qzp", alpha=0.5, n_steps=10, trials=20, seed=13,
                       initial_indices=(0, 1, 2)))
-        assert calls == ["Sector"] * 4 + ["Frame"]
+        assert calls == ["Sector"] * 4
 
     def test_h5_qzp_peak_memory(self, data_dir):
         assert self.h5_qzp_peak(data_dir, 200) < self.H5_QZP_PEAK_BYTES

@@ -361,12 +361,17 @@ class TestSymmetries:
         assert PathHamiltonian(h, h).symmetries == ()
 
 
+SECTORED = [name for name, p in bundled_clique_paths().items() if p.symmetries]
+"""The bundled clique paths with symmetry sectors: H2 from text and FCIDUMP
+files under Jordan-Wigner, and H5."""
+
+
 class TestSectorParts:
     """Sectors are index arrays whose parts are summed by one bincount; they
-    equal the sparse S^T P S construction they replaced."""
+    equal the sparse S^T P S construction they replaced, and each applies
+    its own basis U."""
 
-    @pytest.mark.parametrize("name", [name for name, p in bundled_clique_paths().items()
-                                      if p.symmetries])
+    @pytest.mark.parametrize("name", SECTORED)
     def test_parts_equal_sandwich_reference(self, name):
         p = bundled_clique_paths()[name]
         reference = sandwich_sectors(p)
@@ -379,14 +384,24 @@ class TestSectorParts:
         print(f"{name}: largest part deviation from S^T P S {deviation:.1e}")
         assert deviation <= 1e-14
 
-    @pytest.mark.parametrize("name", ["h2_2.8_jw.txt:none", "h5_chain_sto3g_1.00.fcidump:jw"])
-    def test_frame_applies_the_stacked_bases(self, name):
-        """The frame's two gathers are Q^T x and Q z for Q the sectors'
-        bases side by side, for complex vectors and columns."""
+    @pytest.mark.parametrize("name", SECTORED)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_sector_applies_its_basis(self, name, dtype):
+        """project is U^T x and embed adds U z, for U the sector's basis, on
+        vectors and on columns."""
         p = bundled_clique_paths()[name]
-        q = np.hstack([sector_basis(sector, 1 << p.n_qubits) for sector in p.sectors])
         rng = np.random.default_rng(2)
-        for shape in [(len(q),), (len(q), 3)]:
-            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert np.abs(p.frame.project(x) - q.T @ x).max() <= 1e-15
-            assert np.abs(p.frame.embed(x) - q @ x).max() <= 1e-15
+
+        def state(*shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+        for sector in p.sectors:
+            u = sector_basis(sector, 1 << p.n_qubits)
+            for columns in [(), (3,)]:
+                x, z = state(len(u), *columns), state(sector.dimension, *columns)
+                assert sector.project(x).dtype == x.dtype
+                assert np.abs(sector.project(x) - u.T @ x).max() <= 1e-15
+                out = x.copy()
+                sector.embed(z, out)
+                assert np.abs(out - (x + u @ z)).max() <= 1e-15

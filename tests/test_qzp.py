@@ -30,6 +30,7 @@ from oracles import (
     diagonal_entries,
     full_eigh_solutions,
     philox_draw,
+    solved_sectors,
     zeno_project,
     zeno_trajectory,
 )
@@ -730,8 +731,8 @@ class TestSectorFrameProjection:
         """Step 0 projects onto a standard-basis solution, the rest onto
         sectored ones."""
         solutions = list(path_eigensolutions(sectored, s_grid(self.N_STEPS)))
-        assert solutions[0].frame is None
-        assert all(es.frame is sectored.frame for es in solutions[1:])
+        assert solved_sectors(solutions[0], sectored) == [None]
+        assert all(solved_sectors(es, sectored) == [0, 1, 2, 3] for es in solutions[1:])
         psi = random_state(1 << sectored.n_qubits, 5)
         trials = [zeno_run(sectored, self.N_STEPS, 0, 9, trial_number=t,
                            initial_state=psi, eigensolutions=solutions)
@@ -754,7 +755,7 @@ class TestSectorFrameProjection:
         p = PathHamiltonian(sectored.h_initial, sectored.h_final, alpha=0.5,
                             total_time=1.0)
         final = next(path_eigensolutions(p, [1.0]))
-        assert final.frame is p.frame
+        assert solved_sectors(final, p) == [0, 1, 2, 3]
         psi0 = initial_eigenstate(p, 0)
         got = evolve(p, 0.5, psi0, final)
         assert "eigenvectors" not in vars(final)
@@ -792,7 +793,7 @@ class TestReachedSectors:
         grid, psi = zeno_grid(p, n_steps, list(starts))
         solved = 2 if starts == (0,) else 4  # rank 0 reaches two sectors
         assert all(len(es.blocks) == solved for es in grid[1:-1])
-        assert len(grid[-1].blocks) == 4 and grid[0].frame is None
+        assert len(grid[-1].blocks) == 4 and solved_sectors(grid[0], p) == [None]
         assert np.array_equal(psi, complete[0].vectors(list(starts)))
         results = []
         for solutions in (grid, complete):

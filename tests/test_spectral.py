@@ -24,11 +24,11 @@ from mczeno.spectral import (
 )
 from oracles import (
     diagonal_entries,
-    frame_matrices,
     full_eigh_solutions,
     sandwich_sectors,
     scattered_sector_eigh,
     sector_basis,
+    solved_sectors,
 )
 
 MINUS_Z = parse_hamiltonian("-1.0 Z")
@@ -294,7 +294,6 @@ class TestSectorSolve:
         stacked = np.hstack(bases)
         reference = [basis.toarray() for basis, _ in sandwich_sectors(p)]
         assert np.array_equal(stacked, np.hstack(reference))
-        assert all(np.array_equal(q, stacked) for q in frame_matrices(p.frame))
         assert np.abs(stacked.T @ stacked - np.eye(1 << p.n_qubits)).max() <= 1e-15
         h = p.matrix(0.5)
         rebuilt = sum(u @ p.sector_matrix(sector, 0.5) @ u.T
@@ -361,15 +360,16 @@ def sectored_path(data_dir, name: str) -> PathHamiltonian:
 
 
 class TestSectorFrame:
-    """Sectored points keep one eigenvector block per sector; the dense
-    eigenvectors are formed only when read."""
+    """Sectored points keep one eigenvector block per sector, each applied
+    through its own sector; the dense eigenvectors are formed only when
+    read."""
 
     @pytest.mark.parametrize("name", ["h5", "real", "odd_y"])
     def test_eigenvectors_equal_dense_scatter(self, data_dir, name):
         p = sectored_path(data_dir, name)
         for s in (0.5, 1.0):
             solution = next(path_eigensolutions(p, [s]))
-            assert solution.frame is p.frame
+            assert solved_sectors(solution, p) == [0, 1, 2, 3]
             assert [w.shape for _, _, w in solution.blocks] == [
                 (sector.dimension,) * 2 for sector in p.sectors]
             assert "eigenvectors" not in vars(solution)
@@ -396,7 +396,7 @@ class TestSectorFrame:
     def test_diagonal_point_forms_permutation_on_read(self, data_dir):
         p = sectored_path(data_dir, "h5")
         solution = next(path_eigensolutions(p, [0.0]))
-        assert solution.frame is None
+        assert solved_sectors(solution, p) == [None]
         assert [w for _, _, w in solution.blocks] == [None]  # W = I: a gather by rank
         assert "eigenvectors" not in vars(solution)
         order = np.argsort(diagonal_entries(p.h_initial), kind="stable")
@@ -405,7 +405,7 @@ class TestSectorFrame:
     def test_given_eigenvectors_are_kept(self):
         values, vectors = np.linalg.eigh(np.diag([2.0, 1.0]) + 0.5)
         solution = EigenSolution(values, vectors)
-        assert solution.frame is None and len(solution.blocks) == 1
+        assert [rows for rows, _, _ in solution.blocks] == [slice(None)]
         assert solution.eigenvectors is vectors
 
 
@@ -456,6 +456,7 @@ class TestReachedSectorSolve:
         assert len(h0.eigenvalues) == len(h1.eigenvalues) == dim
         blocks = [np.linalg.eigh(p.sector_matrix(p.sectors[c], 0.5))[0] for c in (1, 3)]
         assert np.array_equal(solution.eigenvalues, np.sort(np.concatenate(blocks)))
+        assert solved_sectors(solution, p) == [1, 3]
         assert solution.dimension == dim and "eigenvectors" not in vars(solution)
         vectors = solution.eigenvectors
         assert vectors.shape == (dim, dimensions[1] + dimensions[3])
@@ -463,12 +464,12 @@ class TestReachedSectorSolve:
         h = p.matrix(0.5)
         assert np.abs(h @ vectors - vectors * solution.eigenvalues).max() <= 1e-10
         unsolved = np.hstack([sector_basis(p.sectors[c], dim) for c in (0, 2)])
-        assert np.abs(unsolved.T @ vectors).max() <= 1e-15  # zero-filled frame columns
+        assert np.abs(unsolved.T @ vectors).max() <= 1e-15  # never embedded
         amplitudes = solution.apply(start, adjoint=True)
         assert np.abs(solution.apply(amplitudes) - start).max() <= 1e-12
         assert len(solution.level_ends) and solution.level_ends[-1] == vectors.shape[1]
 
-    def test_sector_weights_are_frame_projections(self, data_dir):
+    def test_sector_weights_are_sector_projections(self, data_dir):
         p = sectored_path(data_dir, "h5")
         psi = np.random.default_rng(2).normal(size=(1 << p.n_qubits, 3))
         psi /= np.linalg.norm(psi, axis=0)
