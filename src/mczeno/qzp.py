@@ -380,14 +380,23 @@ def zeno_grid(
 
 
 def _grid_solutions(
-    p: PathHamiltonian, n_steps: int, eigensolutions: list[EigenSolution] | None = None
+    p: PathHamiltonian, n_steps: int, eigensolutions: list[EigenSolution] | None = None,
+    reported: slice = slice(None),
 ) -> list[EigenSolution]:
-    """The eigensolutions of s_grid(n_steps), solved here when not given."""
+    """The eigensolutions of s_grid(n_steps), solved here when not given.
+    Given ones must be complete bases at the reported steps, whose ranks a
+    run reports: a point restricted to the sectors a start reaches
+    (zeno_grid) counts only their levels."""
     grid = s_grid(n_steps)
     if eigensolutions is None:
         return list(path_eigensolutions(p, grid))
     if len(eigensolutions) != len(grid):
         raise ValueError("eigensolution list does not match n_steps")
+    for k in range(len(grid))[reported]:
+        es = eigensolutions[k]
+        if len(es.eigenvalues) != es.dimension:
+            raise ValueError(f"the eigensolution of step {k} holds {len(es.eigenvalues)} of "
+                             f"{es.dimension} levels, so its ranks cannot be reported")
     return eigensolutions
 
 
@@ -405,7 +414,9 @@ def zeno_run(
     A user-supplied initial_state (instead of an exact eigenstate rank)
     is itself projected onto the H(0) eigenbasis first, consuming the
     step-0 random draw; exact initial eigenstates skip that step because
-    the projection would be the identity on them.
+    the projection would be the identity on them.  The trajectory reports
+    every step's rank, so given eigensolutions must be complete bases: a
+    zeno_grid grid raises ValueError.
     """
     eigensolutions = _grid_solutions(p, n_steps, eigensolutions)
     if initial_state is None:
@@ -444,14 +455,15 @@ def zeno_statistics(
     are projected together as one block, one state column per distinct
     state.  eigensolutions, if given, are those of s_grid(n_steps), whole
     or as zeno_grid solves them for these initial indices, which is how
-    they are solved here otherwise.
+    they are solved here otherwise; the last, whose ranks are reported,
+    must be whole.
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
     if eigensolutions is None:
         eigensolutions, psi = zeno_grid(p, n_steps, list(initial_indices))
     else:
-        eigensolutions = _grid_solutions(p, n_steps, eigensolutions)
+        eigensolutions = _grid_solutions(p, n_steps, eigensolutions, slice(-1, None))
         psi = _initial_block(p, list(initial_indices), eigensolutions[0])
     owner = np.repeat(np.arange(len(initial_indices)), trials_per_initial)
     finals = _trajectories(eigensolutions, psi, owner, rng_seed, range(len(owner)), 1)[-1]

@@ -147,12 +147,17 @@ def path_eigensolutions(p, s_values: Iterable[float], *,
     H(s) is block diagonal in the sectors, so a state's weight in each is
     fixed along the path, and a sector where every state has exactly zero
     amplitude is never reached.  Such a point is a complete basis of the
-    reached sectors only; its ranks must not be reported.
+    reached sectors only; its ranks must not be reported.  A start of other
+    than 2**n rows, or one that reaches no sector, raises ValueError.
     """
     _check_cap(p.n_qubits)
     reached = None
-    if start is not None and symmetry_sectors(p):
-        reached = [bool(np.any(z != 0)) for z in _sector_amplitudes(p, start)]
+    if start is not None:
+        amplitudes = _sector_amplitudes(p, start)
+        if amplitudes:
+            reached = [bool(np.any(z != 0)) for z in amplitudes]
+            if not any(reached):
+                raise ValueError("start states have no amplitude in any symmetry sector")
     return (_solve_point(p, float(s), reached if 0.0 < s < 1.0 else None)
             for s in s_values)
 
@@ -166,13 +171,19 @@ def symmetry_sectors(p) -> tuple:
 def sector_weights(p, states: np.ndarray) -> np.ndarray:
     """w_c = |U_c^T psi|^2 of standard-basis states psi (a vector or
     columns), one row per sector of symmetry_sectors(p); no rows when
-    there are none.  Every H(s) keeps these weights fixed along the path."""
+    there are none.  Every H(s) keeps these weights fixed along the path.
+    States of other than 2**n rows raise ValueError."""
     weights = [np.sum(np.abs(z) ** 2, axis=0) for z in _sector_amplitudes(p, states)]
     return np.array(weights).reshape(-1, *states.shape[1:])
 
 
 def _sector_amplitudes(p, states: np.ndarray) -> list[np.ndarray]:
-    """U_c^T psi for each sector of symmetry_sectors(p)."""
+    """U_c^T psi for each sector of symmetry_sectors(p), after checking that
+    the states have 2**n rows: a sector's gather would truncate a longer
+    one."""
+    if len(states) != 1 << p.n_qubits:
+        raise ValueError(f"states of {len(states)} rows do not match the "
+                         f"{1 << p.n_qubits} of a {p.n_qubits}-qubit path")
     return [sector.project(states) for sector in symmetry_sectors(p)]
 
 

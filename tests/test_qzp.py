@@ -772,6 +772,8 @@ class TestReachedSectors:
 
     H5 = "h5_chain_sto3g_1.00.fcidump"
     TRIALS, REPETITIONS, SEED = 200, 40, 5
+    EVERY_SECTOR = (0, 1, 2, 3)
+    """H(0) ranks whose states reach all four of H5's sectors."""
 
     @pytest.fixture(scope="class")
     def cache(self):
@@ -779,22 +781,37 @@ class TestReachedSectors:
         the parameters of one class run."""
         return {}
 
-    @pytest.mark.parametrize("starts", [(0,), (0, 1, 2, 3)])
+    def complete_grid(self, data_dir, cache, alpha: float, n_steps: int):
+        """H5's path at alpha, and the zeno_grid of EVERY_SECTOR at n_steps
+        with its start states.  Its starts reach every sector, so every
+        point is solved whole: the reference of a grid that solves fewer."""
+        if alpha not in cache:
+            cache[alpha] = clique_path(data_dir, self.H5, alpha)
+        p = cache[alpha]
+        if (alpha, n_steps) not in cache:
+            grid, psi = zeno_grid(p, n_steps, list(self.EVERY_SECTOR))
+            assert all(solved_sectors(es, p) == [0, 1, 2, 3] for es in grid[1:])
+            assert all(len(es.eigenvalues) == es.dimension for es in grid)
+            cache[alpha, n_steps] = grid, psi
+        return p, *cache[alpha, n_steps]
+
+    @pytest.mark.parametrize("starts", [(0,), EVERY_SECTOR])
     @pytest.mark.parametrize("n_steps", [10, 40])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_restricted_grid_matches_complete(self, data_dir, monkeypatch, cache,
                                               alpha, n_steps, starts):
-        if alpha not in cache:
-            cache[alpha] = clique_path(data_dir, self.H5, alpha)
-        p = cache[alpha]
-        if (alpha, n_steps) not in cache:  # every point solved whole
-            cache[alpha, n_steps] = list(path_eigensolutions(p, s_grid(n_steps)))
-        complete = cache[alpha, n_steps]
-        grid, psi = zeno_grid(p, n_steps, list(starts))
-        solved = 2 if starts == (0,) else 4  # rank 0 reaches two sectors
-        assert all(len(es.blocks) == solved for es in grid[1:-1])
-        assert len(grid[-1].blocks) == 4 and solved_sectors(grid[0], p) == [None]
+        p, complete, complete_psi = self.complete_grid(data_dir, cache, alpha, n_steps)
+        if starts == self.EVERY_SECTOR:
+            grid, psi = complete, complete_psi
+        else:
+            grid, psi = zeno_grid(p, n_steps, list(starts))
+        reached = [0, 2] if starts == (0,) else [0, 1, 2, 3]  # rank 0 reaches two sectors
+        assert all(solved_sectors(es, p) == reached for es in grid[1:-1])
+        assert solved_sectors(grid[-1], p) == [0, 1, 2, 3]
+        assert solved_sectors(grid[0], p) == [None]
         assert np.array_equal(psi, complete[0].vectors(list(starts)))
+        if grid is complete:
+            return
         results = []
         for solutions in (grid, complete):
             monkeypatch.setattr(qzp, "zeno_grid", lambda *args: (solutions, psi))
@@ -815,6 +832,25 @@ class TestReachedSectors:
         lowest_k_energies(p, 3, 1, 10, 1)
         h1 = [(288, 288), (240, 240), (256, 256), (240, 240)]
         assert shapes == (h1 + [(288, 288), (256, 256)] * 2) * 2
+
+    def test_zeno_run_rejects_restricted_grid(self, data_dir):
+        """A trajectory reports every step's rank, and the interior points
+        of a zeno_grid grid count only the reached sectors' levels."""
+        p = clique_path(data_dir, self.H5, 0.5)
+        grid, _ = zeno_grid(p, 3, [0])
+        with pytest.raises(ValueError, match="step 1 holds 544 of 1024 levels"):
+            zeno_run(p, 3, 0, 0, eigensolutions=grid)
+        whole = list(path_eigensolutions(p, s_grid(3)))
+        trajectories = [zeno_run(p, 3, 0, seed, eigensolutions=whole).trajectory
+                        for seed in range(3)]
+        assert trajectories == [(320, 313, 244), (257, 268, 348), (85, 100, 58)]
+
+    def test_zeno_statistics_rejects_restricted_last_point(self, data_dir):
+        p = clique_path(data_dir, self.H5, 0.5)
+        grid, _ = zeno_grid(p, 2, [0])
+        assert zeno_statistics(p, 2, [0], 10, 1, eigensolutions=grid)
+        with pytest.raises(ValueError, match="step 2 holds 544 of 1024 levels"):
+            zeno_statistics(p, 2, [0], 10, 1, eigensolutions=grid[:2] + grid[1:2])
 
     def test_wrong_length_state_raises_against_restricted_solution(self, data_dir):
         p = clique_path(data_dir, self.H5, 0.5)

@@ -488,6 +488,37 @@ class TestReachedSectorSolve:
         assert eigh_shapes == [(16, 16)] and len(solution.eigenvalues) == 16
         assert "sectors" not in vars(p)
 
+    @pytest.mark.parametrize("rows", [1000, 2048])
+    def test_states_of_wrong_length_raise(self, data_dir, rows):
+        """A longer state would be truncated by the sectors' gathers, and a
+        shorter one would index past its end."""
+        p = sectored_path(data_dir, "h5")
+        psi = np.zeros((rows, 1))
+        psi[0] = 1.0
+        message = f"states of {rows} rows do not match the 1024 of a 10-qubit path"
+        with pytest.raises(ValueError, match=message):
+            sector_weights(p, psi)
+        with pytest.raises(ValueError, match=message):
+            sector_weights(p, psi[:, 0])
+        with pytest.raises(ValueError, match=message):
+            path_eigensolutions(p, [0.5], start=psi)
+
+    def test_unsectored_states_of_wrong_length_raise(self, data_dir):
+        p = clique_path(data_dir, "h2_2.8_jw.txt", 0.5)
+        with pytest.raises(ValueError, match="states of 8 rows do not match the 16"):
+            sector_weights(p, np.eye(8)[:, 0])
+        with pytest.raises(ValueError, match="states of 8 rows do not match the 16"):
+            path_eigensolutions(p, [0.5], start=np.eye(8)[:, :1])
+
+    def test_start_reaching_no_sector_raises(self, data_dir):
+        p = sectored_path(data_dir, "h5")
+        start = np.zeros((1 << p.n_qubits, 2))
+        with pytest.raises(ValueError, match="no amplitude in any symmetry sector"):
+            path_eigensolutions(p, [0.5], start=start)
+        start[992, 1] = 1.0  # one state that reaches sectors 0 and 2 is enough
+        solution = next(path_eigensolutions(p, [0.5], start=start))
+        assert solved_sectors(solution, p) == [0, 2]
+
 
 RANK_ORDER_POINTS = [("dense", 0.5), ("h5", 0.0), ("h5", 0.5), ("odd_y", 0.5)]
 """A dense, a sorted-diagonal and two sectored points."""
