@@ -385,7 +385,7 @@ class TestSectorParts:
         assert deviation <= 1e-14
 
     @pytest.mark.parametrize("name", SECTORED)
-    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
     def test_sector_applies_its_basis(self, name, dtype):
         """project is U^T x and embed adds U z, for U the sector's basis, on
         vectors and on columns."""
