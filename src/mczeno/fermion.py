@@ -99,7 +99,8 @@ def load_fcidump(path) -> FermionIntegrals:
     positive a chemist two-body element (ij|kl).
     Records with only the first index set (orbital energies) are ignored.
     Each stored element is expanded to its full permutational symmetry
-    class.
+    class.  A record that repeats an integral, or the core energy, must
+    agree with the first within 1e-10, else ValueError names both.
     """
     with open(path) as handle:
         text = handle.read()
@@ -119,7 +120,8 @@ def load_fcidump(path) -> FermionIntegrals:
 
     h_spatial = np.zeros((m, m))
     g_chemist = np.zeros((m, m, m, m))
-    core = 0.0
+    core = np.zeros(())
+    first = {}  # the first record of each integral, by its symmetry class
     for raw in text[end.end():].splitlines():
         line = raw.strip()
         if not line:
@@ -138,22 +140,25 @@ def load_fcidump(path) -> FermionIntegrals:
             if idx < 0 or idx > m:
                 raise ValueError(f"{path}: orbital index {idx} out of range 1..{m}")
         if i == j == k == l == 0:
-            core = value
+            target, slots = core, [()]
         elif k == 0 and l == 0 and i > 0 and j > 0:
-            h_spatial[i - 1, j - 1] = value
-            h_spatial[j - 1, i - 1] = value
+            target, slots = h_spatial, [(i - 1, j - 1), (j - 1, i - 1)]
         elif i > 0 and j == 0 and k == 0 and l == 0:
             continue
         elif min(i, j, k, l) > 0:
             a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            for p, q, r, s in (
+            target, slots = g_chemist, [
                 (a, b, c, d), (b, a, c, d), (a, b, d, c), (b, a, d, c),
                 (c, d, a, b), (d, c, a, b), (c, d, b, a), (d, c, b, a),
-            ):
-                g_chemist[p, q, r, s] = value
+            ]
         else:
             raise ValueError(f"{path}: unrecognized index pattern {line!r}")
-    return FermionIntegrals.from_spatial(h_spatial, g_chemist, core)
+        earlier, earlier_line = first.setdefault(min(slots), (value, line))
+        if abs(value - earlier) > 1e-10:
+            raise ValueError(f"{path}: record {line!r} conflicts with {earlier_line!r}")
+        for slot in slots:
+            target[slot] = value
+    return FermionIntegrals.from_spatial(h_spatial, g_chemist, float(core))
 
 
 def _jw_masks(n: int):
@@ -214,7 +219,7 @@ def _assemble(f: FermionIntegrals, ladder_masks) -> PauliHamiltonian:
     worst_imag = np.abs(c[odd]).max(initial=0.0)
     if worst_imag > _IMAG_LIMIT:
         raise ValueError(
-            f"mapping left imaginary weight {worst_imag:g}, input not Hermitian"
+            f"mapping left imaginary weight {worst_imag:g}, from non-Hermitian integrals"
         )
     c = np.where(n_y % 4 == 2, -c, c)
     keep = ~odd & (np.abs(c) > _COEFF_DROP)

@@ -231,8 +231,6 @@ def _project_block(
     amplitudes outside the level zeroed and mapped back by es.apply.  A
     real state against real eigenvectors stays real.
     """
-    if psi.shape[0] != es.dimension:
-        raise ValueError(f"state dimension {psi.shape[0]} does not match basis {es.dimension}")
     amplitudes = es.apply(psi, adjoint=True)
     weights = np.abs(amplitudes)
     weights **= 2

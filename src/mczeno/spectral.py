@@ -13,11 +13,16 @@ from mczeno.path import Sector, s_grid
 
 SECTOR_DIMENSION = 256
 """Smallest dimension whose path points are solved in symmetry sectors.  On
-synthetic paths fixed by the spin swap and the chain mirror, one full eigh
-against the four sectors took 0.03 against 0.11 ms at 16 rows, 0.33
-against 0.37 ms at 64, 5.8 against 2.0 ms at 256 and 0.18 against 0.036 s
-at 1024; at 64 rows the sectors are no faster and cost ~5 ms per path to
-build."""
+random paths fixed by the spin swap and the chain mirror, at alpha 0.5, one
+full eigh of H(0.5) against the eighs of its four sectors took 0.03-0.05
+against 0.03-0.06 ms at 16 rows, 0.27-0.50 against 0.14 ms at 64, 4.9-6.4
+against 1.3-1.7 ms at 256 and 0.14-0.24 against 0.019-0.027 s at 1024, and
+building the path's sectors took 0.7-0.9, 1.2-1.4, 5-8 and 34-50 ms (two
+runs each with 1 and 2 OpenBLAS 0.3.31 threads on a shared 2-core x86_64
+machine; the thread counts differed by no more than the runs did, except
+one 2-thread run whose 64-row full eigh took 48 ms).  At 64 rows a point
+saves 0.1-0.4 ms, so the build takes 4-10 sectored points to repay; at 256
+rows one point repays most of it."""
 
 DEGENERACY_TOL = 1e-9
 """Largest step between successive eigenvalues of one degenerate level."""
@@ -83,8 +88,12 @@ class EigenSolution:
         x; column r of V is the eigenvector of rank r.  A sector block
         projects x through its sector's U on the adjoint and embeds its
         result on the forward map, so the states of unsolved sectors stay
-        zero.  A new array."""
-        n = len(self.eigenvalues) if adjoint else self.dimension
+        zero.  A new array.  An x of other than dimension rows on the
+        adjoint, or one per level on the forward map, raises ValueError."""
+        length, n = ((self.dimension, len(self.eigenvalues)) if adjoint
+                     else (len(self.eigenvalues), self.dimension))
+        if len(x) != length:
+            raise ValueError(f"state dimension {len(x)} does not match basis {length}")
         out = np.zeros((n, *x.shape[1:]), dtype=np.result_type(x, self._dtype))
         for rows, ranks, w in self.blocks:
             if isinstance(rows, Sector):
@@ -120,12 +129,8 @@ def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
 
 
 def eig(h: PauliHamiltonian) -> EigenSolution:
-    """Full dense Hermitian eigendecomposition."""
-    m = dense_matrix(h)
-    residue = np.abs(m - m.conj().T).max() if m.size else 0.0
-    if residue > 1e-12:
-        raise ValueError(f"matrix is not Hermitian (residue {residue:g})")
-    return EigenSolution(*np.linalg.eigh(m))
+    """Full dense eigendecomposition; sparse_parts builds h exactly Hermitian."""
+    return EigenSolution(*np.linalg.eigh(dense_matrix(h)))
 
 
 def path_eigensolutions(p, s_values: Iterable[float], *,

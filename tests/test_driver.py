@@ -167,6 +167,31 @@ class TestRun:
         assert record["size"] == 3
         assert record["n_terms"] == 4
 
+    COMMON_KEYS = {"method", "source", "mapping", "n_qubits", "seed"}
+    PATH_KEYS = COMMON_KEYS | {"alpha", "symmetry_sectors"}
+    RECORD_KEYS = {
+        "clique": COMMON_KEYS | {"n_terms", "size", "weight", "members"},
+        "spectrum": PATH_KEYS | {"k", "n_points", "initial_ground_hartree",
+                                 "final_ground_hartree", "min_gap_hartree"},
+        "qae": PATH_KEYS | {"exact_ground_hartree", "initial_index", "total_time", "delta_t",
+                            "step_count", "final_energy_hartree", "ground_fidelity",
+                            "error_hartree", "sector_weights"},
+        "qzp": PATH_KEYS | {"exact_ground_hartree", "n_steps", "trials", "initial_indices",
+                            "best_energy_hartree", "distributions"},
+    }
+    DISTRIBUTION_KEYS = {"initial_index", "trials", "ground_frequency", "counts",
+                         "sector_weights"}
+
+    @pytest.mark.parametrize("method", ["clique", "spectrum", "qae", "qzp"])
+    def test_record_keys(self, data_dir, method):
+        """The record schema: a field added or dropped changes these sets."""
+        short = {"initial_indices": (0, 1), "n_steps": 5, "trials": 20} if method == "qzp" else {}
+        record = run(RunConfig(source=str(data_dir / "h2_2.8_jw.txt"), method=method, **short))
+        assert set(record) == self.RECORD_KEYS[method]
+        for distribution in record.get("distributions", []):
+            assert set(distribution) == self.DISTRIBUTION_KEYS
+        assert method != "qzp" or len(record["distributions"]) == 2
+
     def test_qzp_delegates_to_statistics(self, data_dir):
         source = str(data_dir / "gapped_four_qubit.txt")
         record = run(

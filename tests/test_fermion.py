@@ -92,6 +92,31 @@ class TestLoadFcidump:
         with pytest.raises(ValueError, match=r"uhf\.fcidump: IUHF=1"):
             load_fcidump(path)
 
+    @pytest.mark.parametrize("first, second", [
+        ("0.6636 2 2 1 1", "0.9999 1 1 2 2"),  # (22|11) = (11|22)
+        ("0.1 2 1 0 0", "0.2 1 2 0 0"),  # h_21 = h_12
+        ("0.7 0 0 0 0", "0.7000000002 0 0 0 0"),  # a second core energy
+    ])
+    def test_conflicting_records_raise(self, tmp_path, first, second):
+        """A later record of the same integral would otherwise replace the
+        earlier one in every slot of its symmetry class."""
+        path = tmp_path / "conflict.fcidump"
+        path.write_text(f"&FCI NORB=2,\n&END\n {first}\n 0.5 1 1 1 1\n {second}\n")
+        message = rf"^{re.escape(str(path))}: record '{second}' conflicts with '{first}'$"
+        with pytest.raises(ValueError, match=message):
+            load_fcidump(path)
+
+    def test_equal_repeats_accepted(self, tmp_path):
+        """Repeats within 1e-10 of the first record, including zeros, load."""
+        path = tmp_path / "repeat.fcidump"
+        path.write_text("&FCI NORB=2,\n&END\n 0.0 2 1 1 1\n 0.6636 2 2 1 1\n"
+                        " 0.0 1 1 1 2\n 0.66360000001 1 1 2 2\n 0.1 2 1 0 0\n"
+                        " 0.1 1 2 0 0\n 0.7 0 0 0 0\n 0.7 0 0 0 0\n")
+        f = load_fcidump(path)
+        assert f.two_body[0, 1, 0, 1] == f.two_body[1, 0, 1, 0] == 0.66360000001
+        assert f.one_body[0, 1] == f.one_body[1, 0] == 0.1
+        assert not f.two_body[1, 0, 0, 0] and f.core_energy == 0.7
+
     def test_index_out_of_range(self, tmp_path):
         path = tmp_path / "range.fcidump"
         path.write_text("&FCI NORB=2,\n&END\n 0.5 3 1 0 0\n")

@@ -270,8 +270,9 @@ class TestChebyshevPropagator:
         """_bessel_j stands in for scipy.special.jv: importing scipy.special
         alone raised an H2 scan's peak RSS from 58.3 to 64.5 MB.  No scipy
         module at all is loaded by the import, by H5 qzp at the benchmark's
-        settings, or by an H2 scan with exact, qae and qzp; the sparse
-        calls still work, each loading scipy itself."""
+        settings, by an H2 scan with exact, qae and qzp, by spectrum runs on
+        H5 and H2, or by a clique run on H5; the sparse calls still work,
+        each loading scipy itself."""
         scipy_free = """
 from mczeno import driver
 def check(stage):
@@ -287,6 +288,13 @@ points = [(r, driver.RunConfig(source=data + f'/h2_sto3g_{r}.fcidump', method='q
 result = driver.scan(points, ('exact', 'qae', 'qzp'))
 assert all(row.status == 'ok' for row in result.rows), result
 check('h2 scan')
+driver.run(driver.RunConfig(source=data + '/h5_chain_sto3g_1.00.fcidump', method='spectrum',
+                            alpha=0.5, n_points=5, k=3))
+check('h5 spectrum')
+driver.run(driver.RunConfig(source=data + '/h2_2.8_jw.txt', method='spectrum', alpha=0.5))
+check('h2 spectrum')
+driver.run(driver.RunConfig(source=data + '/h5_chain_sto3g_1.00.fcidump', method='clique'))
+check('h5 clique')
 """
         loading = {
             "ham_matrix": "mczeno.ham_matrix(mczeno.load_hamiltonian(data + '/h2_2.8_jw.txt'))",

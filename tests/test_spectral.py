@@ -11,7 +11,7 @@ from mczeno.driver import load_qubit_hamiltonian
 from mczeno.fermion import FermionIntegrals, jordan_wigner
 from mczeno.pauli import PauliHamiltonian, PauliTerm, is_all_z, parse_hamiltonian
 from mczeno.path import PathHamiltonian, s_grid
-from mczeno.qzp import zeno_statistics
+from mczeno.qzp import zeno_grid, zeno_statistics
 from mczeno.spectral import (
     DEGENERACY_TOL,
     EigenSolution,
@@ -77,15 +77,6 @@ class TestEig:
     def test_complex_terms_handled(self):
         h = parse_hamiltonian("0.5 XY\n0.25 YZ\n1.0 ZI")
         check_invariants(h, eig(h))
-
-
-    def test_non_hermitian_matrix_rejected(self, monkeypatch):
-        import mczeno.spectral
-
-        monkeypatch.setattr(mczeno.spectral, "dense_matrix",
-                            lambda h: np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eig(MINUS_X)
 
 
 class TestEigenSolution:
@@ -407,6 +398,45 @@ class TestSectorFrame:
         solution = EigenSolution(values, vectors)
         assert [rows for rows, _, _ in solution.blocks] == [slice(None)]
         assert solution.eigenvectors is vectors
+
+
+class TestStateLength:
+    """apply, and so weights, vectors and every caller, takes a state of
+    dimension rows on the adjoint and one row per level on the forward map:
+    a longer state would be truncated by a gather, and a one-row one would
+    broadcast."""
+
+    @pytest.fixture(scope="class")
+    def h5_points(self, data_dir):
+        """H5's sorted-diagonal H(0), sectored H(1), and the interior point of
+        the zeno_grid of rank 0 at two steps, which solves 544 levels."""
+        p = sectored_path(data_dir, "h5")
+        h0, h1 = path_eigensolutions(p, [0.0, 1.0])
+        grid, _ = zeno_grid(p, 2, [0])
+        return {"h0": h0, "h1": h1, "interior": grid[1]}
+
+    @pytest.mark.parametrize("point, rows", [("h0", 1025), ("h1", 2048), ("interior", 2048)])
+    def test_adjoint_needs_dimension_rows(self, h5_points, point, rows):
+        solution = h5_points[point]
+        psi = np.zeros(rows)
+        psi[0] = 1.0
+        message = f"^state dimension {rows} does not match basis 1024$"
+        with pytest.raises(ValueError, match=message):
+            solution.weights(psi)
+        with pytest.raises(ValueError, match=message):
+            solution.apply(psi[:, None], adjoint=True)
+        assert solution.weights(psi[:1024]).sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("point, rows, levels", [("h0", 1, 1024), ("interior", 1024, 544)])
+    def test_forward_needs_one_row_per_level(self, h5_points, point, rows, levels):
+        solution = h5_points[point]
+        assert len(solution.eigenvalues) == levels and solution.dimension == 1024
+        message = f"^state dimension {rows} does not match basis {levels}$"
+        with pytest.raises(ValueError, match=message):
+            solution.apply(np.ones(rows))
+        with pytest.raises(ValueError, match=message):
+            solution.apply(np.ones((rows, 2)))
+        assert solution.apply(np.eye(levels)[:, :2]).shape == (1024, 2)
 
 
 def rank_order_solution(data_dir, name: str, s: float) -> EigenSolution:
