@@ -122,9 +122,9 @@ class PathHamiltonian:
         part sums chi chi' P_ij over the pattern entries (i, j) with i in
         orbit a and j in orbit b, in pattern order, and is then divided by
         sqrt(|a| |b|) for the orbit sizes |a| and |b|.  The orbit pairs that
-        the pattern holds are found once per path by np.unique, and each part
-        is one np.bincount over them, so the build takes memory in proportion
-        to the pattern's entries, not to d * d.
+        the pattern holds are numbered once per path by a bitmap over pairs of
+        orbits, and each part is one np.bincount over them, so the build takes
+        memory in proportion to the pattern's entries, not to d * d.
         On the diagonal that is the integer |a|, so an energy shared by an
         orbit's states stays exact, and exact ties across sectors survive.
         """
@@ -139,34 +139,36 @@ class PathHamiltonian:
         images = np.array(images)
         least = images.min(axis=0)
         size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
-        to_least = np.argmax(images == least, axis=0)
+        to_least = np.argmax(images == least, axis=0).astype(np.uint8)  # of 4 elements at most
         fixed = images == states
-        # each pattern entry (i, j) by its pair of orbits, keyed by their least
-        # members, and by the pair of elements taking i and j to them
-        rows = np.repeat(states, np.diff(indptr))
-        pairs, pair_of = np.unique(least[rows] * len(states) + least[indices],
-                                   return_inverse=True)
-        moves = to_least[rows] * len(images) + to_least[indices]
-        del rows
-        sectors = []
-        for c in range(len(images)):
-            chi = np.array([(-1) ** (g & c).bit_count() for g in range(len(images))])
+        # each pattern entry (i, j) by the number of its pair of orbits among
+        # the pairs held, and by the pair of elements taking i and j to them
+        counts, leasts = np.diff(indptr), np.flatnonzero(least == states).astype(np.int32)
+        orbit = np.searchsorted(leasts, least)
+        keys = np.repeat(orbit * len(leasts), counts) + orbit[indices]
+        held = np.bincount(keys, minlength=len(leasts) ** 2) > 0
+        pair_of = (np.cumsum(held) - 1)[keys]
+        pair_a, pair_b = (leasts[k] for k in np.divmod(np.flatnonzero(held), len(leasts)))
+        del keys, held
+        moves = np.repeat(to_least * len(images), counts) + to_least[indices]
+
+        def sector(c: int) -> Sector:  # its arrays die with the call
+            chi = np.array([(-1.0) ** (g & c).bit_count() for g in range(len(images))])
             inside = np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(axis=0))
             orbits, columns = np.unique(least[inside], return_inverse=True)
             d = len(orbits)
             column_of = np.full(len(states), -1)
             column_of[inside] = columns
-            weight = np.outer(chi, chi).ravel()[moves]
-            sums = np.array([_sum_at(pair_of, values * weight, len(pairs)) for values in data])
-            a, b = np.divmod(pairs, len(states))
-            kept = (column_of[a] >= 0) & (column_of[b] >= 0) & sums.any(axis=0)
-            a, b = a[kept], b[kept]
-            parts = sums[:, kept] / np.sqrt(size[a] * size[b])
+            signs = np.outer(chi, chi).ravel()
+            sums = np.array([_sum_at(pair_of, v, signs, moves, len(pair_a)) for v in data])
+            kept = (column_of[pair_a] >= 0) & (column_of[pair_b] >= 0) & sums.any(axis=0)
+            a, b = pair_a[kept], pair_b[kept]
+            sums = sums[:, kept]  # the parts, divided in place
+            sums /= np.sqrt(size[a] * size[b])
             coefficients = chi[to_least[inside]] / np.sqrt(size[inside])
-            sectors.append(Sector(inside, columns, coefficients,
-                                  *_padded(columns, inside, coefficients),
-                                  column_of[a] * d + column_of[b], parts))
-        return tuple(sectors)
+            return Sector(inside, columns, coefficients, *_padded(columns, inside, coefficients),
+                          column_of[a] * d + column_of[b], sums)
+        return tuple(map(sector, range(len(images))))
 
     @cached_property
     def _pattern(self):
@@ -197,13 +199,17 @@ class PathHamiltonian:
             return values.real
         return values
 
-    def sparse_matrix(self, s: float) -> scipy.sparse.csr_matrix:
-        """Sparse H(s) on the shared pattern, in real storage when exactly
+    def sparse_matrix(self, s: float, sector: Sector | None = None) -> scipy.sparse.csr_matrix:
+        """Sparse H(s) on the shared pattern, or given one of self.sectors
+        its U^T H(s) U on the sector's entries, in real storage when exactly
         real; zero-weight parts are left out, so H(0) and H(1) hold
         exactly the values of H_i and H_p.  The one method of a path that
         imports scipy."""
         import scipy.sparse
 
+        if sector is not None:
+            d, values = sector.dimension, self._combine(s, sector.parts)
+            return scipy.sparse.csr_matrix((values, np.divmod(sector.entries, d)), shape=(d, d))
         indptr, indices, data = self._pattern
         dim = 1 << self.n_qubits
         return scipy.sparse.csr_matrix((self._combine(s, data), indices, indptr),
@@ -238,12 +244,16 @@ class PathHamiltonian:
         return float((centres - radii).min()), float((centres + radii).max())
 
 
-def _sum_at(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """The sum of values at each key in range(size), by one np.bincount
-    (two when the values are complex)."""
+def _sum_at(keys: np.ndarray, values: np.ndarray, signs: np.ndarray, moves: np.ndarray,
+            size: int) -> np.ndarray:
+    """The sum of values * signs[moves] at each key in range(size), by one
+    np.bincount of products formed in place (two for complex values)."""
     if np.iscomplexobj(values):
-        return _sum_at(keys, values.real, size) + 1j * _sum_at(keys, values.imag, size)
-    return np.bincount(keys, weights=values, minlength=size)
+        return (_sum_at(keys, values.real, signs, moves, size)
+                + 1j * _sum_at(keys, values.imag, signs, moves, size))
+    weighted = signs[moves]
+    weighted *= values
+    return np.bincount(keys, weights=weighted, minlength=size)
 
 
 def _padded(keys: np.ndarray, values: np.ndarray, weights: np.ndarray):

@@ -167,30 +167,14 @@ def _check_cap(n_qubits: int) -> None:
         )
 
 
-def _term_values(t: PauliTerm, cols: np.ndarray) -> np.ndarray:
-    """Entry (c ^ x_mask, c) of the term's matrix for each column c in cols:
-    coeff * i**n_Y * (-1)**popcount(z & c), real when n_Y is even."""
-    signs = 1.0 - 2.0 * parity(cols & t.z_mask, t.n_qubits)
-    n_y = (t.x_mask & t.z_mask).bit_count()
-    data = (t.coefficient * 1j ** n_y) * signs
-    return data.real if n_y % 2 == 0 else data
-
-
 def term_matrix(t: PauliTerm) -> scipy.sparse.csr_matrix:
-    """Sparse matrix of a weighted Pauli product, one nonzero per row.
+    """Sparse matrix of a weighted Pauli product: ham_matrix of its one-term sum.
 
-    Row j holds the amplitude produced by acting on basis state ``|j>``:
+    Row j holds one nonzero (none when coeff is 0), the amplitude of ``|j>``:
     P|j> = coeff * i**n_Y * (-1)**popcount(z & j) |j ^ x>, with the Y
     phase i**n_Y folded in so real coefficients give a Hermitian matrix.
     """
-    import scipy.sparse
-
-    _check_cap(t.n_qubits)
-    dim = 1 << t.n_qubits
-    cols = np.arange(dim, dtype=np.int64)
-    return scipy.sparse.csr_matrix(
-        (_term_values(t, cols), (cols ^ t.x_mask, cols)), shape=(dim, dim)
-    )
+    return ham_matrix(PauliHamiltonian(t.n_qubits, [t]))
 
 
 def sparse_parts(
@@ -200,10 +184,10 @@ def sparse_parts(
 
     Returns (indptr, indices, data): the canonical CSR pattern (rows in
     order, ascending columns) of the union of the sums' nonzero entries,
-    and one row of data per sum, zero where that sum has no entry.  A sum
-    is assembled one x-mask at a time: its terms with x-mask x fill the
-    entries (c ^ x, c), so their values there are summed in term order,
-    which is exactly what the sum of their term matrices holds.
+    and one row of data per sum, zero where that sum has no entry.  Each
+    term adds coeff * i**n_Y * (-1)**popcount(z & c), signs from one table,
+    at the entries (c ^ x, c) of its x-mask x in place, in term order, which
+    is exactly what the sum of their term matrices holds.
     """
     n = hs[0].n_qubits
     if any(h.n_qubits != n for h in hs):
@@ -211,17 +195,18 @@ def sparse_parts(
     _check_cap(n)
     dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
-    values: dict[tuple[int, int], np.ndarray] = {}
-    for part, h in enumerate(hs):
-        for t in h.terms:
-            key = (t.x_mask, part)
-            data = _term_values(t, cols)
-            values[key] = values[key] + data if key in values else data
-    masks = {x: i for i, x in enumerate(dict.fromkeys(x for x, _ in values))}
+    signs = 1.0 - 2.0 * parity(cols, n)
+    terms = [(k, t, (t.x_mask & t.z_mask).bit_count()) for k, h in enumerate(hs) for t in h.terms]
+    masks = {x: i for i, x in enumerate(dict.fromkeys(t.x_mask for _, t, _ in terms))}
     block = np.zeros((len(hs), len(masks), dim),
-                     dtype=np.result_type(float, *values.values()))
-    for (x, part), data in values.items():
-        block[part, masks[x]] = data
+                     dtype=complex if any(n_y % 2 for *_, n_y in terms) else float)
+    filled = set()
+    for part, t, n_y in terms:
+        phase = t.coefficient * 1j ** n_y
+        data = (phase if n_y % 2 else phase.real) * signs[cols & t.z_mask]
+        slot = (part, masks[t.x_mask])  # a first term is not added to 0, so -0.0 stays
+        block[slot] = block[slot] + data if slot in filled else data
+        filled.add(slot)
     flat = np.flatnonzero((block != 0).any(axis=0))  # mask index << n | column
     col_at = flat & (dim - 1)
     rows = col_at ^ np.array(list(masks), dtype=np.int64)[flat >> n]

@@ -4,12 +4,14 @@ Most of this is built from first principles (explicit Kronecker
 products, occupation-number ladder matrices) so it shares no code path
 with the package under test.  sequential_ham_matrix, eigh_evolve,
 dict_jordan_wigner / dict_parity_map, full_eigh_solutions,
-dict_invariant, diagonal_entries and sandwich_sectors are the package's
-earlier, slower algorithms (a term-by-term sparse sum, per-step
-diagonalization, complex dict-of-masks ladder products, one full eigh per
-path point, a per-term symmetry check, a term-by-term all-Z diagonal and
-sparse S^T P S sector parts), kept so that the faster ones can be held to
-them.
+dict_invariant, diagonal_entries, sandwich_sectors, unique_sectors,
+dict_sparse_parts and full_space_evolve are the package's earlier, slower
+algorithms (a term-by-term sparse sum, per-step diagonalization, complex
+dict-of-masks ladder products, one full eigh per path point, a per-term
+symmetry check, a term-by-term all-Z diagonal, sparse S^T P S sector
+parts, orbit pairs found by a sort, per-term parity folds summed in a
+dict, and qae steps on the whole space), kept so that the faster ones can
+be held to them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import numpy as np
 import scipy.sparse
 
 from mczeno.fermion import FermionIntegrals
-from mczeno.path import _permute_bits
-from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, term_matrix
+from mczeno.path import Sector, _padded, _permute_bits
+from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, parity, term_matrix
+from mczeno.qae import chebyshev_step
 from mczeno.spectral import EigenSolution
 
 PAULI_1Q = {
@@ -344,14 +347,12 @@ def solved_sectors(solution, p) -> list:
             for rows, _, _ in solution.blocks]
 
 
-def sandwich_sectors(p) -> list:
-    """(U, parts) for each character of p's symmetry group, in p.sectors
-    order, as sparse scipy matrices: the orbit and character rules of
-    PathHamiltonian.sectors, with each part formed as S^T P S for S the +-1
-    pattern of U and entry (a, b) then divided by sqrt(|a| |b|) for the two
-    orbit sizes."""
-    indptr, indices, data = p._pattern
-    states = np.arange(len(indptr) - 1)
+def _orbits(p):
+    """(states, images, least, size, to_least, fixed) of p's symmetry group:
+    the image of every basis state under each group element, each state's
+    orbit's least member and size, the element taking it there, and which
+    elements fix it, by the rules of PathHamiltonian.sectors."""
+    states = np.arange(1 << p.n_qubits)
     images = [states]
     for perm in reversed(p.symmetries):
         moved = _permute_bits(states, perm)
@@ -360,7 +361,56 @@ def sandwich_sectors(p) -> list:
     least = images.min(axis=0)
     size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
     to_least = np.argmax(images == least, axis=0)
-    fixed = images == states
+    return states, images, least, size, to_least, images == states
+
+
+def unique_sectors(p) -> tuple:
+    """p's Sectors as PathHamiltonian.sectors built them with the orbit pairs
+    found by np.unique over every pattern entry, and each part summed by one
+    np.bincount of the values times their integer characters."""
+    if not p.symmetries:
+        return ()
+    indptr, indices, data = p._pattern
+    states, images, least, size, to_least, fixed = _orbits(p)
+    rows = np.repeat(states, np.diff(indptr))
+    pairs, pair_of = np.unique(least[rows] * len(states) + least[indices],
+                               return_inverse=True)
+    moves = to_least[rows] * len(images) + to_least[indices]
+
+    def sum_at(values):
+        if np.iscomplexobj(values):
+            return sum_at(values.real) + 1j * sum_at(values.imag)
+        return np.bincount(pair_of, weights=values, minlength=len(pairs))
+
+    sectors = []
+    for c in range(len(images)):
+        chi = np.array([(-1) ** (g & c).bit_count() for g in range(len(images))])
+        inside = np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(axis=0))
+        orbits, columns = np.unique(least[inside], return_inverse=True)
+        d = len(orbits)
+        column_of = np.full(len(states), -1)
+        column_of[inside] = columns
+        weight = np.outer(chi, chi).ravel()[moves]
+        sums = np.array([sum_at(values * weight) for values in data])
+        a, b = np.divmod(pairs, len(states))
+        kept = (column_of[a] >= 0) & (column_of[b] >= 0) & sums.any(axis=0)
+        a, b = a[kept], b[kept]
+        parts = sums[:, kept] / np.sqrt(size[a] * size[b])
+        coefficients = chi[to_least[inside]] / np.sqrt(size[inside])
+        sectors.append(Sector(inside, columns, coefficients,
+                              *_padded(columns, inside, coefficients),
+                              column_of[a] * d + column_of[b], parts))
+    return tuple(sectors)
+
+
+def sandwich_sectors(p) -> list:
+    """(U, parts) for each character of p's symmetry group, in p.sectors
+    order, as sparse scipy matrices: the orbit and character rules of
+    PathHamiltonian.sectors, with each part formed as S^T P S for S the +-1
+    pattern of U and entry (a, b) then divided by sqrt(|a| |b|) for the two
+    orbit sizes."""
+    indptr, indices, data = p._pattern
+    states, images, least, size, to_least, fixed = _orbits(p)
     matrices = [scipy.sparse.csr_matrix((values, indices, indptr), shape=(len(states),) * 2)
                 for values in data]
     sectors = []
@@ -413,3 +463,51 @@ def eigh_evolve(p, delta_t: float, psi0: np.ndarray):
     weights = np.abs(amplitudes) ** 2
     ground = np.r_[0, np.cumsum(np.diff(values) > ZENO_DEGENERACY_TOL)] == 0
     return psi, float(values @ weights), float(weights[ground].sum())
+
+
+def _term_values(t: PauliTerm, cols: np.ndarray) -> np.ndarray:
+    """Entry (c ^ x_mask, c) of the term's matrix for each column c in cols:
+    coeff * i**n_Y * (-1)**popcount(z & c), real when n_Y is even."""
+    signs = 1.0 - 2.0 * parity(cols & t.z_mask, t.n_qubits)
+    n_y = (t.x_mask & t.z_mask).bit_count()
+    data = (t.coefficient * 1j ** n_y) * signs
+    return data.real if n_y % 2 == 0 else data
+
+
+def dict_sparse_parts(hs):
+    """pauli.sparse_parts with each term's signs folded by its own parity
+    call and each sum's terms of one x-mask summed in a dict, in term order,
+    before they are placed in the (parts x masks x dim) block."""
+    n = hs[0].n_qubits
+    dim = 1 << n
+    cols = np.arange(dim, dtype=np.int64)
+    values: dict[tuple[int, int], np.ndarray] = {}
+    for part, h in enumerate(hs):
+        for t in h.terms:
+            key = (t.x_mask, part)
+            data = _term_values(t, cols)
+            values[key] = values[key] + data if key in values else data
+    masks = {x: i for i, x in enumerate(dict.fromkeys(x for x, _ in values))}
+    block = np.zeros((len(hs), len(masks), dim),
+                     dtype=np.result_type(float, *values.values()))
+    for (x, part), data in values.items():
+        block[part, masks[x]] = data
+    flat = np.flatnonzero((block != 0).any(axis=0))
+    col_at = flat & (dim - 1)
+    rows = col_at ^ np.array(list(masks), dtype=np.int64)[flat >> n]
+    order = np.argsort(rows << n | col_at)
+    index = np.int32 if max(dim, len(flat)) < 2**31 else np.int64
+    indptr = np.r_[0, np.bincount(rows, minlength=dim).cumsum()].astype(index)
+    return (indptr, col_at[order].astype(index),
+            block.reshape(len(hs), -1)[:, flat[order]])
+
+
+def full_space_evolve(p, delta_t: float, psi0: np.ndarray) -> np.ndarray:
+    """The final state of qae's Chebyshev steps taken on the whole 2**n
+    space, through the sparse H(s) of every step, with no symmetry sectors."""
+    n_steps = round(p.total_time / delta_t)
+    psi = np.asarray(psi0, dtype=complex)
+    for k in range(1, n_steps + 1):
+        s = k / n_steps
+        psi = chebyshev_step(p.sparse_matrix(s), p.spectral_bounds(s), delta_t, psi)
+    return psi

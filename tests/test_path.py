@@ -1,5 +1,6 @@
 """Path Hamiltonian construction, endpoints, and discretization."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -15,7 +16,7 @@ from mczeno.pauli import (
     load_hamiltonian,
     parse_hamiltonian,
 )
-from mczeno.path import PathHamiltonian, discretize, h_at, x_driver
+from mczeno.path import PathHamiltonian, Sector, discretize, h_at, x_driver
 from mczeno.qae import basis_state, evolve
 from mczeno.spectral import dense_matrix, path_eigensolutions
 from oracles import (
@@ -23,7 +24,9 @@ from oracles import (
     sandwich_sectors,
     sector_basis,
     sector_part,
+    unique_sectors,
 )
+from test_spectral import symmetric_sum
 
 
 @pytest.fixture()
@@ -383,6 +386,31 @@ class TestSectorParts:
                 deviation = max(deviation, np.abs(sector_part(sector, k) - part.toarray()).max())
         print(f"{name}: largest part deviation from S^T P S {deviation:.1e}")
         assert deviation <= 1e-14
+
+    @staticmethod
+    def assert_pinned(p):
+        """Every array of every sector equals the sorting reference's in
+        dtype, value and the sign of every zero."""
+        reference = unique_sectors(p)
+        assert len(p.sectors) == len(reference)
+        for sector, expected in zip(p.sectors, reference):
+            for field in dataclasses.fields(Sector):
+                ours, theirs = getattr(sector, field.name), getattr(expected, field.name)
+                assert ours.dtype == theirs.dtype, field.name
+                assert np.array_equal(ours, theirs), field.name
+                for a, b in ((ours.real, theirs.real), (ours.imag, theirs.imag)):
+                    assert np.array_equal(np.signbit(a), np.signbit(b)), field.name
+
+    @pytest.mark.parametrize("name", list(bundled_clique_paths()))
+    def test_bundled_sectors_pinned_to_sorting_reference(self, name):
+        self.assert_pinned(bundled_clique_paths()[name])
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "odd_y"])
+    def test_random_symmetric_sectors_pinned_to_sorting_reference(self, n, odd_y):
+        p = PathHamiltonian(symmetric_sum(n, 1, odd_y), symmetric_sum(n, 2, odd_y), alpha=0.5)
+        assert len(p.sectors) == 4
+        self.assert_pinned(p)
 
     @pytest.mark.parametrize("name", SECTORED)
     @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])

@@ -27,7 +27,13 @@ from mczeno.pauli import (
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import load_qubit_hamiltonian
 from mczeno.path import x_driver
-from oracles import diagonal_entries, kron_hamiltonian, kron_term, sequential_ham_matrix
+from oracles import (
+    diagonal_entries,
+    dict_sparse_parts,
+    kron_hamiltonian,
+    kron_term,
+    sequential_ham_matrix,
+)
 
 
 def term(label, coeff=1.0):
@@ -172,6 +178,13 @@ def _bundled_hamiltonians():
     return out
 
 
+ODD_Y_AND_CANCELLING = [
+    "0.5 ZI\n-0.7 IY\n0.3 XZ\n0.2 YX\n0.1 XY\n-0.4 YY",
+    "0.3 XZ\n0.2 YX",
+    "1.0 XI\n1.0 XZ\n-2.0 IZ",  # XI + XZ cancels on half the columns
+]
+
+
 class TestHamMatrixByMask:
     """ham_matrix, assembled per x-mask, against the term-by-term sum."""
 
@@ -187,11 +200,7 @@ class TestHamMatrixByMask:
     def test_bundled_fixtures_bit_identical(self, name, h):
         self.assert_identical(h)
 
-    @pytest.mark.parametrize("text", [
-        "0.5 ZI\n-0.7 IY\n0.3 XZ\n0.2 YX\n0.1 XY\n-0.4 YY",
-        "0.3 XZ\n0.2 YX",
-        "1.0 XI\n1.0 XZ\n-2.0 IZ",  # XI + XZ cancels on half the columns
-    ])
+    @pytest.mark.parametrize("text", ODD_Y_AND_CANCELLING)
     def test_odd_y_and_cancelling_sums_bit_identical(self, text):
         self.assert_identical(parse_hamiltonian(text))
 
@@ -233,6 +242,44 @@ class TestSparseParts:
             m = scipy.sparse.csr_matrix((row, indices, indptr), shape=(dim, dim))
             assert np.array_equal(m.toarray(), ham_matrix(h).toarray())
             assert np.array_equal(m.toarray(), m.conj().T.toarray())
+
+    @staticmethod
+    def assert_pinned(hs):
+        """sparse_parts equals the per-term dict reference array for array, in
+        dtype, value and the sign of every zero (real and imaginary)."""
+        for ours, reference in zip(sparse_parts(hs), dict_sparse_parts(hs)):
+            assert ours.dtype == reference.dtype
+            assert np.array_equal(ours, reference)
+            for a, b in ((ours.real, reference.real), (ours.imag, reference.imag)):
+                assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("name, hs", _bundled_paths(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_bundled_paths_pinned_to_dict_reference(self, name, hs):
+        self.assert_pinned(hs)
+
+    @pytest.mark.parametrize("text", ODD_Y_AND_CANCELLING)
+    def test_odd_y_and_cancelling_sums_pinned_to_dict_reference(self, text):
+        self.assert_pinned([parse_hamiltonian(text)])
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_random_sums_pinned_to_dict_reference(self, n):
+        """Three sums whose terms share a few x-masks, so that real and odd-Y
+        terms add into one entry, some to zero: the first real, the others
+        with odd-Y terms, whose real parts are zeros of either sign."""
+        rng = np.random.default_rng([n, 21])
+        x_masks = rng.integers(0, 1 << n, size=6)
+        hs = []
+        for odd_y in (False, True, True):
+            terms = []
+            for x, z in zip(rng.choice(x_masks, 12 * n), rng.integers(0, 1 << n, 12 * n)):
+                if odd_y or (int(x) & int(z)).bit_count() % 2 == 0:
+                    c = float(rng.choice([-1.0, 0.5, 1.0]))
+                    terms.append(PauliTerm(n, int(x), int(z), c))
+            hs.append(PauliHamiltonian(n, terms))
+        data = sparse_parts(hs)[2]
+        assert np.iscomplexobj(data) and np.any(data == 0.0)
+        self.assert_pinned(hs)
 
     def test_pattern_is_the_union(self):
         hs = (parse_hamiltonian("1.0 ZI"), parse_hamiltonian("1.0 IX"))

@@ -12,6 +12,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import mczeno
+import mczeno.qae
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.pauli import (
     PauliHamiltonian,
@@ -32,9 +33,10 @@ from mczeno.qae import (
     ground_space_fidelity,
 )
 from mczeno.qzp import initial_eigenstate, qae_then_project
-from mczeno.spectral import EigenSolution, eig, path_eigensolutions
-from oracles import eigh_evolve
+from mczeno.spectral import EigenSolution, eig, path_eigensolutions, sector_weights
+from oracles import eigh_evolve, full_space_evolve
 from test_path import odd_y_path
+from test_spectral import sectored_path
 
 
 @pytest.fixture(scope="module")
@@ -206,17 +208,20 @@ def _reference_case(name, data_dir):
     if name == "proportional_to_identity":
         p = PathHamiltonian(parse_hamiltonian("1.5 II"), parse_hamiltonian("-0.5 II"))
         return p, 0.5, np.full(4, 0.5, dtype=complex)
-    if name.startswith("eight_qubits"):
+    if name.startswith(("eight_qubits", "nine_qubits")):
+        # no symmetry: the whole space is stepped, dense at 8 qubits, sparse at 9
+        n = 8 if name.startswith("eight") else 9
         rng = np.random.default_rng(5)
-        terms = [PauliTerm(8, int(x), int(z), float(rng.normal()))
-                 for x, z in rng.integers(0, 256, size=(40, 2))]
+        terms = [PauliTerm(n, int(x), int(z), float(rng.normal()))
+                 for x, z in rng.integers(0, 1 << n, size=(40, 2))]
         if name.endswith("real"):  # even Y counts only
             terms = [t for t in terms if (t.x_mask & t.z_mask).bit_count() % 2 == 0]
-        h = PauliHamiltonian(8, terms)
+        h = PauliHamiltonian(n, terms)
         assert np.iscomplexobj(ham_matrix(h)) != name.endswith("real")
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
         p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
-        assert 1 << p.n_qubits > DENSE_STEP_DIMENSION
+        assert not p.symmetries
+        assert (1 << p.n_qubits > DENSE_STEP_DIMENSION) == (n == 9)
         return p, 0.5, initial_eigenstate(p, 0)
     fixture, alpha, delta_t = {
         "gapped_alpha0": ("gapped_four_qubit.txt", 0.0, 0.5),
@@ -235,6 +240,7 @@ class TestChebyshevPropagator:
     @pytest.mark.parametrize("name", [
         "gapped_alpha0", "h2_2.8_alpha0.5", "odd_y", "proportional_to_identity",
         "one_long_step", "eight_qubits_complex", "eight_qubits_real",
+        "nine_qubits_complex", "nine_qubits_real",
     ])
     def test_matches_per_step_diagonalization(self, data_dir, name):
         p, delta_t, psi0 = _reference_case(name, data_dir)
@@ -271,8 +277,10 @@ class TestChebyshevPropagator:
         alone raised an H2 scan's peak RSS from 58.3 to 64.5 MB.  No scipy
         module at all is loaded by the import, by H5 qzp at the benchmark's
         settings, by an H2 scan with exact, qae and qzp, by spectrum runs on
-        H5 and H2, or by a clique run on H5; the sparse calls still work,
-        each loading scipy itself."""
+        H5 and H2, by a clique run on H5, or by H5 qae, whose sectors are
+        stepped dense; the sparse calls still work, each loading scipy
+        itself, and so does qae on a path without sectors above
+        DENSE_STEP_DIMENSION rows."""
         scipy_free = """
 from mczeno import driver
 def check(stage):
@@ -295,13 +303,17 @@ driver.run(driver.RunConfig(source=data + '/h2_2.8_jw.txt', method='spectrum', a
 check('h2 spectrum')
 driver.run(driver.RunConfig(source=data + '/h5_chain_sto3g_1.00.fcidump', method='clique'))
 check('h5 clique')
+driver.run(driver.RunConfig(source=data + '/h5_chain_sto3g_1.00.fcidump', method='qae',
+                            alpha=0.5, total_time=1.0, delta_t=0.5))
+check('h5 qae')
 """
         loading = {
             "ham_matrix": "mczeno.ham_matrix(mczeno.load_hamiltonian(data + '/h2_2.8_jw.txt'))",
             "sparse_matrix": "mczeno.PathHamiltonian(mczeno.x_driver(3), mczeno.x_driver(3))"
                              ".sparse_matrix(0.5)",
-            "h5 qae": "driver.run(driver.RunConfig(source=data + '/h5_chain_sto3g_1.00"
-                      ".fcidump', method='qae', alpha=0.5, total_time=1.0, delta_t=0.5))",
+            "nine-qubit qae": "mczeno.evolve(mczeno.PathHamiltonian(mczeno.x_driver(9), "
+                              "mczeno.x_driver(9), total_time=0.5), 0.5, "
+                              "mczeno.qae.basis_state(9, 0))",
         }
         checks = [scipy_free] + [f"""
 from mczeno import driver
@@ -355,6 +367,85 @@ assert 'scipy.sparse' in sys.modules
             assert np.abs(got - expected).max() <= 1e-12
         p = PathHamiltonian(h, h, total_time=delta_t)
         assert np.abs(evolve(p, delta_t, psi).final_state - expected).max() <= 1e-12
+
+
+class TestSectoredEvolve:
+    """evolve steps only the symmetry sectors its start reaches, each as its
+    own block, and agrees with stepping the whole space
+    (oracles.full_space_evolve) in state, energy and ground fidelity."""
+
+    @pytest.fixture(params=["dense", "sparse"])
+    def form(self, request, monkeypatch):
+        """Steps sector blocks dense (H5's and the 8-qubit blocks are below
+        DENSE_STEP_DIMENSION), or sparse with the threshold at 0 rows."""
+        if request.param == "sparse":
+            monkeypatch.setattr(mczeno.qae, "DENSE_STEP_DIMENSION", 0)
+        return request.param
+
+    @staticmethod
+    def stepped_sectors(p, monkeypatch) -> list:
+        """The dimension of the block of each step evolve takes on p."""
+        blocks = []
+        original = mczeno.qae._block_matrix
+
+        def recording(path, sector, s):
+            blocks.append(sector.dimension)
+            return original(path, sector, s)
+
+        monkeypatch.setattr(mczeno.qae, "_block_matrix", recording)
+        return blocks
+
+    @staticmethod
+    def assert_matches_full_space(p, delta_t, psi0):
+        result = evolve(p, delta_t, psi0)
+        state = full_space_evolve(p, delta_t, psi0)
+        final = next(path_eigensolutions(p, [1.0]))
+        weights = final.weights(state)
+        assert np.abs(result.final_state - state).max() <= 1e-12
+        assert abs(result.final_energy - final.eigenvalues @ weights) <= 1e-12
+        assert abs(result.ground_fidelity - weights[:final.level_ends[0]].sum()) <= 1e-12
+        return result
+
+    def test_h5_rank_0_steps_its_two_sectors(self, data_dir, form, monkeypatch):
+        p = sectored_path(data_dir, "h5")
+        psi0 = initial_eigenstate(p, 0)
+        assert np.flatnonzero(sector_weights(p, psi0)).tolist() == [0, 2]
+        blocks = self.stepped_sectors(p, monkeypatch)
+        result = self.assert_matches_full_space(p, 0.5, psi0)
+        assert blocks == [288, 256] * result.step_count
+
+    def test_random_start_reaches_every_sector(self, data_dir, form):
+        h5 = sectored_path(data_dir, "h5")
+        p = PathHamiltonian(h5.h_initial, h5.h_final, alpha=0.5, total_time=2.0)
+        rng = np.random.default_rng(3)
+        psi0 = rng.standard_normal(1024) + 1j * rng.standard_normal(1024)
+        psi0 /= np.linalg.norm(psi0)
+        assert np.all(sector_weights(p, psi0) > 0.1)
+        self.assert_matches_full_space(p, 0.5, psi0)
+
+    def test_complex_sectored_path(self, data_dir, form):
+        p = sectored_path(data_dir, "odd_y")
+        p = PathHamiltonian(p.h_initial, p.h_final, alpha=0.5, total_time=4.0)
+        assert all(np.iscomplexobj(p.sector_matrix(sector, 0.5)) for sector in p.sectors)
+        rng = np.random.default_rng(4)
+        psi0 = initial_eigenstate(p, 0) + initial_eigenstate(p, 5)
+        psi0 = psi0 * np.exp(1j * rng.uniform(0, 2 * np.pi)) / np.linalg.norm(psi0)
+        self.assert_matches_full_space(p, 0.5, psi0)
+
+    def test_unreached_sectors_stay_exactly_zero(self, data_dir, form):
+        """A start inside one sector keeps exactly zero amplitude in every
+        other; the whole-space steps leave rounding there."""
+        h5 = sectored_path(data_dir, "h5")
+        p = PathHamiltonian(h5.h_initial, h5.h_final, alpha=0.5, total_time=2.0)
+        psi0 = np.zeros(1024, dtype=complex)
+        rng = np.random.default_rng(5)
+        p.sectors[1].embed(rng.standard_normal(p.sectors[1].dimension), psi0)
+        psi0 /= np.linalg.norm(psi0)
+        final_state = self.assert_matches_full_space(p, 0.5, psi0).final_state
+        for c, sector in enumerate(p.sectors):
+            assert np.any(sector.project(final_state) != 0) == (c == 1)
+        leaked = [sector.project(full_space_evolve(p, 0.5, psi0)) for sector in p.sectors]
+        assert any(np.any(z != 0) for c, z in enumerate(leaked) if c != 1)
 
 
 class TestEigensolveCount:
