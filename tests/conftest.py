@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -16,6 +17,14 @@ TOY_TEXT = """\
 -4.0 IZ
 5.0 ZI
 """
+
+
+def same_bits(ours: np.ndarray, theirs: np.ndarray) -> bool:
+    """Equal in dtype, in value and in the sign of every zero, real and
+    imaginary."""
+    return (ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            and all(np.array_equal(np.signbit(a), np.signbit(b))
+                    for a, b in ((ours.real, theirs.real), (ours.imag, theirs.imag))))
 
 
 @pytest.fixture(scope="session")

@@ -26,6 +26,7 @@ from oracles import (
     sector_part,
     unique_sectors,
 )
+from conftest import same_bits
 from test_spectral import symmetric_sum
 
 
@@ -395,11 +396,8 @@ class TestSectorParts:
         assert len(p.sectors) == len(reference)
         for sector, expected in zip(p.sectors, reference):
             for field in dataclasses.fields(Sector):
-                ours, theirs = getattr(sector, field.name), getattr(expected, field.name)
-                assert ours.dtype == theirs.dtype, field.name
-                assert np.array_equal(ours, theirs), field.name
-                for a, b in ((ours.real, theirs.real), (ours.imag, theirs.imag)):
-                    assert np.array_equal(np.signbit(a), np.signbit(b)), field.name
+                name = field.name
+                assert same_bits(getattr(sector, name), getattr(expected, name)), name
 
     @pytest.mark.parametrize("name", list(bundled_clique_paths()))
     def test_bundled_sectors_pinned_to_sorting_reference(self, name):

@@ -27,6 +27,7 @@ from mczeno.pauli import (
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import load_qubit_hamiltonian
 from mczeno.path import x_driver
+from conftest import same_bits
 from oracles import (
     diagonal_entries,
     dict_sparse_parts,
@@ -246,12 +247,9 @@ class TestSparseParts:
     @staticmethod
     def assert_pinned(hs):
         """sparse_parts equals the per-term dict reference array for array, in
-        dtype, value and the sign of every zero (real and imaginary)."""
+        dtype, value and the sign of every zero."""
         for ours, reference in zip(sparse_parts(hs), dict_sparse_parts(hs)):
-            assert ours.dtype == reference.dtype
-            assert np.array_equal(ours, reference)
-            for a, b in ((ours.real, reference.real), (ours.imag, reference.imag)):
-                assert np.array_equal(np.signbit(a), np.signbit(b))
+            assert same_bits(ours, reference)
 
     @pytest.mark.parametrize("name, hs", _bundled_paths(),
                              ids=lambda v: v if isinstance(v, str) else "")
