@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -147,6 +148,14 @@ def path_eigensolutions(p, s_values: Iterable[float], *,
     only the eigenvalues and the eigenspaces of levels are used, and
     neither depends on the basis.
 
+    A sectored point's sector solves are sent to sector_eigh's pool (one
+    worker per usable CPU, each on one OpenBLAS thread; dropped in a forked
+    child) when the point before it is returned, so they run while the
+    caller uses that point: at most two points are in flight, and a lazy
+    caller holds at most two solutions.  Without that pool (no OpenBLAS
+    thread setter), and for every other point, the solve runs in the
+    calling thread when the point is returned.
+
     start, the standard-basis states of a run as columns, restricts each
     sectored point with 0 < s < 1 to the sectors those states reach: every
     H(s) is block diagonal in the sectors, so a state's weight in each is
@@ -163,8 +172,19 @@ def path_eigensolutions(p, s_values: Iterable[float], *,
             reached = [bool(np.any(z != 0)) for z in amplitudes]
             if not any(reached):
                 raise ValueError("start states have no amplitude in any symmetry sector")
-    return (_solve_point(p, float(s), reached if 0.0 < s < 1.0 else None)
-            for s in s_values)
+    return _one_ahead(_send_point(p, float(s), reached if 0.0 < s < 1.0 else None)
+                      for s in s_values)
+
+
+def _one_ahead(points: Iterator) -> Iterator[EigenSolution]:
+    """The solution of each point that _send_point sent, in order; the next
+    point is sent before the current one's solution is waited for."""
+    ahead = next(points, None)
+    for point in points:
+        yield ahead()
+        ahead = point
+    if ahead is not None:
+        yield ahead()
 
 
 def symmetry_sectors(p) -> tuple:
@@ -192,14 +212,20 @@ def _sector_amplitudes(p, states: np.ndarray) -> list[np.ndarray]:
     return [sector.project(states) for sector in symmetry_sectors(p)]
 
 
-def _solve_point(p, s: float, reached: list[bool] | None) -> EigenSolution:
+def _send_point(p, s: float, reached: list[bool] | None):
+    """A function returning path_eigensolutions' solution at s.  A sectored
+    point's sector solves are sent now (_send_sectors); any other point is
+    solved in the calling thread when the function is called."""
     if p.is_diagonal(s):
-        diagonal = p.diagonal(s)
-        order = np.argsort(diagonal, kind="stable")
-        return EigenSolution(diagonal[order], blocks=((order, slice(None), None),))
+        return lambda: _sorted_diagonal(p.diagonal(s))
     if s == 0.0 or not symmetry_sectors(p):
-        return EigenSolution(*np.linalg.eigh(p.matrix(s)))
-    return sector_eigh(p, s, reached)
+        return lambda: EigenSolution(*np.linalg.eigh(p.matrix(s)))
+    return _send_sectors(p, s, reached)
+
+
+def _sorted_diagonal(diagonal: np.ndarray) -> EigenSolution:
+    order = np.argsort(diagonal, kind="stable")
+    return EigenSolution(diagonal[order], blocks=((order, slice(None), None),))
 
 
 def sector_eigh(p, s: float, reached: list[bool] | None = None) -> EigenSolution:
@@ -213,14 +239,102 @@ def sector_eigh(p, s: float, reached: list[bool] | None = None) -> EigenSolution
     ascending merge of every solved sector's eigenvalues.  This is symmetry
     tapering (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a
     group of qubit permutations.
+
+    The sectors are solved on a thread pool made at the first sectored
+    solve: one worker per CPU this process may use, each with one OpenBLAS
+    thread (openblas_set_num_threads_local), since at these sizes two
+    threads of one eigh are no faster than one, and a result does not
+    depend on the BLAS thread count.  Blocks are merged in sector order,
+    whatever order the solves end in.  Where no loaded OpenBLAS exports
+    that function (another BLAS, an older OpenBLAS, no /proc), the
+    sectors are solved in the calling thread.  A forked child drops the
+    parent's pool and makes its own.
     """
-    solved = [(sector, *np.linalg.eigh(p.sector_matrix(sector, s)))
-              for c, sector in enumerate(p.sectors) if reached is None or reached[c]]
-    values = np.concatenate([v for _, v, _ in solved])
+    return _send_sectors(p, s, reached)()
+
+
+def _send_sectors(p, s: float, reached: list[bool] | None):
+    """A function returning sector_eigh(p, s, reached).  p.sectors is built
+    here, in the calling thread, and each sector's solve is sent to the pool
+    now, or made in the calling thread when the function is called."""
+    sectors = [sector for c, sector in enumerate(p.sectors) if reached is None or reached[c]]
+    pool = _sector_pool()
+    if pool is None:
+        return lambda: _merge(p, sectors, [_solve_sector(p, sector, s) for sector in sectors])
+    jobs = [pool.submit(_solve_sector, p, sector, s) for sector in sectors]
+    return lambda: _merge(p, sectors, [job.result() for job in jobs])
+
+
+def _solve_sector(p, sector: Sector, s: float) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(p.sector_matrix(sector, s))
+
+
+def _merge(p, sectors: list[Sector], solved: list[tuple]) -> EigenSolution:
+    """The EigenSolution of the sectors' (eigenvalues, W) pairs, in order."""
+    values = np.concatenate([v for v, _ in solved])
     ranks = np.argsort(np.argsort(values, kind="stable"))
-    ends = np.cumsum([0] + [len(v) for _, v, _ in solved])
+    ends = np.cumsum([0] + [len(v) for v, _ in solved])
     return EigenSolution(np.sort(values), dimension=1 << p.n_qubits, blocks=tuple(
-        (sector, ranks[a:b], w) for a, b, (sector, _, w) in zip(ends, ends[1:], solved)))
+        (sector, ranks[a:b], w) for a, b, sector, (_, w) in zip(ends, ends[1:], sectors, solved)))
+
+
+_pool = None
+"""sector_eigh's ThreadPoolExecutor once made (_sector_pool), or False when
+no OpenBLAS thread setter was found."""
+
+
+def _sector_pool():
+    """sector_eigh's pool, made on first call, or None when the sectors are
+    solved in the calling thread.  concurrent.futures is imported here, so a
+    run that solves no sectored point never loads it."""
+    global _pool
+    if _pool is None:
+        setters = _openblas_thread_setters()
+        _pool = False
+        if setters:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)), "mczeno-sector",
+                                       initializer=_one_blas_thread, initargs=(setters,))
+    return _pool or None
+
+
+def _openblas_thread_setters() -> list:
+    """openblas_set_num_threads_local of each OpenBLAS library mapped into
+    this process (numpy's bundled OpenBLAS exports it unprefixed), or []
+    when there is none or no /proc/self/maps."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[5].strip() for line in maps
+                     if "openblas" in line.rpartition("/")[2].lower()}
+    except OSError:
+        return []
+    setters = []
+    for path in sorted(paths):
+        try:
+            setters.append(ctypes.CDLL(path).openblas_set_num_threads_local)
+        except (OSError, AttributeError):
+            pass
+    return setters
+
+
+def _one_blas_thread(setters: list) -> None:
+    """Worker initializer: this thread's OpenBLAS calls run on one thread."""
+    for setter in setters:
+        setter(1)
+
+
+def _drop_pool() -> None:
+    """A forked child holds a copy of the pool whose workers did not come
+    with it, yet count as idle, so a job sent to it would never run."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def path_spectrum(p, n_points: int, k: int) -> PathSpectrum:

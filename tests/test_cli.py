@@ -1,9 +1,15 @@
 """Command-line interface behavior."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mczeno
+from mczeno import spectral
 from mczeno.cli import main
 from mczeno.pauli import load_hamiltonian
 
@@ -154,6 +160,26 @@ class TestMethodCommands:
         assert captured.out == ""
         assert captured.err == (f"error: stage 'load' failed for {source}: {source}: "
                                 "non-finite value in record 'nan 1 1 1 1'\n")
+
+
+class TestBlasThreadCount:
+    def test_h5_records_do_not_depend_on_it(self, data_dir, tmp_path):
+        """Sector solves run on workers with one OpenBLAS thread each, so an
+        H5 qzp or qae record is byte-identical under 1 and 2 threads."""
+        if not spectral._openblas_thread_setters():
+            pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+        src = str(Path(mczeno.__file__).resolve().parent.parent)
+        h5 = str(data_dir / "h5_chain_sto3g_1.00.fcidump")
+        for method, flags in [("qzp", ["--steps", "10", "--trials", "200"]), ("qae", [])]:
+            records = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{method}-{threads}.json"
+                subprocess.run([sys.executable, "-m", "mczeno.cli", method, h5, "--alpha", "0.5",
+                                *flags, "-o", str(out)], check=True, capture_output=True,
+                               env={**os.environ, "PYTHONPATH": src,
+                                    "OPENBLAS_NUM_THREADS": threads})
+                records.append(out.read_bytes())
+            assert records[0] == records[1], method
 
 
 class TestHamCommand:

@@ -275,27 +275,31 @@ class TestChebyshevPropagator:
     def test_import_leaves_scipy_special_unloaded(self):
         """_bessel_j stands in for scipy.special.jv: importing scipy.special
         alone raised an H2 scan's peak RSS from 58.3 to 64.5 MB.  No scipy
-        module at all is loaded by the import, by H5 qzp at the benchmark's
-        settings, by an H2 scan with exact, qae and qzp, by spectrum runs on
+        module at all is loaded by the import, by an H2 scan with exact, qae
+        and qzp, by H5 qzp at the benchmark's settings, by spectrum runs on
         H5 and H2, by a clique run on H5, or by H5 qae, whose sectors are
         stepped dense; the sparse calls still work, each loading scipy
         itself, and so does qae on a path without sectors above
-        DENSE_STEP_DIMENSION rows."""
+        DENSE_STEP_DIMENSION rows.  Neither the import nor the H2 scan, which
+        solves no sectored point, loads concurrent.futures: only the pool of
+        sector solves imports it (an eager import read +4% setup_s and
+        +0.55 MB peak RSS on an H2 scan)."""
         scipy_free = """
 from mczeno import driver
-def check(stage):
-    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+def check(stage, unpooled=False):
+    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'
+                    or unpooled and m == 'concurrent.futures')
     assert not loaded, (stage, loaded)
-check('import')
-driver.run(driver.RunConfig(source=data + '/h5_chain_sto3g_1.00.fcidump', method='qzp',
-                            alpha=0.5, n_steps=10, trials=200, seed=13))
-check('h5 qzp')
+check('import', unpooled=True)
 points = [(r, driver.RunConfig(source=data + f'/h2_sto3g_{r}.fcidump', method='qzp',
                                alpha=0.5, n_steps=40, trials=1000, seed=7))
           for r in (0.7414, 1.2, 2.8)]
 result = driver.scan(points, ('exact', 'qae', 'qzp'))
 assert all(row.status == 'ok' for row in result.rows), result
-check('h2 scan')
+check('h2 scan', unpooled=True)
+driver.run(driver.RunConfig(source=data + '/h5_chain_sto3g_1.00.fcidump', method='qzp',
+                            alpha=0.5, n_steps=10, trials=200, seed=13))
+check('h5 qzp')
 driver.run(driver.RunConfig(source=data + '/h5_chain_sto3g_1.00.fcidump', method='spectrum',
                             alpha=0.5, n_points=5, k=3))
 check('h5 spectrum')

@@ -1,6 +1,10 @@
 """Eigensolutions, complete bases, and path spectra."""
 
+import multiprocessing
+import os
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ from mczeno.driver import load_qubit_hamiltonian
 from mczeno.fermion import FermionIntegrals, jordan_wigner
 from mczeno.pauli import PauliHamiltonian, PauliTerm, is_all_z, parse_hamiltonian
 from mczeno.path import PathHamiltonian, s_grid
+from mczeno import spectral
 from mczeno.qzp import zeno_grid, zeno_statistics
 from mczeno.spectral import (
     DEGENERACY_TOL,
@@ -247,7 +252,7 @@ class TestSectorSolve:
         grid = s_grid(4)
         solutions = list(path_eigensolutions(p, grid))
         # s = 0 is sorted; every other point is solved in four sectors
-        assert eigh_shapes == H5_SECTORS * 4
+        assert sorted(eigh_shapes) == sorted(H5_SECTORS * 4)
         for s, solution in zip(grid, solutions):
             check_against_full_eigh(p.matrix(s), solution)
 
@@ -260,7 +265,7 @@ class TestSectorSolve:
         for s in (0.25, 0.5, 1.0):
             eigh_shapes.clear()
             solution = next(path_eigensolutions(p, [s]))
-            assert eigh_shapes == [(d, d) for d in dimensions]
+            assert sorted(eigh_shapes) == sorted((d, d) for d in dimensions)
             check_against_full_eigh(p.matrix(s), solution)
 
     @pytest.mark.parametrize("n", [6, 8])
@@ -297,7 +302,7 @@ class TestSectorSolve:
             eigh_shapes.clear()
             h = symmetric_sum(n, 3, False)
             next(path_eigensolutions(PathHamiltonian(h, h), [0.5]))
-            assert eigh_shapes == shapes
+            assert sorted(eigh_shapes) == sorted(shapes)
 
     def test_exact_ties_merge_stably(self):
         """At equal eigenvalues the columns of earlier sectors come first.
@@ -468,21 +473,25 @@ class TestReachedSectorSolve:
         whole = next(path_eigensolutions(p, [0.5]))
         eigh_shapes.clear()
         solution = next(path_eigensolutions(p, [0.5], start=start))
-        assert eigh_shapes == [(sector.dimension,) * 2 for sector in p.sectors]
+        assert sorted(eigh_shapes) == sorted((sector.dimension,) * 2 for sector in p.sectors)
         assert np.array_equal(solution.eigenvalues, whole.eigenvalues)
         assert np.array_equal(solution.eigenvectors, whole.eigenvectors)
 
     @pytest.mark.parametrize("name", ["h5", "odd_y"])
     def test_start_in_two_sectors(self, data_dir, eigh_shapes, name):
         """Sectors 1 and 3 are solved at s = 0.5 alone; s = 0 and s = 1 are
-        solved whole.  The solution is a complete basis of those sectors."""
+        solved whole.  The solution is a complete basis of those sectors.
+        A calling-thread eigh of H(0) may start between the pool's solves of
+        s = 0.5, so the run's shapes are compared as a multiset."""
         p = sectored_path(data_dir, name)
         dim = 1 << p.n_qubits
         start = np.column_stack([self.sector_state(p, c, c) for c in (1, 3)])
         assert np.abs(sector_weights(p, start) - [[0, 0], [1, 0], [0, 0], [0, 1]]).max() <= 1e-15
         h0, solution, h1 = path_eigensolutions(p, [0.0, 0.5, 1.0], start=start)
         dimensions = [sector.dimension for sector in p.sectors]
-        assert eigh_shapes[-6:-4] == [(dimensions[1],) * 2, (dimensions[3],) * 2]
+        h0_shapes = [] if p.is_diagonal(0.0) else [(dim, dim)]
+        assert sorted(eigh_shapes) == sorted(h0_shapes + [(dimensions[c],) * 2
+                                                          for c in [1, 3, 0, 1, 2, 3]])
         assert len(h0.eigenvalues) == len(h1.eigenvalues) == dim
         blocks = [np.linalg.eigh(p.sector_matrix(p.sectors[c], 0.5))[0] for c in (1, 3)]
         assert np.array_equal(solution.eigenvalues, np.sort(np.concatenate(blocks)))
@@ -641,3 +650,107 @@ class TestDiagonalPoints:
                             alpha=0.5)
         assert p.is_diagonal(0.0) and p.is_diagonal(1.0)
         assert not p.is_diagonal(0.5)
+
+
+@pytest.fixture
+def sector_pool():
+    """The pool that solves sectors; skipped where no loaded OpenBLAS can set
+    a thread's own thread count, so sectors are solved in the calling thread."""
+    pool = spectral._sector_pool()
+    if pool is None:
+        pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+    return pool
+
+
+def _check_child_sector_eigh(p, want) -> None:
+    """Run in a forked child: a sector solve after the parent's."""
+    assert np.array_equal(sector_eigh(p, 0.5).eigenvalues, want)
+
+
+class TestSectorPool:
+    """Sectored points are solved on a pool of one-BLAS-thread workers, one
+    point ahead, with the same results as in the calling thread."""
+
+    @pytest.mark.parametrize("name", ["h5", "odd_y"])
+    def test_pool_and_calling_thread_agree(self, data_dir, sector_pool, monkeypatch, name):
+        p = sectored_path(data_dir, name)
+        n_steps = 10
+
+        def solve():
+            grid, _ = zeno_grid(p, n_steps, [0, 1])
+            counts = [d.counts for d in zeno_statistics(p, n_steps, [0, 1], 200, 3,
+                                                        eigensolutions=grid)]
+            whole = list(path_eigensolutions(p, s_grid(4)))
+            return counts, [es.eigenvalues for es in grid + whole]
+
+        counts, values = solve()
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_pool", None)
+            m.setattr(spectral, "_openblas_thread_setters", lambda: [])
+            their_counts, their_values = solve()
+            assert spectral._sector_pool() is None
+        assert counts == their_counts
+        for ours, theirs in zip(values, their_values, strict=True):
+            assert np.abs(ours - theirs).max() <= 1e-13
+
+    def test_blocks_keep_sector_order_when_the_first_is_delayed(
+            self, data_dir, sector_pool, monkeypatch):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one worker solves the sectors in order")
+        p = sectored_path(data_dir, "h5")
+        first = p.sectors[0].dimension
+        assert first not in [sector.dimension for sector in p.sectors[1:]]
+        ended = []
+        original = np.linalg.eigh
+
+        def first_delayed(m):
+            if len(m) == first:
+                time.sleep(0.2)
+            result = original(m)
+            ended.append(len(m))
+            return result
+
+        monkeypatch.setattr(np.linalg, "eigh", first_delayed)
+        solution = sector_eigh(p, 0.5)
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        assert ended[-1] == first
+        assert solved_sectors(solution, p) == [0, 1, 2, 3]
+        for sector, ranks, _ in solution.blocks:
+            values = np.linalg.eigh(p.sector_matrix(sector, 0.5))[0]
+            assert np.abs(solution.eigenvalues[ranks] - values).max() <= 1e-13
+        check_against_full_eigh(p.matrix(0.5), solution)
+
+    def test_one_point_ahead(self, data_dir, sector_pool, monkeypatch):
+        """The first next() sends the first two points, and no later one."""
+        p = sectored_path(data_dir, "h5")
+        grid = [0.2, 0.4, 0.6, 0.8, 1.0]
+        sent, started = [], []
+        send, solve = spectral._send_sectors, spectral._solve_sector
+        monkeypatch.setattr(spectral, "_send_sectors",
+                            lambda p, s, reached: sent.append(s) or send(p, s, reached))
+        monkeypatch.setattr(spectral, "_solve_sector",
+                            lambda p, sector, s: started.append(s) or solve(p, sector, s))
+        points = path_eigensolutions(p, grid)
+        assert sent == []
+        next(points)
+        assert sent == grid[:2]
+        assert set(started) <= set(grid[:2])
+        rest = list(points)
+        assert len(rest) == 4 and sent == grid
+        assert Counter(started) == {s: len(p.sectors) for s in grid}
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_makes_its_own_pool(self, data_dir, sector_pool):
+        """A forked child's copy of the pool has no workers; the child drops
+        it, so its sector solve must end."""
+        p = sectored_path(data_dir, "h5")
+        want = sector_eigh(p, 0.5).eigenvalues
+        child = multiprocessing.get_context("fork").Process(
+            target=_check_child_sector_eigh, args=(p, want))
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
