@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -24,6 +24,22 @@ machine; the thread counts differed by no more than the runs did, except
 one 2-thread run whose 64-row full eigh took 48 ms).  At 64 rows a point
 saves 0.1-0.4 ms, so the build takes 4-10 sectored points to repay; at 256
 rows one point repays most of it."""
+
+POOL_DIMENSION = 768
+"""Sectored points whose solved sectors all have fewer rows are solved on
+the sector pool (_sector_pool); the others in the calling thread.  Ten
+points (s = 0.1 to 1) of generated 10-qubit H-chain clique paths at alpha
+0.5 took a median of 148-162 against 232-277 ms with sectors of 240-288
+rows, and 324-392 against 487-655 ms with sectors of 496 and 528 rows,
+pooled and in the calling thread on 2 OpenBLAS threads; the peak RSS over
+the built path rose by 15 against 6 MB and by 39-40 against 16-17 MB.  On
+the 12-qubit H6 chain (sectors of 1008 and 1072 rows) they took 4.2-5.0
+against 4.5-5.9 s, but the peak rose by 183-220 against 91-93 MB: each
+eigh in flight holds its block, a copy, its workspace and its
+eigenvectors, one per worker, and the look-ahead keeps a finished
+solution beside the caller's.  (A shared 2-core x86_64 machine, OpenBLAS
+0.3.31, 3-15 runs in each of 2-4 alternated processes; no size between
+528 and 1008 rows and no machine with more CPUs was measured.)"""
 
 DEGENERACY_TOL = 1e-9
 """Largest step between successive eigenvalues of one degenerate level."""
@@ -148,13 +164,13 @@ def path_eigensolutions(p, s_values: Iterable[float], *,
     only the eigenvalues and the eigenspaces of levels are used, and
     neither depends on the basis.
 
-    A sectored point's sector solves are sent to sector_eigh's pool (one
-    worker per usable CPU, each on one OpenBLAS thread; dropped in a forked
-    child) when the point before it is returned, so they run while the
-    caller uses that point: at most two points are in flight, and a lazy
-    caller holds at most two solutions.  Without that pool (no OpenBLAS
-    thread setter), and for every other point, the solve runs in the
-    calling thread when the point is returned.
+    A sectored point whose solved sectors all have fewer than
+    POOL_DIMENSION rows has its sector solves sent to sector_eigh's pool
+    when the point before it is returned, so they run while the caller uses
+    that point: while a lazy caller such as path_spectrum holds one
+    solution, at most two more points are in flight.  Without that pool (no
+    OpenBLAS thread setter), and for every other point, the solve runs in
+    the calling thread when the point is returned.
 
     start, the standard-basis states of a run as columns, restricts each
     sectored point with 0 < s < 1 to the sectors those states reach: every
@@ -240,15 +256,13 @@ def sector_eigh(p, s: float, reached: list[bool] | None = None) -> EigenSolution
     tapering (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a
     group of qubit permutations.
 
-    The sectors are solved on a thread pool made at the first sectored
-    solve: one worker per CPU this process may use, each with one OpenBLAS
-    thread (openblas_set_num_threads_local), since at these sizes two
-    threads of one eigh are no faster than one, and a result does not
-    depend on the BLAS thread count.  Blocks are merged in sector order,
-    whatever order the solves end in.  Where no loaded OpenBLAS exports
-    that function (another BLAS, an older OpenBLAS, no /proc), the
-    sectors are solved in the calling thread.  A forked child drops the
-    parent's pool and makes its own.
+    When every solved sector has fewer than POOL_DIMENSION rows, the
+    sectors are solved on a thread pool (_sector_pool) made at the first
+    such solve, one worker per CPU this process may use, each eigh on one
+    OpenBLAS thread; larger ones, and all of them where no loaded OpenBLAS
+    exports openblas_set_num_threads_local (another BLAS, an older
+    OpenBLAS, no /proc), in the calling thread.  Blocks are merged in
+    sector order, whatever order the solves end in.
     """
     return _send_sectors(p, s, reached)()
 
@@ -258,7 +272,7 @@ def _send_sectors(p, s: float, reached: list[bool] | None):
     here, in the calling thread, and each sector's solve is sent to the pool
     now, or made in the calling thread when the function is called."""
     sectors = [sector for c, sector in enumerate(p.sectors) if reached is None or reached[c]]
-    pool = _sector_pool()
+    pool = _sector_pool() if max(sector.dimension for sector in sectors) < POOL_DIMENSION else None
     if pool is None:
         return lambda: _merge(p, sectors, [_solve_sector(p, sector, s) for sector in sectors])
     jobs = [pool.submit(_solve_sector, p, sector, s) for sector in sectors]
@@ -278,25 +292,26 @@ def _merge(p, sectors: list[Sector], solved: list[tuple]) -> EigenSolution:
         (sector, ranks[a:b], w) for a, b, sector, (_, w) in zip(ends, ends[1:], sectors, solved)))
 
 
-_pool = None
-"""sector_eigh's ThreadPoolExecutor once made (_sector_pool), or False when
-no OpenBLAS thread setter was found."""
-
-
+@cache
 def _sector_pool():
-    """sector_eigh's pool, made on first call, or None when the sectors are
-    solved in the calling thread.  concurrent.futures is imported here, so a
-    run that solves no sectored point never loads it."""
-    global _pool
-    if _pool is None:
-        setters = _openblas_thread_setters()
-        _pool = False
-        if setters:
-            from concurrent.futures import ThreadPoolExecutor
+    """sector_eigh's pool, made on first call, or None when no loaded
+    OpenBLAS exports openblas_set_num_threads_local, and sectors are solved
+    in the calling thread.  concurrent.futures is imported here, so a run
+    that pools no sectored point never loads it.
 
-            _pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)), "mczeno-sector",
-                                       initializer=_one_blas_thread, initargs=(setters,))
-    return _pool or None
+    Each worker calls that function with 1.  numpy's OpenBLAS is a pthreads
+    build, which keeps one thread count for all threads, so this sets the
+    whole process's count to one: every later BLAS call, in any thread,
+    runs on one OpenBLAS thread, and a result no longer depends on
+    OPENBLAS_NUM_THREADS.  Two eigh calls at once on two OpenBLAS threads
+    each run slower than one at a time."""
+    setters = _openblas_thread_setters()
+    if not setters:
+        return None
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)), "mczeno-sector",
+                              initializer=_one_blas_thread, initargs=(setters,))
 
 
 def _openblas_thread_setters() -> list:
@@ -321,20 +336,16 @@ def _openblas_thread_setters() -> list:
 
 
 def _one_blas_thread(setters: list) -> None:
-    """Worker initializer: this thread's OpenBLAS calls run on one thread."""
+    """Worker initializer: OpenBLAS calls run on one thread (in every thread
+    of the process for a pthreads build; see _sector_pool)."""
     for setter in setters:
         setter(1)
 
 
-def _drop_pool() -> None:
-    """A forked child holds a copy of the pool whose workers did not come
-    with it, yet count as idle, so a job sent to it would never run."""
-    global _pool
-    _pool = None
-
-
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+    # A forked child holds a copy of the pool whose workers did not come
+    # with it, yet count as idle, so a job sent to it would never run.
+    os.register_at_fork(after_in_child=_sector_pool.cache_clear)
 
 
 def path_spectrum(p, n_points: int, k: int) -> PathSpectrum:

@@ -1,8 +1,10 @@
 """Eigensolutions, complete bases, and path spectra."""
 
+import functools
 import multiprocessing
 import os
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -685,7 +687,7 @@ class TestSectorPool:
 
         counts, values = solve()
         with monkeypatch.context() as m:
-            m.setattr(spectral, "_pool", None)
+            m.setattr(spectral, "_sector_pool", functools.cache(spectral._sector_pool.__wrapped__))
             m.setattr(spectral, "_openblas_thread_setters", lambda: [])
             their_counts, their_values = solve()
             assert spectral._sector_pool() is None
@@ -719,6 +721,27 @@ class TestSectorPool:
             values = np.linalg.eigh(p.sector_matrix(sector, 0.5))[0]
             assert np.abs(solution.eigenvalues[ranks] - values).max() <= 1e-13
         check_against_full_eigh(p.matrix(0.5), solution)
+
+    def test_large_sectors_stay_in_the_calling_thread(self, data_dir, sector_pool, monkeypatch):
+        """A point that solves a sector of POOL_DIMENSION rows or more is
+        solved in the calling thread; one whose sectors are all smaller, on
+        the pool."""
+        p = sectored_path(data_dir, "h5")
+        assert [sector.dimension for sector in p.sectors] == [288, 240, 256, 240]
+        caller, in_caller = threading.current_thread(), []
+        original = np.linalg.eigh
+
+        def recording_eigh(m):
+            in_caller.append(threading.current_thread() is caller)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(spectral, "POOL_DIMENSION", 256)
+        sector_eigh(p, 0.5)
+        assert in_caller == [True] * 4
+        in_caller.clear()
+        sector_eigh(p, 0.5, reached=[False, True, False, True])
+        assert in_caller == [False] * 2
 
     def test_one_point_ahead(self, data_dir, sector_pool, monkeypatch):
         """The first next() sends the first two points, and no later one."""
