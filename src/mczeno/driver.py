@@ -21,7 +21,13 @@ from mczeno.fermion import jordan_wigner, load_fcidump, parity_map
 from mczeno.pauli import PauliHamiltonian, _json, load_hamiltonian, save_hamiltonian
 from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve
-from mczeno.qzp import distribution_csv, initial_eigenstate, zeno_grid, zeno_statistics
+from mczeno.qzp import (
+    _shared_draws,
+    distribution_csv,
+    initial_eigenstate,
+    zeno_grid,
+    zeno_statistics,
+)
 from mczeno.spectral import (
     path_eigensolutions,
     path_spectrum,
@@ -325,7 +331,10 @@ def scan(
     is the reference; qae reports the evolved final energy and qzp the
     lowest eigenvalue reached over its trials.  A point whose file is
     missing (or whose pipeline fails) is flagged in its row, with the
-    cause in its message, and the scan continues.
+    cause in its message, and the scan continues.  The points' qzp runs
+    that draw for the same seed, trial numbers and steps read one table
+    of draws, computed by the first of them and dropped when the scan
+    returns.
     """
     if not methods or not all(isinstance(m, str) and m in _SCAN_COLUMNS for m in methods):
         raise ValueError(
@@ -341,19 +350,20 @@ def scan(
         raise ValueError("scan coordinates must be strictly increasing")
 
     rows = []
-    for coordinate, config in points:
-        if not os.path.exists(config.source):
-            rows.append(ScanRow(coordinate, "missing", message="no such file"))
-            continue
-        try:
-            record, _ = _execute(config, methods)
-        except StageError as error:
-            status = f"failed: {error.stage}"
-            rows.append(ScanRow(coordinate, status, message=str(error)))
-            continue
-        energies = {m: record[_SCAN_COLUMNS[m]] for m in methods}
-        errors = {m: e - energies["exact"] for m, e in energies.items() if m != "exact"}
-        rows.append(ScanRow(coordinate, "ok", energies, errors))
+    with _shared_draws():
+        for coordinate, config in points:
+            if not os.path.exists(config.source):
+                rows.append(ScanRow(coordinate, "missing", message="no such file"))
+                continue
+            try:
+                record, _ = _execute(config, methods)
+            except StageError as error:
+                status = f"failed: {error.stage}"
+                rows.append(ScanRow(coordinate, status, message=str(error)))
+                continue
+            energies = {m: record[_SCAN_COLUMNS[m]] for m in methods}
+            errors = {m: e - energies["exact"] for m, e in energies.items() if m != "exact"}
+            rows.append(ScanRow(coordinate, "ok", energies, errors))
     return ScanResult(tuple(methods), tuple(rows))
 
 

@@ -15,7 +15,9 @@ or executed concurrently, without coordinating generator state.  Draws
 are computed in blocks of up to 4,096, one vectorized pass over trial
 and step numbers each (step_draws): a block covers several steps while
 the trials are few, and part of one step when they are many.  Every draw
-stays bit-identical to its trial's own stream (step_rng).
+stays bit-identical to its trial's own stream (step_rng).  Inside a
+_shared_draws scope, which a driver scan opens, the runs that share a seed,
+trial numbers and steps read one table of draws, computed by the first.
 
 The trials of one call are projected together, whatever their initial
 state, with one state column per distinct state rather than per trial,
@@ -25,11 +27,13 @@ adds only its draw and a search in its state's cumulative level weights.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import operator
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,18 +285,54 @@ def _draw_levels(
     return np.minimum(chosen, len(ends) - 1, out=chosen)
 
 
+_DRAW_TABLES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "mczeno_draw_tables", default=None)
+"""The draw tables of the open _shared_draws scope, keyed by (run_seed,
+trial numbers, steps); None outside one."""
+
+
+@contextmanager
+def _shared_draws():
+    """A scope in which _draws computes each distinct table once and keeps
+    it until the scope closes, for every later run that asks for it."""
+    token = _DRAW_TABLES.set({})
+    try:
+        yield
+    finally:
+        _DRAW_TABLES.reset(token)
+
+
 def _draws(run_seed: int, trials: np.ndarray, steps: np.ndarray) -> Iterator[np.ndarray]:
     """step_draws(run_seed, trials, k) for each step k of steps in turn, from
     calls of at most _DRAWS_PER_CALL draws: several steps share a call while
-    the trials are few, and one step takes several calls when they are many."""
+    the trials are few, and one step takes several calls when they are many.
+
+    Outside a _shared_draws scope the draws are computed block by block as
+    they are read.  Inside one, the first run with a (run_seed, trials,
+    steps) value computes the whole len(steps) x len(trials) table by the
+    same calls, and the scope keeps it, once complete, for the later runs.
+    """
+    tables, table = _DRAW_TABLES.get(), None
+    if tables is not None:
+        key = (run_seed, tuple(trials.tolist()), tuple(steps.tolist()))
+        if key in tables:
+            yield from tables[key]
+            return
+        table = np.empty((len(steps), len(trials)))
     width = max(1, min(len(trials), _DRAWS_PER_CALL))
     per_call = _DRAWS_PER_CALL // width
     for begin in range(0, len(steps), per_call):
         chunk = steps[begin:begin + per_call, None]
-        block = np.empty((len(chunk), len(trials)))
+        block = (np.empty((len(chunk), len(trials))) if table is None
+                 else table[begin:begin + len(chunk)])
         for t in range(0, len(trials), width):
             block[:, t:t + width] = step_draws(run_seed, trials[t:t + width], chunk)
-        yield from block
+        if table is None:
+            yield from block
+    if table is not None:
+        table.flags.writeable = False  # every later run reads these rows
+        tables[key] = table
+        yield from table
 
 
 def _trajectories(
@@ -302,22 +342,26 @@ def _trajectories(
     rng_seed: int,
     trial_numbers: range,
     first_step: int,
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Project trial t, from state psi[:, owner[t]], through
-    eigensolutions[first_step:] as trial trial_numbers[t]; returns the
-    sampled ranks, one row per step.
+    eigensolutions[first_step:] as trial trial_numbers[t]; yields the
+    sampled ranks of each step in turn.
 
     psi holds each distinct state once, in the standard basis
     (_project_block).  The last step only draws its ranks.
     """
     trials = _integer_array(trial_numbers)
     steps = np.arange(first_step, len(eigensolutions))
-    ranks = []
     for k, draws in zip(steps, _draws(rng_seed, trials, steps)):
         step_ranks, psi, owner = _project_block(
             psi, eigensolutions[k], draws, owner, collapse=k < steps[-1])
-        ranks.append(step_ranks)
-    return np.array(ranks)
+        yield step_ranks
+
+
+def _final_ranks(*args) -> np.ndarray:
+    """The last step's ranks of _trajectories(*args), holding no other
+    step's."""
+    return deque(_trajectories(*args), maxlen=1).pop()
 
 
 def project(
@@ -422,9 +466,8 @@ def zeno_run(
     else:
         psi, first_step = initial_state[:, None], 0
     trials = range(trial_number, trial_number + 1)
-    ranks = _trajectories(eigensolutions, psi, np.zeros(1, np.intp), rng_seed, trials,
-                          first_step)
-    trajectory = tuple(ranks[:, 0].tolist())
+    trajectory = tuple(int(ranks[0]) for ranks in _trajectories(
+        eigensolutions, psi, np.zeros(1, np.intp), rng_seed, trials, first_step))
     final_index = trajectory[-1]
     final_energy = float(eigensolutions[-1].eigenvalues[final_index])
     return ZenoTrial(
@@ -464,7 +507,7 @@ def zeno_statistics(
         eigensolutions = _grid_solutions(p, n_steps, eigensolutions, slice(-1, None))
         psi = _initial_block(p, list(initial_indices), eigensolutions[0])
     owner = np.repeat(np.arange(len(initial_indices)), trials_per_initial)
-    finals = _trajectories(eigensolutions, psi, owner, rng_seed, range(len(owner)), 1)[-1]
+    finals = _final_ranks(eigensolutions, psi, owner, rng_seed, range(len(owner)), 1)
     rows = finals.reshape(-1, trials_per_initial)
     return [ZenoDistribution(dict(Counter(row.tolist())), trials_per_initial, i)
             for i, row in zip(initial_indices, rows)]
@@ -490,7 +533,7 @@ def lowest_k_energies(
         raise ValueError("repetitions must be at least k")
     eigensolutions, psi = zeno_grid(p, n_steps, list(range(k)))
     owner = np.arange(repetitions) % k
-    finals = _trajectories(eigensolutions, psi, owner, rng_seed, range(repetitions), 1)[-1]
+    finals = _final_ranks(eigensolutions, psi, owner, rng_seed, range(repetitions), 1)
     observed = Counter(finals.tolist())
     final_values = eigensolutions[-1].eigenvalues
     ranked = sorted(observed)
@@ -519,8 +562,8 @@ def qae_then_project(
     final = next(path_eigensolutions(p, [1.0]))
     result = evolve(p, delta_t, initial_eigenstate(p, initial_index), final)
     owner = np.zeros(trials, dtype=np.intp)
-    finals = _trajectories([final], result.final_state[:, None], owner, rng_seed,
-                           range(trials), 0)[-1]
+    finals = _final_ranks([final], result.final_state[:, None], owner, rng_seed,
+                          range(trials), 0)
     return ZenoDistribution(dict(Counter(finals.tolist())), trials, initial_index)
 
 

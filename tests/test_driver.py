@@ -22,6 +22,7 @@ from mczeno.driver import (
     scan_csv,
 )
 from mczeno.pauli import is_all_z, load_hamiltonian
+from mczeno import driver, qzp
 from mczeno import path as path_module
 from mczeno import spectral
 from mczeno.path import PathHamiltonian
@@ -547,3 +548,114 @@ class TestScan:
         ]
         text = scan_csv(scan(points))
         assert text.splitlines()[1] == "1.0,,,,missing"
+
+
+H2_SCAN_SETTINGS = dict(alpha=0.5, n_steps=40, trials=1000, seed=7, total_time=10.0,
+                        delta_t=0.5)
+"""The settings of the benchmark's H2 bond scan."""
+SCAN_METHODS = ("exact", "qae", "qzp")
+
+
+class TestScanDrawTables:
+    """A scan's qzp runs that draw for one seed, trial numbers and steps read
+    one table of draws, drawn by the first of them and dropped when scan()
+    returns."""
+
+    def _points(self, data_dir, *settings):
+        return [(bond, RunConfig(source=str(data_dir / f"h2_sto3g_{bond}.fcidump"),
+                                 method="scan", **{**H2_SCAN_SETTINGS, **kw}))
+                for bond, kw in zip((0.7414, 1.2, 2.8), settings)]
+
+    @staticmethod
+    def _standalone(points):
+        """The qzp distributions of a run() of each point's config."""
+        return [run(dataclasses.replace(config, method="qzp"))["distributions"]
+                for _, config in points]
+
+    @staticmethod
+    def _record_draws(monkeypatch, fail_at=None):
+        """The (run_seed, trials, steps) of every step_draws call; call
+        number fail_at raises."""
+        calls = []
+        original = qzp.step_draws
+
+        def recording(run_seed, trials, step):
+            calls.append((run_seed, np.asarray(trials).tolist(), np.asarray(step).tolist()))
+            if len(calls) == fail_at:
+                raise RuntimeError("draw failed")
+            return original(run_seed, trials, step)
+
+        monkeypatch.setattr(qzp, "step_draws", recording)
+        return calls
+
+    @staticmethod
+    def _record_distributions(monkeypatch):
+        """The qzp distributions of every point a scan completes."""
+        records = []
+        original = driver._execute
+
+        def recording(config, methods):
+            record, csv_text = original(config, methods)
+            records.append(record["distributions"])
+            return record, csv_text
+
+        monkeypatch.setattr(driver, "_execute", recording)
+        return records
+
+    def test_points_sharing_a_key_draw_one_table(self, data_dir, monkeypatch):
+        """At the benchmark's settings three points make the calls of one
+        run, 10 calls of 4 steps of 1,000 trials; a second scan makes them
+        again."""
+        points = self._points(data_dir, {}, {}, {})
+        calls = self._record_draws(monkeypatch)
+        run(dataclasses.replace(points[0][1], method="qzp"))
+        one_table = calls[:]
+        assert len(one_table) == 10
+        calls.clear()
+        scan(points, SCAN_METHODS)
+        assert calls == one_table
+        scan(points, SCAN_METHODS)
+        assert calls == one_table * 2
+
+    def test_points_with_other_seeds_or_steps_draw_their_own(self, data_dir, monkeypatch):
+        """The last point shares its seed with the first and its steps with
+        the second, and matches neither table."""
+        points = self._points(data_dir, {"n_steps": 20}, {"seed": 8}, {})
+        calls = self._record_draws(monkeypatch)
+        expected = self._standalone(points)
+        standalone_calls = calls[:]
+        calls.clear()
+        records = self._record_distributions(monkeypatch)
+        result = scan(points, SCAN_METHODS)
+        assert [row.status for row in result.rows] == ["ok"] * 3
+        assert calls == standalone_calls
+        assert records == expected
+
+    def test_counts_match_standalone_runs_after_a_failed_draw(self, data_dir, monkeypatch):
+        """The first point fails halfway through drawing its table, so the
+        next point draws the table again, and the last reads it."""
+        points = self._points(data_dir, {}, {}, {})
+        expected = self._standalone(points)
+        calls = self._record_draws(monkeypatch, fail_at=5)
+        records = self._record_distributions(monkeypatch)
+        result = scan(points, SCAN_METHODS)
+        assert [row.status for row in result.rows] == ["failed: qzp", "ok", "ok"]
+        assert "draw failed" in result.rows[0].message
+        assert len(calls) == 5 + 10
+        assert records == expected[1:]
+
+    def test_scope_closes_when_scan_returns_or_raises(self, data_dir, monkeypatch):
+        points = self._points(data_dir, {})
+        scan(points, SCAN_METHODS)
+        assert qzp._DRAW_TABLES.get() is None
+        seen = []
+
+        def interrupted(config, methods):
+            seen.append(qzp._DRAW_TABLES.get())
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(driver, "_execute", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            scan(points, SCAN_METHODS)
+        assert seen == [{}]
+        assert qzp._DRAW_TABLES.get() is None

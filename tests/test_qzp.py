@@ -1,5 +1,7 @@
 """Projection-driven evolution and its sampling statistics."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -554,22 +556,27 @@ class TestMatchesPerTrialReference:
                 expected[final] = expected.get(final, 0) + 1
             assert got[slot].counts == expected
 
-    @pytest.mark.parametrize("draws_per_call", [1, 25])
+    @pytest.mark.parametrize("draws_per_call, shared", [(1, False), (25, False), (25, True)],
+                             ids=["1", "25", "25-shared"])
     def test_statistics_counts_with_draws_split_over_calls(
-        self, path, monkeypatch, draws_per_call
+        self, path, monkeypatch, draws_per_call, shared
     ):
+        """shared: two runs in one _shared_draws scope, the first drawing
+        the table and the second reading it."""
         import mczeno.qzp as qzp
 
         monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", draws_per_call)
         trials, seed = 12, 4
         solutions = self.solutions(path)
-        got = zeno_statistics(path, self.N_STEPS, [1], trials, rng_seed=seed)[0]
+        with qzp._shared_draws() if shared else contextlib.nullcontext():
+            got = [zeno_statistics(path, self.N_STEPS, [1], trials, rng_seed=seed)[0]
+                   for _ in range(1 + shared)]
         psi = initial_eigenstate(path, 1)
         expected: dict[int, int] = {}
         for t in range(trials):
             final = zeno_trajectory(solutions, psi, seed, t, 1)[-1]
             expected[final] = expected.get(final, 0) + 1
-        assert got.counts == expected
+        assert [g.counts for g in got] == [expected] * (1 + shared)
 
     def test_run_trajectories(self, path):
         solutions = self.solutions(path)
