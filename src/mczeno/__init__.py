@@ -36,7 +36,6 @@ from mczeno.qzp import (
     ZenoTrial,
     initial_eigenstate,
     lowest_k_energies,
-    qae_then_project,
     zeno_run,
     zeno_statistics,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "parse_hamiltonian",
     "parse_pauli",
     "path_spectrum",
-    "qae_then_project",
     "run",
     "save_hamiltonian",
     "scan",

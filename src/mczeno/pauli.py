@@ -360,14 +360,14 @@ def load_hamiltonian(path) -> PauliHamiltonian:
     """Load a Hamiltonian from a ``.json`` document or the text format."""
     with open(path) as handle:
         raw = handle.read()
-    if str(path).endswith(".json"):
+    if str(path).lower().endswith(".json"):
         return hamiltonian_from_dict(json.loads(raw))
     return parse_hamiltonian(raw)
 
 
 def save_hamiltonian(h: PauliHamiltonian, path, header: str | None = None) -> None:
     with open(path, "w") as handle:
-        if str(path).endswith(".json"):
+        if str(path).lower().endswith(".json"):
             json.dump(hamiltonian_to_dict(h), handle, indent=1)
             handle.write("\n")
         else:

@@ -42,16 +42,6 @@ class QaeResult:
     step_count: int
 
 
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    """Computational basis state |index> as a complex amplitude vector."""
-    dim = 1 << n_qubits
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} outside 0..{dim - 1}")
-    psi = np.zeros(dim, dtype=complex)
-    psi[index] = 1.0
-    return psi
-
-
 def _check_state(psi: np.ndarray, n_qubits: int, tol: float = 1e-9) -> None:
     if psi.shape != (1 << n_qubits,):
         raise ValueError(

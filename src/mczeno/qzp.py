@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from mczeno.path import PathHamiltonian, s_grid
-from mczeno.qae import evolve
 from mczeno.spectral import EigenSolution, path_eigensolutions
 
 
@@ -541,30 +540,6 @@ def lowest_k_energies(
         (float(final_values[i]), observed[i]) for i in ranked[:k]
     )
     return LowestEnergies(energies=energies, complete=len(energies) == k)
-
-
-def qae_then_project(
-    p: PathHamiltonian,
-    delta_t: float,
-    initial_index: int,
-    trials: int,
-    rng_seed: int,
-) -> ZenoDistribution:
-    """Adiabatic evolution followed by a single final projection.
-
-    The comparison partner for full projection runs: evolve once, then
-    sample the final eigenbasis per trial.  Every trial projects the same
-    evolved state, so its level weights are computed once, and trial t
-    takes its step-0 draw from them.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    final = next(path_eigensolutions(p, [1.0]))
-    result = evolve(p, delta_t, initial_eigenstate(p, initial_index), final)
-    owner = np.zeros(trials, dtype=np.intp)
-    finals = _final_ranks([final], result.final_state[:, None], owner, rng_seed,
-                          range(trials), 0)
-    return ZenoDistribution(dict(Counter(finals.tolist())), trials, initial_index)
 
 
 def distribution_csv(distributions: list[ZenoDistribution]) -> str:

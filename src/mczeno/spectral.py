@@ -56,7 +56,7 @@ class EigenSolution:
     of each rank with W None, and a sectored point one d_c x d_c W per
     solved sector.  Every solution is a complete basis of the reached
     sectors: of the whole space, or of the sectors a sectored point solved
-    (sector_eigh), whose eigenvalues, and so levels and ranks, count only
+    (_send_sectors), whose eigenvalues, and so levels and ranks, count only
     their levels.  dimension is the length of a state, by default the
     level count.  apply, weights and vectors take and return
     standard-basis states and amplitudes in rank order, so no caller sees
@@ -159,18 +159,18 @@ def path_eigensolutions(p, s_values: Iterable[float], *,
     point is checked again.  A diagonal H(s) is sorted, not diagonalized.
     When H(s) has at least SECTOR_DIMENSION rows and p has symmetry
     sectors (p.sectors), the point is solved sector by sector
-    (sector_eigh), except at s = 0: there the eigenvectors seed initial
+    (_send_sectors), except at s = 0: there the eigenvectors seed initial
     states by rank, so H(0) keeps the basis of one full eigh.  Elsewhere
     only the eigenvalues and the eigenspaces of levels are used, and
     neither depends on the basis.
 
     A sectored point whose solved sectors all have fewer than
-    POOL_DIMENSION rows has its sector solves sent to sector_eigh's pool
-    when the point before it is returned, so they run while the caller uses
-    that point: while a lazy caller such as path_spectrum holds one
-    solution, at most two more points are in flight.  Without that pool (no
-    OpenBLAS thread setter), and for every other point, the solve runs in
-    the calling thread when the point is returned.
+    POOL_DIMENSION rows has its sector solves sent to a thread pool
+    (_sector_pool) when the point before it is returned, so they run while
+    the caller uses that point: while a lazy caller such as path_spectrum
+    holds one solution, at most two more points are in flight.  Without
+    that pool (no OpenBLAS thread setter), and for every other point, the
+    solve runs in the calling thread when the point is returned.
 
     start, the standard-basis states of a run as columns, restricts each
     sectored point with 0 < s < 1 to the sectors those states reach: every
@@ -244,33 +244,14 @@ def _sorted_diagonal(diagonal: np.ndarray) -> EigenSolution:
     return EigenSolution(diagonal[order], blocks=((order, slice(None), None),))
 
 
-def sector_eigh(p, s: float, reached: list[bool] | None = None) -> EigenSolution:
-    """Eigensolution of H(s) in p's sectors (p.sectors), from one eigh per
-    sector, or per sector c with reached[c] when reached is given: a
-    complete basis of the reached sectors, with one block per solved sector.
-
-    Sector chi's dense d x d block U^T H(s) U is the weighted sum of its
-    parts (PathHamiltonian.sector_matrix), so no dense H(s) is formed.  Its
-    eigenvectors W stay d x d blocks, and their columns land in the stable
-    ascending merge of every solved sector's eigenvalues.  This is symmetry
-    tapering (Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213) by a
-    group of qubit permutations.
-
-    When every solved sector has fewer than POOL_DIMENSION rows, the
-    sectors are solved on a thread pool (_sector_pool) made at the first
-    such solve, one worker per CPU this process may use, each eigh on one
-    OpenBLAS thread; larger ones, and all of them where no loaded OpenBLAS
-    exports openblas_set_num_threads_local (another BLAS, an older
-    OpenBLAS, no /proc), in the calling thread.  Blocks are merged in
-    sector order, whatever order the solves end in.
-    """
-    return _send_sectors(p, s, reached)()
-
-
 def _send_sectors(p, s: float, reached: list[bool] | None):
-    """A function returning sector_eigh(p, s, reached).  p.sectors is built
-    here, in the calling thread, and each sector's solve is sent to the pool
-    now, or made in the calling thread when the function is called."""
+    """A function returning the EigenSolution of H(s) in p's sectors
+    (p.sectors), from one eigh per sector, or per sector c with reached[c]
+    when reached is given: symmetry tapering (Bravyi, Gambetta, Mezzacapo &
+    Temme, arXiv:1701.08213) by a group of qubit permutations.  p.sectors is
+    built here, in the calling thread, and each sector's solve is sent to
+    the pool now, or made in the calling thread when the function is
+    called."""
     sectors = [sector for c, sector in enumerate(p.sectors) if reached is None or reached[c]]
     pool = _sector_pool() if max(sector.dimension for sector in sectors) < POOL_DIMENSION else None
     if pool is None:
@@ -284,7 +265,9 @@ def _solve_sector(p, sector: Sector, s: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _merge(p, sectors: list[Sector], solved: list[tuple]) -> EigenSolution:
-    """The EigenSolution of the sectors' (eigenvalues, W) pairs, in order."""
+    """The EigenSolution of the sectors' (eigenvalues, W) pairs, in order:
+    the W columns land in the stable ascending merge of every solved
+    sector's eigenvalues, ties in sector order."""
     values = np.concatenate([v for v, _ in solved])
     ranks = np.argsort(np.argsort(values, kind="stable"))
     ends = np.cumsum([0] + [len(v) for v, _ in solved])
@@ -294,7 +277,7 @@ def _merge(p, sectors: list[Sector], solved: list[tuple]) -> EigenSolution:
 
 @cache
 def _sector_pool():
-    """sector_eigh's pool, made on first call, or None when no loaded
+    """The sector solves' pool, made on first call, or None when no loaded
     OpenBLAS exports openblas_set_num_threads_local, and sectors are solved
     in the calling thread.  concurrent.futures is imported here, so a run
     that pools no sectored point never loads it.

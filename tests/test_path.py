@@ -17,7 +17,7 @@ from mczeno.pauli import (
     parse_hamiltonian,
 )
 from mczeno.path import PathHamiltonian, Sector, discretize, h_at, x_driver
-from mczeno.qae import basis_state, evolve
+from mczeno.qae import evolve
 from mczeno.spectral import dense_matrix, path_eigensolutions
 from oracles import (
     dict_invariant,
@@ -233,7 +233,7 @@ class TestDenseAndDiagonalForms:
 
     def test_qae_evolve_builds_no_csr(self, data_dir, no_csr):
         p = stretched_h2_path(data_dir, 0.5)
-        result = evolve(p, 0.5, basis_state(4, 3))
+        result = evolve(p, 0.5, np.eye(1 << 4, dtype=complex)[3])
         assert result.step_count == 20
 
     @pytest.mark.parametrize("name", list(bundled_clique_paths()))

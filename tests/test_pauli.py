@@ -369,13 +369,15 @@ class TestFileFormats:
         assert again == toy_hamiltonian
 
     def test_json_round_trip(self, toy_hamiltonian, tmp_path):
-        path = tmp_path / "ham.json"
-        save_hamiltonian(toy_hamiltonian, path)
-        again = load_hamiltonian(path)
-        assert again == toy_hamiltonian
-        doc = json.loads(path.read_text())
-        assert doc["n_qubits"] == 2
-        assert {e["label"] for e in doc["terms"]} == {"II", "IX", "IZ", "ZI"}
+        """The .json suffix is matched in any case."""
+        for name in ("ham.json", "ham.JSON"):
+            path = tmp_path / name
+            save_hamiltonian(toy_hamiltonian, path)
+            again = load_hamiltonian(path)
+            assert again == toy_hamiltonian
+            doc = json.loads(path.read_text())
+            assert doc["n_qubits"] == 2
+            assert {e["label"] for e in doc["terms"]} == {"II", "IX", "IZ", "ZI"}
 
     def test_comments_and_blank_lines_ignored(self):
         h = parse_hamiltonian("# header\n\n2.0 II # trailing note\n\n5.0 ZI\n")

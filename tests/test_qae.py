@@ -25,14 +25,13 @@ from mczeno.path import PathHamiltonian
 from mczeno.qae import (
     DENSE_STEP_DIMENSION,
     _bessel_j,
-    basis_state,
     chebyshev_coefficients,
     chebyshev_step,
     energy_expectation,
     evolve,
     ground_space_fidelity,
 )
-from mczeno.qzp import initial_eigenstate, qae_then_project
+from mczeno.qzp import initial_eigenstate
 from mczeno.spectral import EigenSolution, eig, path_eigensolutions, sector_weights
 from oracles import eigh_evolve, full_space_evolve
 from test_path import odd_y_path
@@ -49,7 +48,7 @@ def gapped(data_dir):
 class TestEnergyExpectation:
     def test_basis_state_on_minus_z(self):
         h = parse_hamiltonian("-1.0 Z")
-        assert energy_expectation(basis_state(1, 0), h) == pytest.approx(-1.0)
+        assert energy_expectation(np.eye(1 << 1, dtype=complex)[0], h) == pytest.approx(-1.0)
 
     def test_ground_eigenvector_consistency(self, toy_hamiltonian):
         solution = eig(toy_hamiltonian)
@@ -86,7 +85,7 @@ class TestEvolve:
         p = PathHamiltonian(
             parse_hamiltonian("-1.0 Z"), parse_hamiltonian("-1.0 X"), total_time=50.0
         )
-        result = evolve(p, 0.5, basis_state(1, 0))
+        result = evolve(p, 0.5, np.eye(1 << 1, dtype=complex)[0])
         assert result.ground_fidelity >= 0.999
 
     def test_default_parameters_on_gapped_fixture(self, gapped):
@@ -121,12 +120,12 @@ class TestEvolve:
     def test_non_integer_step_count_rejected(self, toy_hamiltonian):
         p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
         with pytest.raises(ValueError, match="not a positive integer"):
-            evolve(p, 0.3, basis_state(2, 0))
+            evolve(p, 0.3, np.eye(1 << 2, dtype=complex)[0])
 
     def test_dimension_mismatch_rejected(self, toy_hamiltonian):
         p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
         with pytest.raises(ValueError, match="^state has dimension"):
-            evolve(p, 0.5, basis_state(3, 0))
+            evolve(p, 0.5, np.eye(1 << 3, dtype=complex)[0])
 
     def test_unnormalized_initial_state_rejected(self, toy_hamiltonian):
         p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
@@ -180,12 +179,12 @@ class TestGroundSpaceFidelity:
     def test_degenerate_ground_space_counts_fully(self):
         """ZZ has a two-fold ground space; any mix of |01> and |10> is in it."""
         h = parse_hamiltonian("1.0 ZZ")
-        psi = (basis_state(2, 1) + basis_state(2, 2)) / np.sqrt(2)
+        psi = (np.eye(1 << 2, dtype=complex)[1] + np.eye(1 << 2, dtype=complex)[2]) / np.sqrt(2)
         assert ground_space_fidelity(psi, h) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_state_scores_zero(self):
         h = parse_hamiltonian("1.0 ZZ")
-        assert ground_space_fidelity(basis_state(2, 0), h) == pytest.approx(0.0, abs=1e-12)
+        assert ground_space_fidelity(np.eye(1 << 2, dtype=complex)[0], h) == pytest.approx(0.0, abs=1e-12)
 
     def test_unnormalized_rejected(self, data_dir):
         """Twice the ground eigenvector would score 4."""
@@ -204,7 +203,7 @@ class TestGroundSpaceFidelity:
 def _reference_case(name, data_dir):
     """(path, delta_t, initial state) of one propagator reference case."""
     if name == "odd_y":
-        return odd_y_path(), 0.5, basis_state(2, 1)
+        return odd_y_path(), 0.5, np.eye(1 << 2, dtype=complex)[1]
     if name == "proportional_to_identity":
         p = PathHamiltonian(parse_hamiltonian("1.5 II"), parse_hamiltonian("-0.5 II"))
         return p, 0.5, np.full(4, 0.5, dtype=complex)
@@ -317,7 +316,7 @@ check('h5 qae')
                              ".sparse_matrix(0.5)",
             "nine-qubit qae": "mczeno.evolve(mczeno.PathHamiltonian(mczeno.x_driver(9), "
                               "mczeno.x_driver(9), total_time=0.5), 0.5, "
-                              "mczeno.qae.basis_state(9, 0))",
+                              "np.eye(1 << 9, dtype=complex)[0])",
         }
         checks = [scipy_free] + [f"""
 from mczeno import driver
@@ -328,7 +327,7 @@ assert 'scipy.sparse' in sys.modules
         src = Path(mczeno.__file__).resolve().parent.parent
         data = Path(mczeno.__file__).resolve().parent / "data"
         for check in checks:
-            code = (f"import sys, mczeno, mczeno.cli\ndata = {str(data)!r}\n{check}"
+            code = (f"import sys, numpy as np, mczeno, mczeno.cli\ndata = {str(data)!r}\n{check}"
                     "print('scipy.special' in sys.modules)")
             done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                                   text=True, env={**os.environ, "PYTHONPATH": str(src)})
@@ -450,19 +449,3 @@ class TestSectoredEvolve:
             assert np.any(sector.project(final_state) != 0) == (c == 1)
         leaked = [sector.project(full_space_evolve(p, 0.5, psi0)) for sector in p.sectors]
         assert any(np.any(z != 0) for c, z in enumerate(leaked) if c != 1)
-
-
-class TestEigensolveCount:
-    def test_qae_then_project_solves_final_hamiltonian_once(self, gapped, monkeypatch):
-        h, mc = gapped
-        p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
-        calls = []
-        original = np.linalg.eigh
-
-        def counting_eigh(m):
-            calls.append(m.shape)
-            return original(m)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        qae_then_project(p, 0.5, 0, 20, 3)
-        assert calls == [(16, 16)]

@@ -19,7 +19,6 @@ from mczeno.qzp import (
     initial_eigenstate,
     lowest_k_energies,
     project,
-    qae_then_project,
     step_draws,
     step_rng,
     zeno_run,
@@ -33,7 +32,6 @@ from oracles import (
     full_eigh_solutions,
     philox_draw,
     solved_sectors,
-    zeno_project,
     zeno_trajectory,
 )
 from test_path import odd_y_path
@@ -416,24 +414,6 @@ class TestLowestKEnergies:
             lowest_k_energies(p, 4, k=3, repetitions=2, rng_seed=0)
 
 
-class TestQaeThenProject:
-    def test_constant_path_from_ground_always_lands_ground(self, toy_hamiltonian):
-        p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
-        dist = qae_then_project(p, 0.5, 0, trials=50, rng_seed=1)
-        assert dist.counts == {0: 50}
-        assert dist.trials == 50
-
-    def test_seeded_determinism(self, single_qubit_path):
-        a = qae_then_project(single_qubit_path, 0.5, 0, trials=30, rng_seed=8)
-        b = qae_then_project(single_qubit_path, 0.5, 0, trials=30, rng_seed=8)
-        assert a == b
-
-    @pytest.mark.parametrize("trials", [0, -3])
-    def test_trial_count_validation(self, single_qubit_path, trials):
-        with pytest.raises(ValueError, match="trials must be at least 1"):
-            qae_then_project(single_qubit_path, 0.5, 0, trials=trials, rng_seed=8)
-
-
 class TestDistributionCsv:
     def test_exact_layout(self):
         rows = [
@@ -610,26 +590,6 @@ class TestMatchesPerTrialReference:
         got = lowest_k_energies(path, self.N_STEPS, k, repetitions, rng_seed=seed)
         assert got.energies == expected
 
-    def test_qae_then_project(self, path):
-        trials, seed = 200, 3
-        final_state = evolve(path, 0.5, initial_eigenstate(path, 0)).final_state
-        final = next(path_eigensolutions(path, [1.0]))
-        expected: dict[int, int] = {}
-        for t in range(trials):
-            rank, _ = zeno_project(final_state, final.eigenvalues, final.eigenvectors,
-                                   philox_draw(seed, t, 0))
-            expected[rank] = expected.get(rank, 0) + 1
-        got = qae_then_project(path, 0.5, 0, trials=trials, rng_seed=seed)
-        assert got.counts == expected
-
-    def test_qae_then_project_with_draws_split_over_calls(self, path, monkeypatch):
-        import mczeno.qzp as qzp
-
-        whole = qae_then_project(path, 0.5, 0, trials=50, rng_seed=3)
-        monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", 7)
-        assert qae_then_project(path, 0.5, 0, trials=50, rng_seed=3).counts == whole.counts
-
-
 def fixed_path_solutions(bases, values):
     """EigenSolutions of a path given point by point, as eigenvector
     columns and eigenvalues."""
@@ -698,8 +658,7 @@ class TestDistinctStates:
         monkeypatch.setattr(qzp, "step_draws", recording_draws)
         monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", 7)
         zeno_statistics(gapped_path, 4, [0, 1], 20, 9)
-        qae_then_project(gapped_path, 0.5, 0, trials=20, rng_seed=9)
-        assert max(sizes) <= 7 and sum(sizes) == 2 * 20 * 4 + 20
+        assert max(sizes) <= 7 and sum(sizes) == 2 * 20 * 4
 
 
 @pytest.fixture(scope="module", params=["h5", "real", "odd_y"])

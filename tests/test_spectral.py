@@ -25,7 +25,6 @@ from mczeno.spectral import (
     eig,
     path_eigensolutions,
     path_spectrum,
-    sector_eigh,
     sector_weights,
     spectrum_csv,
 )
@@ -279,7 +278,7 @@ class TestSectorSolve:
         for s in (0.3, 0.7, 1.0):
             h = p.matrix(s)
             assert np.iscomplexobj(h) == odd_y
-            check_against_full_eigh(h, sector_eigh(p, s))
+            check_against_full_eigh(h, spectral._send_sectors(p, s, None)())
 
     def test_sector_bases(self, data_dir):
         """Each U is orthonormal with entries +-1/sqrt(orbit size), the
@@ -313,7 +312,7 @@ class TestSectorSolve:
         n = 8
         h = PauliHamiltonian(n, [PauliTerm(n, 0, 1 << q, 1.0) for q in range(n)])
         p = PathHamiltonian(h, h)
-        solution = sector_eigh(p, 0.5)
+        solution = spectral._send_sectors(p, 0.5, None)()
         check_against_full_eigh(p.matrix(0.5), solution)
         assert np.array_equal(solution.eigenvalues, np.sort(np.diag(p.matrix(0.5))))
         weights = np.array([np.linalg.norm(sector_basis(sector, 1 << n).T
@@ -664,9 +663,9 @@ def sector_pool():
     return pool
 
 
-def _check_child_sector_eigh(p, want) -> None:
+def _check_child_sector_solve(p, want) -> None:
     """Run in a forked child: a sector solve after the parent's."""
-    assert np.array_equal(sector_eigh(p, 0.5).eigenvalues, want)
+    assert np.array_equal(next(path_eigensolutions(p, [0.5])).eigenvalues, want)
 
 
 class TestSectorPool:
@@ -713,7 +712,7 @@ class TestSectorPool:
             return result
 
         monkeypatch.setattr(np.linalg, "eigh", first_delayed)
-        solution = sector_eigh(p, 0.5)
+        solution = next(path_eigensolutions(p, [0.5]))
         monkeypatch.setattr(np.linalg, "eigh", original)
         assert ended[-1] == first
         assert solved_sectors(solution, p) == [0, 1, 2, 3]
@@ -737,10 +736,10 @@ class TestSectorPool:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         monkeypatch.setattr(spectral, "POOL_DIMENSION", 256)
-        sector_eigh(p, 0.5)
+        next(path_eigensolutions(p, [0.5]))
         assert in_caller == [True] * 4
         in_caller.clear()
-        sector_eigh(p, 0.5, reached=[False, True, False, True])
+        spectral._send_sectors(p, 0.5, [False, True, False, True])()
         assert in_caller == [False] * 2
 
     def test_one_point_ahead(self, data_dir, sector_pool, monkeypatch):
@@ -768,9 +767,9 @@ class TestSectorPool:
         """A forked child's copy of the pool has no workers; the child drops
         it, so its sector solve must end."""
         p = sectored_path(data_dir, "h5")
-        want = sector_eigh(p, 0.5).eigenvalues
+        want = next(path_eigensolutions(p, [0.5])).eigenvalues
         child = multiprocessing.get_context("fork").Process(
-            target=_check_child_sector_eigh, args=(p, want))
+            target=_check_child_sector_solve, args=(p, want))
         child.start()
         child.join(timeout=30)
         if child.is_alive():
