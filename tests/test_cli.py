@@ -21,6 +21,17 @@ class TestMethodCommands:
         assert "weight 11.0" in out
         assert "II IZ ZI" in out
 
+    def test_clique_reads_upper_case_json_suffix(self, data_dir, tmp_path, capsys):
+        source = tmp_path / "g.JSON"
+        doc = {"n_qubits": 2, "terms": [
+            {"label": label, "coeff": coeff}
+            for coeff, label in [(2.0, "II"), (3.0, "IX"), (-4.0, "IZ"), (5.0, "ZI")]]}
+        source.write_text(json.dumps(doc))
+        assert main(["clique", str(source)]) == 0
+        out = capsys.readouterr().out
+        assert "weight 11.0" in out
+        assert "II IZ ZI" in out
+
     def test_qae_reports_energy(self, data_dir, capsys):
         code = main(
             ["qae", str(data_dir / "gapped_four_qubit.txt"), "--T", "10", "--dt", "0.5"]

@@ -379,6 +379,11 @@ class TestFileFormats:
             assert doc["n_qubits"] == 2
             assert {e["label"] for e in doc["terms"]} == {"II", "IX", "IZ", "ZI"}
 
+    def test_upper_case_json_suffix_reads_a_json_document(self, toy_hamiltonian, tmp_path):
+        path = tmp_path / "ham.JSON"
+        path.write_text(json.dumps(hamiltonian_to_dict(toy_hamiltonian)))
+        assert load_hamiltonian(path) == toy_hamiltonian
+
     def test_comments_and_blank_lines_ignored(self):
         h = parse_hamiltonian("# header\n\n2.0 II # trailing note\n\n5.0 ZI\n")
         assert [t.label for t in h.terms] == ["II", "ZI"]

@@ -33,7 +33,7 @@ from mczeno.qae import (
 )
 from mczeno.qzp import initial_eigenstate
 from mczeno.spectral import EigenSolution, eig, path_eigensolutions, sector_weights
-from oracles import eigh_evolve, full_space_evolve
+from oracles import eigh_evolve, full_eigh_solutions, full_space_evolve
 from test_path import odd_y_path
 from test_spectral import sectored_path
 
@@ -231,6 +231,43 @@ def _reference_case(name, data_dir):
     mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
     p = PathHamiltonian(mc, h, alpha=alpha, total_time=10.0)
     return p, delta_t, initial_eigenstate(p, 0)
+
+
+class TestFinalDistribution:
+    """The qae record reads the distribution over final levels exactly, as
+    final.weights of the evolved state."""
+
+    @pytest.mark.parametrize("name", ["gapped_alpha0", "h2_2.8_alpha0.5", "odd_y"])
+    def test_level_weights_match_full_eigh(self, data_dir, name):
+        p, delta_t, psi0 = _reference_case(name, data_dir)
+        psi = evolve(p, delta_t, psi0).final_state
+        final = next(path_eigensolutions(p, [1.0]))
+        reference = full_eigh_solutions(p, [1.0])[0]
+        starts = np.append(0, reference.level_ends[:-1])
+        assert np.array_equal(final.level_ends, reference.level_ends)
+        got = np.add.reduceat(final.weights(psi), starts)
+        want = np.add.reduceat(np.abs(reference.eigenvectors.conj().T @ psi) ** 2, starts)
+        assert np.abs(got - want).max() <= 1e-12
+        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_constant_path_from_ground_weighs_only_the_ground_level(self, toy_hamiltonian):
+        p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
+        psi = evolve(p, 0.5, initial_eigenstate(p, 0)).final_state
+        weights = next(path_eigensolutions(p, [1.0])).weights(psi)
+        assert weights[0] == pytest.approx(1.0, abs=1e-9)
+        assert weights[1:].sum() == pytest.approx(0.0, abs=1e-9)
+
+    def test_degenerate_ground_level_keeps_its_whole_weight(self):
+        """ZZ has a two-fold ground level; a mix of |01> and |10> stays in it."""
+        h = parse_hamiltonian("1.0 ZZ")
+        p = PathHamiltonian(h, h, total_time=10.0)
+        psi0 = (np.eye(1 << 2, dtype=complex)[1] + np.eye(1 << 2, dtype=complex)[2]) / np.sqrt(2)
+        result = evolve(p, 0.5, psi0)
+        final = next(path_eigensolutions(p, [1.0]))
+        assert final.level_ends[0] == 2
+        assert final.weights(result.final_state)[:2].sum() == pytest.approx(1.0, abs=1e-12)
+        assert result.ground_fidelity == pytest.approx(1.0, abs=1e-12)
+        assert result.final_energy == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestChebyshevPropagator:
@@ -449,3 +486,20 @@ class TestSectoredEvolve:
             assert np.any(sector.project(final_state) != 0) == (c == 1)
         leaked = [sector.project(full_space_evolve(p, 0.5, psi0)) for sector in p.sectors]
         assert any(np.any(z != 0) for c, z in enumerate(leaked) if c != 1)
+
+
+class TestEigensolveCount:
+    def test_evolve_solves_final_hamiltonian_once(self, gapped, monkeypatch):
+        h, mc = gapped
+        p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
+        psi0 = initial_eigenstate(p, 0)
+        calls = []
+        original = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        evolve(p, 0.5, psi0)
+        assert calls == [(16, 16)]

@@ -32,6 +32,7 @@ from oracles import (
     full_eigh_solutions,
     philox_draw,
     solved_sectors,
+    zeno_project,
     zeno_trajectory,
 )
 from test_path import odd_y_path
@@ -576,6 +577,19 @@ class TestMatchesPerTrialReference:
             trial = zeno_run(path, self.N_STEPS, 0, 9, trial_number=t,
                              initial_state=psi, eigensolutions=solutions)
             assert trial.trajectory == zeno_trajectory(solutions, psi, 9, t, 0)
+
+    def test_project_evolved_state(self, path):
+        """Born-rule projections of the adiabatically evolved state, as the
+        qae record's distribution would be sampled."""
+        trials, seed = 200, 3
+        final_state = evolve(path, 0.5, initial_eigenstate(path, 0)).final_state
+        final = next(path_eigensolutions(path, [1.0]))
+        for t in range(trials):
+            rank, collapsed = project(final_state, final, step_rng(seed, t, 0))
+            want_rank, want = zeno_project(final_state, final.eigenvalues,
+                                           final.eigenvectors, philox_draw(seed, t, 0))
+            assert rank == want_rank
+            assert np.abs(collapsed - want).max() <= 1e-12
 
     def test_lowest_k_energies(self, path):
         k, repetitions, seed = 3, 60, 8
