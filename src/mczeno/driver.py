@@ -327,7 +327,8 @@ def scan(
 ) -> ScanResult:
     """Run the pipeline per geometry point and tabulate energies.
 
-    Coordinates must be finite and strictly increasing.  The exact column
+    Coordinates must be finite and strictly increasing, and no point may
+    set an output: the scan's one table is its result.  The exact column
     is the reference; qae reports the evolved final energy and qzp the
     lowest eigenvalue reached over its trials.  A point whose file is
     missing (or whose pipeline fails) is flagged in its row, with the
@@ -343,9 +344,12 @@ def scan(
     if "exact" not in methods:
         raise ValueError("methods must include 'exact' to define error columns")
     coordinates = [c for c, _ in points]
-    for c in coordinates:
+    for c, config in points:
         if not math.isfinite(c):
             raise ValueError(f"scan coordinate {c!r} is not finite")
+        if config.output:
+            raise ValueError(f"scan point {c!r} sets output {config.output!r}, but a scan "
+                             "writes one table and its points none")
     if any(b <= a for a, b in zip(coordinates, coordinates[1:])):
         raise ValueError("scan coordinates must be strictly increasing")
 

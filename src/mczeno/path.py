@@ -28,35 +28,35 @@ class Sector:
     """One block of H(s) in an orthonormal basis U of a subspace that every
     H(s) leaves invariant, held as index arrays.
 
-    U has one nonzero entry per inside state: states[k], ascending, lies
-    on column columns[k] of U with entry coefficients[k], chi / sqrt(orbit
-    size).  The same entries, gathered by column, are column_states[j, k]
-    and column_weights[j, k] for column j, padded to the longest column by
-    state 0 and weight 0.  parts holds one row per P = H_i, H_p and H_X, in
-    that order: the entries of the d x d block U^T P U at the flat positions
-    a * d + b in entries, ascending; every other entry of the block is zero.
+    Column j of U is one orbit of the symmetry group: members[j] lists the
+    orbit's least state's images under every group element, ascending, so a
+    state of an orbit smaller than the group repeats.  weights[j, k] is U's
+    entry chi / sqrt(orbit size) at members[j, k], and project_weights is
+    weights with each repeat after the first set to 0.  parts holds one row
+    per P = H_i, H_p and H_X, in that order: the entries of the d x d block
+    U^T P U at the flat positions a * d + b in entries, ascending; every
+    other entry of the block is zero.
     """
 
-    states: np.ndarray
-    columns: np.ndarray
-    coefficients: np.ndarray
-    column_states: np.ndarray
-    column_weights: np.ndarray
+    members: np.ndarray
+    weights: np.ndarray
+    project_weights: np.ndarray
     entries: np.ndarray
     parts: np.ndarray
 
     @property
     def dimension(self) -> int:
-        return len(self.column_states)
+        return len(self.members)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """U^T x for standard-basis states x, a vector or columns."""
-        return np.einsum("jk,jk...->j...", self.column_weights, x[self.column_states])
+        return np.einsum("jk,jk...->j...", self.project_weights, x[self.members])
 
     def embed(self, z: np.ndarray, out: np.ndarray) -> None:
         """Add U z, the standard-basis states of sector coordinates z, into
-        out; each inside state lies on one column, so no padding is needed."""
-        out[self.states] += np.einsum("k,k...->k...", self.coefficients, z[self.columns])
+        out; a repeated member gets the same sum at each of its places, so
+        it is added once."""
+        out[self.members] += np.einsum("jk,j...->jk...", self.weights, z)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,6 @@ class PathHamiltonian:
         least = images.min(axis=0)
         size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
         to_least = np.argmax(images == least, axis=0).astype(np.uint8)  # of 4 elements at most
-        fixed = images == states
         # each pattern entry (i, j) by the number of its pair of orbits among
         # the pairs held, and by the pair of elements taking i and j to them
         counts, leasts = np.diff(indptr), np.flatnonzero(least == states).astype(np.int32)
@@ -151,23 +150,23 @@ class PathHamiltonian:
         pair_a, pair_b = (leasts[k] for k in np.divmod(np.flatnonzero(held), len(leasts)))
         del keys, held
         moves = np.repeat(to_least * len(images), counts) + to_least[indices]
+        fixed = images[:, leasts] == leasts  # one stabilizer per orbit: the group is abelian
 
         def sector(c: int) -> Sector:  # its arrays die with the call
             chi = np.array([(-1.0) ** (g & c).bit_count() for g in range(len(images))])
-            inside = np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(axis=0))
-            orbits, columns = np.unique(least[inside], return_inverse=True)
-            d = len(orbits)
+            columns = leasts[~(fixed & (chi[:, None] < 0)).any(axis=0)]
             column_of = np.full(len(states), -1)
-            column_of[inside] = columns
+            column_of[columns] = np.arange(len(columns))
             signs = np.outer(chi, chi).ravel()
             sums = np.array([_sum_at(pair_of, v, signs, moves, len(pair_a)) for v in data])
             kept = (column_of[pair_a] >= 0) & (column_of[pair_b] >= 0) & sums.any(axis=0)
             a, b = pair_a[kept], pair_b[kept]
             sums = sums[:, kept]  # the parts, divided in place
             sums /= np.sqrt(size[a] * size[b])
-            coefficients = chi[to_least[inside]] / np.sqrt(size[inside])
-            return Sector(inside, columns, coefficients, *_padded(columns, inside, coefficients),
-                          column_of[a] * d + column_of[b], sums)
+            members = np.sort(images[:, columns], axis=0).T
+            weights = chi[to_least[members]] / np.sqrt(size[members])
+            return Sector(members, weights, np.where(np.diff(members, prepend=-1), weights, 0.0),
+                          column_of[a] * len(columns) + column_of[b], sums)
         return tuple(map(sector, range(len(images))))
 
     @cached_property
@@ -254,18 +253,6 @@ def _sum_at(keys: np.ndarray, values: np.ndarray, signs: np.ndarray, moves: np.n
     weighted = signs[moves]
     weighted *= values
     return np.bincount(keys, weights=weighted, minlength=size)
-
-
-def _padded(keys: np.ndarray, values: np.ndarray, weights: np.ndarray):
-    """(index, weight) arrays whose row k lists the values of key k, in
-    ascending order, and their weights, padded by index 0 and weight 0."""
-    order = np.lexsort((values, keys))
-    keys = keys[order]
-    slot = np.arange(len(keys)) - np.searchsorted(keys, keys)
-    index = np.zeros((keys[-1] + 1, slot.max() + 1), dtype=np.intp)
-    padded = np.zeros(index.shape)
-    index[keys, slot], padded[keys, slot] = values[order], weights[order]
-    return index, padded
 
 
 def _permute_bits(masks: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -422,23 +422,36 @@ def zeno_grid(
 
 def _grid_solutions(
     p: PathHamiltonian, n_steps: int, eigensolutions: list[EigenSolution] | None = None,
-    reported: slice = slice(None),
-) -> list[EigenSolution]:
-    """The eigensolutions of s_grid(n_steps), solved here when not given.
-    Given ones must be complete bases at the reported steps, whose ranks a
-    run reports: a point restricted to the sectors a start reaches
-    (zeno_grid) counts only their levels."""
+    initial_indices: list[int] | None = None,
+) -> tuple[list[EigenSolution], np.ndarray | None]:
+    """The eigensolutions of s_grid(n_steps), solved here when not given,
+    and the start states of initial_indices as columns (None without).
+
+    Without initial_indices a run reports every step's rank, so given
+    solutions must be complete bases.  With them a run reports only final
+    ranks: the last must be complete, and a point restricted to the sectors
+    some starts reach (zeno_grid) must hold all of each start's weight."""
     grid = s_grid(n_steps)
     if eigensolutions is None:
-        return list(path_eigensolutions(p, grid))
+        if initial_indices is None:
+            return list(path_eigensolutions(p, grid)), None
+        return zeno_grid(p, n_steps, initial_indices)
     if len(eigensolutions) != len(grid):
         raise ValueError("eigensolution list does not match n_steps")
-    for k in range(len(grid))[reported]:
-        es = eigensolutions[k]
-        if len(es.eigenvalues) != es.dimension:
+    psi = (None if initial_indices is None
+           else _initial_block(p, initial_indices, eigensolutions[0]))
+    for k, es in enumerate(eigensolutions):
+        if len(es.eigenvalues) == es.dimension:
+            continue
+        if psi is None or k == n_steps:
             raise ValueError(f"the eigensolution of step {k} holds {len(es.eigenvalues)} of "
                              f"{es.dimension} levels, so its ranks cannot be reported")
-    return eigensolutions
+        for index, weight in zip(initial_indices, es.weights(psi).sum(axis=0)):
+            if abs(weight - 1.0) > 1e-6:
+                raise ValueError(f"the eigensolution of step {k} solves weight {weight:.6g} "
+                                 f"of the start of rank {index}, not 1: its sectors were "
+                                 "solved for other starts")
+    return eigensolutions, psi
 
 
 def zeno_run(
@@ -459,7 +472,7 @@ def zeno_run(
     every step's rank, so given eigensolutions must be complete bases: a
     zeno_grid grid raises ValueError.
     """
-    eigensolutions = _grid_solutions(p, n_steps, eigensolutions)
+    eigensolutions, _ = _grid_solutions(p, n_steps, eigensolutions)
     if initial_state is None:
         psi, first_step = _initial_block(p, [initial_index], eigensolutions[0]), 1
     else:
@@ -500,11 +513,7 @@ def zeno_statistics(
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
-    if eigensolutions is None:
-        eigensolutions, psi = zeno_grid(p, n_steps, list(initial_indices))
-    else:
-        eigensolutions = _grid_solutions(p, n_steps, eigensolutions, slice(-1, None))
-        psi = _initial_block(p, list(initial_indices), eigensolutions[0])
+    eigensolutions, psi = _grid_solutions(p, n_steps, eigensolutions, list(initial_indices))
     owner = np.repeat(np.arange(len(initial_indices)), trials_per_initial)
     finals = _final_ranks(eigensolutions, psi, owner, rng_seed, range(len(owner)), 1)
     rows = finals.reshape(-1, trials_per_initial)

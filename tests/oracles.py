@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse
 
 from mczeno.fermion import FermionIntegrals
-from mczeno.path import Sector, _padded, _permute_bits
+from mczeno.path import Sector, _permute_bits
 from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, parity, term_matrix
 from mczeno.qae import chebyshev_step
 from mczeno.spectral import EigenSolution
@@ -329,7 +329,7 @@ def scattered_sector_eigh(p, s: float) -> tuple[np.ndarray, np.ndarray]:
 def sector_basis(sector, dim: int) -> np.ndarray:
     """The sector's isometry U as a dense dim x d matrix."""
     u = np.zeros((dim, sector.dimension))
-    u[sector.states, sector.columns] = sector.coefficients
+    u[sector.members, np.arange(sector.dimension)[:, None]] = sector.weights
     return u
 
 
@@ -366,8 +366,9 @@ def _orbits(p):
 
 def unique_sectors(p) -> tuple:
     """p's Sectors as PathHamiltonian.sectors built them with the orbit pairs
-    found by np.unique over every pattern entry, and each part summed by one
-    np.bincount of the values times their integer characters."""
+    found by np.unique over every pattern entry, each part summed by one
+    np.bincount of the values times their integer characters, and each
+    column's members gathered from the states inside the sector."""
     if not p.symmetries:
         return ()
     indptr, indices, data = p._pattern
@@ -396,9 +397,16 @@ def unique_sectors(p) -> tuple:
         kept = (column_of[a] >= 0) & (column_of[b] >= 0) & sums.any(axis=0)
         a, b = a[kept], b[kept]
         parts = sums[:, kept] / np.sqrt(size[a] * size[b])
-        coefficients = chi[to_least[inside]] / np.sqrt(size[inside])
-        sectors.append(Sector(inside, columns, coefficients,
-                              *_padded(columns, inside, coefficients),
+        # each inside state once per group element that maps its orbit's
+        # least member to it, grouped by column: the member table
+        repeats = len(images) // size[inside]
+        order = np.argsort(np.repeat(columns, repeats), kind="stable")
+        members, weights = (np.repeat(v, repeats)[order].reshape(d, -1) for v in
+                            (inside, chi[to_least[inside]] / np.sqrt(size[inside])))
+        first = np.zeros(len(order), dtype=bool)
+        first[np.cumsum(repeats) - repeats] = True
+        sectors.append(Sector(members, weights,
+                              np.where(first[order].reshape(d, -1), weights, 0.0),
                               column_of[a] * d + column_of[b], parts))
     return tuple(sectors)
 

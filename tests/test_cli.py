@@ -291,6 +291,26 @@ class TestScanCommand:
         assert main(["scan", str(config)]) == 1
         assert f"error: scan point 1 has no '{missing}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["defaults", "points"])
+    def test_point_that_sets_an_output_exits_nonzero(self, data_dir, tmp_path, capsys,
+                                                     where):
+        """A spec's "output", in its defaults or in a point, would go
+        unwritten: the scan refuses it, runs no point and writes nothing."""
+        written = tmp_path / "point.json"
+        points = [{"coordinate": 1.0, "source": str(data_dir / "h2_2.8_jw.txt")},
+                  {"coordinate": 2.0, "source": str(data_dir / "h2_1.2_jw.txt")}]
+        spec = {"defaults": {"n_steps": 3, "trials": 5}, "points": points}
+        (spec["defaults"] if where == "defaults" else points[1])["output"] = str(written)
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps(spec))
+        table = tmp_path / "curve.csv"
+        assert main(["scan", str(config), "-o", str(table)]) == 1
+        captured = capsys.readouterr()
+        coordinate = 1.0 if where == "defaults" else 2.0
+        assert f"error: scan point {coordinate!r} sets output" in captured.err
+        assert captured.out == ""
+        assert not written.exists() and not table.exists()
+
     @pytest.mark.parametrize("spec, message", [
         ([1, 2], "scan spec must be a JSON object, got [1, 2]"),
         ({"points": [3]}, "scan point 0 must be a JSON object, got 3"),

@@ -517,6 +517,19 @@ class TestScan:
         with pytest.raises(ValueError, match=f"^scan coordinate {bad!r} is not finite$"):
             scan(points)
 
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_point_that_sets_an_output_is_refused(self, data_dir, tmp_path, monkeypatch, at):
+        """A scan writes one table, so a point's own output would be
+        silently ignored: the scan refuses it before it runs any point."""
+        points = self._points(data_dir)
+        written = tmp_path / "point.json"
+        coordinate, config = points[at]
+        points[at] = (coordinate, dataclasses.replace(config, output=str(written)))
+        monkeypatch.setattr(driver, "_execute", lambda *args: pytest.fail("ran a point"))
+        with pytest.raises(ValueError, match=f"^scan point {coordinate!r} sets output"):
+            scan(points)
+        assert not written.exists()
+
     def test_methods_validation(self, data_dir):
         with pytest.raises(ValueError, match="must include 'exact'"):
             scan(self._points(data_dir), methods=("qzp",))

@@ -20,6 +20,7 @@ from mczeno.path import PathHamiltonian, Sector, discretize, h_at, x_driver
 from mczeno.qae import evolve
 from mczeno.spectral import dense_matrix, path_eigensolutions
 from oracles import (
+    _orbits,
     dict_invariant,
     sandwich_sectors,
     sector_basis,
@@ -409,6 +410,36 @@ class TestSectorParts:
         p = PathHamiltonian(symmetric_sum(n, 1, odd_y), symmetric_sum(n, 2, odd_y), alpha=0.5)
         assert len(p.sectors) == 4
         self.assert_pinned(p)
+
+    @pytest.mark.parametrize("name, sizes", [
+        ("h2_2.8_jw.txt:none", {1, 2}), ("h5_chain_sto3g_1.00.fcidump:jw", {1, 2, 4}),
+    ], ids=["h2_one_symmetry", "h5"])
+    def test_repeated_members_count_once(self, name, sizes):
+        """A state whose orbit is smaller than the group repeats in its
+        column's members, once per element that maps the orbit's least
+        state to it; project reads it once and embed adds it once."""
+        p = bundled_clique_paths()[name]
+        _, images, _, size, _, _ = _orbits(p)
+        seen, repeated = set(), 0
+        for sector in p.sectors:
+            u = sector_basis(sector, len(size))
+            counts = np.bincount(sector.members.ravel(), minlength=len(size))
+            inside = np.flatnonzero(counts)
+            assert np.array_equal(counts[inside], len(images) // size[inside])
+            seen |= set(size[inside].tolist())
+            for column, slot in zip(*np.nonzero(np.diff(sector.members) == 0)):
+                state = sector.members[column, slot]
+                repeated += 1
+                x = np.zeros(len(size))
+                x[state] = -3.0
+                assert np.array_equal(sector.project(x), u.T @ x)
+                z = np.zeros(sector.dimension)
+                z[column] = 2.0
+                out = np.ones(len(size))
+                sector.embed(z, out)
+                assert np.array_equal(out, 1.0 + u @ z)
+                assert out[state] == 1.0 + 2.0 * u[state, column] != 1.0
+        assert seen == sizes and repeated > 0
 
     @pytest.mark.parametrize("name", SECTORED)
     @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])

@@ -835,6 +835,22 @@ class TestReachedSectors:
         with pytest.raises(ValueError, match="step 2 holds 544 of 1024 levels"):
             zeno_statistics(p, 2, [0], 10, 1, eigensolutions=grid[:2] + grid[1:2])
 
+    def test_zeno_statistics_rejects_grid_that_misses_a_start(self, data_dir, monkeypatch):
+        """A grid solved for rank 0 solves the interior points in the two
+        sectors rank 0 reaches, which hold half of rank 2's weight: the
+        starts it misses are named before any draw."""
+        p = clique_path(data_dir, self.H5, 0.5)
+        grid, _ = zeno_grid(p, 3, [0])
+        reference = zeno_statistics(p, 3, [0], 50, 1, eigensolutions=grid)
+        monkeypatch.setattr(qzp, "_final_ranks", lambda *args: pytest.fail("drew"))
+        for starts in ([2], [0, 2], [0, 3]):
+            rank = starts[-1]
+            with pytest.raises(ValueError, match=f"^the eigensolution of step 1 solves "
+                               f"weight 0.5 of the start of rank {rank}, not 1"):
+                zeno_statistics(p, 3, starts, 50, 1, eigensolutions=grid)
+        monkeypatch.undo()
+        assert zeno_statistics(p, 3, [0], 50, 1, eigensolutions=grid) == reference
+
     def test_wrong_length_state_raises_against_restricted_solution(self, data_dir):
         p = clique_path(data_dir, self.H5, 0.5)
         grid, psi = zeno_grid(p, 2, [0])
