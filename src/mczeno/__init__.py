@@ -28,7 +28,6 @@ from mczeno.pauli import (
     parse_pauli,
     save_hamiltonian,
     serialize_pauli,
-    term_matrix,
 )
 from mczeno.qae import QaeResult, energy_expectation, evolve, ground_space_fidelity
 from mczeno.qzp import (
@@ -81,7 +80,6 @@ __all__ = [
     "save_hamiltonian",
     "scan",
     "serialize_pauli",
-    "term_matrix",
     "x_driver",
     "zeno_run",
     "zeno_statistics",

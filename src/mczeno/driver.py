@@ -103,6 +103,9 @@ class RunConfig:
         ):
             raise ValueError("initial_indices must be non-negative integers, "
                              f"got {self.initial_indices!r}")
+        if len(set(self.initial_indices)) < len(self.initial_indices):
+            raise ValueError("initial_indices must not repeat an index, "
+                             f"got {self.initial_indices!r}")
         if self.method == "qae" and len(self.initial_indices) > 1:
             raise ValueError("initial_indices must hold one index for method 'qae', "
                              f"got {self.initial_indices!r}")
@@ -337,10 +340,10 @@ def scan(
     of draws, computed by the first of them and dropped when the scan
     returns.
     """
-    if not methods or not all(isinstance(m, str) and m in _SCAN_COLUMNS for m in methods):
-        raise ValueError(
-            f"methods must be a non-empty subset of {sorted(_SCAN_COLUMNS)}"
-        )
+    if (not methods or not all(isinstance(m, str) and m in _SCAN_COLUMNS for m in methods)
+            or len(set(methods)) < len(methods)):
+        raise ValueError(f"methods must be a non-empty subset of {sorted(_SCAN_COLUMNS)}, "
+                         f"each named once, got {list(methods)!r}")
     if "exact" not in methods:
         raise ValueError("methods must include 'exact' to define error columns")
     coordinates = [c for c, _ in points]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,53 +75,43 @@ class PauliTerm:
                          self.coefficient * factor)
 
 
+@dataclass(frozen=True, slots=True)
 class PauliHamiltonian:
     """Weighted sum of Pauli products on a fixed qubit register.
 
-    Terms are canonicalized on construction: duplicates (same mask pair)
-    are merged by coefficient addition, exact-zero coefficients dropped,
-    and the survivors sorted by (z_mask, x_mask).  Instances are treated
-    as immutable.
+    The terms, any iterable of PauliTerm on the register, are canonicalized
+    on construction: duplicates (same mask pair) are merged by coefficient
+    addition, exact-zero coefficients dropped, and the survivors sorted by
+    (z_mask, x_mask) into a tuple.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    n_qubits: int
+    terms: tuple[PauliTerm, ...]
 
-    def __init__(self, n_qubits: int, terms: Iterable[PauliTerm]):
-        if n_qubits < 1:
-            raise ValueError(f"n_qubits must be positive, got {n_qubits}")
+    def __post_init__(self) -> None:
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
         merged: dict[tuple[int, int], float] = {}
-        for term in terms:
-            if term.n_qubits != n_qubits:
+        for term in self.terms:
+            if term.n_qubits != self.n_qubits:
                 raise ValueError(
-                    f"term on {term.n_qubits} qubits in a {n_qubits}-qubit sum"
+                    f"term on {term.n_qubits} qubits in a {self.n_qubits}-qubit sum"
                 )
             key = (term.x_mask, term.z_mask)
             merged[key] = merged.get(key, 0.0) + term.coefficient
         canonical = [
-            PauliTerm(n_qubits, x, z, c)
+            PauliTerm(self.n_qubits, x, z, c)
             for (x, z), c in merged.items()
             if c != 0.0
         ]
         canonical.sort(key=lambda t: t.key)
-        object.__setattr__(self, "n_qubits", n_qubits)
         object.__setattr__(self, "terms", tuple(canonical))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PauliHamiltonian is immutable")
 
     def __len__(self) -> int:
         return len(self.terms)
 
     def __iter__(self):
         return iter(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliHamiltonian):
-            return NotImplemented
-        return self.n_qubits == other.n_qubits and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n_qubits, self.terms))
 
     def __repr__(self) -> str:
         body = " + ".join(f"{t.coefficient:g}*{t.label}" for t in self.terms)
@@ -165,16 +155,6 @@ def _check_cap(n_qubits: int) -> None:
         raise ValueError(
             f"{n_qubits} qubits exceeds the dimension cap of {DIMENSION_CAP}"
         )
-
-
-def term_matrix(t: PauliTerm) -> scipy.sparse.csr_matrix:
-    """Sparse matrix of a weighted Pauli product: ham_matrix of its one-term sum.
-
-    Row j holds one nonzero (none when coeff is 0), the amplitude of ``|j>``:
-    P|j> = coeff * i**n_Y * (-1)**popcount(z & j) |j ^ x>, with the Y
-    phase i**n_Y folded in so real coefficients give a Hermitian matrix.
-    """
-    return ham_matrix(PauliHamiltonian(t.n_qubits, [t]))
 
 
 def sparse_parts(

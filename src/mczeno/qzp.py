@@ -96,7 +96,7 @@ _U64_MASK32 = np.uint64(_MASK32)
 _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _U64_MASK32, _PHILOX_M >> _U64_32
 _INDEX = np.frompyfunc(operator.index, 1, 1)
 _DRAWS_PER_CALL = 4096
-"""Most draws of one step_draws call (_draws).  On a 2-core x86_64 machine
+"""Most draws of one step_draws call (_draw_rows).  On a 2-core x86_64 machine
 with numpy 2.4 a call costs 0.2-0.4 ms at any size, plus ~0.3 us a draw:
 1,024-draw calls took 0.6-1.0 us a draw, 4,096-draw calls 0.33-0.52 us
 and 16,384-draw calls 0.38-0.44 us.  Its temporaries take ~220 B a draw,
@@ -286,8 +286,9 @@ def _draw_levels(
 
 _DRAW_TABLES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "mczeno_draw_tables", default=None)
-"""The draw tables of the open _shared_draws scope, keyed by (run_seed,
-trial numbers, steps); None outside one."""
+"""The draw tables of the open _shared_draws scope, each the list of its
+read-only rows, keyed by (run_seed, trial numbers, steps); None outside
+one."""
 
 
 @contextmanager
@@ -302,36 +303,33 @@ def _shared_draws():
 
 
 def _draws(run_seed: int, trials: np.ndarray, steps: np.ndarray) -> Iterator[np.ndarray]:
-    """step_draws(run_seed, trials, k) for each step k of steps in turn, from
-    calls of at most _DRAWS_PER_CALL draws: several steps share a call while
-    the trials are few, and one step takes several calls when they are many.
+    """The rows of _draw_rows(run_seed, trials, steps): drawn as they are
+    read outside a _shared_draws scope.  Inside one, the first run with a
+    (run_seed, trials, steps) value draws every row before it reads any,
+    and the scope keeps them for the later runs."""
+    tables = _DRAW_TABLES.get()
+    if tables is None:
+        return _draw_rows(run_seed, trials, steps)
+    key = (run_seed, tuple(trials.tolist()), tuple(steps.tolist()))
+    if key not in tables:
+        tables[key] = list(_draw_rows(run_seed, trials, steps))
+    return iter(tables[key])
 
-    Outside a _shared_draws scope the draws are computed block by block as
-    they are read.  Inside one, the first run with a (run_seed, trials,
-    steps) value computes the whole len(steps) x len(trials) table by the
-    same calls, and the scope keeps it, once complete, for the later runs.
-    """
-    tables, table = _DRAW_TABLES.get(), None
-    if tables is not None:
-        key = (run_seed, tuple(trials.tolist()), tuple(steps.tolist()))
-        if key in tables:
-            yield from tables[key]
-            return
-        table = np.empty((len(steps), len(trials)))
+
+def _draw_rows(run_seed: int, trials: np.ndarray, steps: np.ndarray) -> Iterator[np.ndarray]:
+    """step_draws(run_seed, trials, k) for each step k of steps in turn, read
+    only, from calls of at most _DRAWS_PER_CALL draws: several steps share a
+    call while the trials are few, and one step takes several calls when
+    they are many."""
     width = max(1, min(len(trials), _DRAWS_PER_CALL))
     per_call = _DRAWS_PER_CALL // width
     for begin in range(0, len(steps), per_call):
         chunk = steps[begin:begin + per_call, None]
-        block = (np.empty((len(chunk), len(trials))) if table is None
-                 else table[begin:begin + len(chunk)])
+        block = np.empty((len(chunk), len(trials)))
         for t in range(0, len(trials), width):
             block[:, t:t + width] = step_draws(run_seed, trials[t:t + width], chunk)
-        if table is None:
-            yield from block
-    if table is not None:
-        table.flags.writeable = False  # every later run reads these rows
-        tables[key] = table
-        yield from table
+        block.flags.writeable = False  # a scope's later runs read these rows
+        yield from block
 
 
 def _trajectories(
@@ -391,6 +389,8 @@ def _initial_block(
 ) -> np.ndarray:
     """initial_eigenstate of each rank as one column, read from h0, the
     eigensolution of H(0), which is solved here when not given."""
+    if not initial_indices:
+        raise ValueError("initial_indices must hold at least one index")
     dim = 1 << p.n_qubits
     for initial_index in initial_indices:
         if not 0 <= initial_index < dim:

@@ -21,7 +21,7 @@ import scipy.sparse
 
 from mczeno.fermion import FermionIntegrals
 from mczeno.path import Sector, _permute_bits
-from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, parity, term_matrix
+from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, ham_matrix, parity
 from mczeno.qae import chebyshev_step
 from mczeno.spectral import EigenSolution
 
@@ -285,9 +285,9 @@ def sequential_ham_matrix(h) -> scipy.sparse.csr_matrix:
     dim = 1 << h.n_qubits
     if not h.terms:
         return scipy.sparse.csr_matrix((dim, dim))
-    total = term_matrix(h.terms[0])
+    total = ham_matrix(PauliHamiltonian(h.n_qubits, h.terms[:1]))
     for t in h.terms[1:]:
-        total = total + term_matrix(t)
+        total = total + ham_matrix(PauliHamiltonian(h.n_qubits, [t]))
     return total.tocsr()
 
 

@@ -108,6 +108,15 @@ class TestMethodCommands:
         assert ("error: --initial must be comma-separated integers, got 'a,b'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("source", ["h2_2.8_jw.txt", "h5_chain_sto3g_1.00.fcidump"])
+    def test_repeated_initial_exits_nonzero(self, data_dir, tmp_path, capsys, source):
+        out = tmp_path / "d.csv"
+        code = main(["qzp", str(data_dir / source), "--initial", "0,0", "-o", str(out)])
+        assert code == 1
+        assert ("error: initial_indices must not repeat an index, got (0, 0)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_non_integer_trials_in_config_exits_nonzero(self, data_dir, tmp_path, capsys):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"trials": 2.5}))
@@ -191,6 +200,22 @@ class TestBlasThreadCount:
                                     "OPENBLAS_NUM_THREADS": threads})
                 records.append(out.read_bytes())
             assert records[0] == records[1], method
+
+
+class TestModuleEntryPoint:
+    def test_python_m_mczeno_runs_the_cli(self, data_dir):
+        """python -m mczeno is the mczeno command, exit code included."""
+        src = str(Path(mczeno.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "mczeno", "clique",
+                               str(data_dir / "toy_two_qubit.txt")],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert "members: II IZ ZI" in done.stdout
+        failed = subprocess.run([sys.executable, "-m", "mczeno", "clique", "absent.txt"],
+                                capture_output=True, text=True, env=env)
+        assert failed.returncode == 1
+        assert failed.stderr.startswith("error: ")
 
 
 class TestHamCommand:
@@ -333,10 +358,13 @@ class TestScanCommand:
         ({"points": [{"coordinate": 1.0, "source": "problem.txt", "trials": 0}]},
          "scan point 0: trials must be at least 1, got 0"),
         ({"methods": [["exact"]]}, "methods must be a non-empty subset of"),
+        ({"methods": ["exact", "qzp", "qzp"]},
+         "methods must be a non-empty subset of ['exact', 'qae', 'qzp'], each named once, "
+         "got ['exact', 'qzp', 'qzp']"),
     ], ids=["top_level_list", "point_not_object", "defaults_not_object",
             "source_not_string", "coordinate_null", "coordinate_bool",
             "coordinate_string", "coordinate_nan", "coordinate_too_large",
-            "points_not_list", "bad_field", "methods_not_names"])
+            "points_not_list", "bad_field", "methods_not_names", "methods_repeated"])
     def test_malformed_spec_exits_nonzero(self, tmp_path, capsys, spec, message):
         """A malformed spec is reported on one error line, never a traceback."""
         config = tmp_path / "scan.json"

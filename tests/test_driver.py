@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import threading
 import tracemalloc
 
@@ -115,6 +116,18 @@ class TestRunConfig:
                                              "for method 'qae', got \\(1, 2\\)"):
             RunConfig(source="x.txt", method="qae", initial_indices=(1, 2))
         assert RunConfig(source="x.txt", method="qae", initial_indices=[1]).initial_indices == (1,)
+
+    @pytest.mark.parametrize("source", ["h2_2.8_jw.txt", "h5_chain_sto3g_1.00.fcidump"])
+    @pytest.mark.parametrize("indices", [(0, 0), (1, 0, 1)])
+    def test_repeated_initial_indices_rejected(self, data_dir, tmp_path, source, indices):
+        """A repeated index would write its distribution twice, from two
+        trial blocks, with nothing to tell the rows apart."""
+        output = tmp_path / "d.csv"
+        with pytest.raises(ValueError, match="^initial_indices must not repeat an index, "
+                                             f"got {re.escape(repr(indices))}$"):
+            run(RunConfig(source=str(data_dir / source), method="qzp",
+                          initial_indices=indices, output=str(output)))
+        assert not output.exists()
 
     def test_initial_indices_list_accepted(self):
         config = RunConfig(source="x.txt", method="qzp", initial_indices=[0, 2])
@@ -501,6 +514,15 @@ class TestScan:
         assert "malformed FCIDUMP header" in result.rows[1].message
         assert result.rows[0].message == result.rows[2].message == ""
         assert scan_csv(result).splitlines()[2] == "1.2,,,,failed: load"
+
+    def test_repeated_methods_rejected_before_any_point(self, data_dir, monkeypatch):
+        """A repeated method would repeat its energy and error columns."""
+        calls = []
+        monkeypatch.setattr(driver, "_execute", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="each named once, got "
+                                             r"\['exact', 'qzp', 'qzp'\]$"):
+            scan(self._points(data_dir), ("exact", "qzp", "qzp"))
+        assert calls == []
 
     def test_coordinates_must_increase(self, data_dir):
         points = self._points(data_dir)

@@ -22,7 +22,6 @@ from mczeno.pauli import (
     save_hamiltonian,
     serialize_pauli,
     sparse_parts,
-    term_matrix,
 )
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import load_qubit_hamiltonian
@@ -87,38 +86,45 @@ class TestCommutes:
 
 
 class TestTermMatrix:
+    """ham_matrix of one-term sums."""
+
+    @staticmethod
+    def matrix(label, coeff=1.0):
+        t = term(label, coeff)
+        return ham_matrix(PauliHamiltonian(t.n_qubits, [t]))
+
     def test_single_z(self):
-        m = term_matrix(term("Z")).toarray()
+        m = self.matrix("Z").toarray()
         assert np.array_equal(m, np.diag([1.0, -1.0]))
 
     def test_single_x(self):
-        m = term_matrix(term("X")).toarray()
+        m = self.matrix("X").toarray()
         assert np.array_equal(m, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_weighted_zz(self):
-        m = term_matrix(term("ZZ", 2.0)).toarray()
+        m = self.matrix("ZZ", 2.0).toarray()
         assert np.array_equal(m, np.diag([2.0, -2.0, -2.0, 2.0]))
 
     @pytest.mark.parametrize("label", ["Y", "XY", "YZ", "XYZ", "YY"])
     def test_matches_kronecker_oracle(self, label):
-        ours = term_matrix(term(label, 1.5)).toarray()
+        ours = self.matrix(label, 1.5).toarray()
         ref = kron_term(label, 1.5)
         assert np.allclose(ours, ref, atol=1e-14)
 
     def test_one_nonzero_per_row(self):
-        m = term_matrix(term("XYZ", 0.7)).tocsr()
+        m = self.matrix("XYZ", 0.7).tocsr()
         counts = np.diff(m.indptr)
         assert np.all(counts == 1)
 
     def test_hermitian(self):
         for label in ["Y", "XY", "YYY"]:
-            m = term_matrix(term(label, -0.3)).toarray()
+            m = self.matrix(label, -0.3).toarray()
             assert np.allclose(m, m.conj().T, atol=1e-14)
 
     def test_cap_enforced(self):
         wide = PauliTerm(15, 0, 1, 1.0)
         with pytest.raises(ValueError, match="dimension cap"):
-            term_matrix(wide)
+            ham_matrix(PauliHamiltonian(wide.n_qubits, [wide]))
 
 
 class TestHamMatrix:
@@ -349,6 +355,29 @@ class TestCanonicalization:
     def test_zero_terms_dropped(self):
         h = PauliHamiltonian(2, [term("IZ", 1.0), term("IZ", -1.0), term("XI", 0.5)])
         assert [t.label for t in h.terms] == ["XI"]
+
+    def test_generator_canonicalized(self):
+        """Any iterable of terms, read once: duplicates merge, zeros drop."""
+        labels = ["XI", "IZ", "ZZ", "IZ", "XI"]
+        h = PauliHamiltonian(2, (term(l, c) for l, c in zip(labels, [1.0, 2.0, 0.0, 0.5, -1.0])))
+        assert h.terms == (term("IZ", 2.5),)
+
+    def test_fields_cannot_be_assigned(self):
+        h = PauliHamiltonian(2, [term("IZ")])
+        for name, value in [("n_qubits", 3), ("terms", ())]:
+            with pytest.raises(AttributeError):
+                setattr(h, name, value)
+        assert h == PauliHamiltonian(2, [term("IZ")])
+
+    def test_equal_sums_compare_and_hash_equal(self):
+        a = PauliHamiltonian(2, [term("XY", 1.0), term("ZI", 2.0), term("IX", 0.5)])
+        b = PauliHamiltonian(2, [term("IX", 0.25), term("ZI", 2.0), term("XY", 1.0),
+                                 term("IX", 0.25), term("YY", 0.0)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != PauliHamiltonian(2, [term("XY", 1.0), term("ZI", 2.0)])
+        assert PauliHamiltonian(1, []) != PauliHamiltonian(2, [])
+        assert a != a.terms
 
     def test_sort_order_deterministic(self):
         a = parse_hamiltonian("1.0 XY\n2.0 ZI\n3.0 IX")

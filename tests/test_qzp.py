@@ -361,8 +361,19 @@ class TestZenoStatistics:
         assert [d.initial_index for d in got] == [0, 1, 2]
         assert all(d.trials == 4 for d in got)
 
-    def test_no_initial_indices(self, single_qubit_path):
-        assert zeno_statistics(single_qubit_path, 5, [], 10, rng_seed=0) == []
+    @pytest.mark.parametrize("name", ["h2_2.8_jw.txt", "h5"])
+    def test_no_initial_indices(self, data_dir, name):
+        """An empty start list is refused by name, not answered with no
+        distributions or a complaint about symmetry sectors, whether the
+        path is solved here or given."""
+        p = (sectored_path(data_dir, name) if name == "h5"
+             else fixture_path(data_dir, name, 0.5))
+        message = "^initial_indices must hold at least one index$"
+        with pytest.raises(ValueError, match=message):
+            zeno_statistics(p, 3, [], 5, rng_seed=0)
+        grid, _ = zeno_grid(p, 3, [0])
+        with pytest.raises(ValueError, match=message):
+            zeno_statistics(p, 3, [], 5, rng_seed=0, eigensolutions=grid)
 
     def test_trial_count_validation(self, single_qubit_path):
         with pytest.raises(ValueError, match="at least 1"):
@@ -673,6 +684,63 @@ class TestDistinctStates:
         monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", 7)
         zeno_statistics(gapped_path, 4, [0, 1], 20, 9)
         assert max(sizes) <= 7 and sum(sizes) == 2 * 20 * 4
+
+
+class TestDrawRows:
+    """_draws streams its rows outside a _shared_draws scope and draws a
+    whole table before its first row inside one; either way the rows are
+    step_draws' and read-only."""
+
+    TRIALS, STEPS, SEED = np.arange(5), np.arange(1, 8), 3
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """A log of ("call", step) for each step_draws call, to which the
+        tests add ("row", k) as they read row k, at 10 draws a call."""
+        log = []
+        original = qzp.step_draws
+
+        def recording(run_seed, trials, step):
+            log.append(("call", np.asarray(step).ravel().tolist()))
+            return original(run_seed, trials, step)
+
+        monkeypatch.setattr(qzp, "step_draws", recording)
+        monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", 10)
+        return log
+
+    def read(self, events):
+        rows = []
+        for k, row in enumerate(qzp._draws(self.SEED, self.TRIALS, self.STEPS)):
+            events.append(("row", k))
+            rows.append(row)
+        return rows
+
+    def check_rows(self, rows):
+        assert len(rows) == len(self.STEPS)
+        for k, row in zip(self.STEPS, rows):
+            assert np.array_equal(row, step_draws(self.SEED, self.TRIALS, k))
+            assert not row.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.5
+
+    def test_rows_stream_outside_a_scope(self, events):
+        rows = self.read(events)
+        kinds = [kind for kind, _ in events]
+        assert kinds.index("row") < len(kinds) - 1 - kinds[::-1].index("call")
+        assert [s for kind, s in events if kind == "call"] == [[1, 2], [3, 4], [5, 6], [7]]
+        self.check_rows(rows)
+
+    def test_scope_draws_every_row_before_the_first(self, events):
+        with qzp._shared_draws():
+            first = self.read(events)
+            calls = [s for kind, s in events if kind == "call"]
+            assert [kind for kind, _ in events] == ["call"] * 4 + ["row"] * 7
+            events.clear()
+            again = self.read(events)
+        assert calls == [[1, 2], [3, 4], [5, 6], [7]]
+        assert events == [("row", k) for k in range(7)]
+        assert all(a is b for a, b in zip(first, again))
+        self.check_rows(again)
 
 
 @pytest.fixture(scope="module", params=["h5", "real", "odd_y"])
