@@ -20,11 +20,11 @@ from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.fermion import jordan_wigner, load_fcidump, parity_map
 from mczeno.pauli import PauliHamiltonian, _json, load_hamiltonian, save_hamiltonian
 from mczeno.path import PathHamiltonian
-from mczeno.qae import evolve
+from mczeno.qae import evolve, step_count
 from mczeno.qzp import (
+    _initial_block,
     _shared_draws,
     distribution_csv,
-    initial_eigenstate,
     zeno_grid,
     zeno_statistics,
 )
@@ -121,6 +121,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if not 0 <= value < math.inf or relation == ">" and value == 0:
                 raise ValueError(f"{name} must be finite and {relation} 0, got {value}")
+        if self.method == "qae":
+            step_count(self.total_time, self.delta_t)
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -215,14 +217,14 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
         )
         return record, spectrum_csv(spectrum)
 
-    with _stage("exact", config.source):
-        final = next(path_eigensolutions(p, [1.0]))
+    with _stage("exact", config.source):  # H(1), then the H(0) that starts qae and qzp
+        final, *initial = path_eigensolutions(p, [1.0] if methods == ("exact",) else [1.0, 0.0])
     exact = final.eigenvalues
     record["exact_ground_hartree"] = float(exact[0])
 
     if "qae" in methods:
         with _stage("qae", config.source):
-            psi0 = initial_eigenstate(p, config.initial_indices[0])
+            psi0 = _initial_block([config.initial_indices[0]], *initial)[:, 0]
             result = evolve(p, config.delta_t, psi0, final)
         record.update(
             {
@@ -240,7 +242,8 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
     if "qzp" not in methods:
         return record, None
     with _stage("qzp", config.source):
-        grid, starts = zeno_grid(p, config.n_steps, list(config.initial_indices), final)
+        grid, starts = zeno_grid(p, config.n_steps, list(config.initial_indices),
+                                 (*initial, final))
         distributions = zeno_statistics(
             p, config.n_steps, list(config.initial_indices), config.trials,
             config.seed, eigensolutions=grid,
@@ -330,10 +333,12 @@ def scan(
 ) -> ScanResult:
     """Run the pipeline per geometry point and tabulate energies.
 
-    Coordinates must be finite and strictly increasing, and no point may
-    set an output: the scan's one table is its result.  The exact column
-    is the reference; qae reports the evolved final energy and qzp the
-    lowest eigenvalue reached over its trials.  A point whose file is
+    Coordinates must be finite and strictly increasing, no point may set
+    an output (the scan's one table is its result), and with qae each
+    point's total_time must be a whole number of delta_t steps
+    (qae.step_count); all are checked before any point runs.  The exact
+    column is the reference; qae reports the evolved final energy and qzp
+    the lowest eigenvalue reached over its trials.  A point whose file is
     missing (or whose pipeline fails) is flagged in its row, with the
     cause in its message, and the scan continues.  The points' qzp runs
     that draw for the same seed, trial numbers and steps read one table
@@ -353,6 +358,11 @@ def scan(
         if config.output:
             raise ValueError(f"scan point {c!r} sets output {config.output!r}, but a scan "
                              "writes one table and its points none")
+        if "qae" in methods:
+            try:
+                step_count(config.total_time, config.delta_t)
+            except ValueError as error:
+                raise ValueError(f"scan point {c!r}: {error}") from None
     if any(b <= a for a, b in zip(coordinates, coordinates[1:])):
         raise ValueError("scan coordinates must be strictly increasing")
 

@@ -214,19 +214,18 @@ class PathHamiltonian:
         return scipy.sparse.csr_matrix((self._combine(s, data), indices, indptr),
                                        shape=(dim, dim))
 
-    def sector_matrix(self, sector: Sector, s: float) -> np.ndarray:
-        """Dense U^T H(s) U of one of self.sectors, real when exactly real:
-        the weighted sum of its parts, placed at their entries."""
+    def matrix(self, s: float, sector: Sector | None = None) -> np.ndarray:
+        """Dense H(s), densified from the shared pattern, bit-identical at
+        s = 0 and 1 to the dense matrices of H_i and H_p; or given one of
+        self.sectors its U^T H(s) U, the weighted sum of its parts placed
+        at their entries, real when exactly real."""
+        if sector is None:
+            indptr, indices, data = self._pattern
+            return densify(indptr, indices, self._combine(s, data))
         values = self._combine(s, sector.parts)
         block = np.zeros(sector.dimension ** 2, dtype=values.dtype)
         block[sector.entries] = values
         return block.reshape(sector.dimension, sector.dimension)
-
-    def matrix(self, s: float) -> np.ndarray:
-        """Dense H(s), densified from the shared pattern, bit-identical at
-        s = 0 and 1 to the dense matrices of H_i and H_p."""
-        indptr, indices, data = self._pattern
-        return densify(indptr, indices, self._combine(s, data))
 
     def diagonal(self, s: float) -> np.ndarray:
         """The real diagonal of H(s): the weighted sum of the parts'

@@ -24,7 +24,7 @@ _CHAR_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_CHAR = {bits: char for char, bits in _CHAR_TO_BITS.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PauliTerm:
     """One weighted n-qubit Pauli product.
 
@@ -75,7 +75,7 @@ class PauliTerm:
                          self.coefficient * factor)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PauliHamiltonian:
     """Weighted sum of Pauli products on a fixed qubit register.
 

@@ -143,9 +143,22 @@ def chebyshev_step(h, bounds: tuple[float, float], dt: float, psi: np.ndarray) -
 def _block_matrix(p: PathHamiltonian, sector: Sector | None, s: float):
     """H(s) on one stepped block, a sector or (None) the whole space: dense up
     to DENSE_STEP_DIMENSION rows, sparse above."""
-    if (1 << p.n_qubits if sector is None else sector.dimension) > DENSE_STEP_DIMENSION:
-        return p.sparse_matrix(s, sector)
-    return p.matrix(s) if sector is None else p.sector_matrix(sector, s)
+    dense = (1 << p.n_qubits if sector is None else sector.dimension) <= DENSE_STEP_DIMENSION
+    return (p.matrix if dense else p.sparse_matrix)(s, sector)
+
+
+def step_count(total_time: float, delta_t: float) -> int:
+    """The number of steps total_time / delta_t, which must be a positive
+    whole number to 1e-9 (relative); ValueError otherwise."""
+    if delta_t <= 0:
+        raise ValueError(f"delta_t must be positive, got {delta_t}")
+    ratio = total_time / delta_t
+    n_steps = round(ratio)
+    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(ratio, 1.0):
+        raise ValueError(
+            f"total_time/delta_t = {ratio} is not a positive integer"
+        )
+    return n_steps
 
 
 def evolve(
@@ -162,14 +175,7 @@ def evolve(
     final energy and ground fidelity are read from final, the eigensolution
     of H(1), solved here when not given.
     """
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be positive, got {delta_t}")
-    ratio = p.total_time / delta_t
-    n_steps = round(ratio)
-    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(ratio, 1.0):
-        raise ValueError(
-            f"total_time/delta_t = {ratio} is not a positive integer"
-        )
+    n_steps = step_count(p.total_time, delta_t)
     _check_state(psi0, p.n_qubits)
 
     psi = psi0.astype(complex)

@@ -381,43 +381,37 @@ def initial_eigenstate(p: PathHamiltonian, initial_index: int) -> np.ndarray:
     by (energy, basis index), so degenerate ground states enumerate in
     lexicographic order and the choice is reproducible.
     """
-    return _initial_block(p, [initial_index])[:, 0]
+    return _initial_block([initial_index], next(path_eigensolutions(p, [0.0])))[:, 0]
 
 
-def _initial_block(
-    p: PathHamiltonian, initial_indices: list[int], h0: EigenSolution | None = None
-) -> np.ndarray:
+def _initial_block(initial_indices: list[int], h0: EigenSolution) -> np.ndarray:
     """initial_eigenstate of each rank as one column, read from h0, the
-    eigensolution of H(0), which is solved here when not given."""
+    eigensolution of H(0)."""
     if not initial_indices:
         raise ValueError("initial_indices must hold at least one index")
-    dim = 1 << p.n_qubits
     for initial_index in initial_indices:
-        if not 0 <= initial_index < dim:
-            raise ValueError(f"initial_index {initial_index} outside 0..{dim - 1}")
-    if h0 is None:
-        h0 = next(path_eigensolutions(p, [0.0]))
+        if not 0 <= initial_index < h0.dimension:
+            raise ValueError(f"initial_index {initial_index} outside 0..{h0.dimension - 1}")
     return h0.vectors(initial_indices)
 
 
 def zeno_grid(
     p: PathHamiltonian, n_steps: int, initial_indices: list[int],
-    final: EigenSolution | None = None,
+    ends: tuple[EigenSolution, EigenSolution] | None = None,
 ) -> tuple[list[EigenSolution], np.ndarray]:
     """The eigensolutions of s_grid(n_steps) for runs from the given H(0)
     ranks that report only final ranks, and the start states as columns.
 
-    s = 0 and s = 1 are solved whole; final, when given, is the solution at
-    s = 1.  The interior points solve only the symmetry sectors the starts
-    reach (path_eigensolutions' start), so their ranks count only those
-    sectors' levels.
+    s = 0 and s = 1 are solved whole: ends is the pair of their solutions,
+    solved here when not given, s = 1 first so that H(0)'s full eigh never
+    runs beside H(1)'s pooled sector solves.  The interior points solve only
+    the symmetry sectors the starts reach (path_eigensolutions' start), so
+    their ranks count only those sectors' levels.
     """
     grid = s_grid(n_steps)
-    h0 = next(path_eigensolutions(p, grid[:1]))
-    psi = _initial_block(p, initial_indices, h0)
-    if final is None:
-        final = next(path_eigensolutions(p, grid[-1:]))
-    return [h0, *path_eigensolutions(p, grid[1:-1], start=psi), final], psi
+    h0, h1 = ends or reversed([*path_eigensolutions(p, [1.0, 0.0])])
+    psi = _initial_block(initial_indices, h0)
+    return [h0, *path_eigensolutions(p, grid[1:-1], start=psi), h1], psi
 
 
 def _grid_solutions(
@@ -439,7 +433,7 @@ def _grid_solutions(
     if len(eigensolutions) != len(grid):
         raise ValueError("eigensolution list does not match n_steps")
     psi = (None if initial_indices is None
-           else _initial_block(p, initial_indices, eigensolutions[0]))
+           else _initial_block(initial_indices, eigensolutions[0]))
     for k, es in enumerate(eigensolutions):
         if len(es.eigenvalues) == es.dimension:
             continue
@@ -474,7 +468,7 @@ def zeno_run(
     """
     eigensolutions, _ = _grid_solutions(p, n_steps, eigensolutions)
     if initial_state is None:
-        psi, first_step = _initial_block(p, [initial_index], eigensolutions[0]), 1
+        psi, first_step = _initial_block([initial_index], eigensolutions[0]), 1
     else:
         psi, first_step = initial_state[:, None], 0
     trials = range(trial_number, trial_number + 1)

@@ -261,7 +261,7 @@ def _send_sectors(p, s: float, reached: list[bool] | None):
 
 
 def _solve_sector(p, sector: Sector, s: float) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(p.sector_matrix(sector, s))
+    return np.linalg.eigh(p.matrix(s, sector))
 
 
 def _merge(p, sectors: list[Sector], solved: list[tuple]) -> EigenSolution:

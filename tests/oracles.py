@@ -315,7 +315,7 @@ def scattered_sector_eigh(p, s: float) -> tuple[np.ndarray, np.ndarray]:
     p: each sector's U W is written into the columns of the stable ascending
     merge of every sector's eigenvalues, in a Fortran-order array."""
     sectors = p.sectors
-    solved = [np.linalg.eigh(p.sector_matrix(sector, s)) for sector in sectors]
+    solved = [np.linalg.eigh(p.matrix(s, sector)) for sector in sectors]
     values = np.concatenate([v for v, _ in solved])
     columns = np.split(np.argsort(np.argsort(values, kind="stable")),
                        np.cumsum([sector.dimension for sector in sectors[:-1]]))

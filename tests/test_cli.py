@@ -39,6 +39,14 @@ class TestMethodCommands:
         assert code == 0
         assert "final energy" in capsys.readouterr().out
 
+    def test_qae_step_count_refused_before_the_source_is_read(self, tmp_path, capsys):
+        """A --dt that does not divide the total time is named, not the
+        missing file that a run would have failed to load first."""
+        code = main(["qae", str(tmp_path / "missing.txt"), "--dt", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: total_time/delta_t = 3.3333333333333335 is not a positive integer\n"
+
     def test_qzp_writes_distribution_csv(self, data_dir, tmp_path, capsys):
         out = tmp_path / "dist.csv"
         code = main(

@@ -110,6 +110,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="^initial_indices must be a list"):
             RunConfig(source="x.txt", method="qzp", initial_indices=indices)
 
+    @pytest.mark.parametrize("total_time, delta_t", [(10.0, 3.0), (1.0, 2.0)])
+    def test_qae_step_count_checked_on_construction(self, total_time, delta_t):
+        """qae steps total_time in whole steps of delta_t; a config that
+        cannot is refused before any stage runs, with evolve's message.  The
+        other methods never step, so the same times are accepted for them."""
+        with pytest.raises(ValueError, match=f"^total_time/delta_t = "
+                           f"{re.escape(repr(total_time / delta_t))} is not a positive"):
+            RunConfig(source="x.txt", method="qae", total_time=total_time, delta_t=delta_t)
+        config = RunConfig(source="x.txt", method="qzp", total_time=total_time,
+                           delta_t=delta_t)
+        assert config.delta_t == delta_t
+        assert RunConfig(source="x.txt", method="qae", total_time=10.0, delta_t=2.5)
+
     def test_qae_takes_one_initial_index(self):
         """qae evolves one state; a second index would be silently ignored."""
         with pytest.raises(ValueError, match="^initial_indices must hold one index "
@@ -694,3 +707,78 @@ class TestScanDrawTables:
             scan(points, SCAN_METHODS)
         assert seen == [{}]
         assert qzp._DRAW_TABLES.get() is None
+
+
+class TestScanEnds:
+    """A scan point solves its H(1) once, and its H(0) once after it when qae
+    or qzp runs: both methods start from that H(0), and qzp's grid ends on
+    that H(1)."""
+
+    BONDS = (0.7414, 1.2, 2.8)
+
+    def _points(self, data_dir):
+        return [(bond, RunConfig(source=str(data_dir / f"h2_sto3g_{bond}.fcidump"),
+                                 method="scan", **H2_SCAN_SETTINGS))
+                for bond in self.BONDS]
+
+    @staticmethod
+    def _paths(points):
+        paths = []
+        for _, config in points:
+            h, _ = load_qubit_hamiltonian(config.source)
+            mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+            paths.append(PathHamiltonian(mc, h, alpha=config.alpha,
+                                         total_time=config.total_time))
+        return paths
+
+    @staticmethod
+    def _record_eigh(monkeypatch):
+        solved = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m) or original(m))
+        return solved
+
+    def test_each_end_solved_once(self, data_dir, monkeypatch):
+        """At the benchmark's settings each bond solves H(1), then H(0) when
+        its clique is not diagonal (the 2.8 A bond's threefold-degenerate
+        one), then the 39 interior points of the qzp grid: 121 eigh calls
+        in all."""
+        points = self._points(data_dir)
+        paths = self._paths(points)
+        assert [p.is_diagonal(0.0) for p in paths] == [True, True, False]
+        solved = self._record_eigh(monkeypatch)
+        result = scan(points, SCAN_METHODS)
+        monkeypatch.undo()
+        assert [row.status for row in result.rows] == ["ok"] * 3
+        n = H2_SCAN_SETTINGS["n_steps"]
+        expected = [m for p in paths for m in (
+            p.matrix(1.0), *[p.matrix(0.0)] * (not p.is_diagonal(0.0)),
+            *(p.matrix(k / n) for k in range(1, n)))]
+        assert len(solved) == len(expected) == 121
+        assert all(map(np.array_equal, solved, expected))
+
+    def test_exact_only_scan_solves_no_initial_hamiltonian(self, data_dir, monkeypatch):
+        points = self._points(data_dir)
+        solved = self._record_eigh(monkeypatch)
+        result = scan(points, ("exact",))
+        monkeypatch.undo()
+        assert [row.status for row in result.rows] == ["ok"] * 3
+        assert len(solved) == 3
+        assert all(map(np.array_equal, solved, [p.matrix(1.0) for p in self._paths(points)]))
+
+    @pytest.mark.parametrize("delta_t", [3.0, 20.0])
+    def test_qae_step_count_refused_before_any_point(self, data_dir, monkeypatch, delta_t):
+        """A qae scan whose last point cannot step total_time in whole steps
+        of delta_t names that point before the first runs; without qae the
+        same points run."""
+        points = self._points(data_dir)
+        coordinate, config = points[-1]
+        points[-1] = coordinate, dataclasses.replace(config, delta_t=delta_t)
+        monkeypatch.setattr(driver, "_execute", lambda *args: pytest.fail("ran a point"))
+        message = (f"^scan point {coordinate!r}: total_time/delta_t = "
+                   f"{re.escape(repr(10.0 / delta_t))} is not a positive integer$")
+        with pytest.raises(ValueError, match=message):
+            scan(points, SCAN_METHODS)
+        monkeypatch.undo()
+        result = scan(points, ("exact", "qzp"))
+        assert [row.status for row in result.rows] == ["ok"] * 3

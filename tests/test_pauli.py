@@ -1,5 +1,6 @@
 """Pauli term algebra, matrix realizations, and the text/JSON formats."""
 
+import dataclasses
 import itertools
 import json
 import re
@@ -363,11 +364,18 @@ class TestCanonicalization:
         assert h.terms == (term("IZ", 2.5),)
 
     def test_fields_cannot_be_assigned(self):
+        """Frozen sums and terms refuse any assignment, a name that is not a
+        field included, with FrozenInstanceError (an AttributeError)."""
         h = PauliHamiltonian(2, [term("IZ")])
-        for name, value in [("n_qubits", 3), ("terms", ())]:
-            with pytest.raises(AttributeError):
+        for name, value in [("n_qubits", 3), ("terms", ()), ("extra", 1)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(h, name, value)
         assert h == PauliHamiltonian(2, [term("IZ")])
+        t = PauliTerm(1, 0, 1, 1.0)
+        for name in ("coefficient", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, 2.0)
+        assert t == PauliTerm(1, 0, 1, 1.0)
 
     def test_equal_sums_compare_and_hash_equal(self):
         a = PauliHamiltonian(2, [term("XY", 1.0), term("ZI", 2.0), term("IX", 0.5)])

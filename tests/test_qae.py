@@ -466,7 +466,7 @@ class TestSectoredEvolve:
     def test_complex_sectored_path(self, data_dir, form):
         p = sectored_path(data_dir, "odd_y")
         p = PathHamiltonian(p.h_initial, p.h_final, alpha=0.5, total_time=4.0)
-        assert all(np.iscomplexobj(p.sector_matrix(sector, 0.5)) for sector in p.sectors)
+        assert all(np.iscomplexobj(p.matrix(0.5, sector)) for sector in p.sectors)
         rng = np.random.default_rng(4)
         psi0 = initial_eigenstate(p, 0) + initial_eigenstate(p, 5)
         psi0 = psi0 * np.exp(1j * rng.uniform(0, 2 * np.pi)) / np.linalg.norm(psi0)

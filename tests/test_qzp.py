@@ -462,6 +462,32 @@ class TestEigensolveCount:
             zeno_statistics(p, n_steps, [0, 1], trials, 5)
             assert calls == [(16, 16)] * (n_steps + 1)
 
+    @pytest.mark.parametrize("n_steps", [1, 2, 10])
+    def test_zeno_grid_solves_both_ends_once(self, data_dir, monkeypatch, n_steps):
+        """Given the pair of H(0) and H(1) solutions, zeno_grid solves only
+        the n - 1 interior points and returns the pair as its ends; without
+        it, one path_eigensolutions call solves H(1) and then H(0), the full
+        eigh of h2_2.8_jw's non-diagonal clique."""
+        p = fixture_path(data_dir, "h2_2.8_jw.txt", 0.5)
+        assert not p.is_diagonal(0.0)
+        ends = next(path_eigensolutions(p, [0.0])), next(path_eigensolutions(p, [1.0]))
+        solved = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m) or original(m))
+        grid, psi = zeno_grid(p, n_steps, [0, 1], ends)
+        interior = [p.matrix(k / n_steps) for k in range(1, n_steps)]
+        assert len(solved) == n_steps - 1
+        assert all(map(np.array_equal, solved, interior))
+        assert grid[0] is ends[0] and grid[-1] is ends[1] and len(grid) == n_steps + 1
+        assert np.array_equal(psi, ends[0].vectors([0, 1]))
+        solved.clear()
+        unsolved, unsolved_psi = zeno_grid(p, n_steps, [0, 1])
+        assert len(solved) == n_steps + 1
+        assert all(map(np.array_equal, solved, [p.matrix(1.0), p.matrix(0.0), *interior]))
+        assert np.array_equal(unsolved_psi, psi)
+        assert all(np.array_equal(a.eigenvalues, b.eigenvalues)
+                   for a, b in zip(unsolved, grid))
+
 
 class TestNonDiagonalInitialBasis:
     def test_h0_keeps_full_eigh_basis_when_sectors_are_available(

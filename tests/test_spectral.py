@@ -293,7 +293,7 @@ class TestSectorSolve:
         assert np.array_equal(stacked, np.hstack(reference))
         assert np.abs(stacked.T @ stacked - np.eye(1 << p.n_qubits)).max() <= 1e-15
         h = p.matrix(0.5)
-        rebuilt = sum(u @ p.sector_matrix(sector, 0.5) @ u.T
+        rebuilt = sum(u @ p.matrix(0.5, sector) @ u.T
                       for sector, u in zip(p.sectors, bases))
         assert np.abs(rebuilt - h).max() <= 1e-13
 
@@ -494,7 +494,7 @@ class TestReachedSectorSolve:
         assert sorted(eigh_shapes) == sorted(h0_shapes + [(dimensions[c],) * 2
                                                           for c in [1, 3, 0, 1, 2, 3]])
         assert len(h0.eigenvalues) == len(h1.eigenvalues) == dim
-        blocks = [np.linalg.eigh(p.sector_matrix(p.sectors[c], 0.5))[0] for c in (1, 3)]
+        blocks = [np.linalg.eigh(p.matrix(0.5, p.sectors[c]))[0] for c in (1, 3)]
         assert np.array_equal(solution.eigenvalues, np.sort(np.concatenate(blocks)))
         assert solved_sectors(solution, p) == [1, 3]
         assert solution.dimension == dim and "eigenvectors" not in vars(solution)
@@ -717,7 +717,7 @@ class TestSectorPool:
         assert ended[-1] == first
         assert solved_sectors(solution, p) == [0, 1, 2, 3]
         for sector, ranks, _ in solution.blocks:
-            values = np.linalg.eigh(p.sector_matrix(sector, 0.5))[0]
+            values = np.linalg.eigh(p.matrix(0.5, sector))[0]
             assert np.abs(solution.eigenvalues[ranks] - values).max() <= 1e-13
         check_against_full_eigh(p.matrix(0.5), solution)
 
