@@ -22,6 +22,7 @@ from mczeno.pauli import PauliHamiltonian, _json, load_hamiltonian, save_hamilto
 from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve, step_count
 from mczeno.qzp import (
+    _check_initial_indices,
     _initial_block,
     _shared_draws,
     distribution_csv,
@@ -170,6 +171,11 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
     """Staged pipeline for the given methods: returns (record, csv text or None)."""
     with _stage("load", config.source):
         h, mapping = load_qubit_hamiltonian(config.source, config.mapping)
+    # a start rank out of range fails in its method's stage before any work
+    for method, indices in (("qae", config.initial_indices[:1]), ("qzp", config.initial_indices)):
+        if method in methods:
+            with _stage(method, config.source):
+                _check_initial_indices(indices, 1 << h.n_qubits)
     with _stage("clique", config.source):
         clique = greedy_max_clique(build_graph(h))
         mc = mc_hamiltonian(h, clique)

@@ -20,9 +20,12 @@ _shared_draws scope, which a driver scan opens, the runs that share a seed,
 trial numbers and steps read one table of draws, computed by the first.
 
 The trials of one call are projected together, whatever their initial
-state, with one state column per distinct state rather than per trial,
-so the cost of a step follows the number of distinct states; each trial
-adds only its draw and a search in its state's cumulative level weights.
+state, with one state per distinct state rather than per trial, so the
+cost of a step follows the number of distinct states; each trial adds
+only its draw and a search in its state's cumulative level weights.  A
+trial on a one-dimensional level is carried to the next step as that
+level's rank, whose amplitudes there are one overlap of the two
+eigenbases (spectral.EigenSolution.overlap).
 """
 
 from __future__ import annotations
@@ -217,55 +220,65 @@ def _philox_first_word(key: np.ndarray) -> np.ndarray:
 
 
 def _project_block(
-    psi: np.ndarray, es: EigenSolution, draws: np.ndarray, owner: np.ndarray,
+    amplitudes: np.ndarray, es: EigenSolution, draws: np.ndarray, owner: np.ndarray,
     collapse: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """project() of every trial, trial i from the standard-basis state
-    psi[:, owner[i]] with the uniform draws[i], against es
-    (spectral.EigenSolution).
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Born-rule projection of every trial onto es (spectral.EigenSolution),
+    trial i from the state whose rank-order amplitudes are
+    amplitudes[:, owner[i]], with the uniform draw draws[i].
 
     Returns each trial's level (its lowest rank) and, when collapse is set,
-    the distinct collapsed states with the column of each trial's.
-    Amplitudes and Born weights are computed once per column of psi.  A
-    trial landing on a one-dimensional level collapses onto its
-    eigenvector up to a phase, which no later Born weight sees, so all such
-    trials share one column; a degenerate level keeps one column per state
-    it collapsed.  Each column is P psi / |P psi| of its first trial, its
-    amplitudes outside the level zeroed and mapped back by es.apply.  A
-    real state against real eigenvectors stays real.
+    the distinct states after the step, as es's ranks and columns of
+    rank-order amplitudes, with the state of each trial (owner): the ranks
+    first, then the columns.  A trial landing on a one-dimensional level
+    collapses onto its eigenvector up to a phase, which no later Born weight
+    sees, so it is held as that level's rank, shared by every trial on it.
+    A trial on a degenerate level keeps one column per state it collapsed
+    (_collapse); columns is None when no trial did.
     """
-    amplitudes = es.apply(psi, adjoint=True)
-    weights = np.abs(amplitudes)
-    weights **= 2
-    levels = _draw_levels(es, weights, draws, owner)
-    del weights
+    levels = _draw_levels(es, amplitudes, draws, owner)
     ends = es.level_ends
-    starts = np.append(0, ends)
-    ranks = starts[levels]
+    ranks = np.append(0, ends)[levels]
     if not collapse:
-        return ranks, None, None
-    if len(levels) > 1:  # one trial keeps its one column
-        keys = np.where(ends[levels] - ranks > 1, owner * len(ends) + levels, levels)
+        return ranks, None, None, None
+    single = ends[levels] - ranks == 1
+    hit = np.bincount(ranks[single], minlength=len(amplitudes)) > 0
+    distinct, carried = np.flatnonzero(hit), (np.cumsum(hit) - 1)[ranks]
+    degenerate = np.flatnonzero(~single)
+    columns = None
+    if degenerate.size:
+        keys = owner[degenerate] * len(ends) + levels[degenerate]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        levels, amplitudes, owner = levels[first], amplitudes[:, owner[first]], inverse
+        carried[degenerate] = len(distinct) + inverse
+        first = degenerate[first]
+        columns = _collapse(amplitudes[:, owner[first]], es, levels[first])
+    return ranks, distinct, columns, carried
+
+
+def _collapse(amplitudes: np.ndarray, es: EigenSolution, levels: np.ndarray) -> np.ndarray:
+    """P psi / |P psi| of each column of rank-order amplitudes, P the
+    projector onto its level (an index into es.level_ends): the amplitudes
+    outside the level zeroed, then normalized.  A new array, real when the
+    amplitudes are."""
+    ends = es.level_ends
     rank = np.arange(len(amplitudes))[:, None]
-    amplitudes *= (rank >= starts[levels]) & (rank < ends[levels])
-    collapsed = es.apply(amplitudes)
+    collapsed = amplitudes * ((rank >= np.append(0, ends)[levels]) & (rank < ends[levels]))
     collapsed /= np.linalg.norm(collapsed, axis=0)
-    return ranks, collapsed, owner
+    return collapsed
 
 
 def _draw_levels(
-    es: EigenSolution, weights: np.ndarray, draws: np.ndarray, owner: np.ndarray
+    es: EigenSolution, amplitudes: np.ndarray, draws: np.ndarray, owner: np.ndarray
 ) -> np.ndarray:
     """Level (index into es.level_ends) each draw picks by the Born rule.
 
-    weights holds one column of weights in rank order per state, and draw i
-    falls on state owner[i]: it picks the first level whose cumulative
-    weight exceeds draws[i] times the state's total.  weights is
-    overwritten.
+    amplitudes holds one column of rank-order amplitudes per state, and draw
+    i falls on state owner[i]: it picks the first level whose cumulative
+    weight exceeds draws[i] times the state's total.
     """
     ends = es.level_ends
+    weights = np.abs(amplitudes)
+    weights **= 2
     cumulative = np.cumsum(weights, axis=0, out=weights)[ends - 1]
     totals = cumulative[-1]
     off = np.abs(totals - 1.0) > 1e-6
@@ -344,14 +357,27 @@ def _trajectories(
     eigensolutions[first_step:] as trial trial_numbers[t]; yields the
     sampled ranks of each step in turn.
 
-    psi holds each distinct state once, in the standard basis
-    (_project_block).  The last step only draws its ranks.
+    psi holds each distinct start state once, in the standard basis.  After
+    a step the distinct states are held in that step's eigenbasis
+    (_project_block): the next step's amplitudes of a rank are one overlap
+    of the two eigenbases (EigenSolution.overlap), and only the in-level
+    columns of degenerate levels go through the standard basis.  The last
+    step only draws its ranks.
     """
     trials = _integer_array(trial_numbers)
     steps = np.arange(first_step, len(eigensolutions))
     for k, draws in zip(steps, _draws(rng_seed, trials, steps)):
-        step_ranks, psi, owner = _project_block(
-            psi, eigensolutions[k], draws, owner, collapse=k < steps[-1])
+        es = eigensolutions[k]
+        if k == first_step:
+            amplitudes = es.apply(psi, adjoint=True)
+        else:
+            previous = eigensolutions[k - 1]
+            amplitudes = es.overlap(previous, ranks)
+            if columns is not None:
+                amplitudes = np.hstack(
+                    [amplitudes, es.apply(previous.apply(columns), adjoint=True)])
+        step_ranks, ranks, columns, owner = _project_block(
+            amplitudes, es, draws, owner, collapse=k < steps[-1])
         yield step_ranks
 
 
@@ -369,9 +395,10 @@ def project(
     Returns the sampled level's lowest rank and the normalized collapse
     of psi onto that level's full eigenspace.
     """
-    draw, owner = np.array([rng.random()]), np.zeros(1, np.intp)
-    ranks, collapsed, _ = _project_block(psi[:, None], es, draw, owner)
-    return int(ranks[0]), collapsed[:, 0]
+    amplitudes = es.apply(psi[:, None], adjoint=True)
+    levels = _draw_levels(es, amplitudes, np.array([rng.random()]), np.zeros(1, np.intp))
+    rank = np.append(0, es.level_ends)[levels[0]]
+    return int(rank), es.apply(_collapse(amplitudes, es, levels))[:, 0]
 
 
 def initial_eigenstate(p: PathHamiltonian, initial_index: int) -> np.ndarray:
@@ -387,12 +414,17 @@ def initial_eigenstate(p: PathHamiltonian, initial_index: int) -> np.ndarray:
 def _initial_block(initial_indices: list[int], h0: EigenSolution) -> np.ndarray:
     """initial_eigenstate of each rank as one column, read from h0, the
     eigensolution of H(0)."""
+    _check_initial_indices(initial_indices, h0.dimension)
+    return h0.vectors(initial_indices)
+
+
+def _check_initial_indices(initial_indices, dimension: int) -> None:
+    """Refuse an empty list of H(0) ranks, or a rank outside 0..dimension-1."""
     if not initial_indices:
         raise ValueError("initial_indices must hold at least one index")
     for initial_index in initial_indices:
-        if not 0 <= initial_index < h0.dimension:
-            raise ValueError(f"initial_index {initial_index} outside 0..{h0.dimension - 1}")
-    return h0.vectors(initial_indices)
+        if not 0 <= initial_index < dimension:
+            raise ValueError(f"initial_index {initial_index} outside 0..{dimension - 1}")
 
 
 def zeno_grid(

@@ -59,8 +59,9 @@ class EigenSolution:
     (_send_sectors), whose eigenvalues, and so levels and ranks, count only
     their levels.  dimension is the length of a state, by default the
     level count.  apply, weights and vectors take and return
-    standard-basis states and amplitudes in rank order, so no caller sees
-    the sectors or the blocks; the dense eigenvectors are formed only when
+    standard-basis states and amplitudes in rank order, and overlap the
+    amplitudes of another solution's eigenvectors, so no caller sees the
+    sectors or the blocks; the dense eigenvectors are formed only when
     read.
     """
 
@@ -129,6 +130,42 @@ class EigenSolution:
     def weights(self, psi: np.ndarray) -> np.ndarray:
         """|<v_r|psi>|^2 of a standard-basis state psi for each rank r."""
         return np.abs(self.apply(psi, adjoint=True)) ** 2
+
+    def overlap(self, previous: EigenSolution, ranks) -> np.ndarray:
+        """V^H V'[:, ranks], the rank-order amplitudes here of previous's
+        eigenvectors of the given ranks, as the columns of a new array.
+
+        Two sectored points pair their blocks by the identical Sector (is),
+        one W_c^H W'_c[:, cols] product each, and a rank of a sector not
+        solved here gets a zero column; two whole-space dense points are one
+        W^H W'[:, ranks].  Any other pair, a sorted diagonal or a dense
+        point beside a sectored one, goes through apply."""
+        ranks = np.asarray(ranks, dtype=np.intp)
+        kinds = {type(rows) for rows, _, _ in (*self.blocks, *previous.blocks)}
+        if kinds == {slice}:  # only a dense block has rows slice(None)
+            return self.blocks[0][2].conj().T @ previous.blocks[0][2][:, ranks]
+        if kinds != {Sector}:
+            return self.apply(previous.vectors(ranks), adjoint=True)
+        block, column = (a[ranks] for a in previous._rank_columns)
+        ours = {id(rows): (here, w) for rows, here, w in self.blocks}
+        out = np.zeros((len(self.eigenvalues), len(ranks)),
+                       dtype=np.result_type(self._dtype, previous._dtype))
+        for b, (rows, _, w) in enumerate(previous.blocks):
+            take = np.flatnonzero(block == b)
+            if take.size and id(rows) in ours:
+                here, w_here = ours[id(rows)]
+                out[np.ix_(here, take)] = w_here.conj().T @ w[:, column[take]]
+        return out
+
+    @cached_property
+    def _rank_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The block of each rank, as an index into blocks, and its column in
+        that block's W."""
+        block = np.empty(len(self.eigenvalues), np.intp)
+        column = np.empty_like(block)
+        for b, (_, ranks, w) in enumerate(self.blocks):
+            block[ranks], column[ranks] = b, np.arange(w.shape[1])
+        return block, column
 
 
 @dataclass(frozen=True)

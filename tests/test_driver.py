@@ -441,6 +441,22 @@ class TestRun:
             record["exact_ground_hartree"] + record["error_hartree"]
         )
 
+    @pytest.mark.parametrize("method, indices, bad", [
+        ("qzp", (0, 2000), 2000), ("qzp", (1024,), 1024), ("qae", (1024,), 1024)])
+    def test_start_out_of_range_refused_before_any_solve(self, data_dir, monkeypatch,
+                                                         method, indices, bad):
+        """A start rank past 2**n fails in its method's stage right after the
+        load stage: before the clique, the symmetry sectors or any eigh."""
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh"))
+        monkeypatch.setattr(PathHamiltonian, "sectors",
+                            property(lambda self: pytest.fail("sectors")))
+        monkeypatch.setattr(driver, "greedy_max_clique", lambda g: pytest.fail("clique"))
+        config = RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"),
+                           method=method, alpha=0.5, initial_indices=indices)
+        with pytest.raises(StageError, match=f"^stage '{method}' failed for .*: "
+                           f"initial_index {bad} outside 0..1023$"):
+            run(config)
+
     def test_missing_file_names_load_stage(self):
         with pytest.raises(StageError, match="stage 'load' failed for /nope.txt"):
             run(RunConfig(source="/nope.txt", method="clique"))
@@ -527,6 +543,15 @@ class TestScan:
         assert "malformed FCIDUMP header" in result.rows[1].message
         assert result.rows[0].message == result.rows[2].message == ""
         assert scan_csv(result).splitlines()[2] == "1.2,,,,failed: load"
+
+    def test_start_out_of_range_fails_its_point_before_any_solve(self, data_dir, monkeypatch):
+        """qae evolves the first start, which is in range, so the point fails
+        in the qzp stage, on the second, before any eigh."""
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: pytest.fail("eigh"))
+        points = self._points(data_dir, initial_indices=(0, 16))[2:]
+        result = scan(points, methods=("exact", "qae", "qzp"))
+        assert [row.status for row in result.rows] == ["failed: qzp"]
+        assert result.rows[0].message.endswith("initial_index 16 outside 0..15")
 
     def test_repeated_methods_rejected_before_any_point(self, data_dir, monkeypatch):
         """A repeated method would repeat its energy and error columns."""

@@ -954,3 +954,34 @@ class TestReachedSectors:
         assert collapsed.shape == (1024,)
         with pytest.raises(ValueError, match="state dimension 544 does not match basis 1024"):
             project(np.eye(544)[:, 0], solution, step_rng(1, 0, 1))
+
+
+class TestDegenerateLevelAcrossSectors:
+    """On the constant path H(s) = H5 the two-fold ground level of every
+    point is split over two solved sectors, so a trial from rank 0 or 1
+    lands on it at every step and is carried as its in-level amplitude
+    column through the standard basis, not as a rank."""
+
+    def test_counts_match_per_trial_reference(self, data_dir, monkeypatch):
+        h, _ = load_qubit_hamiltonian(str(data_dir / "h5_chain_sto3g_1.00.fcidump"))
+        p = PathHamiltonian(h, h)
+        n_steps, trials, seed = 4, 12, 3
+        grid, psi = zeno_grid(p, n_steps, [0, 1, 2])
+        for es in grid:
+            assert np.diff(es.level_ends[:3], prepend=0).tolist() == [2, 1, 2]
+        assert all(solved_sectors(es, p) == [0, 1, 2, 3] for es in grid[1:])
+        ground_blocks = {id(grid[1].blocks[b][0]) for b in grid[1]._rank_columns[0][:2]}
+        assert len(ground_blocks) == 2
+        collapsed = []
+        original = qzp._collapse
+        monkeypatch.setattr(qzp, "_collapse", lambda *args: collapsed.append(
+            args[0].shape[1]) or original(*args))
+        got = zeno_statistics(p, n_steps, [0, 1, 2], trials, seed, eigensolutions=grid)
+        assert collapsed == [2] * (n_steps - 1)
+        for slot, initial_index in enumerate([0, 1, 2]):
+            expected: dict[int, int] = {}
+            for t in range(trials):
+                final = zeno_trajectory(grid, psi[:, slot], seed, slot * trials + t, 1)[-1]
+                expected[final] = expected.get(final, 0) + 1
+            assert got[slot].counts == expected
+        assert [d.counts for d in got] == [{0: trials}, {0: trials}, {2: trials}]

@@ -17,7 +17,7 @@ from mczeno.driver import load_qubit_hamiltonian
 from mczeno.fermion import FermionIntegrals, jordan_wigner
 from mczeno.pauli import PauliHamiltonian, PauliTerm, is_all_z, parse_hamiltonian
 from mczeno.path import PathHamiltonian, s_grid
-from mczeno import spectral
+from mczeno import qzp, spectral
 from mczeno.qzp import zeno_grid, zeno_statistics
 from mczeno.spectral import (
     DEGENERACY_TOL,
@@ -613,6 +613,118 @@ class TestRankOrder:
         want = np.zeros_like(amplitudes)
         want[ranks, range(len(ranks))] = 1.0
         assert np.abs(amplitudes - want).max() <= 1e-12
+
+
+class TestOverlap:
+    """overlap(previous, ranks) is V^H V'[:, ranks], the amplitudes that the
+    Zeno sampler carries from one grid point to the next, for every pair of
+    points it meets."""
+
+    H5 = "h5_chain_sto3g_1.00.fcidump"
+    TOL = 1e-13
+
+    @staticmethod
+    def check(solution: EigenSolution, previous: EigenSolution, ranks) -> np.ndarray:
+        got = solution.overlap(previous, ranks)
+        want = solution.apply(previous.vectors(ranks), adjoint=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= TestOverlap.TOL
+        return got
+
+    @staticmethod
+    def some_ranks(solution: EigenSolution) -> list[int]:
+        n = len(solution.eigenvalues)
+        return [0, 1, 5, n // 2, n - 2, n - 1, 3]
+
+    @pytest.fixture(scope="class")
+    def h5(self, data_dir):
+        return clique_path(data_dir, self.H5, 0.5)
+
+    @pytest.mark.parametrize("starts, reached", [((0,), [0, 2]), ((0, 1, 2, 3), [0, 1, 2, 3])])
+    def test_h5_zeno_grid(self, h5, monkeypatch, starts, reached):
+        """Sorted-diagonal H(0) against the first point, interior points
+        restricted to the reached sectors against the next, and the last
+        interior point against the whole s = 1 point.  Sectored pairs make
+        no standard-basis vector."""
+        grid, _ = zeno_grid(h5, 4, list(starts))
+        assert [solved_sectors(es, h5) for es in grid] == (
+            [[None]] + [reached] * 3 + [[0, 1, 2, 3]])
+        self.check(grid[1], grid[0], list(starts))
+        self.check(grid[1], grid[0], self.some_ranks(grid[0]))
+        for previous, solution in zip(grid[1:], grid[2:]):
+            self.check(solution, previous, self.some_ranks(previous))
+            monkeypatch.setattr(EigenSolution, "vectors", lambda *a: pytest.fail("vectors"))
+            solution.overlap(previous, self.some_ranks(previous))
+            monkeypatch.undo()
+
+    def test_complex_sectored_points(self, data_dir):
+        """A random 8-qubit path with odd-Y terms: H(0) by one full eigh
+        beside the first sectored point, then complex sector blocks."""
+        p = sectored_path(data_dir, "odd_y")
+        solutions = list(path_eigensolutions(p, s_grid(3)))
+        assert [solved_sectors(es, p) for es in solutions] == [[None]] + [[0, 1, 2, 3]] * 3
+        for previous, solution in zip(solutions, solutions[1:]):
+            got = self.check(solution, previous, self.some_ranks(previous))
+            assert np.iscomplexobj(got)
+
+    def test_rank_of_an_unsolved_sector_gives_a_zero_column(self, h5):
+        """An interior point solved for rank 0 holds sectors 0 and 2 only;
+        the ranks of a whole point that lie in sectors 1 and 3 have no
+        amplitude there."""
+        whole = next(path_eigensolutions(h5, [0.5]))
+        grid, _ = zeno_grid(h5, 4, [0])
+        restricted = grid[3]
+        block, _ = whole._rank_columns
+        outside = [b for b, (sector, _, _) in enumerate(whole.blocks)
+                   if not any(sector is rows for rows, _, _ in restricted.blocks)]
+        assert len(outside) == 2
+        ranks = self.some_ranks(whole)
+        got = self.check(restricted, whole, ranks)
+        missing = np.isin(block[ranks], outside)
+        assert missing.any() and not missing.all()
+        assert not got[:, missing].any()
+        assert np.abs(np.linalg.norm(got[:, ~missing], axis=0) - 1).max() <= 1e-12
+
+    def test_run_through_an_unsolved_sector_is_not_normalized(self, h5):
+        """A trial carried as a rank into a point that did not solve its
+        sector meets the normalization check; its weight is not dropped.
+        Half of rank 2's weight lies outside rank 0's two sectors."""
+        grid, _ = zeno_grid(h5, 3, [0])
+        whole = next(path_eigensolutions(h5, [s_grid(3)[1]]))
+        solutions = [grid[0], whole, grid[2], grid[3]]
+        psi = grid[0].vectors([2])
+        trials = 40
+        args = (solutions, psi, np.zeros(trials, np.intp), 1, range(trials), 1)
+        with pytest.raises(ValueError, match=r"state is not normalized \(total weight 0\.0\)"):
+            qzp._final_ranks(*args)
+
+    @pytest.mark.parametrize("name", ["h2_2.8", "odd_y"])
+    def test_dense_points(self, data_dir, monkeypatch, name):
+        """Consecutive dense points, H(0) included (not diagonal on either
+        path), pair as one product; the odd-Y path is complex."""
+        from test_path import odd_y_path  # test_path imports this module
+
+        p = clique_path(data_dir, "h2_2.8_jw.txt", 0.5) if name == "h2_2.8" else odd_y_path()
+        solutions = list(path_eigensolutions(p, s_grid(5)))
+        assert all(len(es.blocks) == 1 and es.blocks[0][2] is not None for es in solutions)
+        for previous, solution in zip(solutions, solutions[1:]):
+            n = len(previous.eigenvalues)
+            got = self.check(solution, previous, [n - 1, 0, 1, n - 1])
+            assert np.iscomplexobj(got) == (name == "odd_y")
+            monkeypatch.setattr(EigenSolution, "vectors", lambda *a: pytest.fail("vectors"))
+            solution.overlap(previous, [0, 1])
+            monkeypatch.undo()
+
+    def test_dense_beside_sectored(self, h5):
+        """A dense point beside a sectored one goes through apply, either way."""
+        sectored = next(path_eigensolutions(h5, [0.5]))
+        dense = EigenSolution(sectored.eigenvalues, sectored.eigenvectors)
+        ranks = self.some_ranks(sectored)
+        self.check(dense, sectored, ranks)
+        got = self.check(sectored, dense, ranks)
+        units = np.zeros_like(got)
+        units[ranks, range(len(ranks))] = 1.0
+        assert np.abs(got - units).max() <= 1e-12
 
 
 DIAGONAL_CLIQUE_FIXTURES = [
