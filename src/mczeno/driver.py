@@ -248,13 +248,12 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
     if "qzp" not in methods:
         return record, None
     with _stage("qzp", config.source):
-        grid, starts = zeno_grid(p, config.n_steps, list(config.initial_indices),
-                                 (*initial, final))
+        grid = zeno_grid(p, config.n_steps, list(config.initial_indices), (*initial, final))
         distributions = zeno_statistics(
             p, config.n_steps, list(config.initial_indices), config.trials,
             config.seed, eigensolutions=grid,
         )
-        weights = sector_weights(p, starts).T.tolist()
+        weights = sector_weights(p, grid.starts).T.tolist()
     best_index = min(min(d.counts) for d in distributions)
     record.update(
         {

@@ -427,12 +427,23 @@ def _check_initial_indices(initial_indices, dimension: int) -> None:
             raise ValueError(f"initial_index {initial_index} outside 0..{dimension - 1}")
 
 
+@dataclass(frozen=True, eq=False)
+class ZenoGrid:
+    """The solved points of s_grid(n_steps) for Zeno runs from the H(0) ranks
+    initial_indices, whose start states are the columns of starts; made only
+    by zeno_grid.  Its interior points hold only the sectors the starts
+    reach, so a grid serves only its own starts and step count."""
+
+    solutions: tuple[EigenSolution, ...]
+    initial_indices: tuple[int, ...]
+    starts: np.ndarray
+
+
 def zeno_grid(
     p: PathHamiltonian, n_steps: int, initial_indices: list[int],
     ends: tuple[EigenSolution, EigenSolution] | None = None,
-) -> tuple[list[EigenSolution], np.ndarray]:
-    """The eigensolutions of s_grid(n_steps) for runs from the given H(0)
-    ranks that report only final ranks, and the start states as columns.
+) -> ZenoGrid:
+    """The ZenoGrid of s_grid(n_steps) for runs from the given H(0) ranks.
 
     s = 0 and s = 1 are solved whole: ends is the pair of their solutions,
     solved here when not given, s = 1 first so that H(0)'s full eigh never
@@ -442,42 +453,19 @@ def zeno_grid(
     """
     grid = s_grid(n_steps)
     h0, h1 = ends or reversed([*path_eigensolutions(p, [1.0, 0.0])])
-    psi = _initial_block(initial_indices, h0)
-    return [h0, *path_eigensolutions(p, grid[1:-1], start=psi), h1], psi
+    starts = _initial_block(initial_indices, h0)
+    interior = path_eigensolutions(p, grid[1:-1], start=starts)
+    return ZenoGrid((h0, *interior, h1), tuple(initial_indices), starts)
 
 
-def _grid_solutions(
-    p: PathHamiltonian, n_steps: int, eigensolutions: list[EigenSolution] | None = None,
-    initial_indices: list[int] | None = None,
-) -> tuple[list[EigenSolution], np.ndarray | None]:
-    """The eigensolutions of s_grid(n_steps), solved here when not given,
-    and the start states of initial_indices as columns (None without).
-
-    Without initial_indices a run reports every step's rank, so given
-    solutions must be complete bases.  With them a run reports only final
-    ranks: the last must be complete, and a point restricted to the sectors
-    some starts reach (zeno_grid) must hold all of each start's weight."""
-    grid = s_grid(n_steps)
-    if eigensolutions is None:
-        if initial_indices is None:
-            return list(path_eigensolutions(p, grid)), None
-        return zeno_grid(p, n_steps, initial_indices)
-    if len(eigensolutions) != len(grid):
+def _check_complete(n_steps: int, eigensolutions: list[EigenSolution]) -> None:
+    """Refuse a list that is not a complete basis at each point of s_grid(n_steps)."""
+    if len(eigensolutions) != len(s_grid(n_steps)):
         raise ValueError("eigensolution list does not match n_steps")
-    psi = (None if initial_indices is None
-           else _initial_block(initial_indices, eigensolutions[0]))
     for k, es in enumerate(eigensolutions):
-        if len(es.eigenvalues) == es.dimension:
-            continue
-        if psi is None or k == n_steps:
+        if len(es.eigenvalues) != es.dimension:
             raise ValueError(f"the eigensolution of step {k} holds {len(es.eigenvalues)} of "
-                             f"{es.dimension} levels, so its ranks cannot be reported")
-        for index, weight in zip(initial_indices, es.weights(psi).sum(axis=0)):
-            if abs(weight - 1.0) > 1e-6:
-                raise ValueError(f"the eigensolution of step {k} solves weight {weight:.6g} "
-                                 f"of the start of rank {index}, not 1: its sectors were "
-                                 "solved for other starts")
-    return eigensolutions, psi
+                             f"{es.dimension} levels, not a complete basis")
 
 
 def zeno_run(
@@ -495,10 +483,11 @@ def zeno_run(
     is itself projected onto the H(0) eigenbasis first, consuming the
     step-0 random draw; exact initial eigenstates skip that step because
     the projection would be the identity on them.  The trajectory reports
-    every step's rank, so given eigensolutions must be complete bases: a
-    zeno_grid grid raises ValueError.
+    every step's rank, so given eigensolutions must be complete bases.
     """
-    eigensolutions, _ = _grid_solutions(p, n_steps, eigensolutions)
+    if eigensolutions is None:
+        eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
+    _check_complete(n_steps, eigensolutions)
     if initial_state is None:
         psi, first_step = _initial_block([initial_index], eigensolutions[0]), 1
     else:
@@ -524,7 +513,7 @@ def zeno_statistics(
     initial_indices: list[int],
     trials_per_initial: int,
     rng_seed: int,
-    eigensolutions: list[EigenSolution] | None = None,
+    eigensolutions: ZenoGrid | list[EigenSolution] | None = None,
 ) -> list[ZenoDistribution]:
     """Final-index statistics, one distribution per initial eigenstate.
 
@@ -532,16 +521,28 @@ def zeno_statistics(
     i * trials_per_initial + t, so results are seed-deterministic and
     independent of execution order.  The trials of every initial index
     are projected together as one block, one state column per distinct
-    state.  eigensolutions, if given, are those of s_grid(n_steps), whole
-    or as zeno_grid solves them for these initial indices, which is how
-    they are solved here otherwise; the last, whose ranks are reported,
-    must be whole.
+    state.  The path is zeno_grid's, solved here when eigensolutions is
+    None.  A given ZenoGrid is run as it is and must be one solved for
+    n_steps from these initial indices, and a given list must hold n_steps
+    + 1 complete bases, or ValueError is raised before any draw.
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
-    eigensolutions, psi = _grid_solutions(p, n_steps, eigensolutions, list(initial_indices))
+    grid = eigensolutions
+    if grid is None:
+        grid = zeno_grid(p, n_steps, list(initial_indices))
+    if isinstance(grid, ZenoGrid):
+        if (len(grid.solutions), grid.initial_indices) != (n_steps + 1, tuple(initial_indices)):
+            _check_initial_indices(initial_indices, len(grid.starts))
+            raise ValueError(f"a grid of {len(grid.solutions) - 1} steps from ranks "
+                             f"{list(grid.initial_indices)} cannot run {n_steps} steps "
+                             f"from ranks {list(initial_indices)}")
+        solutions, starts = grid.solutions, grid.starts
+    else:
+        _check_complete(n_steps, grid)
+        solutions, starts = grid, _initial_block(list(initial_indices), grid[0])
     owner = np.repeat(np.arange(len(initial_indices)), trials_per_initial)
-    finals = _final_ranks(eigensolutions, psi, owner, rng_seed, range(len(owner)), 1)
+    finals = _final_ranks(solutions, starts, owner, rng_seed, range(len(owner)), 1)
     rows = finals.reshape(-1, trials_per_initial)
     return [ZenoDistribution(dict(Counter(row.tolist())), trials_per_initial, i)
             for i, row in zip(initial_indices, rows)]
@@ -565,11 +566,11 @@ def lowest_k_energies(
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     if repetitions < k:
         raise ValueError("repetitions must be at least k")
-    eigensolutions, psi = zeno_grid(p, n_steps, list(range(k)))
+    grid = zeno_grid(p, n_steps, list(range(k)))
     owner = np.arange(repetitions) % k
-    finals = _final_ranks(eigensolutions, psi, owner, rng_seed, range(repetitions), 1)
+    finals = _final_ranks(grid.solutions, grid.starts, owner, rng_seed, range(repetitions), 1)
     observed = Counter(finals.tolist())
-    final_values = eigensolutions[-1].eigenvalues
+    final_values = grid.solutions[-1].eigenvalues
     ranked = sorted(observed)
     energies = tuple(
         (float(final_values[i]), observed[i]) for i in ranked[:k]

@@ -1,6 +1,8 @@
 """Projection-driven evolution and its sampling statistics."""
 
 import contextlib
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from mczeno.qae import evolve
 import mczeno.qzp as qzp
 from mczeno.qzp import (
     ZenoDistribution,
+    ZenoGrid,
     distribution_csv,
     initial_eigenstate,
     lowest_k_energies,
@@ -371,7 +374,7 @@ class TestZenoStatistics:
         message = "^initial_indices must hold at least one index$"
         with pytest.raises(ValueError, match=message):
             zeno_statistics(p, 3, [], 5, rng_seed=0)
-        grid, _ = zeno_grid(p, 3, [0])
+        grid = zeno_grid(p, 3, [0])
         with pytest.raises(ValueError, match=message):
             zeno_statistics(p, 3, [], 5, rng_seed=0, eigensolutions=grid)
 
@@ -474,19 +477,21 @@ class TestEigensolveCount:
         solved = []
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: solved.append(m) or original(m))
-        grid, psi = zeno_grid(p, n_steps, [0, 1], ends)
+        grid = zeno_grid(p, n_steps, [0, 1], ends)
         interior = [p.matrix(k / n_steps) for k in range(1, n_steps)]
         assert len(solved) == n_steps - 1
         assert all(map(np.array_equal, solved, interior))
-        assert grid[0] is ends[0] and grid[-1] is ends[1] and len(grid) == n_steps + 1
-        assert np.array_equal(psi, ends[0].vectors([0, 1]))
+        solutions = grid.solutions
+        assert solutions[0] is ends[0] and solutions[-1] is ends[1]
+        assert len(solutions) == n_steps + 1 and grid.initial_indices == (0, 1)
+        assert np.array_equal(grid.starts, ends[0].vectors([0, 1]))
         solved.clear()
-        unsolved, unsolved_psi = zeno_grid(p, n_steps, [0, 1])
+        unsolved = zeno_grid(p, n_steps, [0, 1])
         assert len(solved) == n_steps + 1
         assert all(map(np.array_equal, solved, [p.matrix(1.0), p.matrix(0.0), *interior]))
-        assert np.array_equal(unsolved_psi, psi)
+        assert np.array_equal(unsolved.starts, grid.starts)
         assert all(np.array_equal(a.eigenvalues, b.eigenvalues)
-                   for a, b in zip(unsolved, grid))
+                   for a, b in zip(unsolved.solutions, solutions))
 
 
 class TestNonDiagonalInitialBasis:
@@ -856,41 +861,39 @@ class TestReachedSectors:
         return {}
 
     def complete_grid(self, data_dir, cache, alpha: float, n_steps: int):
-        """H5's path at alpha, and the zeno_grid of EVERY_SECTOR at n_steps
-        with its start states.  Its starts reach every sector, so every
-        point is solved whole: the reference of a grid that solves fewer."""
+        """H5's path at alpha, and the zeno_grid of EVERY_SECTOR at n_steps.
+        Its starts reach every sector, so every point is solved whole: the
+        reference of a grid that solves fewer."""
         if alpha not in cache:
             cache[alpha] = clique_path(data_dir, self.H5, alpha)
         p = cache[alpha]
         if (alpha, n_steps) not in cache:
-            grid, psi = zeno_grid(p, n_steps, list(self.EVERY_SECTOR))
-            assert all(len(es.eigenvalues) == es.dimension for es in grid)
-            cache[alpha, n_steps] = grid, psi
-        return p, *cache[alpha, n_steps]
+            grid = zeno_grid(p, n_steps, list(self.EVERY_SECTOR))
+            assert all(len(es.eigenvalues) == es.dimension for es in grid.solutions)
+            cache[alpha, n_steps] = grid
+        return p, cache[alpha, n_steps]
 
     @pytest.mark.parametrize("starts", [(0,), EVERY_SECTOR])
     @pytest.mark.parametrize("n_steps", [10, 40])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     def test_restricted_grid_matches_complete(self, data_dir, monkeypatch, cache,
                                               alpha, n_steps, starts):
-        p, complete, complete_psi = self.complete_grid(data_dir, cache, alpha, n_steps)
-        if starts == self.EVERY_SECTOR:
-            grid, psi = complete, complete_psi
-        else:
-            grid, psi = zeno_grid(p, n_steps, list(starts))
+        p, complete = self.complete_grid(data_dir, cache, alpha, n_steps)
+        grid = complete if starts == self.EVERY_SECTOR else zeno_grid(p, n_steps, list(starts))
         reached = [0, 2] if starts == (0,) else [0, 1, 2, 3]  # rank 0 reaches two sectors
-        assert all(solved_sectors(es, p) == reached for es in grid[1:-1])
-        assert solved_sectors(grid[-1], p) == [0, 1, 2, 3]
-        assert solved_sectors(grid[0], p) == [None]
-        assert np.array_equal(psi, complete[0].vectors(list(starts)))
+        assert all(solved_sectors(es, p) == reached for es in grid.solutions[1:-1])
+        assert solved_sectors(grid.solutions[-1], p) == [0, 1, 2, 3]
+        assert solved_sectors(grid.solutions[0], p) == [None]
+        assert np.array_equal(grid.starts, complete.solutions[0].vectors(list(starts)))
         if grid is complete:
             return
         results = []
-        for solutions in (grid, complete):
-            monkeypatch.setattr(qzp, "zeno_grid", lambda *args: (solutions, psi))
+        for solutions in (grid.solutions, complete.solutions):
+            served = ZenoGrid(solutions, grid.initial_indices, grid.starts)
+            monkeypatch.setattr(qzp, "zeno_grid", lambda *args: served)
             results.append((
                 zeno_statistics(p, n_steps, list(starts), self.TRIALS, self.SEED,
-                                eigensolutions=solutions),
+                                eigensolutions=served),
                 lowest_k_energies(p, n_steps, len(starts), self.REPETITIONS, self.SEED),
             ))
         assert results[0] == results[1]
@@ -914,43 +917,71 @@ class TestReachedSectors:
         """A trajectory reports every step's rank, and the interior points
         of a zeno_grid grid count only the reached sectors' levels."""
         p = clique_path(data_dir, self.H5, 0.5)
-        grid, _ = zeno_grid(p, 3, [0])
+        grid = zeno_grid(p, 3, [0])
         with pytest.raises(ValueError, match="step 1 holds 544 of 1024 levels"):
-            zeno_run(p, 3, 0, 0, eigensolutions=grid)
+            zeno_run(p, 3, 0, 0, eigensolutions=list(grid.solutions))
         whole = list(path_eigensolutions(p, s_grid(3)))
         trajectories = [zeno_run(p, 3, 0, seed, eigensolutions=whole).trajectory
                         for seed in range(3)]
         assert trajectories == [(320, 313, 244), (257, 268, 348), (85, 100, 58)]
 
     def test_zeno_statistics_rejects_restricted_last_point(self, data_dir):
+        """A plain list must hold a complete basis at every point, interior
+        or last: a ZenoGrid's restricted points serve only in the grid
+        itself.  The refusal names the first restricted step."""
         p = clique_path(data_dir, self.H5, 0.5)
-        grid, _ = zeno_grid(p, 2, [0])
+        grid = zeno_grid(p, 2, [0])
         assert zeno_statistics(p, 2, [0], 10, 1, eigensolutions=grid)
-        with pytest.raises(ValueError, match="step 2 holds 544 of 1024 levels"):
-            zeno_statistics(p, 2, [0], 10, 1, eigensolutions=grid[:2] + grid[1:2])
+        h0, restricted, h1 = grid.solutions
+        whole = next(path_eigensolutions(p, [0.5]))
+        assert zeno_statistics(p, 2, [0], 10, 1, eigensolutions=[h0, whole, h1])
+        for solutions, step in (([h0, restricted, h1], 1), ([h0, whole, restricted], 2)):
+            with pytest.raises(ValueError, match=f"^the eigensolution of step {step} holds "
+                               "544 of 1024 levels, not a complete basis$"):
+                zeno_statistics(p, 2, [0], 10, 1, eigensolutions=solutions)
 
     def test_zeno_statistics_rejects_grid_that_misses_a_start(self, data_dir, monkeypatch):
-        """A grid solved for rank 0 solves the interior points in the two
-        sectors rank 0 reaches, which hold half of rank 2's weight: the
-        starts it misses are named before any draw."""
+        """A grid serves only the starts and step count it was solved for:
+        any other start list, even rank 1, which reaches the same two
+        sectors as rank 0, or another step count, is refused before any
+        draw, naming both."""
         p = clique_path(data_dir, self.H5, 0.5)
-        grid, _ = zeno_grid(p, 3, [0])
+        grid = zeno_grid(p, 3, [0])
         reference = zeno_statistics(p, 3, [0], 50, 1, eigensolutions=grid)
         monkeypatch.setattr(qzp, "_final_ranks", lambda *args: pytest.fail("drew"))
-        for starts in ([2], [0, 2], [0, 3]):
-            rank = starts[-1]
-            with pytest.raises(ValueError, match=f"^the eigensolution of step 1 solves "
-                               f"weight 0.5 of the start of rank {rank}, not 1"):
-                zeno_statistics(p, 3, starts, 50, 1, eigensolutions=grid)
+        for n_steps, starts in [(3, [1]), (3, [2]), (3, [0, 2]), (3, [0, 3]), (4, [0])]:
+            message = (f"^a grid of 3 steps from ranks \\[0\\] cannot run {n_steps} steps "
+                       f"from ranks {re.escape(str(starts))}$")
+            with pytest.raises(ValueError, match=message):
+                zeno_statistics(p, n_steps, starts, 50, 1, eigensolutions=grid)
         monkeypatch.undo()
         assert zeno_statistics(p, 3, [0], 50, 1, eigensolutions=grid) == reference
 
+    def test_given_grid_is_not_read_again(self, data_dir, monkeypatch):
+        """zeno_statistics runs a given ZenoGrid as it is: no start state is
+        read from H(0) again and no point is checked by weights, so
+        zeno_grid then zeno_statistics makes the calls of zeno_statistics
+        solving its own grid."""
+        p = clique_path(data_dir, self.H5, 0.5)
+        calls = Counter()
+        for name in ("weights", "vectors"):
+            original = getattr(EigenSolution, name)
+            monkeypatch.setattr(EigenSolution, name, lambda *args, name=name, original=original:
+                                calls.update([name]) or original(*args))
+        grid = zeno_grid(p, 3, [0])
+        solving = calls.copy()
+        calls.clear()
+        given = zeno_statistics(p, 3, [0], 50, 1, eigensolutions=grid)
+        assert calls == Counter()
+        assert zeno_statistics(p, 3, [0], 50, 1) == given
+        assert calls == solving
+
     def test_wrong_length_state_raises_against_restricted_solution(self, data_dir):
         p = clique_path(data_dir, self.H5, 0.5)
-        grid, psi = zeno_grid(p, 2, [0])
-        solution = grid[1]
+        grid = zeno_grid(p, 2, [0])
+        solution = grid.solutions[1]
         assert len(solution.eigenvalues) == 544 and solution.dimension == 1024
-        rank, collapsed = project(psi[:, 0], solution, step_rng(1, 0, 1))
+        rank, collapsed = project(grid.starts[:, 0], solution, step_rng(1, 0, 1))
         assert collapsed.shape == (1024,)
         with pytest.raises(ValueError, match="state dimension 544 does not match basis 1024"):
             project(np.eye(544)[:, 0], solution, step_rng(1, 0, 1))
@@ -966,11 +997,12 @@ class TestDegenerateLevelAcrossSectors:
         h, _ = load_qubit_hamiltonian(str(data_dir / "h5_chain_sto3g_1.00.fcidump"))
         p = PathHamiltonian(h, h)
         n_steps, trials, seed = 4, 12, 3
-        grid, psi = zeno_grid(p, n_steps, [0, 1, 2])
-        for es in grid:
+        grid = zeno_grid(p, n_steps, [0, 1, 2])
+        solutions, psi = grid.solutions, grid.starts
+        for es in solutions:
             assert np.diff(es.level_ends[:3], prepend=0).tolist() == [2, 1, 2]
-        assert all(solved_sectors(es, p) == [0, 1, 2, 3] for es in grid[1:])
-        ground_blocks = {id(grid[1].blocks[b][0]) for b in grid[1]._rank_columns[0][:2]}
+        assert all(solved_sectors(es, p) == [0, 1, 2, 3] for es in solutions[1:])
+        ground_blocks = {id(solutions[1].blocks[b][0]) for b in solutions[1]._rank_columns[0][:2]}
         assert len(ground_blocks) == 2
         collapsed = []
         original = qzp._collapse
@@ -981,7 +1013,7 @@ class TestDegenerateLevelAcrossSectors:
         for slot, initial_index in enumerate([0, 1, 2]):
             expected: dict[int, int] = {}
             for t in range(trials):
-                final = zeno_trajectory(grid, psi[:, slot], seed, slot * trials + t, 1)[-1]
+                final = zeno_trajectory(solutions, psi[:, slot], seed, slot * trials + t, 1)[-1]
                 expected[final] = expected.get(final, 0) + 1
             assert got[slot].counts == expected
         assert [d.counts for d in got] == [{0: trials}, {0: trials}, {2: trials}]

@@ -418,8 +418,7 @@ class TestStateLength:
         the zeno_grid of rank 0 at two steps, which solves 544 levels."""
         p = sectored_path(data_dir, "h5")
         h0, h1 = path_eigensolutions(p, [0.0, 1.0])
-        grid, _ = zeno_grid(p, 2, [0])
-        return {"h0": h0, "h1": h1, "interior": grid[1]}
+        return {"h0": h0, "h1": h1, "interior": zeno_grid(p, 2, [0]).solutions[1]}
 
     @pytest.mark.parametrize("point, rows", [("h0", 1025), ("h1", 2048), ("interior", 2048)])
     def test_adjoint_needs_dimension_rows(self, h5_points, point, rows):
@@ -646,7 +645,7 @@ class TestOverlap:
         restricted to the reached sectors against the next, and the last
         interior point against the whole s = 1 point.  Sectored pairs make
         no standard-basis vector."""
-        grid, _ = zeno_grid(h5, 4, list(starts))
+        grid = zeno_grid(h5, 4, list(starts)).solutions
         assert [solved_sectors(es, h5) for es in grid] == (
             [[None]] + [reached] * 3 + [[0, 1, 2, 3]])
         self.check(grid[1], grid[0], list(starts))
@@ -672,8 +671,7 @@ class TestOverlap:
         the ranks of a whole point that lie in sectors 1 and 3 have no
         amplitude there."""
         whole = next(path_eigensolutions(h5, [0.5]))
-        grid, _ = zeno_grid(h5, 4, [0])
-        restricted = grid[3]
+        restricted = zeno_grid(h5, 4, [0]).solutions[3]
         block, _ = whole._rank_columns
         outside = [b for b, (sector, _, _) in enumerate(whole.blocks)
                    if not any(sector is rows for rows, _, _ in restricted.blocks)]
@@ -689,7 +687,7 @@ class TestOverlap:
         """A trial carried as a rank into a point that did not solve its
         sector meets the normalization check; its weight is not dropped.
         Half of rank 2's weight lies outside rank 0's two sectors."""
-        grid, _ = zeno_grid(h5, 3, [0])
+        grid = zeno_grid(h5, 3, [0]).solutions
         whole = next(path_eigensolutions(h5, [s_grid(3)[1]]))
         solutions = [grid[0], whole, grid[2], grid[3]]
         psi = grid[0].vectors([2])
@@ -790,11 +788,11 @@ class TestSectorPool:
         n_steps = 10
 
         def solve():
-            grid, _ = zeno_grid(p, n_steps, [0, 1])
+            grid = zeno_grid(p, n_steps, [0, 1])
             counts = [d.counts for d in zeno_statistics(p, n_steps, [0, 1], 200, 3,
                                                         eigensolutions=grid)]
             whole = list(path_eigensolutions(p, s_grid(4)))
-            return counts, [es.eigenvalues for es in grid + whole]
+            return counts, [es.eigenvalues for es in [*grid.solutions, *whole]]
 
         counts, values = solve()
         with monkeypatch.context() as m:

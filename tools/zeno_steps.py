@@ -54,8 +54,8 @@ def time_setting(fixture: str, n_steps: int, trials: int, seed: int,
     """Seconds of each timed _final_ranks call, and its final ranks."""
     h, _ = load_qubit_hamiltonian(str(DATA / fixture))
     p = PathHamiltonian(mc_hamiltonian(h, greedy_max_clique(build_graph(h))), h, alpha=0.5)
-    grid, psi = qzp.zeno_grid(p, n_steps, [0])
-    args = (grid, psi, np.zeros(trials, np.intp), seed, range(trials), 1)
+    grid = qzp.zeno_grid(p, n_steps, [0])
+    args = (grid.solutions, grid.starts, np.zeros(trials, np.intp), seed, range(trials), 1)
     seconds = []
     with qzp._shared_draws():
         finals = qzp._final_ranks(*args)
@@ -64,6 +64,11 @@ def time_setting(fixture: str, n_steps: int, trials: int, seed: int,
             qzp._final_ranks(*args)
             seconds.append(time.perf_counter() - begin)
     return seconds, finals
+
+
+def digest(finals: np.ndarray) -> str:
+    """The first 12 hex digits of the SHA-256 of the final ranks as int64."""
+    return hashlib.sha256(finals.astype(np.int64).tobytes()).hexdigest()[:12]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,8 +84,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in args.setting or SETTINGS:
         seconds, finals = time_setting(*SETTINGS[name], args.repeats)
         q1, median, q3 = (1e3 * q for q in statistics.quantiles(seconds, n=4))
-        digest = hashlib.sha256(finals.astype(np.int64).tobytes()).hexdigest()[:12]
-        print(f"{name:9} {median:9.2f} {q1:7.2f} {q3:7.2f} {int(np.sum(finals == 0)):6d}  {digest}")
+        ground = int(np.sum(finals == 0))
+        print(f"{name:9} {median:9.2f} {q1:7.2f} {q3:7.2f} {ground:6d}  {digest(finals)}")
     return 0
 
 
