@@ -32,9 +32,11 @@ from mczeno.pauli import (
 from mczeno.qae import QaeResult, energy_expectation, evolve, ground_space_fidelity
 from mczeno.qzp import (
     ZenoDistribution,
+    ZenoGrid,
     ZenoTrial,
     initial_eigenstate,
     lowest_k_energies,
+    zeno_grid,
     zeno_run,
     zeno_statistics,
 )
@@ -54,6 +56,7 @@ __all__ = [
     "ScanResult",
     "StageError",
     "ZenoDistribution",
+    "ZenoGrid",
     "ZenoTrial",
     "build_graph",
     "commutes",
@@ -81,6 +84,7 @@ __all__ = [
     "scan",
     "serialize_pauli",
     "x_driver",
+    "zeno_grid",
     "zeno_run",
     "zeno_statistics",
 ]

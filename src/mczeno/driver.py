@@ -249,10 +249,7 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
         return record, None
     with _stage("qzp", config.source):
         grid = zeno_grid(p, config.n_steps, list(config.initial_indices), (*initial, final))
-        distributions = zeno_statistics(
-            p, config.n_steps, list(config.initial_indices), config.trials,
-            config.seed, eigensolutions=grid,
-        )
+        distributions = zeno_statistics(grid, config.trials, config.seed)
         weights = sector_weights(p, grid.starts).T.tolist()
     best_index = min(min(d.counts) for d in distributions)
     record.update(

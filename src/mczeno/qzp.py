@@ -430,9 +430,9 @@ def _check_initial_indices(initial_indices, dimension: int) -> None:
 @dataclass(frozen=True, eq=False)
 class ZenoGrid:
     """The solved points of s_grid(n_steps) for Zeno runs from the H(0) ranks
-    initial_indices, whose start states are the columns of starts; made only
-    by zeno_grid.  Its interior points hold only the sectors the starts
-    reach, so a grid serves only its own starts and step count."""
+    initial_indices, whose start states are the columns of starts: the one
+    input of zeno_statistics.  zeno_grid makes it, its interior points in the
+    sectors the starts reach; a grid of complete bases may be built directly."""
 
     solutions: tuple[EigenSolution, ...]
     initial_indices: tuple[int, ...]
@@ -508,44 +508,23 @@ def zeno_run(
 
 
 def zeno_statistics(
-    p: PathHamiltonian,
-    n_steps: int,
-    initial_indices: list[int],
-    trials_per_initial: int,
-    rng_seed: int,
-    eigensolutions: ZenoGrid | list[EigenSolution] | None = None,
+    grid: ZenoGrid, trials_per_initial: int, rng_seed: int
 ) -> list[ZenoDistribution]:
-    """Final-index statistics, one distribution per initial eigenstate.
+    """Final-index statistics, one distribution per rank of grid.initial_indices.
 
     Trial t of the i-th initial index uses trial number
     i * trials_per_initial + t, so results are seed-deterministic and
     independent of execution order.  The trials of every initial index
     are projected together as one block, one state column per distinct
-    state.  The path is zeno_grid's, solved here when eigensolutions is
-    None.  A given ZenoGrid is run as it is and must be one solved for
-    n_steps from these initial indices, and a given list must hold n_steps
-    + 1 complete bases, or ValueError is raised before any draw.
+    state, from the columns of grid.starts.
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
-    grid = eigensolutions
-    if grid is None:
-        grid = zeno_grid(p, n_steps, list(initial_indices))
-    if isinstance(grid, ZenoGrid):
-        if (len(grid.solutions), grid.initial_indices) != (n_steps + 1, tuple(initial_indices)):
-            _check_initial_indices(initial_indices, len(grid.starts))
-            raise ValueError(f"a grid of {len(grid.solutions) - 1} steps from ranks "
-                             f"{list(grid.initial_indices)} cannot run {n_steps} steps "
-                             f"from ranks {list(initial_indices)}")
-        solutions, starts = grid.solutions, grid.starts
-    else:
-        _check_complete(n_steps, grid)
-        solutions, starts = grid, _initial_block(list(initial_indices), grid[0])
-    owner = np.repeat(np.arange(len(initial_indices)), trials_per_initial)
-    finals = _final_ranks(solutions, starts, owner, rng_seed, range(len(owner)), 1)
+    owner = np.repeat(np.arange(len(grid.initial_indices)), trials_per_initial)
+    finals = _final_ranks(grid.solutions, grid.starts, owner, rng_seed, range(len(owner)), 1)
     rows = finals.reshape(-1, trials_per_initial)
     return [ZenoDistribution(dict(Counter(row.tolist())), trials_per_initial, i)
-            for i, row in zip(initial_indices, rows)]
+            for i, row in zip(grid.initial_indices, rows)]
 
 
 def lowest_k_energies(

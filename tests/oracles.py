@@ -11,7 +11,8 @@ dict-of-masks ladder products, one full eigh per path point, a per-term
 symmetry check, a term-by-term all-Z diagonal, sparse S^T P S sector
 parts, orbit pairs found by a sort, per-term parity folds summed in a
 dict, and qae steps on the whole space), kept so that the faster ones can
-be held to them.
+be held to them.  complete_grid wraps such a list of whole solutions as the
+ZenoGrid that zeno_statistics runs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from mczeno.fermion import FermionIntegrals
 from mczeno.path import Sector, _permute_bits
 from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, ham_matrix, parity
 from mczeno.qae import chebyshev_step
+from mczeno.qzp import ZenoGrid, _check_complete, _initial_block
 from mczeno.spectral import EigenSolution
 
 PAULI_1Q = {
@@ -308,6 +310,15 @@ def full_eigh_solutions(p, s_values) -> list:
     """One full dense eigh of p.matrix(s) per path point, as (values,
     vectors) EigenSolutions, with no diagonal or block shortcut."""
     return [EigenSolution(*np.linalg.eigh(p.matrix(float(s)))) for s in s_values]
+
+
+def complete_grid(solutions, initial_indices) -> ZenoGrid:
+    """A ZenoGrid of a list of complete bases, one per path point (say
+    full_eigh_solutions'), for runs from the given H(0) ranks: the start
+    states are read from its first point, as zeno_grid reads them."""
+    _check_complete(len(solutions) - 1, solutions)
+    starts = _initial_block(list(initial_indices), solutions[0])
+    return ZenoGrid(tuple(solutions), tuple(initial_indices), starts)
 
 
 def scattered_sector_eigh(p, s: float) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from mczeno.fermion import FermionIntegrals, jordan_wigner, parity_map
 from mczeno.pauli import load_hamiltonian
 from mczeno.path import PathHamiltonian, discretize
 from mczeno.qae import evolve
-from mczeno.qzp import initial_eigenstate, lowest_k_energies, zeno_run, zeno_statistics
+from mczeno.qzp import initial_eigenstate, lowest_k_energies, zeno_grid, zeno_run, zeno_statistics
 from mczeno.spectral import eig, path_spectrum
 from oracles import fock_hamiltonian, random_spatial_integrals
 
@@ -57,7 +57,7 @@ def stretched_ground_frequency(stretched):
     frequencies = {}
     for alpha in (0.0, 0.5):
         p = mc_path(stretched, alpha=alpha)
-        dist = zeno_statistics(p, 20, [0], 1000, rng_seed=7)[0]
+        dist = zeno_statistics(zeno_grid(p, 20, [0]), 1000, rng_seed=7)[0]
         frequencies[alpha] = dist.counts.get(0, 0) / 1000
     return frequencies
 
@@ -160,7 +160,7 @@ def test_criterion_04_zeno_convergence(gapped):
     min_gap = float((spectrum.levels[:, 1] - spectrum.levels[:, 0]).min())
     frequencies = {}
     for n_steps in (5, 20, 80):
-        dist = zeno_statistics(p, n_steps, [0], 1000, rng_seed=11)[0]
+        dist = zeno_statistics(zeno_grid(p, n_steps, [0]), 1000, rng_seed=11)[0]
         frequencies[n_steps] = dist.counts.get(0, 0) / 1000
     monotone = all(
         frequencies[hi]

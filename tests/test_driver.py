@@ -28,7 +28,7 @@ from mczeno import path as path_module
 from mczeno import spectral
 from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve
-from mczeno.qzp import initial_eigenstate, zeno_statistics
+from mczeno.qzp import initial_eigenstate, zeno_grid, zeno_statistics
 from mczeno.spectral import eig
 
 
@@ -230,7 +230,7 @@ class TestRun:
         h = load_hamiltonian(source)
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
         p = PathHamiltonian(mc, h, alpha=0.0, total_time=10.0)
-        direct = zeno_statistics(p, 5, [0], 40, 2)[0]
+        direct = zeno_statistics(zeno_grid(p, 5, [0]), 40, 2)[0]
         assert record["distributions"][0]["counts"] == [
             [i, direct.counts[i]] for i in sorted(direct.counts)
         ]
@@ -303,7 +303,7 @@ class TestRun:
         h, _ = load_qubit_hamiltonian(str(data_dir / name))
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
         p = PathHamiltonian(mc, h, alpha=0.5, total_time=10.0)
-        direct = zeno_statistics(p, 6, [0], 20, 1)[0]
+        direct = zeno_statistics(zeno_grid(p, 6, [0]), 20, 1)[0]
         assert record["distributions"][0]["counts"] == [
             [i, direct.counts[i]] for i in sorted(direct.counts)
         ]

@@ -1,7 +1,6 @@
 """Projection-driven evolution and its sampling statistics."""
 
 import contextlib
-import re
 from collections import Counter
 
 import numpy as np
@@ -31,6 +30,7 @@ from mczeno.qzp import (
 from mczeno.path import s_grid
 from mczeno.spectral import EigenSolution, eig, path_eigensolutions
 from oracles import (
+    complete_grid,
     diagonal_entries,
     full_eigh_solutions,
     philox_draw,
@@ -323,7 +323,7 @@ class TestZenoStatistics:
         """Sampled ground frequency vs the closed two-level chain."""
         chain = two_level_chain_probability(20)
         assert chain == pytest.approx(0.9688497405948653, abs=1e-12)
-        dist = zeno_statistics(single_qubit_path, 20, [0], 1000, rng_seed=0)[0]
+        dist = zeno_statistics(zeno_grid(single_qubit_path, 20, [0]), 1000, rng_seed=0)[0]
         freq = dist.counts.get(0, 0) / dist.trials
         assert freq == 0.958
         sigma = np.sqrt(chain * (1.0 - chain) / 1000)
@@ -332,7 +332,7 @@ class TestZenoStatistics:
     def test_success_non_decreasing_in_step_count(self, gapped_path):
         freqs = {}
         for n_steps in (5, 20, 80):
-            dist = zeno_statistics(gapped_path, n_steps, [0], 1000, rng_seed=11)[0]
+            dist = zeno_statistics(zeno_grid(gapped_path, n_steps, [0]), 1000, rng_seed=11)[0]
             freqs[n_steps] = dist.counts.get(0, 0) / 1000
         assert freqs == {5: 0.976, 20: 0.994, 80: 0.998}
         # two-sigma slack on the frequency differences
@@ -341,8 +341,8 @@ class TestZenoStatistics:
             assert freqs[hi] >= freqs[lo] - 2 * sigma
 
     def test_first_slot_independent_of_later_ones(self, single_qubit_path):
-        both = zeno_statistics(single_qubit_path, 5, [0, 1], 40, rng_seed=6)
-        alone = zeno_statistics(single_qubit_path, 5, [0], 40, rng_seed=6)
+        both = zeno_statistics(zeno_grid(single_qubit_path, 5, [0, 1]), 40, rng_seed=6)
+        alone = zeno_statistics(zeno_grid(single_qubit_path, 5, [0]), 40, rng_seed=6)
         assert both[0] == alone[0]
         assert both[1].initial_index == 1
 
@@ -359,36 +359,33 @@ class TestZenoStatistics:
             return original(eigensolutions, psi, owner, *args)
 
         monkeypatch.setattr(qzp, "_trajectories", recording_trajectories)
-        got = zeno_statistics(gapped_path, 5, [0, 1, 2], 4, rng_seed=3)
+        got = zeno_statistics(zeno_grid(gapped_path, 5, [0, 1, 2]), 4, rng_seed=3)
         assert calls == [(3, [0] * 4 + [1] * 4 + [2] * 4, (3, range(12), 1))]
         assert [d.initial_index for d in got] == [0, 1, 2]
         assert all(d.trials == 4 for d in got)
 
     @pytest.mark.parametrize("name", ["h2_2.8_jw.txt", "h5"])
     def test_no_initial_indices(self, data_dir, name):
-        """An empty start list is refused by name, not answered with no
-        distributions or a complaint about symmetry sectors, whether the
-        path is solved here or given."""
+        """An empty start list is refused by name when its grid is solved,
+        not answered with a grid of no starts or a complaint about symmetry
+        sectors."""
         p = (sectored_path(data_dir, name) if name == "h5"
              else fixture_path(data_dir, name, 0.5))
-        message = "^initial_indices must hold at least one index$"
-        with pytest.raises(ValueError, match=message):
-            zeno_statistics(p, 3, [], 5, rng_seed=0)
-        grid = zeno_grid(p, 3, [0])
-        with pytest.raises(ValueError, match=message):
-            zeno_statistics(p, 3, [], 5, rng_seed=0, eigensolutions=grid)
+        with pytest.raises(ValueError, match="^initial_indices must hold at least one index$"):
+            zeno_grid(p, 3, [])
 
     def test_trial_count_validation(self, single_qubit_path):
         with pytest.raises(ValueError, match="at least 1"):
-            zeno_statistics(single_qubit_path, 5, [0], 0, rng_seed=0)
+            zeno_statistics(zeno_grid(single_qubit_path, 5, [0]), 0, rng_seed=0)
 
     def test_zero_steps_rejected_with_given_solutions(self, single_qubit_path):
         """A one-point list matches n_steps 0 in length, but no step is left
-        to project; zeno_run and lowest_k_energies share the check."""
+        to project: zeno_run refuses it, as zeno_grid and lowest_k_energies
+        refuse n_steps 0."""
         h0 = next(path_eigensolutions(single_qubit_path, [0.0]))
         message = "n_steps must be at least 1, got 0"
         with pytest.raises(ValueError, match=message):
-            zeno_statistics(single_qubit_path, 0, [0], 10, 1, eigensolutions=[h0])
+            zeno_grid(single_qubit_path, 0, [0])
         with pytest.raises(ValueError, match=message):
             zeno_run(single_qubit_path, 0, 0, rng_seed=1, eigensolutions=[h0])
         with pytest.raises(ValueError, match=message):
@@ -462,7 +459,7 @@ class TestEigensolveCount:
         n_steps = 10
         for trials in (1, 30):
             calls.clear()
-            zeno_statistics(p, n_steps, [0, 1], trials, 5)
+            zeno_statistics(zeno_grid(p, n_steps, [0, 1]), trials, 5)
             assert calls == [(16, 16)] * (n_steps + 1)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 10])
@@ -538,8 +535,7 @@ class TestInitialStateCost:
             original = getattr(PathHamiltonian, name)
             monkeypatch.setattr(PathHamiltonian, name, lambda p, s, read=original:
                                 calls.append(s) or read(p, s))
-        zeno_statistics(gapped_path, 5, [0, 1], 30, rng_seed=2,
-                        eigensolutions=solutions)
+        zeno_statistics(complete_grid(solutions, [0, 1]), 30, rng_seed=2)
         assert calls == []
 
 
@@ -569,7 +565,7 @@ class TestMatchesPerTrialReference:
     def test_statistics_counts(self, path):
         trials, seed = 150, 17
         solutions = self.solutions(path)
-        got = zeno_statistics(path, self.N_STEPS, [0, 1], trials, rng_seed=seed)
+        got = zeno_statistics(zeno_grid(path, self.N_STEPS, [0, 1]), trials, rng_seed=seed)
         for slot, initial_index in enumerate([0, 1]):
             psi = initial_eigenstate(path, initial_index)
             expected: dict[int, int] = {}
@@ -592,7 +588,7 @@ class TestMatchesPerTrialReference:
         trials, seed = 12, 4
         solutions = self.solutions(path)
         with qzp._shared_draws() if shared else contextlib.nullcontext():
-            got = [zeno_statistics(path, self.N_STEPS, [1], trials, rng_seed=seed)[0]
+            got = [zeno_statistics(zeno_grid(path, self.N_STEPS, [1]), trials, rng_seed=seed)[0]
                    for _ in range(1 + shared)]
         psi = initial_eigenstate(path, 1)
         expected: dict[int, int] = {}
@@ -668,7 +664,7 @@ class TestDistinctStates:
             [np.eye(4), split, np.eye(4), split],
             [[0, 1, 2, 3], [0, 1, 2, 3], [0, 0, 1, 2], [0, 1, 2, 3]])
         trials, seed = 100, 6
-        got = zeno_statistics(p, 3, [0], trials, seed, eigensolutions=solutions)[0]
+        got = zeno_statistics(complete_grid(solutions, [0]), trials, seed)[0]
         step_1 = [zeno_trajectory(solutions, np.eye(4)[:, 0], seed, t, 1)[0]
                   for t in range(trials)]
         assert got.counts == {0: step_1.count(0), 1: step_1.count(1)}
@@ -690,7 +686,7 @@ class TestDistinctStates:
         three_qubits = PathHamiltonian(parse_hamiltonian("1.0 ZII"),
                                        parse_hamiltonian("1.0 XII"))
         trials, seed = 300, 21
-        got = zeno_statistics(three_qubits, 6, [2], trials, seed, eigensolutions=solutions)
+        got = zeno_statistics(complete_grid(solutions, [2]), trials, seed)
         psi = np.eye(8)[:, 2]
         expected: dict[int, int] = {}
         for t in range(trials):
@@ -713,7 +709,7 @@ class TestDistinctStates:
 
         monkeypatch.setattr(qzp, "step_draws", recording_draws)
         monkeypatch.setattr(qzp, "_DRAWS_PER_CALL", 7)
-        zeno_statistics(gapped_path, 4, [0, 1], 20, 9)
+        zeno_statistics(zeno_grid(gapped_path, 4, [0, 1]), 20, 9)
         assert max(sizes) <= 7 and sum(sizes) == 2 * 20 * 4
 
 
@@ -800,10 +796,9 @@ class TestSectorFrameProjection:
         p = sectored_path(data_dir, name)
         grid = s_grid(self.N_STEPS)
         solutions = list(path_eigensolutions(p, grid))
-        ours = zeno_statistics(p, self.N_STEPS, [0, 1], 100, 11, eigensolutions=solutions)
+        ours = zeno_statistics(complete_grid(solutions, [0, 1]), 100, 11)
         assert not any("eigenvectors" in vars(es) for es in solutions[1:])
-        theirs = zeno_statistics(p, self.N_STEPS, [0, 1], 100, 11,
-                                 eigensolutions=full_eigh_solutions(p, grid))
+        theirs = zeno_statistics(complete_grid(full_eigh_solutions(p, grid), [0, 1]), 100, 11)
         assert [d.counts for d in ours] == [d.counts for d in theirs]
 
     def test_run_from_user_state(self, sectored):
@@ -892,21 +887,21 @@ class TestReachedSectors:
             served = ZenoGrid(solutions, grid.initial_indices, grid.starts)
             monkeypatch.setattr(qzp, "zeno_grid", lambda *args: served)
             results.append((
-                zeno_statistics(p, n_steps, list(starts), self.TRIALS, self.SEED,
-                                eigensolutions=served),
+                zeno_statistics(served, self.TRIALS, self.SEED),
                 lowest_k_energies(p, n_steps, len(starts), self.REPETITIONS, self.SEED),
             ))
         assert results[0] == results[1]
 
     def test_zeno_statistics_solves_reached_sectors(self, data_dir, monkeypatch):
-        """Without given eigensolutions the grid is zeno_grid's: H(1) in four
-        sectors, then the interior points in the two the start reaches, each
-        compared as a multiset, since sectors are solved on a pool."""
+        """zeno_grid solves H(1) in four sectors, then the interior points in
+        the two the start reaches, for zeno_statistics and lowest_k_energies
+        alike, each compared as a multiset, since sectors are solved on a
+        pool."""
         p = clique_path(data_dir, self.H5, 0.5)
         shapes = []
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or original(m))
-        zeno_statistics(p, 3, [0], 10, 1)
+        zeno_statistics(zeno_grid(p, 3, [0]), 10, 1)
         lowest_k_energies(p, 3, 1, 10, 1)
         h1 = [(288, 288), (240, 240), (256, 256), (240, 240)]
         runs = [sorted(shapes[a:a + 4]) for a in (0, 4, 8, 12)]
@@ -925,56 +920,33 @@ class TestReachedSectors:
                         for seed in range(3)]
         assert trajectories == [(320, 313, 244), (257, 268, 348), (85, 100, 58)]
 
-    def test_zeno_statistics_rejects_restricted_last_point(self, data_dir):
+    def test_zeno_run_rejects_restricted_last_point(self, data_dir):
         """A plain list must hold a complete basis at every point, interior
         or last: a ZenoGrid's restricted points serve only in the grid
         itself.  The refusal names the first restricted step."""
         p = clique_path(data_dir, self.H5, 0.5)
         grid = zeno_grid(p, 2, [0])
-        assert zeno_statistics(p, 2, [0], 10, 1, eigensolutions=grid)
+        assert zeno_statistics(grid, 10, 1)
         h0, restricted, h1 = grid.solutions
         whole = next(path_eigensolutions(p, [0.5]))
-        assert zeno_statistics(p, 2, [0], 10, 1, eigensolutions=[h0, whole, h1])
+        assert zeno_run(p, 2, 0, 1, eigensolutions=[h0, whole, h1])
         for solutions, step in (([h0, restricted, h1], 1), ([h0, whole, restricted], 2)):
             with pytest.raises(ValueError, match=f"^the eigensolution of step {step} holds "
                                "544 of 1024 levels, not a complete basis$"):
-                zeno_statistics(p, 2, [0], 10, 1, eigensolutions=solutions)
-
-    def test_zeno_statistics_rejects_grid_that_misses_a_start(self, data_dir, monkeypatch):
-        """A grid serves only the starts and step count it was solved for:
-        any other start list, even rank 1, which reaches the same two
-        sectors as rank 0, or another step count, is refused before any
-        draw, naming both."""
-        p = clique_path(data_dir, self.H5, 0.5)
-        grid = zeno_grid(p, 3, [0])
-        reference = zeno_statistics(p, 3, [0], 50, 1, eigensolutions=grid)
-        monkeypatch.setattr(qzp, "_final_ranks", lambda *args: pytest.fail("drew"))
-        for n_steps, starts in [(3, [1]), (3, [2]), (3, [0, 2]), (3, [0, 3]), (4, [0])]:
-            message = (f"^a grid of 3 steps from ranks \\[0\\] cannot run {n_steps} steps "
-                       f"from ranks {re.escape(str(starts))}$")
-            with pytest.raises(ValueError, match=message):
-                zeno_statistics(p, n_steps, starts, 50, 1, eigensolutions=grid)
-        monkeypatch.undo()
-        assert zeno_statistics(p, 3, [0], 50, 1, eigensolutions=grid) == reference
+                zeno_run(p, 2, 0, 1, eigensolutions=solutions)
 
     def test_given_grid_is_not_read_again(self, data_dir, monkeypatch):
-        """zeno_statistics runs a given ZenoGrid as it is: no start state is
-        read from H(0) again and no point is checked by weights, so
-        zeno_grid then zeno_statistics makes the calls of zeno_statistics
-        solving its own grid."""
+        """zeno_statistics runs its ZenoGrid as it is: no start state is read
+        from H(0) again and no point is checked by weights."""
         p = clique_path(data_dir, self.H5, 0.5)
+        grid = zeno_grid(p, 3, [0])
         calls = Counter()
         for name in ("weights", "vectors"):
             original = getattr(EigenSolution, name)
             monkeypatch.setattr(EigenSolution, name, lambda *args, name=name, original=original:
                                 calls.update([name]) or original(*args))
-        grid = zeno_grid(p, 3, [0])
-        solving = calls.copy()
-        calls.clear()
-        given = zeno_statistics(p, 3, [0], 50, 1, eigensolutions=grid)
+        assert zeno_statistics(grid, 50, 1)
         assert calls == Counter()
-        assert zeno_statistics(p, 3, [0], 50, 1) == given
-        assert calls == solving
 
     def test_wrong_length_state_raises_against_restricted_solution(self, data_dir):
         p = clique_path(data_dir, self.H5, 0.5)
@@ -1008,7 +980,7 @@ class TestDegenerateLevelAcrossSectors:
         original = qzp._collapse
         monkeypatch.setattr(qzp, "_collapse", lambda *args: collapsed.append(
             args[0].shape[1]) or original(*args))
-        got = zeno_statistics(p, n_steps, [0, 1, 2], trials, seed, eigensolutions=grid)
+        got = zeno_statistics(grid, trials, seed)
         assert collapsed == [2] * (n_steps - 1)
         for slot, initial_index in enumerate([0, 1, 2]):
             expected: dict[int, int] = {}

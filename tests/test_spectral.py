@@ -29,6 +29,7 @@ from mczeno.spectral import (
     spectrum_csv,
 )
 from oracles import (
+    complete_grid,
     diagonal_entries,
     full_eigh_solutions,
     sandwich_sectors,
@@ -36,6 +37,10 @@ from oracles import (
     sector_basis,
     solved_sectors,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from gen_fixtures import chain_integrals  # noqa: E402
+from size_table import symmetric_sum  # noqa: E402
 
 MINUS_Z = parse_hamiltonian("-1.0 Z")
 MINUS_X = parse_hamiltonian("-1.0 X")
@@ -147,46 +152,10 @@ def clique_path(data_dir, name: str, alpha: float) -> PathHamiltonian:
     return PathHamiltonian(mc, h, alpha=alpha)
 
 
-def spin_swap(n: int) -> np.ndarray:
-    return (np.arange(n) + n // 2) % n
-
-
-def chain_mirror(n: int) -> np.ndarray:
-    q, m = np.arange(n), n // 2
-    return m - 1 - q % m + m * (q // m)
-
-
-def permuted(mask: int, perm: np.ndarray) -> int:
-    return sum(1 << int(target) for q, target in enumerate(perm) if mask >> q & 1)
-
-
-def symmetric_sum(n: int, seed: int, odd_y: bool, n_terms: int = 40):
-    """n_terms random Pauli products on n qubits, each with its images under
-    the spin swap, the chain mirror and both at the same coefficient; terms
-    with an odd number of Y factors only when odd_y is set."""
-    rng = np.random.default_rng([seed, n, odd_y])
-    swap, mirror = spin_swap(n), chain_mirror(n)
-    terms = []
-    while len(terms) < 4 * n_terms:
-        x, z = (int(v) for v in rng.integers(0, 1 << n, 2))
-        if (x & z).bit_count() % 2 and not odd_y:
-            continue
-        c = float(rng.normal())
-        for perms in ((), (swap,), (mirror,), (swap, mirror)):
-            image_x, image_z = x, z
-            for perm in perms:
-                image_x, image_z = permuted(image_x, perm), permuted(image_z, perm)
-            terms.append(PauliTerm(n, image_x, image_z, c))
-    return PauliHamiltonian(n, terms)
-
-
 @pytest.fixture(scope="module")
 def chain_paths():
     """Clique paths of generated H4 chains: a palindromic one (fixed by the
     spin swap and the chain mirror) and one fixed by the spin swap only."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-    from gen_fixtures import chain_integrals
-
     paths = {}
     for name, spacings in [("palindromic", [1.0, 1.2, 1.0]),
                            ("asymmetric", [1.0, 1.2, 1.4])]:
@@ -329,8 +298,8 @@ class TestSectorSolve:
         p = clique_path(data_dir, self.H5, 0.5)
         n_steps = 4
         reference = full_eigh_solutions(p, s_grid(n_steps))
-        ours = zeno_statistics(p, n_steps, [0, 1], 100, 11)
-        theirs = zeno_statistics(p, n_steps, [0, 1], 100, 11, eigensolutions=reference)
+        ours = zeno_statistics(zeno_grid(p, n_steps, [0, 1]), 100, 11)
+        theirs = zeno_statistics(complete_grid(reference, [0, 1]), 100, 11)
         assert [d.counts for d in ours] == [d.counts for d in theirs]
 
     def test_small_dimensions_keep_full_eigh(self, data_dir, eigh_shapes):
@@ -789,8 +758,7 @@ class TestSectorPool:
 
         def solve():
             grid = zeno_grid(p, n_steps, [0, 1])
-            counts = [d.counts for d in zeno_statistics(p, n_steps, [0, 1], 200, 3,
-                                                        eigensolutions=grid)]
+            counts = [d.counts for d in zeno_statistics(grid, 200, 3)]
             whole = list(path_eigensolutions(p, s_grid(4)))
             return counts, [es.eigenvalues for es in [*grid.solutions, *whole]]
 
@@ -851,6 +819,36 @@ class TestSectorPool:
         in_caller.clear()
         spectral._send_sectors(p, 0.5, [False, True, False, True])()
         assert in_caller == [False] * 2
+
+    @pytest.mark.parametrize("solve", [
+        lambda p: zeno_grid(p, 3, [0]),
+        lambda p: list(path_eigensolutions(p, [1.0, 0.0])),
+    ], ids=["zeno_grid", "path_eigensolutions"])
+    def test_h0_eigh_runs_after_h1_sector_solves(self, data_dir, sector_pool, monkeypatch,
+                                                 solve):
+        """The ends are solved H(1) first: H(0)'s full eigh, 1024 rows in the
+        calling thread, starts after all four of H(1)'s pooled sector solves
+        have ended, and runs beside no pooled solve."""
+        h, _ = load_qubit_hamiltonian(str(data_dir / TestSectorSolve.H5))
+        p = PathHamiltonian(h, h, alpha=0.5)
+        assert not p.is_diagonal(0.0) and len(p.sectors) == 4
+        caller, calls = threading.current_thread(), []
+        original = np.linalg.eigh
+
+        def timed_eigh(m):
+            begin = time.perf_counter()
+            result = original(m)
+            calls.append((threading.current_thread() is caller, len(m), begin,
+                          time.perf_counter()))
+            return result
+
+        monkeypatch.setattr(np.linalg, "eigh", timed_eigh)
+        solve(p)
+        monkeypatch.setattr(np.linalg, "eigh", original)
+        [(begin, end)] = [(b, e) for c, n, b, e in calls if n == 1024 and c]
+        pooled = [(b, e) for c, _, b, e in calls if not c]
+        assert sum(e < begin for _, e in pooled) == 4
+        assert all(e < begin or b > end for b, e in pooled)
 
     def test_one_point_ahead(self, data_dir, sector_pool, monkeypatch):
         """The first next() sends the first two points, and no later one."""
