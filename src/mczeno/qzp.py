@@ -431,8 +431,10 @@ def _check_initial_indices(initial_indices, dimension: int) -> None:
 class ZenoGrid:
     """The solved points of s_grid(n_steps) for Zeno runs from the H(0) ranks
     initial_indices, whose start states are the columns of starts: the one
-    input of zeno_statistics.  zeno_grid makes it, its interior points in the
-    sectors the starts reach; a grid of complete bases may be built directly."""
+    input of zeno_statistics, which checks nothing of it.  Only zeno_grid may
+    make a grid with restricted points, its interior points in the sectors
+    the starts reach.  A grid built directly must hold n_steps + 1 complete
+    bases, with starts read from its first point by _initial_block."""
 
     solutions: tuple[EigenSolution, ...]
     initial_indices: tuple[int, ...]

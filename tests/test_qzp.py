@@ -909,31 +909,22 @@ class TestReachedSectors:
         assert runs == [sorted(h1), sorted([(288, 288), (256, 256)] * 2)] * 2
 
     def test_zeno_run_rejects_restricted_grid(self, data_dir):
-        """A trajectory reports every step's rank, and the interior points
-        of a zeno_grid grid count only the reached sectors' levels."""
+        """A plain list given to zeno_run must hold a complete basis at every
+        point, interior or last, and the refusal names the restricted step:
+        the interior points of a zeno_grid grid count only the reached
+        sectors' levels.  With whole interior points the grid's ends run, and
+        a trajectory reports every step's rank."""
         p = clique_path(data_dir, self.H5, 0.5)
         grid = zeno_grid(p, 3, [0])
-        with pytest.raises(ValueError, match="step 1 holds 544 of 1024 levels"):
-            zeno_run(p, 3, 0, 0, eigensolutions=list(grid.solutions))
+        h0, restricted, _, h1 = grid.solutions
         whole = list(path_eigensolutions(p, s_grid(3)))
-        trajectories = [zeno_run(p, 3, 0, seed, eigensolutions=whole).trajectory
-                        for seed in range(3)]
-        assert trajectories == [(320, 313, 244), (257, 268, 348), (85, 100, 58)]
-
-    def test_zeno_run_rejects_restricted_last_point(self, data_dir):
-        """A plain list must hold a complete basis at every point, interior
-        or last: a ZenoGrid's restricted points serve only in the grid
-        itself.  The refusal names the first restricted step."""
-        p = clique_path(data_dir, self.H5, 0.5)
-        grid = zeno_grid(p, 2, [0])
-        assert zeno_statistics(grid, 10, 1)
-        h0, restricted, h1 = grid.solutions
-        whole = next(path_eigensolutions(p, [0.5]))
-        assert zeno_run(p, 2, 0, 1, eigensolutions=[h0, whole, h1])
-        for solutions, step in (([h0, restricted, h1], 1), ([h0, whole, restricted], 2)):
+        for solutions, step in ((grid.solutions, 1), ([h0, *whole[1:3], restricted], 3)):
             with pytest.raises(ValueError, match=f"^the eigensolution of step {step} holds "
                                "544 of 1024 levels, not a complete basis$"):
-                zeno_run(p, 2, 0, 1, eigensolutions=solutions)
+                zeno_run(p, 3, 0, 0, eigensolutions=list(solutions))
+        trajectories = [zeno_run(p, 3, 0, seed, eigensolutions=[h0, *whole[1:3], h1]).trajectory
+                        for seed in range(3)]
+        assert trajectories == [(320, 313, 244), (257, 268, 348), (85, 100, 58)]
 
     def test_given_grid_is_not_read_again(self, data_dir, monkeypatch):
         """zeno_statistics runs its ZenoGrid as it is: no start state is read

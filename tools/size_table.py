@@ -9,7 +9,7 @@ mczeno is imported from the checkout's src/.  Each qubit count is measured
 in its own interpreter, so its peak RSS (VmHWM) is its own.  Its columns:
 
 - sparse assembly: ham_matrix of perfbench/synthetic.synthetic_hamiltonian
-  (20 real terms per qubit) at --seed;
+  (20 real terms per qubit) at SEED;
 - one dense eigh of that matrix;
 - sector build: PathHamiltonian.sectors, shared pattern included, on a fresh
   path between two sums fixed by the spin swap and the chain mirror
@@ -18,9 +18,9 @@ in its own interpreter, so its peak RSS (VmHWM) is its own.  Its columns:
   thread, each sector's p.matrix(0.5, sector) plus its eigh;
 - the sector dimensions, and the peak RSS.
 
-Each time is the median of the calls made within one second, at most five
-(perfbench/child.median_time, as the benchmark's qubit-count sweep times
-them).  The table is printed as Markdown, after one line naming the
+The first two columns are perfbench/child.sweep, the benchmark's
+qubit-count sweep, itself.  Each time is the median of the calls made within
+one second, at most five (perfbench/child.median_time).  The table is printed as Markdown, after one line naming the
 machine, numpy and the BLAS thread setting.
 """
 
@@ -41,6 +41,8 @@ import numpy as np  # noqa: E402
 
 from mczeno.path import PathHamiltonian  # noqa: E402
 from mczeno.pauli import PauliHamiltonian, PauliTerm  # noqa: E402
+
+SEED = 0
 
 HEADER = ("| qubits | sparse assembly (`ham_matrix`) | one dense `eigh` | sector build "
           "| symmetry sectors | sector dimensions | peak RSS |\n"
@@ -81,21 +83,17 @@ def symmetric_sum(n: int, seed: int, odd_y: bool, n_terms: int = 40) -> PauliHam
     return PauliHamiltonian(n, terms)
 
 
-def measure(n_qubits: int, seed: int) -> dict:
+def measure(n_qubits: int) -> dict:
     """One row of the table, measured in this process."""
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from child import median_time, peak_rss_mb
-    from synthetic import synthetic_hamiltonian
+    from child import median_time, peak_rss_mb, sweep
 
-    from mczeno.pauli import ham_matrix
-
-    np.linalg.eigh(np.eye(4))  # load LAPACK and start BLAS threads untimed
-    ham_matrix_s, sparse = median_time(ham_matrix, synthetic_hamiltonian(n_qubits, seed))
-    eigh_s, _ = median_time(np.linalg.eigh, sparse.toarray())
-    h_i, h_p = (symmetric_sum(n_qubits, 2 * seed + k, False, 5 * n_qubits) for k in (1, 2))
+    dense = sweep(n_qubits, SEED)
+    assert dense["ok"], f"dense eigensolve of {n_qubits} qubits failed its check"
+    h_i, h_p = (symmetric_sum(n_qubits, 2 * SEED + k, False, 5 * n_qubits) for k in (1, 2))
     sectors_s, p = median_time(sectored_path, h_i, h_p)
     solve_s, _ = median_time(lambda: [np.linalg.eigh(p.matrix(0.5, c)) for c in p.sectors])
-    return {"qubits": n_qubits, "ham_matrix_s": ham_matrix_s, "eigh_s": eigh_s,
+    return {"qubits": n_qubits, "ham_matrix_s": dense["ham_matrix_s"], "eigh_s": dense["eigh_s"],
             "sectors_s": sectors_s, "solve_s": solve_s,
             "dimensions": [c.dimension for c in p.sectors], "peak_rss_mb": peak_rss_mb()}
 
@@ -118,19 +116,17 @@ def row(m: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--qubits", type=int, nargs="+", default=[4, 6, 8, 10])
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--measure", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure is not None:
-        print(json.dumps(measure(args.measure, args.seed)))
+        print(json.dumps(measure(args.measure)))
         return 0
     print(f"{platform.machine()}, {os.cpu_count()} cores, numpy {np.__version__}, "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
-          f"seed {args.seed}")
+          f"seed {SEED}")
     print(HEADER)
     for n_qubits in args.qubits:
-        out = subprocess.run([sys.executable, __file__, "--measure", str(n_qubits),
-                              "--seed", str(args.seed)],
+        out = subprocess.run([sys.executable, __file__, "--measure", str(n_qubits)],
                              capture_output=True, text=True, check=True).stdout
         print(row(json.loads(out)), flush=True)
     return 0
