@@ -250,7 +250,7 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
     with _stage("qzp", config.source):
         grid = zeno_grid(p, config.n_steps, list(config.initial_indices), (*initial, final))
         distributions = zeno_statistics(grid, config.trials, config.seed)
-        weights = sector_weights(p, grid.starts).T.tolist()
+        weights = sector_weights(p, _initial_block(grid.initial_indices, *initial)).T.tolist()
     best_index = min(min(d.counts) for d in distributions)
     record.update(
         {

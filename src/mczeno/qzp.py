@@ -20,12 +20,14 @@ _shared_draws scope, which a driver scan opens, the runs that share a seed,
 trial numbers and steps read one table of draws, computed by the first.
 
 The trials of one call are projected together, whatever their initial
-state, with one state per distinct state rather than per trial, so the
+rank, with one state per distinct state rather than per trial, so the
 cost of a step follows the number of distinct states; each trial adds
 only its draw and a search in its state's cumulative level weights.  A
-trial on a one-dimensional level is carried to the next step as that
-level's rank, whose amplitudes there are one overlap of the two
-eigenbases (spectral.EigenSolution.overlap).
+state is held in the eigenbasis of the point it was last projected on:
+from H(0) on, a trial on a one-dimensional level is that level's rank,
+and its amplitudes at the next point are one overlap of the two
+eigenbases (spectral.EigenSolution.overlap), which also carries the
+in-level columns of degenerate levels.
 """
 
 from __future__ import annotations
@@ -347,35 +349,31 @@ def _draw_rows(run_seed: int, trials: np.ndarray, steps: np.ndarray) -> Iterator
 
 def _trajectories(
     eigensolutions: list[EigenSolution],
-    psi: np.ndarray,
+    ranks,
     owner: np.ndarray,
     rng_seed: int,
     trial_numbers: range,
-    first_step: int,
 ) -> Iterator[np.ndarray]:
-    """Project trial t, from state psi[:, owner[t]], through
-    eigensolutions[first_step:] as trial trial_numbers[t]; yields the
-    sampled ranks of each step in turn.
+    """Project trial t, from the eigenvector of rank ranks[owner[t]] of
+    eigensolutions[0], through eigensolutions[1:] as trial trial_numbers[t];
+    yields the sampled ranks of each step in turn.
 
-    psi holds each distinct start state once, in the standard basis.  After
-    a step the distinct states are held in that step's eigenbasis
-    (_project_block): the next step's amplitudes of a rank are one overlap
-    of the two eigenbases (EigenSolution.overlap), and only the in-level
-    columns of degenerate levels go through the standard basis.  The last
-    step only draws its ranks.
+    Each distinct state is held in the eigenbasis of the point it was last
+    projected on (_project_block), as a rank or as an in-level column of a
+    degenerate level, so a step's amplitudes are the overlap of the two
+    eigenbases (EigenSolution.overlap) at the ranks, and at the ranks the
+    columns are nonzero on, times the columns.  The last step only draws
+    its ranks.
     """
     trials = _integer_array(trial_numbers)
-    steps = np.arange(first_step, len(eigensolutions))
+    steps = np.arange(1, len(eigensolutions))
+    columns = None
     for k, draws in zip(steps, _draws(rng_seed, trials, steps)):
-        es = eigensolutions[k]
-        if k == first_step:
-            amplitudes = es.apply(psi, adjoint=True)
-        else:
-            previous = eigensolutions[k - 1]
-            amplitudes = es.overlap(previous, ranks)
-            if columns is not None:
-                amplitudes = np.hstack(
-                    [amplitudes, es.apply(previous.apply(columns), adjoint=True)])
+        es, previous = eigensolutions[k], eigensolutions[k - 1]
+        amplitudes = es.overlap(previous, ranks)
+        if columns is not None:
+            support = np.flatnonzero(columns.any(axis=1))
+            amplitudes = np.hstack([amplitudes, es.overlap(previous, support) @ columns[support]])
         step_ranks, ranks, columns, owner = _project_block(
             amplitudes, es, draws, owner, collapse=k < steps[-1])
         yield step_ranks
@@ -419,26 +417,27 @@ def _initial_block(initial_indices: list[int], h0: EigenSolution) -> np.ndarray:
 
 
 def _check_initial_indices(initial_indices, dimension: int) -> None:
-    """Refuse an empty list of H(0) ranks, or a rank outside 0..dimension-1."""
+    """Refuse an empty list of H(0) ranks, or a rank outside 0..dimension-1;
+    a rank that is not an integer raises TypeError."""
     if not initial_indices:
         raise ValueError("initial_indices must hold at least one index")
     for initial_index in initial_indices:
-        if not 0 <= initial_index < dimension:
+        if not 0 <= operator.index(initial_index) < dimension:
             raise ValueError(f"initial_index {initial_index} outside 0..{dimension - 1}")
 
 
 @dataclass(frozen=True, eq=False)
 class ZenoGrid:
     """The solved points of s_grid(n_steps) for Zeno runs from the H(0) ranks
-    initial_indices, whose start states are the columns of starts: the one
-    input of zeno_statistics, which checks nothing of it.  Only zeno_grid may
-    make a grid with restricted points, its interior points in the sectors
-    the starts reach.  A grid built directly must hold n_steps + 1 complete
-    bases, with starts read from its first point by _initial_block."""
+    initial_indices, each run starting from the eigenvector of its rank at
+    the first point: the one input of zeno_statistics, which checks nothing
+    of it.  Only zeno_grid may make a grid with restricted points, its
+    interior points in the sectors those eigenvectors reach.  A grid built
+    directly must hold n_steps + 1 complete bases and ranks of its first
+    point."""
 
     solutions: tuple[EigenSolution, ...]
     initial_indices: tuple[int, ...]
-    starts: np.ndarray
 
 
 def zeno_grid(
@@ -450,14 +449,14 @@ def zeno_grid(
     s = 0 and s = 1 are solved whole: ends is the pair of their solutions,
     solved here when not given, s = 1 first so that H(0)'s full eigh never
     runs beside H(1)'s pooled sector solves.  The interior points solve only
-    the symmetry sectors the starts reach (path_eigensolutions' start), so
-    their ranks count only those sectors' levels.
+    the symmetry sectors the ranks' H(0) eigenvectors reach
+    (path_eigensolutions' start), so their ranks count only those sectors'
+    levels.
     """
     grid = s_grid(n_steps)
     h0, h1 = ends or reversed([*path_eigensolutions(p, [1.0, 0.0])])
-    starts = _initial_block(initial_indices, h0)
-    interior = path_eigensolutions(p, grid[1:-1], start=starts)
-    return ZenoGrid((h0, *interior, h1), tuple(initial_indices), starts)
+    interior = path_eigensolutions(p, grid[1:-1], start=_initial_block(initial_indices, h0))
+    return ZenoGrid((h0, *interior, h1), tuple(initial_indices))
 
 
 def _check_complete(n_steps: int, eigensolutions: list[EigenSolution]) -> None:
@@ -476,27 +475,21 @@ def zeno_run(
     initial_index: int,
     rng_seed: int,
     trial_number: int = 0,
-    initial_state: np.ndarray | None = None,
     eigensolutions: list[EigenSolution] | None = None,
 ) -> ZenoTrial:
-    """One projection trial over the N-step discretization.
+    """One projection trial over the N-step discretization, from the H(0)
+    eigenstate of rank initial_index.
 
-    A user-supplied initial_state (instead of an exact eigenstate rank)
-    is itself projected onto the H(0) eigenbasis first, consuming the
-    step-0 random draw; exact initial eigenstates skip that step because
-    the projection would be the identity on them.  The trajectory reports
-    every step's rank, so given eigensolutions must be complete bases.
+    The trajectory reports the rank of every step after s = 0, so given
+    eigensolutions must be complete bases.
     """
     if eigensolutions is None:
         eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
     _check_complete(n_steps, eigensolutions)
-    if initial_state is None:
-        psi, first_step = _initial_block([initial_index], eigensolutions[0]), 1
-    else:
-        psi, first_step = initial_state[:, None], 0
+    _check_initial_indices([initial_index], eigensolutions[0].dimension)
     trials = range(trial_number, trial_number + 1)
     trajectory = tuple(int(ranks[0]) for ranks in _trajectories(
-        eigensolutions, psi, np.zeros(1, np.intp), rng_seed, trials, first_step))
+        eigensolutions, [initial_index], np.zeros(1, np.intp), rng_seed, trials))
     final_index = trajectory[-1]
     final_energy = float(eigensolutions[-1].eigenvalues[final_index])
     return ZenoTrial(
@@ -517,13 +510,13 @@ def zeno_statistics(
     Trial t of the i-th initial index uses trial number
     i * trials_per_initial + t, so results are seed-deterministic and
     independent of execution order.  The trials of every initial index
-    are projected together as one block, one state column per distinct
-    state, from the columns of grid.starts.
+    are projected together as one block, one state per distinct state,
+    from the ranks of grid.initial_indices at its first point.
     """
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
     owner = np.repeat(np.arange(len(grid.initial_indices)), trials_per_initial)
-    finals = _final_ranks(grid.solutions, grid.starts, owner, rng_seed, range(len(owner)), 1)
+    finals = _final_ranks(grid.solutions, grid.initial_indices, owner, rng_seed, range(len(owner)))
     rows = finals.reshape(-1, trials_per_initial)
     return [ZenoDistribution(dict(Counter(row.tolist())), trials_per_initial, i)
             for i, row in zip(grid.initial_indices, rows)]
@@ -549,7 +542,8 @@ def lowest_k_energies(
         raise ValueError("repetitions must be at least k")
     grid = zeno_grid(p, n_steps, list(range(k)))
     owner = np.arange(repetitions) % k
-    finals = _final_ranks(grid.solutions, grid.starts, owner, rng_seed, range(repetitions), 1)
+    finals = _final_ranks(grid.solutions, grid.initial_indices, owner, rng_seed,
+                          range(repetitions))
     observed = Counter(finals.tolist())
     final_values = grid.solutions[-1].eigenvalues
     ranked = sorted(observed)

@@ -24,7 +24,7 @@ from mczeno.fermion import FermionIntegrals
 from mczeno.path import Sector, _permute_bits
 from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, ham_matrix, parity
 from mczeno.qae import chebyshev_step
-from mczeno.qzp import ZenoGrid, _check_complete, _initial_block
+from mczeno.qzp import ZenoGrid, _check_complete, _check_initial_indices
 from mczeno.spectral import EigenSolution
 
 PAULI_1Q = {
@@ -268,12 +268,12 @@ def zeno_project(psi: np.ndarray, values: np.ndarray, vectors: np.ndarray,
     return a, collapsed / np.linalg.norm(collapsed)
 
 
-def zeno_trajectory(solutions, psi: np.ndarray, seed: int, trial: int,
-                    first_step: int) -> tuple[int, ...]:
-    """Ranks sampled by one trial projected through solutions[first_step:],
-    one state at a time, with the draw of (seed, trial, step) at each step."""
+def zeno_trajectory(solutions, psi: np.ndarray, seed: int, trial: int) -> tuple[int, ...]:
+    """Ranks sampled by one trial from psi, an eigenvector of solutions[0],
+    projected through solutions[1:] one state at a time, with the draw of
+    (seed, trial, step) at each step."""
     ranks = []
-    for step in range(first_step, len(solutions)):
+    for step in range(1, len(solutions)):
         es = solutions[step]
         rank, psi = zeno_project(psi, es.eigenvalues, es.eigenvectors,
                                  philox_draw(seed, trial, step))
@@ -314,11 +314,11 @@ def full_eigh_solutions(p, s_values) -> list:
 
 def complete_grid(solutions, initial_indices) -> ZenoGrid:
     """A ZenoGrid of a list of complete bases, one per path point (say
-    full_eigh_solutions'), for runs from the given H(0) ranks: the start
-    states are read from its first point, as zeno_grid reads them."""
+    full_eigh_solutions'), for runs from the given ranks of its first
+    point, checked as zeno_grid checks them."""
     _check_complete(len(solutions) - 1, solutions)
-    starts = _initial_block(list(initial_indices), solutions[0])
-    return ZenoGrid(tuple(solutions), tuple(initial_indices), starts)
+    _check_initial_indices(list(initial_indices), solutions[0].dimension)
+    return ZenoGrid(tuple(solutions), tuple(initial_indices))
 
 
 def scattered_sector_eigh(p, s: float) -> tuple[np.ndarray, np.ndarray]:

@@ -299,18 +299,16 @@ class TestZenoRun:
             trial = zeno_run(gapped_path, 10, 0, rng_seed=21, trial_number=t)
             assert abs(trial.final_energy - values[trial.final_index]) <= 1e-10
 
-    def test_supplied_state_consumes_step_zero(self, toy_hamiltonian):
-        p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
-        psi = np.full(4, 0.5, dtype=complex)
-        trial = zeno_run(p, 5, 0, rng_seed=2, initial_state=psi)
-        assert len(trial.trajectory) == 6
-        assert trial.trajectory[0] in {0, 1, 3}
-        plain = zeno_run(p, 5, 0, rng_seed=2)
-        assert len(plain.trajectory) == 5
-
     def test_step_count_validation(self, single_qubit_path):
         with pytest.raises(ValueError, match="at least 1"):
             zeno_run(single_qubit_path, 0, 0, rng_seed=0)
+
+    @pytest.mark.parametrize("rank, error", [(2, ValueError), (-1, ValueError), (1.0, TypeError)])
+    def test_initial_index_validation(self, single_qubit_path, rank, error):
+        """A rank is checked before it is run: one outside the basis, or one
+        that is not an integer, which would otherwise be cast to one."""
+        with pytest.raises(error):
+            zeno_run(single_qubit_path, 3, rank, rng_seed=0)
 
     def test_eigensolution_list_length_validation(self, single_qubit_path):
         sols = [eig(single_qubit_path.h_initial)] * 3
@@ -348,19 +346,19 @@ class TestZenoStatistics:
 
     def test_initial_indices_share_one_block(self, gapped_path, monkeypatch):
         """Every initial index is sampled in one _trajectories call, as trial
-        numbers 0..3 * trials - 1 with one start column per index."""
+        numbers 0..3 * trials - 1 with one start rank per index."""
         import mczeno.qzp as qzp
 
         calls = []
         original = qzp._trajectories
 
-        def recording_trajectories(eigensolutions, psi, owner, *args):
-            calls.append((psi.shape[1], owner.tolist(), args))
-            return original(eigensolutions, psi, owner, *args)
+        def recording_trajectories(eigensolutions, ranks, owner, *args):
+            calls.append((list(ranks), owner.tolist(), args))
+            return original(eigensolutions, ranks, owner, *args)
 
         monkeypatch.setattr(qzp, "_trajectories", recording_trajectories)
         got = zeno_statistics(zeno_grid(gapped_path, 5, [0, 1, 2]), 4, rng_seed=3)
-        assert calls == [(3, [0] * 4 + [1] * 4 + [2] * 4, (3, range(12), 1))]
+        assert calls == [([0, 1, 2], [0] * 4 + [1] * 4 + [2] * 4, (3, range(12)))]
         assert [d.initial_index for d in got] == [0, 1, 2]
         assert all(d.trials == 4 for d in got)
 
@@ -481,12 +479,11 @@ class TestEigensolveCount:
         solutions = grid.solutions
         assert solutions[0] is ends[0] and solutions[-1] is ends[1]
         assert len(solutions) == n_steps + 1 and grid.initial_indices == (0, 1)
-        assert np.array_equal(grid.starts, ends[0].vectors([0, 1]))
         solved.clear()
         unsolved = zeno_grid(p, n_steps, [0, 1])
         assert len(solved) == n_steps + 1
         assert all(map(np.array_equal, solved, [p.matrix(1.0), p.matrix(0.0), *interior]))
-        assert np.array_equal(unsolved.starts, grid.starts)
+        assert np.array_equal(unsolved.solutions[0].vectors([0, 1]), ends[0].vectors([0, 1]))
         assert all(np.array_equal(a.eigenvalues, b.eigenvalues)
                    for a, b in zip(unsolved.solutions, solutions))
 
@@ -570,8 +567,7 @@ class TestMatchesPerTrialReference:
             psi = initial_eigenstate(path, initial_index)
             expected: dict[int, int] = {}
             for t in range(trials):
-                final = zeno_trajectory(
-                    solutions, psi, seed, slot * trials + t, 1)[-1]
+                final = zeno_trajectory(solutions, psi, seed, slot * trials + t)[-1]
                 expected[final] = expected.get(final, 0) + 1
             assert got[slot].counts == expected
 
@@ -593,7 +589,7 @@ class TestMatchesPerTrialReference:
         psi = initial_eigenstate(path, 1)
         expected: dict[int, int] = {}
         for t in range(trials):
-            final = zeno_trajectory(solutions, psi, seed, t, 1)[-1]
+            final = zeno_trajectory(solutions, psi, seed, t)[-1]
             expected[final] = expected.get(final, 0) + 1
         assert [g.counts for g in got] == [expected] * (1 + shared)
 
@@ -603,18 +599,7 @@ class TestMatchesPerTrialReference:
             trial = zeno_run(path, self.N_STEPS, 1, 5, trial_number=t,
                              eigensolutions=solutions)
             psi = initial_eigenstate(path, 1)
-            assert trial.trajectory == zeno_trajectory(solutions, psi, 5, t, 1)
-
-    def test_run_from_user_state_draws_step_zero(self, path):
-        dim = 1 << path.n_qubits
-        rng = np.random.default_rng(4)
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi /= np.linalg.norm(psi)
-        solutions = self.solutions(path)
-        for t in range(20):
-            trial = zeno_run(path, self.N_STEPS, 0, 9, trial_number=t,
-                             initial_state=psi, eigensolutions=solutions)
-            assert trial.trajectory == zeno_trajectory(solutions, psi, 9, t, 0)
+            assert trial.trajectory == zeno_trajectory(solutions, psi, 5, t)
 
     def test_project_evolved_state(self, path):
         """Born-rule projections of the adiabatically evolved state, as the
@@ -635,7 +620,7 @@ class TestMatchesPerTrialReference:
         observed: dict[int, int] = {}
         for r in range(repetitions):
             psi = initial_eigenstate(path, r % k)
-            final = zeno_trajectory(solutions, psi, seed, r, 1)[-1]
+            final = zeno_trajectory(solutions, psi, seed, r)[-1]
             observed[final] = observed.get(final, 0) + 1
         values = solutions[-1].eigenvalues
         expected = tuple((float(values[i]), observed[i]) for i in sorted(observed)[:k])
@@ -665,7 +650,7 @@ class TestDistinctStates:
             [[0, 1, 2, 3], [0, 1, 2, 3], [0, 0, 1, 2], [0, 1, 2, 3]])
         trials, seed = 100, 6
         got = zeno_statistics(complete_grid(solutions, [0]), trials, seed)[0]
-        step_1 = [zeno_trajectory(solutions, np.eye(4)[:, 0], seed, t, 1)[0]
+        step_1 = [zeno_trajectory(solutions, np.eye(4)[:, 0], seed, t)[0]
                   for t in range(trials)]
         assert got.counts == {0: step_1.count(0), 1: step_1.count(1)}
         assert 0 < got.counts[0] < trials
@@ -690,7 +675,7 @@ class TestDistinctStates:
         psi = np.eye(8)[:, 2]
         expected: dict[int, int] = {}
         for t in range(trials):
-            final = zeno_trajectory(solutions, psi, seed, t, 1)[-1]
+            final = zeno_trajectory(solutions, psi, seed, t)[-1]
             expected[final] = expected.get(final, 0) + 1
         assert got[0].counts == expected
 
@@ -801,19 +786,19 @@ class TestSectorFrameProjection:
         theirs = zeno_statistics(complete_grid(full_eigh_solutions(p, grid), [0, 1]), 100, 11)
         assert [d.counts for d in ours] == [d.counts for d in theirs]
 
-    def test_run_from_user_state(self, sectored):
-        """Step 0 projects onto a standard-basis solution, the rest onto
-        sectored ones."""
+    def test_run_from_start_rank(self, sectored):
+        """H(0) is one standard-basis solution and the later points are
+        sectored; a run from a start rank steps through the sector blocks."""
         solutions = list(path_eigensolutions(sectored, s_grid(self.N_STEPS)))
         assert solved_sectors(solutions[0], sectored) == [None]
         assert all(solved_sectors(es, sectored) == [0, 1, 2, 3] for es in solutions[1:])
-        psi = random_state(1 << sectored.n_qubits, 5)
-        trials = [zeno_run(sectored, self.N_STEPS, 0, 9, trial_number=t,
-                           initial_state=psi, eigensolutions=solutions)
+        trials = [zeno_run(sectored, self.N_STEPS, 1, 9, trial_number=t,
+                           eigensolutions=solutions)
                   for t in range(10)]
         assert not any("eigenvectors" in vars(es) for es in solutions[1:])
+        psi = initial_eigenstate(sectored, 1)
         for t, trial in enumerate(trials):
-            assert trial.trajectory == zeno_trajectory(solutions, psi, 9, t, 0)
+            assert trial.trajectory == zeno_trajectory(solutions, psi, 9, t)
 
     def test_project_matches_dense_solution(self, sectored):
         solution = next(path_eigensolutions(sectored, [0.5]))
@@ -879,12 +864,13 @@ class TestReachedSectors:
         assert all(solved_sectors(es, p) == reached for es in grid.solutions[1:-1])
         assert solved_sectors(grid.solutions[-1], p) == [0, 1, 2, 3]
         assert solved_sectors(grid.solutions[0], p) == [None]
-        assert np.array_equal(grid.starts, complete.solutions[0].vectors(list(starts)))
+        assert np.array_equal(grid.solutions[0].vectors(list(starts)),
+                              complete.solutions[0].vectors(list(starts)))
         if grid is complete:
             return
         results = []
         for solutions in (grid.solutions, complete.solutions):
-            served = ZenoGrid(solutions, grid.initial_indices, grid.starts)
+            served = ZenoGrid(solutions, grid.initial_indices)
             monkeypatch.setattr(qzp, "zeno_grid", lambda *args: served)
             results.append((
                 zeno_statistics(served, self.TRIALS, self.SEED),
@@ -927,8 +913,9 @@ class TestReachedSectors:
         assert trajectories == [(320, 313, 244), (257, 268, 348), (85, 100, 58)]
 
     def test_given_grid_is_not_read_again(self, data_dir, monkeypatch):
-        """zeno_statistics runs its ZenoGrid as it is: no start state is read
-        from H(0) again and no point is checked by weights."""
+        """zeno_statistics runs its ZenoGrid as it is: no point is checked by
+        weights, and the only vectors read is the first step's overlap of the
+        start ranks, from H5's sorted-diagonal H(0) beside a sectored point."""
         p = clique_path(data_dir, self.H5, 0.5)
         grid = zeno_grid(p, 3, [0])
         calls = Counter()
@@ -937,14 +924,15 @@ class TestReachedSectors:
             monkeypatch.setattr(EigenSolution, name, lambda *args, name=name, original=original:
                                 calls.update([name]) or original(*args))
         assert zeno_statistics(grid, 50, 1)
-        assert calls == Counter()
+        assert calls == Counter({"vectors": 1})
 
     def test_wrong_length_state_raises_against_restricted_solution(self, data_dir):
         p = clique_path(data_dir, self.H5, 0.5)
         grid = zeno_grid(p, 2, [0])
         solution = grid.solutions[1]
         assert len(solution.eigenvalues) == 544 and solution.dimension == 1024
-        rank, collapsed = project(grid.starts[:, 0], solution, step_rng(1, 0, 1))
+        rank, collapsed = project(grid.solutions[0].vectors([0])[:, 0], solution,
+                                  step_rng(1, 0, 1))
         assert collapsed.shape == (1024,)
         with pytest.raises(ValueError, match="state dimension 544 does not match basis 1024"):
             project(np.eye(544)[:, 0], solution, step_rng(1, 0, 1))
@@ -954,14 +942,14 @@ class TestDegenerateLevelAcrossSectors:
     """On the constant path H(s) = H5 the two-fold ground level of every
     point is split over two solved sectors, so a trial from rank 0 or 1
     lands on it at every step and is carried as its in-level amplitude
-    column through the standard basis, not as a rank."""
+    column, by the overlap of the level's ranks, not as a rank."""
 
     def test_counts_match_per_trial_reference(self, data_dir, monkeypatch):
         h, _ = load_qubit_hamiltonian(str(data_dir / "h5_chain_sto3g_1.00.fcidump"))
         p = PathHamiltonian(h, h)
         n_steps, trials, seed = 4, 12, 3
         grid = zeno_grid(p, n_steps, [0, 1, 2])
-        solutions, psi = grid.solutions, grid.starts
+        solutions, psi = grid.solutions, grid.solutions[0].vectors([0, 1, 2])
         for es in solutions:
             assert np.diff(es.level_ends[:3], prepend=0).tolist() == [2, 1, 2]
         assert all(solved_sectors(es, p) == [0, 1, 2, 3] for es in solutions[1:])
@@ -976,7 +964,34 @@ class TestDegenerateLevelAcrossSectors:
         for slot, initial_index in enumerate([0, 1, 2]):
             expected: dict[int, int] = {}
             for t in range(trials):
-                final = zeno_trajectory(solutions, psi[:, slot], seed, slot * trials + t, 1)[-1]
+                final = zeno_trajectory(solutions, psi[:, slot], seed, slot * trials + t)[-1]
                 expected[final] = expected.get(final, 0) + 1
             assert got[slot].counts == expected
         assert [d.counts for d in got] == [{0: trials}, {0: trials}, {2: trials}]
+
+    def test_alpha0_clique_path_carries_columns_by_overlap(self, data_dir, monkeypatch):
+        """At alpha 0 trials from H5's ranks 2 and 5 land on degenerate
+        levels at every step.  Their in-level columns are carried by
+        overlaps alone: the one forward apply is the first step's, which
+        reads the start ranks from the sorted-diagonal H(0)."""
+        p = clique_path(data_dir, "h5_chain_sto3g_1.00.fcidump", 0.0)
+        n_steps, trials, seed = 10, 20, 13
+        grid = zeno_grid(p, n_steps, [2, 5])
+        adjoints, collapsed = [], []
+        apply, collapse = EigenSolution.apply, qzp._collapse
+        monkeypatch.setattr(EigenSolution, "apply", lambda es, x, adjoint=False:
+                            adjoints.append(adjoint) or apply(es, x, adjoint))
+        monkeypatch.setattr(qzp, "_collapse", lambda *args: collapsed.append(
+            args[0].shape[1]) or collapse(*args))
+        got = zeno_statistics(grid, trials, seed)
+        monkeypatch.undo()
+        assert adjoints.count(False) <= 1
+        assert len(collapsed) == n_steps - 1
+        solutions, psi = grid.solutions, grid.solutions[0].vectors([2, 5])
+        for slot in range(2):
+            expected = Counter(
+                zeno_trajectory(solutions, psi[:, slot], seed, slot * trials + t)[-1]
+                for t in range(trials))
+            assert got[slot].counts == expected
+        assert [d.counts for d in got] == [{8: 8, 20: 7, 80: 1, 86: 2, 122: 2},
+                                           {8: 4, 20: 6, 43: 3, 80: 2, 86: 5}]

@@ -659,9 +659,8 @@ class TestOverlap:
         grid = zeno_grid(h5, 3, [0]).solutions
         whole = next(path_eigensolutions(h5, [s_grid(3)[1]]))
         solutions = [grid[0], whole, grid[2], grid[3]]
-        psi = grid[0].vectors([2])
         trials = 40
-        args = (solutions, psi, np.zeros(trials, np.intp), 1, range(trials), 1)
+        args = (solutions, [2], np.zeros(trials, np.intp), 1, range(trials))
         with pytest.raises(ValueError, match=r"state is not normalized \(total weight 0\.0\)"):
             qzp._final_ranks(*args)
 

@@ -12,9 +12,10 @@ import zeno_steps  # noqa: E402
 @pytest.mark.parametrize("name, want", [
     ("h2_0.7414", "cf199d805aed"),
     ("h5", "8ecb1c2c4ec4"),
+    ("h5_alpha0", "dc5e0d370ca6"),
 ])
 def test_setting_keeps_its_digest(name, want):
-    """Both settings start from a diagonal H(0), so their ranks do not
+    """These settings start from a diagonal H(0), so their ranks do not
     depend on which eigenvectors LAPACK returns; h2_2.8's threefold
     non-diagonal ground level would make its digest build-dependent."""
     seconds, finals = zeno_steps.time_setting(*zeno_steps.SETTINGS[name], repeats=1)

@@ -8,12 +8,18 @@ mczeno is imported from the checkout's src/.  For each setting the path's
 grid is solved by qzp.zeno_grid, as a driver run solves it, and the draw
 table is computed by one untimed call inside a qzp._shared_draws scope, so
 each timed call of qzp._final_ranks is the projection and Born-rule steps
-of every trial and nothing else.  The settings are the benchmark's:
+of every trial and nothing else.  The first settings are the benchmark's:
 
 - h2_<bond>: each bundled H2 STO-3G FCIDUMP bond, alpha 0.5, 40 steps,
   1,000 trials from rank 0, seed 7 (the qzp stage of one h2_scan point);
 - h5: the 10-qubit H5 chain, alpha 0.5, 10 steps, 200 trials from rank 0,
   seed 13 (the qzp stage of h5_qzp).
+
+The last is no benchmark setting:
+
+- h5_alpha0: the H5 chain at alpha 0, 40 steps, 300 trials from rank 2,
+  seed 13.  Its trials land on degenerate levels at every step, so it
+  times the carry of in-level columns, which no benchmark workload runs.
 
 One line per setting gives the median and quartiles of the call in ms,
 the trials that reached rank 0, and the first 12 hex digits of the
@@ -42,20 +48,21 @@ from mczeno.path import PathHamiltonian  # noqa: E402
 
 DATA = ROOT / "src" / "mczeno" / "data"
 SETTINGS = {
-    **{f"h2_{bond}": (f"h2_sto3g_{bond}.fcidump", 40, 1000, 7)
+    **{f"h2_{bond}": (f"h2_sto3g_{bond}.fcidump", 0.5, 40, 1000, 0, 7)
        for bond in ("0.7414", "1.2", "2.8")},
-    "h5": ("h5_chain_sto3g_1.00.fcidump", 10, 200, 13),
+    "h5": ("h5_chain_sto3g_1.00.fcidump", 0.5, 10, 200, 0, 13),
+    "h5_alpha0": ("h5_chain_sto3g_1.00.fcidump", 0.0, 40, 300, 2, 13),
 }
-"""name: (fixture, steps, trials, seed), each at alpha 0.5 from rank 0."""
+"""name: (fixture, alpha, steps, trials, start rank, seed)."""
 
 
-def time_setting(fixture: str, n_steps: int, trials: int, seed: int,
-                 repeats: int) -> tuple[list[float], np.ndarray]:
+def time_setting(fixture: str, alpha: float, n_steps: int, trials: int, initial_index: int,
+                 seed: int, repeats: int) -> tuple[list[float], np.ndarray]:
     """Seconds of each timed _final_ranks call, and its final ranks."""
     h, _ = load_qubit_hamiltonian(str(DATA / fixture))
-    p = PathHamiltonian(mc_hamiltonian(h, greedy_max_clique(build_graph(h))), h, alpha=0.5)
-    grid = qzp.zeno_grid(p, n_steps, [0])
-    args = (grid.solutions, grid.starts, np.zeros(trials, np.intp), seed, range(trials), 1)
+    p = PathHamiltonian(mc_hamiltonian(h, greedy_max_clique(build_graph(h))), h, alpha=alpha)
+    grid = qzp.zeno_grid(p, n_steps, [initial_index])
+    args = (grid.solutions, grid.initial_indices, np.zeros(trials, np.intp), seed, range(trials))
     seconds = []
     with qzp._shared_draws():
         finals = qzp._final_ranks(*args)
