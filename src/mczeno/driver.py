@@ -25,7 +25,6 @@ from mczeno.qzp import (
     _check_initial_indices,
     _initial_block,
     _shared_draws,
-    distribution_csv,
     zeno_grid,
     zeno_statistics,
 )
@@ -33,7 +32,6 @@ from mczeno.spectral import (
     path_eigensolutions,
     path_spectrum,
     sector_weights,
-    spectrum_csv,
     symmetry_sectors,
 )
 
@@ -221,7 +219,9 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
                 else None,
             }
         )
-        return record, spectrum_csv(spectrum)
+        header = ["s", *(f"E{i}_hartree" for i in range(config.k))]
+        rows = zip(spectrum.s_values.tolist(), spectrum.levels.tolist())
+        return record, _csv(header, ([s, *levels] for s, levels in rows))
 
     with _stage("exact", config.source):  # H(1), then the H(0) that starts qae and qzp
         final, *initial = path_eigensolutions(p, [1.0] if methods == ("exact",) else [1.0, 0.0])
@@ -270,7 +270,15 @@ def _execute(config: RunConfig, methods: tuple[str, ...]):
             ],
         }
     )
-    return record, distribution_csv(distributions)
+    return record, _csv(["initial_index", "final_index", "count"], (
+        [d.initial_index, i, d.counts[i]] for d in distributions for i in sorted(d.counts)))
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text of the header and each row of cells, the cells joined by
+    commas through str (a Python float's round-trip repr), each line ended
+    by a newline."""
+    return "".join(",".join(map(str, cells)) + "\n" for cells in [header, *rows])
 
 
 def run(config: RunConfig) -> dict:
@@ -388,21 +396,12 @@ def scan(
 
 def scan_csv(result: ScanResult) -> str:
     """CSV rendering: coordinate, per-method Hartree columns, status."""
-    header = ["coordinate"]
-    header += [f"{m}_hartree" for m in result.methods]
-    header += [f"{m}_error_hartree" for m in result.methods if m != "exact"]
-    header.append("status")
-    lines = [",".join(header)]
-    for row in result.rows:
-        cells = [repr(float(row.coordinate))]
-        for m in result.methods:
-            cells.append(repr(row.energies[m]) if m in row.energies else "")
-        for m in result.methods:
-            if m != "exact":
-                cells.append(repr(row.errors[m]) if m in row.errors else "")
-        cells.append(row.status)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    error_methods = [m for m in result.methods if m != "exact"]
+    header = ["coordinate", *(f"{m}_hartree" for m in result.methods),
+              *(f"{m}_error_hartree" for m in error_methods), "status"]
+    return _csv(header, (
+        [float(row.coordinate), *(row.energies.get(m, "") for m in result.methods),
+         *(row.errors.get(m, "") for m in error_methods), row.status] for row in result.rows))
 
 
 def convert_hamiltonian(source: str, mapping: str, output: str) -> PauliHamiltonian:

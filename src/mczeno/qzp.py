@@ -418,10 +418,12 @@ def _initial_block(initial_indices: list[int], h0: EigenSolution) -> np.ndarray:
 
 def _check_initial_indices(initial_indices, dimension: int) -> None:
     """Refuse an empty list of H(0) ranks, or a rank outside 0..dimension-1;
-    a rank that is not an integer raises TypeError."""
+    a rank that is not an integer, a bool included, raises TypeError."""
     if not initial_indices:
         raise ValueError("initial_indices must hold at least one index")
     for initial_index in initial_indices:
+        if isinstance(initial_index, (bool, np.bool_)):
+            raise TypeError(f"initial_index {initial_index} is a bool, not an integer")
         if not 0 <= operator.index(initial_index) < dimension:
             raise ValueError(f"initial_index {initial_index} outside 0..{dimension - 1}")
 
@@ -430,11 +432,11 @@ def _check_initial_indices(initial_indices, dimension: int) -> None:
 class ZenoGrid:
     """The solved points of s_grid(n_steps) for Zeno runs from the H(0) ranks
     initial_indices, each run starting from the eigenvector of its rank at
-    the first point: the one input of zeno_statistics, which checks nothing
-    of it.  Only zeno_grid may make a grid with restricted points, its
-    interior points in the sectors those eigenvectors reach.  A grid built
-    directly must hold n_steps + 1 complete bases and ranks of its first
-    point."""
+    the first point: the one input of zeno_statistics and lowest_k_energies,
+    which check nothing of it.  Only zeno_grid may make a grid with
+    restricted points, its interior points in the sectors those
+    eigenvectors reach.  A grid built directly must hold n_steps + 1
+    complete bases and ranks of its first point."""
 
     solutions: tuple[EigenSolution, ...]
     initial_indices: tuple[int, ...]
@@ -522,25 +524,16 @@ def zeno_statistics(
             for i, row in zip(grid.initial_indices, rows)]
 
 
-def lowest_k_energies(
-    p: PathHamiltonian,
-    n_steps: int,
-    k: int,
-    repetitions: int,
-    rng_seed: int,
-) -> LowestEnergies:
+def lowest_k_energies(grid: ZenoGrid, repetitions: int, rng_seed: int) -> LowestEnergies:
     """Lowest distinct final energies from round-robin projection runs.
 
-    Starts trials from the k lowest eigenstates of H(0) in rotation
-    (repetitions total) and gathers the distinct final energies seen.
-    The path is solved by zeno_grid.
+    With k the number of grid.initial_indices, trial t of repetitions
+    starts from rank grid.initial_indices[t % k]; the k lowest distinct
+    final energies seen are returned with their counts.
     """
-    dim = 1 << p.n_qubits
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in 1..{dim}, got {k}")
+    k = len(grid.initial_indices)
     if repetitions < k:
         raise ValueError("repetitions must be at least k")
-    grid = zeno_grid(p, n_steps, list(range(k)))
     owner = np.arange(repetitions) % k
     finals = _final_ranks(grid.solutions, grid.initial_indices, owner, rng_seed,
                           range(repetitions))
@@ -551,12 +544,3 @@ def lowest_k_energies(
         (float(final_values[i]), observed[i]) for i in ranked[:k]
     )
     return LowestEnergies(energies=energies, complete=len(energies) == k)
-
-
-def distribution_csv(distributions: list[ZenoDistribution]) -> str:
-    """CSV rows (initial_index, final_index, count), header included."""
-    lines = ["initial_index,final_index,count"]
-    for dist in distributions:
-        for final_index in sorted(dist.counts):
-            lines.append(f"{dist.initial_index},{final_index},{dist.counts[final_index]}")
-    return "\n".join(lines) + "\n"

@@ -379,13 +379,3 @@ def path_spectrum(p, n_points: int, k: int) -> PathSpectrum:
     solutions = path_eigensolutions(p, s_values)
     levels = np.array([es.eigenvalues[:k] for es in solutions])
     return PathSpectrum(s_values, levels)
-
-
-def spectrum_csv(spectrum: PathSpectrum) -> str:
-    """CSV rendering: header names columns and units, floats via repr."""
-    k = spectrum.levels.shape[1]
-    header = "s," + ",".join(f"E{i}_hartree" for i in range(k))
-    rows = [header]
-    for s, level in zip(spectrum.s_values, spectrum.levels):
-        rows.append(",".join([repr(float(s))] + [repr(float(e)) for e in level]))
-    return "\n".join(rows) + "\n"

@@ -228,7 +228,7 @@ def test_criterion_07_degenerate_adiabatic_failure(
 
 def test_criterion_08_excited_states(gapped):
     p = mc_path(gapped)
-    result = lowest_k_energies(p, 20, k=4, repetitions=40, rng_seed=3)
+    result = lowest_k_energies(zeno_grid(p, 20, range(4)), 40, rng_seed=3)
     reference = eig(gapped).eigenvalues[:4]
     deviation = max(
         abs(energy - expected)

@@ -76,13 +76,18 @@ class TestMethodCommands:
                 "--k",
                 "2",
                 "--points",
-                "5",
+                "3",
                 "-o",
                 str(out),
             ]
         )
         assert code == 0
-        assert len(out.read_text().splitlines()) == 6
+        assert out.read_text() == (
+            "s,E0_hartree,E1_hartree\n"
+            "0.0,-7.0,1.0\n"
+            "0.5,-7.272001872658765,1.2720018726587656\n"
+            "1.0,-8.0,2.0\n"
+        )
 
     def test_config_file_with_flag_override(self, data_dir, tmp_path, capsys):
         config = tmp_path / "run.json"

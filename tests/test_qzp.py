@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
-from mczeno.driver import load_qubit_hamiltonian
+from mczeno.driver import RunConfig, load_qubit_hamiltonian, run
 from mczeno.pauli import is_all_z, load_hamiltonian, parse_hamiltonian
 from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve
@@ -17,7 +17,6 @@ import mczeno.qzp as qzp
 from mczeno.qzp import (
     ZenoDistribution,
     ZenoGrid,
-    distribution_csv,
     initial_eigenstate,
     lowest_k_energies,
     project,
@@ -303,10 +302,12 @@ class TestZenoRun:
         with pytest.raises(ValueError, match="at least 1"):
             zeno_run(single_qubit_path, 0, 0, rng_seed=0)
 
-    @pytest.mark.parametrize("rank, error", [(2, ValueError), (-1, ValueError), (1.0, TypeError)])
+    @pytest.mark.parametrize("rank, error", [(2, ValueError), (-1, ValueError), (1.0, TypeError),
+                                             (True, TypeError)])
     def test_initial_index_validation(self, single_qubit_path, rank, error):
         """A rank is checked before it is run: one outside the basis, or one
-        that is not an integer, which would otherwise be cast to one."""
+        that is not an integer, a bool included, which would otherwise be
+        cast to one."""
         with pytest.raises(error):
             zeno_run(single_qubit_path, 3, rank, rng_seed=0)
 
@@ -362,15 +363,21 @@ class TestZenoStatistics:
         assert [d.initial_index for d in got] == [0, 1, 2]
         assert all(d.trials == 4 for d in got)
 
+    @pytest.mark.parametrize("indices, error, message", [
+        ([], ValueError, "^initial_indices must hold at least one index$"),
+        ([0, False], TypeError, "^initial_index False is a bool, not an integer$"),
+        ([True], TypeError, "^initial_index True is a bool, not an integer$"),
+    ], ids=["empty", "with-False", "True"])
     @pytest.mark.parametrize("name", ["h2_2.8_jw.txt", "h5"])
-    def test_no_initial_indices(self, data_dir, name):
-        """An empty start list is refused by name when its grid is solved,
-        not answered with a grid of no starts or a complaint about symmetry
-        sectors."""
+    def test_refused_initial_indices(self, data_dir, name, indices, error, message):
+        """An empty start list, or one holding a bool, is refused by name when
+        its grid is solved: not answered with a grid of no starts, a
+        complaint about symmetry sectors, a grid that runs rank 0 twice or
+        numpy's boolean-mask error."""
         p = (sectored_path(data_dir, name) if name == "h5"
              else fixture_path(data_dir, name, 0.5))
-        with pytest.raises(ValueError, match="^initial_indices must hold at least one index$"):
-            zeno_grid(p, 3, [])
+        with pytest.raises(error, match=message):
+            zeno_grid(p, 3, indices)
 
     def test_trial_count_validation(self, single_qubit_path):
         with pytest.raises(ValueError, match="at least 1"):
@@ -378,22 +385,19 @@ class TestZenoStatistics:
 
     def test_zero_steps_rejected_with_given_solutions(self, single_qubit_path):
         """A one-point list matches n_steps 0 in length, but no step is left
-        to project: zeno_run refuses it, as zeno_grid and lowest_k_energies
-        refuse n_steps 0."""
+        to project: zeno_run refuses it, as zeno_grid refuses n_steps 0."""
         h0 = next(path_eigensolutions(single_qubit_path, [0.0]))
         message = "n_steps must be at least 1, got 0"
         with pytest.raises(ValueError, match=message):
             zeno_grid(single_qubit_path, 0, [0])
         with pytest.raises(ValueError, match=message):
             zeno_run(single_qubit_path, 0, 0, rng_seed=1, eigensolutions=[h0])
-        with pytest.raises(ValueError, match=message):
-            lowest_k_energies(single_qubit_path, 0, k=1, repetitions=2, rng_seed=1)
 
 
 class TestLowestKEnergies:
     def test_recovers_four_lowest_exactly(self, gapped_path):
         values = eig(gapped_path.h_final).eigenvalues
-        result = lowest_k_energies(gapped_path, 20, k=4, repetitions=40, rng_seed=3)
+        result = lowest_k_energies(zeno_grid(gapped_path, 20, range(4)), 40, rng_seed=3)
         assert result.complete
         assert [count for _, count in result.energies] == [10, 10, 10, 10]
         for (energy, _), expected in zip(result.energies, values[:4]):
@@ -401,7 +405,7 @@ class TestLowestKEnergies:
 
     def test_constant_path_single_level(self, toy_hamiltonian):
         p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
-        result = lowest_k_energies(p, 4, k=1, repetitions=3, rng_seed=0)
+        result = lowest_k_energies(zeno_grid(p, 4, [0]), 3, rng_seed=0)
         assert result.complete
         assert len(result.energies) == 1
         energy, count = result.energies[0]
@@ -412,26 +416,27 @@ class TestLowestKEnergies:
         """Both starting levels land in the same degenerate final group."""
         h = parse_hamiltonian("1.0 ZZ")
         p = PathHamiltonian(h, h, total_time=10.0)
-        result = lowest_k_energies(p, 2, k=2, repetitions=4, rng_seed=0)
+        result = lowest_k_energies(zeno_grid(p, 2, [0, 1]), 4, rng_seed=0)
         assert not result.complete
         assert result.energies == ((-1.0, 4),)
 
     def test_k_validation(self, toy_hamiltonian):
+        """k is the grid's number of start ranks, and each needs a trial."""
         p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
-        with pytest.raises(ValueError, match="k must be in"):
-            lowest_k_energies(p, 4, k=5, repetitions=10, rng_seed=0)
         with pytest.raises(ValueError, match="at least k"):
-            lowest_k_energies(p, 4, k=3, repetitions=2, rng_seed=0)
+            lowest_k_energies(zeno_grid(p, 4, [0, 1, 2]), 2, rng_seed=0)
 
 
 class TestDistributionCsv:
-    def test_exact_layout(self):
-        rows = [
-            ZenoDistribution(counts={2: 3, 0: 1}, trials=4, initial_index=1),
-            ZenoDistribution(counts={1: 2}, trials=2, initial_index=0),
-        ]
-        assert distribution_csv(rows) == (
-            "initial_index,final_index,count\n1,0,1\n1,2,3\n0,1,2\n"
+    def test_exact_layout(self, data_dir, tmp_path):
+        """The driver's qzp table: the starts in the order given, each with
+        one row per final index it reached, sorted, though rank 1's first
+        trial ends on rank 1."""
+        out = tmp_path / "dist.csv"
+        run(RunConfig(source=str(data_dir / "toy_two_qubit.txt"), method="qzp", n_steps=1,
+                      trials=4, initial_indices=(1, 0), seed=3, output=str(out)))
+        assert out.read_text() == (
+            "initial_index,final_index,count\n1,0,1\n1,1,3\n0,0,3\n0,1,1\n"
         )
 
     def test_count_total_validated(self):
@@ -614,17 +619,18 @@ class TestMatchesPerTrialReference:
             assert rank == want_rank
             assert np.abs(collapsed - want).max() <= 1e-12
 
-    def test_lowest_k_energies(self, path):
-        k, repetitions, seed = 3, 60, 8
+    @pytest.mark.parametrize("starts", [[0, 1, 2], [1, 3]], ids=["ranks012", "ranks13"])
+    def test_lowest_k_energies(self, path, starts):
+        k, repetitions, seed = len(starts), 60, 8
         solutions = self.solutions(path)
         observed: dict[int, int] = {}
         for r in range(repetitions):
-            psi = initial_eigenstate(path, r % k)
+            psi = initial_eigenstate(path, starts[r % k])
             final = zeno_trajectory(solutions, psi, seed, r)[-1]
             observed[final] = observed.get(final, 0) + 1
         values = solutions[-1].eigenvalues
         expected = tuple((float(values[i]), observed[i]) for i in sorted(observed)[:k])
-        got = lowest_k_energies(path, self.N_STEPS, k, repetitions, rng_seed=seed)
+        got = lowest_k_energies(zeno_grid(path, self.N_STEPS, starts), repetitions, seed)
         assert got.energies == expected
 
 def fixed_path_solutions(bases, values):
@@ -856,8 +862,7 @@ class TestReachedSectors:
     @pytest.mark.parametrize("starts", [(0,), EVERY_SECTOR])
     @pytest.mark.parametrize("n_steps", [10, 40])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
-    def test_restricted_grid_matches_complete(self, data_dir, monkeypatch, cache,
-                                              alpha, n_steps, starts):
+    def test_restricted_grid_matches_complete(self, data_dir, cache, alpha, n_steps, starts):
         p, complete = self.complete_grid(data_dir, cache, alpha, n_steps)
         grid = complete if starts == self.EVERY_SECTOR else zeno_grid(p, n_steps, list(starts))
         reached = [0, 2] if starts == (0,) else [0, 1, 2, 3]  # rank 0 reaches two sectors
@@ -871,10 +876,9 @@ class TestReachedSectors:
         results = []
         for solutions in (grid.solutions, complete.solutions):
             served = ZenoGrid(solutions, grid.initial_indices)
-            monkeypatch.setattr(qzp, "zeno_grid", lambda *args: served)
             results.append((
                 zeno_statistics(served, self.TRIALS, self.SEED),
-                lowest_k_energies(p, n_steps, len(starts), self.REPETITIONS, self.SEED),
+                lowest_k_energies(served, self.REPETITIONS, self.SEED),
             ))
         assert results[0] == results[1]
 
@@ -888,7 +892,7 @@ class TestReachedSectors:
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or original(m))
         zeno_statistics(zeno_grid(p, 3, [0]), 10, 1)
-        lowest_k_energies(p, 3, 1, 10, 1)
+        lowest_k_energies(zeno_grid(p, 3, [0]), 10, 1)
         h1 = [(288, 288), (240, 240), (256, 256), (240, 240)]
         runs = [sorted(shapes[a:a + 4]) for a in (0, 4, 8, 12)]
         assert len(shapes) == 16

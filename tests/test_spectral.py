@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
-from mczeno.driver import load_qubit_hamiltonian
+from mczeno.driver import RunConfig, load_qubit_hamiltonian, run
 from mczeno.fermion import FermionIntegrals, jordan_wigner
 from mczeno.pauli import PauliHamiltonian, PauliTerm, is_all_z, parse_hamiltonian
 from mczeno.path import PathHamiltonian, s_grid
@@ -26,7 +26,6 @@ from mczeno.spectral import (
     path_eigensolutions,
     path_spectrum,
     sector_weights,
-    spectrum_csv,
 )
 from oracles import (
     complete_grid,
@@ -136,14 +135,17 @@ class TestPathSpectrum:
         with pytest.raises(ValueError, match="n_points"):
             path_spectrum(p, 1, 2)
 
-    def test_csv_shape_and_determinism(self):
-        p = PathHamiltonian(MINUS_Z, MINUS_X)
-        spectrum = path_spectrum(p, 4, 2)
-        text = spectrum_csv(spectrum)
-        lines = text.strip().split("\n")
+    def test_csv_shape_and_determinism(self, data_dir, tmp_path):
+        """The driver's spectrum table: a header, then one row per point."""
+        texts = []
+        for name in ("a.csv", "b.csv"):
+            run(RunConfig(source=str(data_dir / "toy_two_qubit.txt"), method="spectrum",
+                          k=2, n_points=4, output=str(tmp_path / name)))
+            texts.append((tmp_path / name).read_text())
+        lines = texts[0].strip().split("\n")
         assert lines[0] == "s,E0_hartree,E1_hartree"
         assert len(lines) == 5
-        assert text == spectrum_csv(path_spectrum(p, 4, 2))
+        assert texts[0] == texts[1]
 
 
 def clique_path(data_dir, name: str, alpha: float) -> PathHamiltonian:
