@@ -35,7 +35,6 @@ from mczeno.qzp import (
     ZenoGrid,
     ZenoTrial,
     initial_eigenstate,
-    lowest_k_energies,
     zeno_grid,
     zeno_run,
     zeno_statistics,
@@ -73,7 +72,6 @@ __all__ = [
     "jordan_wigner",
     "load_fcidump",
     "load_hamiltonian",
-    "lowest_k_energies",
     "mc_hamiltonian",
     "parity_map",
     "parse_hamiltonian",

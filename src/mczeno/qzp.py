@@ -72,18 +72,6 @@ class ZenoDistribution:
             raise ValueError("counts do not sum to the trial total")
 
 
-@dataclass(frozen=True)
-class LowestEnergies:
-    """Distinct final energies with observation counts, lowest first.
-
-    complete is False when fewer distinct states than requested were
-    observed.
-    """
-
-    energies: tuple[tuple[float, int], ...]
-    complete: bool
-
-
 def step_rng(run_seed: int, trial: int, step: int) -> np.random.Generator:
     """The dedicated random stream for one projection event."""
     sequence = np.random.SeedSequence(entropy=(int(run_seed), int(trial), int(step)))
@@ -418,22 +406,33 @@ def _initial_block(initial_indices: list[int], h0: EigenSolution) -> np.ndarray:
 
 def _check_initial_indices(initial_indices, dimension: int) -> None:
     """Refuse an empty list of H(0) ranks, or a rank outside 0..dimension-1;
-    a rank that is not an integer, a bool included, raises TypeError."""
+    a rank that is not an integer raises TypeError (_check_integers)."""
     if not initial_indices:
         raise ValueError("initial_indices must hold at least one index")
     for initial_index in initial_indices:
-        if isinstance(initial_index, (bool, np.bool_)):
-            raise TypeError(f"initial_index {initial_index} is a bool, not an integer")
+        _check_integers(initial_index=initial_index)
         if not 0 <= operator.index(initial_index) < dimension:
             raise ValueError(f"initial_index {initial_index} outside 0..{dimension - 1}")
+
+
+def _check_integers(**values) -> None:
+    """Refuse, with a TypeError naming its argument, a value that is not an
+    integer, a bool included, which would otherwise be read as 0 or 1."""
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} {value} is a bool, not an integer")
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True, eq=False)
 class ZenoGrid:
     """The solved points of s_grid(n_steps) for Zeno runs from the H(0) ranks
     initial_indices, each run starting from the eigenvector of its rank at
-    the first point: the one input of zeno_statistics and lowest_k_energies,
-    which check nothing of it.  Only zeno_grid may make a grid with
+    the first point: the one input of zeno_statistics, its one runner, which
+    checks nothing of it.  Only zeno_grid may make a grid with
     restricted points, its interior points in the sectors those
     eigenvectors reach.  A grid built directly must hold n_steps + 1
     complete bases and ranks of its first point."""
@@ -485,6 +484,7 @@ def zeno_run(
     The trajectory reports the rank of every step after s = 0, so given
     eigensolutions must be complete bases.
     """
+    _check_integers(rng_seed=rng_seed, trial_number=trial_number)
     if eigensolutions is None:
         eigensolutions = list(path_eigensolutions(p, s_grid(n_steps)))
     _check_complete(n_steps, eigensolutions)
@@ -515,6 +515,7 @@ def zeno_statistics(
     are projected together as one block, one state per distinct state,
     from the ranks of grid.initial_indices at its first point.
     """
+    _check_integers(trials_per_initial=trials_per_initial, rng_seed=rng_seed)
     if trials_per_initial < 1:
         raise ValueError("trials_per_initial must be at least 1")
     owner = np.repeat(np.arange(len(grid.initial_indices)), trials_per_initial)
@@ -522,25 +523,3 @@ def zeno_statistics(
     rows = finals.reshape(-1, trials_per_initial)
     return [ZenoDistribution(dict(Counter(row.tolist())), trials_per_initial, i)
             for i, row in zip(grid.initial_indices, rows)]
-
-
-def lowest_k_energies(grid: ZenoGrid, repetitions: int, rng_seed: int) -> LowestEnergies:
-    """Lowest distinct final energies from round-robin projection runs.
-
-    With k the number of grid.initial_indices, trial t of repetitions
-    starts from rank grid.initial_indices[t % k]; the k lowest distinct
-    final energies seen are returned with their counts.
-    """
-    k = len(grid.initial_indices)
-    if repetitions < k:
-        raise ValueError("repetitions must be at least k")
-    owner = np.arange(repetitions) % k
-    finals = _final_ranks(grid.solutions, grid.initial_indices, owner, rng_seed,
-                          range(repetitions))
-    observed = Counter(finals.tolist())
-    final_values = grid.solutions[-1].eigenvalues
-    ranked = sorted(observed)
-    energies = tuple(
-        (float(final_values[i]), observed[i]) for i in ranked[:k]
-    )
-    return LowestEnergies(energies=energies, complete=len(energies) == k)

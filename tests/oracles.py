@@ -12,7 +12,8 @@ symmetry check, a term-by-term all-Z diagonal, sparse S^T P S sector
 parts, orbit pairs found by a sort, per-term parity folds summed in a
 dict, and qae steps on the whole space), kept so that the faster ones can
 be held to them.  complete_grid wraps such a list of whole solutions as the
-ZenoGrid that zeno_statistics runs.
+ZenoGrid that zeno_statistics runs, and zeno_law is the exact outcome law
+of the trials zeno_statistics samples from such a grid.
 """
 
 from __future__ import annotations
@@ -279,6 +280,33 @@ def zeno_trajectory(solutions, psi: np.ndarray, seed: int, trial: int) -> tuple[
                                  philox_draw(seed, trial, step))
         ranks.append(rank)
     return tuple(ranks)
+
+
+def zeno_law(grid: ZenoGrid, rank: int) -> tuple[dict[int, float], list[float]]:
+    """The exact law of a Zeno run from the H(0) eigenvector of the given
+    rank through grid, by its density matrix rho in the rank basis of each
+    point: the start's amplitudes at the first step, rho <- O rho O^H with
+    O the overlap of consecutive bases at each later one, and after every
+    step the entries between different levels zeroed (the measurement).
+
+    Returns the probability of every final level, keyed by its lowest rank
+    as ZenoDistribution.counts is, and the ground level's weight after
+    each step."""
+    solutions = grid.solutions
+    a = solutions[1].overlap(solutions[0], [rank])[:, 0]
+    rho = np.outer(a, a.conj())
+    ground = []
+    for k in range(1, len(solutions)):
+        previous, es = solutions[k - 1], solutions[k]
+        if k > 1:
+            o = es.overlap(previous, np.arange(len(previous.eigenvalues)))
+            rho = o @ rho @ o.conj().T
+        level = np.searchsorted(es.level_ends, np.arange(len(es.eigenvalues)), "right")
+        rho[level[:, None] != level] = 0
+        ground.append(float(np.trace(rho[:es.level_ends[0], :es.level_ends[0]]).real))
+    firsts = np.append(0, es.level_ends[:-1])
+    law = np.add.reduceat(np.diagonal(rho).real, firsts)
+    return dict(zip(firsts.tolist(), law.tolist())), ground
 
 
 def sequential_ham_matrix(h) -> scipy.sparse.csr_matrix:

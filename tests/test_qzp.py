@@ -18,7 +18,6 @@ from mczeno.qzp import (
     ZenoDistribution,
     ZenoGrid,
     initial_eigenstate,
-    lowest_k_energies,
     project,
     step_draws,
     step_rng,
@@ -34,6 +33,7 @@ from oracles import (
     full_eigh_solutions,
     philox_draw,
     solved_sectors,
+    zeno_law,
     zeno_project,
     zeno_trajectory,
 )
@@ -302,14 +302,24 @@ class TestZenoRun:
         with pytest.raises(ValueError, match="at least 1"):
             zeno_run(single_qubit_path, 0, 0, rng_seed=0)
 
-    @pytest.mark.parametrize("rank, error", [(2, ValueError), (-1, ValueError), (1.0, TypeError),
-                                             (True, TypeError)])
-    def test_initial_index_validation(self, single_qubit_path, rank, error):
-        """A rank is checked before it is run: one outside the basis, or one
-        that is not an integer, a bool included, which would otherwise be
-        cast to one."""
-        with pytest.raises(error):
-            zeno_run(single_qubit_path, 3, rank, rng_seed=0)
+    @pytest.mark.parametrize("arguments, error, message", [
+        ((2, 0), ValueError, "^initial_index 2 outside 0..1$"),
+        ((-1, 0), ValueError, "^initial_index -1 outside 0..1$"),
+        ((1.0, 0), TypeError, "^initial_index 1.0 is not an integer$"),
+        ((True, 0), TypeError, "^initial_index True is a bool, not an integer$"),
+        ((0, True), TypeError, "^rng_seed True is a bool, not an integer$"),
+        ((0, 0, True), TypeError, "^trial_number True is a bool, not an integer$"),
+        ((0, 1.0), TypeError, "^rng_seed 1.0 is not an integer$"),
+        ((0, 0, 0.5), TypeError, "^trial_number 0.5 is not an integer$"),
+    ], ids=["rank-2", "rank-negative", "rank-float", "rank-True", "seed-True", "trial-True",
+            "seed-float", "trial-float"])
+    def test_argument_validation(self, single_qubit_path, arguments, error, message):
+        """A rank, seed or trial number is checked before it is run, and
+        refused by name: a rank outside the basis, or any of them not an
+        integer, a bool included, which would otherwise be read as one (a
+        seed of True would run seed 1's trajectory and report seed=True)."""
+        with pytest.raises(error, match=message):
+            zeno_run(single_qubit_path, 3, *arguments)
 
     def test_eigensolution_list_length_validation(self, single_qubit_path):
         sols = [eig(single_qubit_path.h_initial)] * 3
@@ -379,9 +389,19 @@ class TestZenoStatistics:
         with pytest.raises(error, match=message):
             zeno_grid(p, 3, indices)
 
-    def test_trial_count_validation(self, single_qubit_path):
-        with pytest.raises(ValueError, match="at least 1"):
-            zeno_statistics(zeno_grid(single_qubit_path, 5, [0]), 0, rng_seed=0)
+    @pytest.mark.parametrize("trials, seed, error, message", [
+        (0, 0, ValueError, "^trials_per_initial must be at least 1$"),
+        (True, 0, TypeError, "^trials_per_initial True is a bool, not an integer$"),
+        (3, True, TypeError, "^rng_seed True is a bool, not an integer$"),
+        (2.0, 0, TypeError, "^trials_per_initial 2.0 is not an integer$"),
+        (3, 0.5, TypeError, "^rng_seed 0.5 is not an integer$"),
+    ], ids=["zero", "trials-True", "seed-True", "trials-float", "seed-float"])
+    def test_trial_count_validation(self, single_qubit_path, trials, seed, error, message):
+        """A bool trial count or seed is refused by name, not read as 1 (a
+        seed of True would give seed 1's counts) or left to fail inside
+        numpy."""
+        with pytest.raises(error, match=message):
+            zeno_statistics(zeno_grid(single_qubit_path, 5, [0]), trials, seed)
 
     def test_zero_steps_rejected_with_given_solutions(self, single_qubit_path):
         """A one-point list matches n_steps 0 in length, but no step is left
@@ -392,39 +412,6 @@ class TestZenoStatistics:
             zeno_grid(single_qubit_path, 0, [0])
         with pytest.raises(ValueError, match=message):
             zeno_run(single_qubit_path, 0, 0, rng_seed=1, eigensolutions=[h0])
-
-
-class TestLowestKEnergies:
-    def test_recovers_four_lowest_exactly(self, gapped_path):
-        values = eig(gapped_path.h_final).eigenvalues
-        result = lowest_k_energies(zeno_grid(gapped_path, 20, range(4)), 40, rng_seed=3)
-        assert result.complete
-        assert [count for _, count in result.energies] == [10, 10, 10, 10]
-        for (energy, _), expected in zip(result.energies, values[:4]):
-            assert abs(energy - expected) <= 1e-10
-
-    def test_constant_path_single_level(self, toy_hamiltonian):
-        p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
-        result = lowest_k_energies(zeno_grid(p, 4, [0]), 3, rng_seed=0)
-        assert result.complete
-        assert len(result.energies) == 1
-        energy, count = result.energies[0]
-        assert energy == pytest.approx(-8.0, abs=1e-9)
-        assert count == 3
-
-    def test_degenerate_funnel_flags_incomplete(self):
-        """Both starting levels land in the same degenerate final group."""
-        h = parse_hamiltonian("1.0 ZZ")
-        p = PathHamiltonian(h, h, total_time=10.0)
-        result = lowest_k_energies(zeno_grid(p, 2, [0, 1]), 4, rng_seed=0)
-        assert not result.complete
-        assert result.energies == ((-1.0, 4),)
-
-    def test_k_validation(self, toy_hamiltonian):
-        """k is the grid's number of start ranks, and each needs a trial."""
-        p = PathHamiltonian(toy_hamiltonian, toy_hamiltonian, total_time=10.0)
-        with pytest.raises(ValueError, match="at least k"):
-            lowest_k_energies(zeno_grid(p, 4, [0, 1, 2]), 2, rng_seed=0)
 
 
 class TestDistributionCsv:
@@ -564,11 +551,13 @@ class TestMatchesPerTrialReference:
         _, collapsed = project(initial_eigenstate(path, 0), solution, step_rng(0, 0, 1))
         assert np.iscomplexobj(collapsed) == complex_path
 
-    def test_statistics_counts(self, path):
+    @pytest.mark.parametrize("starts", [[0, 1], [1, 3]], ids=["ranks01", "ranks13"])
+    def test_statistics_counts(self, path, starts):
+        """Start slot i, trial t is trial number i * trials + t."""
         trials, seed = 150, 17
         solutions = self.solutions(path)
-        got = zeno_statistics(zeno_grid(path, self.N_STEPS, [0, 1]), trials, rng_seed=seed)
-        for slot, initial_index in enumerate([0, 1]):
+        got = zeno_statistics(zeno_grid(path, self.N_STEPS, starts), trials, rng_seed=seed)
+        for slot, initial_index in enumerate(starts):
             psi = initial_eigenstate(path, initial_index)
             expected: dict[int, int] = {}
             for t in range(trials):
@@ -619,24 +608,25 @@ class TestMatchesPerTrialReference:
             assert rank == want_rank
             assert np.abs(collapsed - want).max() <= 1e-12
 
-    @pytest.mark.parametrize("starts", [[0, 1, 2], [1, 3]], ids=["ranks012", "ranks13"])
-    def test_lowest_k_energies(self, path, starts):
-        k, repetitions, seed = len(starts), 60, 8
-        solutions = self.solutions(path)
-        observed: dict[int, int] = {}
-        for r in range(repetitions):
-            psi = initial_eigenstate(path, starts[r % k])
-            final = zeno_trajectory(solutions, psi, seed, r)[-1]
-            observed[final] = observed.get(final, 0) + 1
-        values = solutions[-1].eigenvalues
-        expected = tuple((float(values[i]), observed[i]) for i in sorted(observed)[:k])
-        got = lowest_k_energies(zeno_grid(path, self.N_STEPS, starts), repetitions, seed)
-        assert got.energies == expected
 
 def fixed_path_solutions(bases, values):
     """EigenSolutions of a path given point by point, as eigenvector
     columns and eigenvalues."""
     return [EigenSolution(np.asarray(v, dtype=float), b) for b, v in zip(bases, values)]
+
+
+def random_degenerate_solutions(dtype) -> list[EigenSolution]:
+    """Seven points of eight-dimensional random bases, real or complex, after
+    the standard basis, whose levels are one-, two- and threefold, so trials
+    meet on degenerate levels from many states."""
+    rng = np.random.default_rng(12)
+    bases = [np.eye(8)]
+    for _ in range(6):
+        m = rng.normal(size=(8, 8))
+        if dtype is complex:
+            m = m + 1j * rng.normal(size=(8, 8))
+        bases.append(np.linalg.qr(m)[0])
+    return fixed_path_solutions(bases, [[0, 0, 1, 2, 2, 2, 3, 4]] * len(bases))
 
 
 class TestDistinctStates:
@@ -662,20 +652,8 @@ class TestDistinctStates:
         assert 0 < got.counts[0] < trials
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_random_degenerate_path_matches_reference(self, toy_hamiltonian, dtype):
-        """Eight-dimensional random bases whose levels are one-, two- and
-        threefold, so trials meet on degenerate levels from many states."""
-        rng = np.random.default_rng(12)
-        values = [0, 0, 1, 2, 2, 2, 3, 4]
-        bases = [np.eye(8)]
-        for _ in range(6):
-            m = rng.normal(size=(8, 8))
-            if dtype is complex:
-                m = m + 1j * rng.normal(size=(8, 8))
-            bases.append(np.linalg.qr(m)[0])
-        solutions = fixed_path_solutions(bases, [values] * len(bases))
-        three_qubits = PathHamiltonian(parse_hamiltonian("1.0 ZII"),
-                                       parse_hamiltonian("1.0 XII"))
+    def test_random_degenerate_path_matches_reference(self, dtype):
+        solutions = random_degenerate_solutions(dtype)
         trials, seed = 300, 21
         got = zeno_statistics(complete_grid(solutions, [2]), trials, seed)
         psi = np.eye(8)[:, 2]
@@ -836,7 +814,7 @@ class TestReachedSectors:
     could chain through an unreached sector's eigenvalue."""
 
     H5 = "h5_chain_sto3g_1.00.fcidump"
-    TRIALS, REPETITIONS, SEED = 200, 40, 5
+    TRIALS, SEED = 200, 5
     EVERY_SECTOR = (0, 1, 2, 3)
     """H(0) ranks whose states reach all four of H5's sectors."""
 
@@ -873,30 +851,23 @@ class TestReachedSectors:
                               complete.solutions[0].vectors(list(starts)))
         if grid is complete:
             return
-        results = []
-        for solutions in (grid.solutions, complete.solutions):
-            served = ZenoGrid(solutions, grid.initial_indices)
-            results.append((
-                zeno_statistics(served, self.TRIALS, self.SEED),
-                lowest_k_energies(served, self.REPETITIONS, self.SEED),
-            ))
+        results = [zeno_statistics(ZenoGrid(solutions, grid.initial_indices), self.TRIALS, self.SEED)
+                   for solutions in (grid.solutions, complete.solutions)]
         assert results[0] == results[1]
 
     def test_zeno_statistics_solves_reached_sectors(self, data_dir, monkeypatch):
         """zeno_grid solves H(1) in four sectors, then the interior points in
-        the two the start reaches, for zeno_statistics and lowest_k_energies
-        alike, each compared as a multiset, since sectors are solved on a
-        pool."""
+        the two the start reaches, each compared as a multiset, since
+        sectors are solved on a pool."""
         p = clique_path(data_dir, self.H5, 0.5)
         shapes = []
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or original(m))
         zeno_statistics(zeno_grid(p, 3, [0]), 10, 1)
-        lowest_k_energies(zeno_grid(p, 3, [0]), 10, 1)
         h1 = [(288, 288), (240, 240), (256, 256), (240, 240)]
-        runs = [sorted(shapes[a:a + 4]) for a in (0, 4, 8, 12)]
-        assert len(shapes) == 16
-        assert runs == [sorted(h1), sorted([(288, 288), (256, 256)] * 2)] * 2
+        assert len(shapes) == 8
+        assert [sorted(shapes[:4]), sorted(shapes[4:])] == [
+            sorted(h1), sorted([(288, 288), (256, 256)] * 2)]
 
     def test_zeno_run_rejects_restricted_grid(self, data_dir):
         """A plain list given to zeno_run must hold a complete basis at every
@@ -999,3 +970,122 @@ class TestDegenerateLevelAcrossSectors:
             assert got[slot].counts == expected
         assert [d.counts for d in got] == [{8: 8, 20: 7, 80: 1, 86: 2, 122: 2},
                                            {8: 4, 20: 6, 43: 3, 80: 2, 86: 5}]
+
+
+class TestExactLaw:
+    """oracles.zeno_law, the exact outcome law of a Zeno run, against a
+    closed chain and measured figures, and zeno_statistics' counts against
+    it by chi-squared."""
+
+    P_MIN = 1e-6
+    """Smallest chi-squared p-value accepted; the seeds below are fixed."""
+    SUPPORT = 1e-12
+    """A level of lower probability is outside the law's support."""
+    H5 = "h5_chain_sto3g_1.00.fcidump"
+    CASES = ["single_qubit", "gapped", "h2", "h2_alpha0", "h5", "h5_alpha0", "odd_y",
+             "random_float", "random_complex"]
+
+    @pytest.fixture(scope="class")
+    def laws(self, data_dir, single_qubit_path):
+        """A function of a case name giving its grid and law, each made on
+        first use and shared by the class's tests.  A case is a path, a step
+        count and a start rank."""
+        cache = {}
+
+        def grid_of(name):
+            if name.startswith("random"):
+                return complete_grid(random_degenerate_solutions(
+                    complex if name.endswith("complex") else float), [2])
+            path, n_steps, rank = {
+                "single_qubit": (lambda: single_qubit_path, 20, 0),
+                "gapped": (lambda: fixture_path(data_dir, "gapped_four_qubit.txt", 0.5), 20, 0),
+                "h2": (lambda: fixture_path(data_dir, "h2_2.8_jw.txt", 0.5), 20, 0),
+                "h2_alpha0": (lambda: fixture_path(data_dir, "h2_2.8_jw.txt", 0.0), 20, 0),
+                "h5": (lambda: clique_path(data_dir, self.H5, 0.5), 10, 0),
+                "h5_alpha0": (lambda: clique_path(data_dir, self.H5, 0.0), 10, 2),
+                "odd_y": (odd_y_path, 10, 0),
+            }[name]
+            return zeno_grid(path(), n_steps, [rank])
+
+        def law(name):
+            if name not in cache:
+                grid = grid_of(name)
+                cache[name] = grid, *zeno_law(grid, grid.initial_indices[0])
+            return cache[name]
+
+        return law
+
+    def test_two_level_chain(self, laws):
+        _, law, _ = laws("single_qubit")
+        chain = two_level_chain_probability(20)
+        assert abs(law[0] - chain) <= 1e-12
+        assert abs(law[1] - (1 - chain)) <= 1e-12
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_sums_to_one(self, laws, name):
+        _, law, ground = laws(name)
+        assert abs(sum(law.values()) - 1) <= 1e-12
+        assert min(law.values()) >= -1e-15
+        assert abs(ground[-1] - law[0]) <= 1e-15
+
+    @pytest.mark.parametrize("name, level, probability", [
+        ("h5", 0, 0.0830), ("h2", 0, 0.2915), ("gapped", 0, 0.9836), ("random_float", 3, 0.3805),
+    ])
+    def test_measured_figures(self, laws, name, level, probability):
+        _, law, _ = laws(name)
+        assert abs(law[level] - probability) <= 1e-4
+
+    def test_h5_first_step_ground_weight(self, laws):
+        _, _, ground = laws("h5")
+        assert len(ground) == 10
+        assert abs(ground[0] - 0.0152) <= 1e-4
+
+    def test_degenerate_level_needs_coherence(self, laws):
+        """The Markov chain of squared overlaps, p <- |O|^2 p, drops the
+        coherence a degenerate level keeps: on the random path it gives the
+        threefold level 0.3743, not the law's 0.3805."""
+        grid, law, _ = laws("random_float")
+        solutions = grid.solutions
+        p = np.abs(solutions[1].overlap(solutions[0], [2])[:, 0]) ** 2
+        for previous, es in zip(solutions[1:], solutions[2:]):
+            p = np.abs(es.overlap(previous, np.arange(8))) ** 2 @ p
+        markov = p[3:6].sum()
+        assert abs(markov - 0.3743) <= 1e-4
+        assert abs(law[3] - markov) > 5e-3
+
+    def test_alpha0_never_reaches_the_ground_level(self, laws):
+        """README's stretched-bond fixture at alpha 0, exactly."""
+        _, law, _ = laws("h2_alpha0")
+        assert law[0] <= 1e-15
+
+    @pytest.mark.parametrize("name, trials, seed", [
+        ("gapped", 20_000, 5), ("h2", 20_000, 5), ("h5", 20_000, 5), ("h5", 200, 13),
+        ("h5_alpha0", 20_000, 5), ("odd_y", 20_000, 5), ("random_float", 20_000, 5),
+        ("random_complex", 20_000, 5),
+    ], ids=["gapped", "h2", "h5", "h5_qzp", "h5_alpha0", "odd_y", "random_float",
+            "random_complex"])
+    def test_sampler_follows_law(self, laws, name, trials, seed):
+        """h5_qzp is the benchmark workload's own 200 trials."""
+        grid, law, _ = laws(name)
+        counts = zeno_statistics(grid, trials, seed)[0].counts
+        support = {rank for rank, probability in law.items() if probability > self.SUPPORT}
+        assert set(counts) <= support
+        ranks = sorted(law)
+        expected = np.array([law[rank] for rank in ranks]) * trials
+        observed = np.array([counts.get(rank, 0) for rank in ranks])
+        assert self.chi_squared_p(observed, expected) >= self.P_MIN
+
+    @staticmethod
+    def chi_squared_p(observed, expected) -> float:
+        """The chi-squared p-value of observed counts against expected ones,
+        with the bins of fewer than 5 expected counts pooled into one, and
+        that one into the smallest other bin while it has fewer than 5."""
+        small = expected < 5
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+        if expected[-1] < 5:
+            smallest = np.argmin(expected[:-1])
+            observed[smallest] += observed[-1]
+            expected[smallest] += expected[-1]
+            observed, expected = observed[:-1], expected[:-1]
+        return stats.chisquare(observed, expected).pvalue
