@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.fermion import jordan_wigner, load_fcidump, parity_map
 from mczeno.pauli import PauliHamiltonian, _json, load_hamiltonian, save_hamiltonian
-from mczeno.path import PathHamiltonian
+from mczeno.path import PathHamiltonian, symmetry_sectors
 from mczeno.qae import evolve, step_count
 from mczeno.qzp import (
     _check_initial_indices,
@@ -28,12 +28,7 @@ from mczeno.qzp import (
     zeno_grid,
     zeno_statistics,
 )
-from mczeno.spectral import (
-    path_eigensolutions,
-    path_spectrum,
-    sector_weights,
-    symmetry_sectors,
-)
+from mczeno.spectral import path_eigensolutions, path_spectrum, sector_weights
 
 METHODS = ("qae", "qzp", "spectrum", "clique", "scan")
 MAPPINGS = ("auto", "none", "jw", "parity")

@@ -9,6 +9,8 @@ weighted sum of their value arrays.  It also finds the qubit permutations
 that fix every H(s) (the swap of the spin-up and spin-down halves of a
 Jordan-Wigner register, and the mirror of a chain's spatial orbitals), and
 the sectors of the group they generate, in which H(s) is block diagonal.
+A path solved in those sectors (symmetry_sectors) builds them, and its
+Gershgorin bounds, from one row of each part per orbit, never the pattern.
 """
 
 from __future__ import annotations
@@ -20,7 +22,23 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from mczeno.pauli import PauliHamiltonian, PauliTerm, densify, is_all_z, sparse_parts
+from mczeno.pauli import (PauliHamiltonian, PauliTerm, _check_cap, densify, is_all_z, sparse_parts,
+                          sparse_rows)
+
+
+SECTOR_DIMENSION = 256
+"""Smallest dimension whose path points are solved in symmetry sectors.  On
+random paths fixed by the spin swap and the chain mirror, at alpha 0.5, one
+full eigh of H(0.5) against the eighs of its four sectors took 0.03-0.05
+against 0.03-0.06 ms at 16 rows, 0.27-0.50 against 0.14 ms at 64, 4.9-6.4
+against 1.3-1.7 ms at 256 and 0.14-0.24 against 0.019-0.027 s at 1024, and
+building the path's sectors, from one row per orbit, took 0.9-1.0, 1.2-1.3,
+3.1-3.3 and 21-24 ms (two runs each with 1 and 2 OpenBLAS 0.3.31 threads on
+a shared 2-core x86_64 machine; the thread counts differed by no more than
+the runs did, except one 2-thread run whose 64-row full eigh took 48 ms).
+At 64 rows a point saves 0.1-0.4 ms, so the build takes 3-13 sectored
+points to repay; at 256 rows one point repays it.  Smaller paths keep the
+whole-space pattern, and build no orbit rows."""
 
 
 @dataclass(frozen=True)
@@ -118,76 +136,125 @@ class PathHamiltonian:
         chi_c(g) = (-1)**popcount(g & c).  A basis state's orbit lies in the
         sector of chi unless an element of chi(g) = -1 fixes the state, and
         U's column for the orbit holds chi(g) / sqrt(orbit size) at each
-        state that g maps to the orbit's least member.  Entry (a, b) of each
-        part sums chi chi' P_ij over the pattern entries (i, j) with i in
-        orbit a and j in orbit b, in pattern order, and is then divided by
-        sqrt(|a| |b|) for the orbit sizes |a| and |b|.  The orbit pairs that
-        the pattern holds are numbered once per path by a bitmap over pairs of
-        orbits, and each part is one np.bincount over them, so the build takes
-        memory in proportion to the pattern's entries, not to d * d.
-        On the diagonal that is the integer |a|, so an energy shared by an
-        orbit's states stays exact, and exact ties across sectors survive.
+        state that g maps to the orbit's least member.  Every part commutes
+        with the group, so entry (a, b) of U^T P U, for orbits a and b of
+        sizes |a| and |b|, is sqrt(|a| / |b|) sum_j chi(g_j) P_(a0, j) over
+        the states j of b, read from the row of a's least state a0 alone
+        (_orbit_rows): each part is one np.bincount of those rows' entries,
+        in row then column order, over the orbit pairs a <= b that they
+        hold.  Each block is that upper triangle mirrored, conjugated, with
+        the real part on the diagonal, so it is exactly Hermitian.  On the
+        diagonal sqrt(|a| / |a|) is exactly 1, so orbit a's entry is P_(a0,
+        a0) plus a's in-orbit entries, each with its sign: where those are
+        zero, as on a diagonal H(s), an energy shared by the orbit's states
+        is the same number in every sector that holds the orbit, and exact
+        ties across sectors survive.
         """
         if not self.symmetries:
             return ()
-        indptr, indices, data = self._pattern
-        states = np.arange(len(indptr) - 1)
+        images, leasts, orbit, rows, columns, values = self._orbit_rows
+        size = 1 + np.count_nonzero(np.diff(np.sort(images[:, leasts], axis=0), axis=0), axis=0)
+        # the element taking each state to its orbit's least: of 4 at most
+        to_least = np.argmax(images == leasts[orbit], axis=0).astype(np.uint8)
+        across = orbit[columns]
+        upper = across >= rows
+        a, b, n_orbits = rows[upper], across[upper], len(leasts)
+        # the orbit pairs (a, b) of the upper triangle and their mirrors
+        # (b, a), numbered in ascending order by a bitmap over pairs of orbits
+        held = np.zeros((n_orbits, n_orbits), dtype=bool)
+        held[a, b] = held[b, a] = True
+        pairs = np.flatnonzero(held)
+        number = np.empty(n_orbits**2, dtype=np.intp)
+        number[pairs] = np.arange(len(pairs))
+        pair_a, pair_b = np.divmod(pairs, n_orbits)
+        below, on_diagonal = np.flatnonzero(pair_a > pair_b), np.flatnonzero(pair_a == pair_b)
+        mirror = number[pair_b[below] * n_orbits + pair_a[below]]
+        pair_of, moves = number[a * n_orbits + b], to_least[columns[upper]]
+        values = np.compress(upper, values, axis=1)
+        scale = np.sqrt(size[pair_a] / size[pair_b])
+        del held, number
+        fixed = images[:, leasts] == leasts  # one stabilizer per orbit: the group is abelian
+
+        def sector(c: int) -> Sector:  # its arrays die with the call
+            chi = np.array([(-1.0) ** (g & c).bit_count() for g in range(len(images))])
+            inside = ~(fixed & (chi[:, None] < 0)).any(axis=0)
+            sums = np.array([_sum_at(pair_of, v, chi, moves, len(pairs)) for v in values])
+            sums *= scale
+            for part in sums:
+                part[below] = part[mirror].conj()
+                if np.iscomplexobj(part):
+                    part.imag[on_diagonal] = 0.0
+            kept = inside[pair_a] & inside[pair_b] & sums.any(axis=0)
+            column_of, d = np.cumsum(inside) - 1, np.count_nonzero(inside)
+            members = np.sort(images[:, leasts[inside]], axis=0).T
+            weights = chi[to_least[members]] / np.sqrt(size[inside])[:, None]
+            return Sector(members, weights, np.where(np.diff(members, prepend=-1), weights, 0.0),
+                          column_of[pair_a[kept]] * d + column_of[pair_b[kept]],
+                          np.compress(kept, sums, axis=1))
+        return tuple(map(sector, range(len(images))))
+
+    @cached_property
+    def _orbit_rows(self):
+        """The orbits of the symmetry group and one row of each part per
+        orbit, built on first use: (images, leasts, orbit, rows, columns,
+        values).  images[g, i] is basis state i's image under group element
+        g, leasts the least state of each orbit, ascending, and orbit the
+        index in leasts of each state's orbit.  H_i, H_p and H_X, one row of
+        values each, hold values[:, e] at (leasts[rows[e]], columns[e]), in
+        row then column order, and no other nonzero entry in those rows;
+        sparse_rows sums them, entry for entry as in the shared pattern."""
+        _check_cap(self.n_qubits)
+        states = np.arange(1 << self.n_qubits)
         images = [states]
         for perm in reversed(self.symmetries):
             moved = _permute_bits(states, perm)
             images += [moved[image] for image in images]
         images = np.array(images)
         least = images.min(axis=0)
-        size = 1 + np.count_nonzero(np.diff(np.sort(images, axis=0), axis=0), axis=0)
-        to_least = np.argmax(images == least, axis=0).astype(np.uint8)  # of 4 elements at most
-        # each pattern entry (i, j) by the number of its pair of orbits among
-        # the pairs held, and by the pair of elements taking i and j to them
-        counts, leasts = np.diff(indptr), np.flatnonzero(least == states).astype(np.int32)
-        orbit = np.searchsorted(leasts, least)
-        keys = np.repeat(orbit * len(leasts), counts) + orbit[indices]
-        held = np.bincount(keys, minlength=len(leasts) ** 2) > 0
-        pair_of = (np.cumsum(held) - 1)[keys]
-        pair_a, pair_b = (leasts[k] for k in np.divmod(np.flatnonzero(held), len(leasts)))
-        del keys, held
-        moves = np.repeat(to_least * len(images), counts) + to_least[indices]
-        fixed = images[:, leasts] == leasts  # one stabilizer per orbit: the group is abelian
+        leasts = np.flatnonzero(least == states)
+        masks, block = sparse_rows(self._parts, leasts)
+        rows, at = np.nonzero((block != 0).any(axis=0).T)
+        columns = leasts[rows] ^ masks[at]
+        order = np.argsort(rows * len(states) + columns)
+        rows, at = rows[order], at[order]
+        return (images, leasts, np.searchsorted(leasts, least), rows, columns[order],
+                block[:, at, rows])
 
-        def sector(c: int) -> Sector:  # its arrays die with the call
-            chi = np.array([(-1.0) ** (g & c).bit_count() for g in range(len(images))])
-            columns = leasts[~(fixed & (chi[:, None] < 0)).any(axis=0)]
-            column_of = np.full(len(states), -1)
-            column_of[columns] = np.arange(len(columns))
-            signs = np.outer(chi, chi).ravel()
-            sums = np.array([_sum_at(pair_of, v, signs, moves, len(pair_a)) for v in data])
-            kept = (column_of[pair_a] >= 0) & (column_of[pair_b] >= 0) & sums.any(axis=0)
-            a, b = pair_a[kept], pair_b[kept]
-            sums = sums[:, kept]  # the parts, divided in place
-            sums /= np.sqrt(size[a] * size[b])
-            members = np.sort(images[:, columns], axis=0).T
-            weights = chi[to_least[members]] / np.sqrt(size[members])
-            return Sector(members, weights, np.where(np.diff(members, prepend=-1), weights, 0.0),
-                          column_of[a] * len(columns) + column_of[b], sums)
-        return tuple(map(sector, range(len(images))))
+    @cached_property
+    def _parts(self) -> tuple[PauliHamiltonian, ...]:
+        """H_i, H_p and H_X, in the order of every part row."""
+        return self.h_initial, self.h_final, x_driver(self.n_qubits)
 
     @cached_property
     def _pattern(self):
         """(indptr, indices, data) of H_i, H_p and H_X on one shared CSR
-        pattern, built on first use: one row of data per part."""
-        return sparse_parts((self.h_initial, self.h_final, x_driver(self.n_qubits)))
+        pattern, built on first use: one row of data per part.  Only points
+        solved on the whole space read it."""
+        return sparse_parts(self._parts)
 
     @cached_property
-    def _gershgorin(self):
-        """Each part's diagonal and off-diagonal absolute row sums."""
-        indptr, indices, data = self._pattern
-        dim = len(indptr) - 1
-        rows = np.repeat(np.arange(dim), np.diff(indptr))
-        on_diagonal = rows == indices
-        diagonals = np.zeros((len(data), dim))
-        diagonals[:, rows[on_diagonal]] = data[:, on_diagonal].real
-        off = ~on_diagonal
-        off_sums = [np.bincount(rows[off], weights=np.abs(d[off]), minlength=dim)
-                    for d in data]
-        return diagonals, np.array(off_sums)
+    def _diagonals(self) -> np.ndarray:
+        """Each part's diagonal: its all-Z terms summed at every basis state
+        by sparse_rows, so equal, bit for bit, to the shared pattern's."""
+        n = self.n_qubits
+        all_z = [PauliHamiltonian(n, [t for t in h.terms if not t.x_mask]) for h in self._parts]
+        return sparse_rows(all_z, np.arange(1 << n))[1].sum(axis=1)
+
+    @cached_property
+    def _off_sums(self) -> np.ndarray:
+        """Each part's off-diagonal absolute row sums: on a path solved in
+        sectors (symmetry_sectors), those of the row of each orbit's least
+        state, which the orbit's states share; else the shared pattern's."""
+        if symmetry_sectors(self):
+            _, leasts, share, rows, columns, values = self._orbit_rows
+            off, n_rows = columns != leasts[rows], len(leasts)
+        else:
+            indptr, columns, values = self._pattern
+            n_rows, share = len(indptr) - 1, slice(None)
+            rows = np.repeat(np.arange(n_rows), np.diff(indptr))
+            off = rows != columns
+        return np.array([np.bincount(rows[off], weights=np.abs(v[off]), minlength=n_rows)
+                         for v in values])[:, share]
 
     def _combine(self, s: float, parts) -> np.ndarray:
         """Sum of w * part over the parts of nonzero weight at s, in order,
@@ -230,7 +297,7 @@ class PathHamiltonian:
     def diagonal(self, s: float) -> np.ndarray:
         """The real diagonal of H(s): the weighted sum of the parts'
         diagonals, entry for entry that of sparse_matrix(s)."""
-        return self._combine(s, self._gershgorin[0])
+        return self._combine(s, self._diagonals)
 
     def spectral_bounds(self, s: float) -> tuple[float, float]:
         """Gershgorin interval [lo, hi] holding every eigenvalue of H(s).
@@ -238,8 +305,15 @@ class PathHamiltonian:
         The weights are non-negative, so the weighted sums of the parts'
         diagonals and off-diagonal absolute row sums bound those of H(s).
         """
-        centres, radii = self.diagonal(s), self._combine(s, self._gershgorin[1])
+        centres, radii = self.diagonal(s), self._combine(s, self._off_sums)
         return float((centres - radii).min()), float((centres + radii).max())
+
+
+def symmetry_sectors(p) -> tuple:
+    """The sectors that solve p's points: p.sectors from SECTOR_DIMENSION
+    rows, else (), so that smaller paths never build them.  The one rule for
+    whether a path is solved in sectors, which its Gershgorin radii read too."""
+    return p.sectors if 1 << p.n_qubits >= SECTOR_DIMENSION else ()
 
 
 def _sum_at(keys: np.ndarray, values: np.ndarray, signs: np.ndarray, moves: np.ndarray,

@@ -91,19 +91,21 @@ class PauliHamiltonian:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be positive, got {self.n_qubits}")
-        merged: dict[tuple[int, int], float] = {}
+        merged: dict[tuple[int, int], PauliTerm] = {}
         for term in self.terms:
             if term.n_qubits != self.n_qubits:
                 raise ValueError(
                     f"term on {term.n_qubits} qubits in a {self.n_qubits}-qubit sum"
                 )
             key = (term.x_mask, term.z_mask)
-            merged[key] = merged.get(key, 0.0) + term.coefficient
-        canonical = [
-            PauliTerm(self.n_qubits, x, z, c)
-            for (x, z), c in merged.items()
-            if c != 0.0
-        ]
+            held = merged.get(key)
+            if held is not None or not isinstance(term.coefficient, float):
+                # 0.0 + c1 + c2 + ..., in a new term; a lone float term is
+                # kept, since 0.0 + c is c (or drops, for c = -0.0)
+                coefficient = 0.0 if held is None else held.coefficient
+                term = PauliTerm(self.n_qubits, *key, coefficient + term.coefficient)
+            merged[key] = term
+        canonical = [term for term in merged.values() if term.coefficient != 0.0]
         canonical.sort(key=lambda t: t.key)
         object.__setattr__(self, "terms", tuple(canonical))
 
@@ -157,6 +159,57 @@ def _check_cap(n_qubits: int) -> None:
         )
 
 
+def sparse_rows(
+    hs: Sequence[PauliHamiltonian], rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices of several Pauli sums on one register, on the given rows.
+
+    Returns (masks, block): the distinct x-masks of the sums' terms,
+    ascending, and block[k, m, i], the entry of sum k at (rows[i], rows[i] ^
+    masks[m]), zero where sum k has no term of x-mask masks[m].  Each term
+    adds coeff * i**n_Y * (-1)**popcount(z & c) at the column c of its x-mask
+    x, in term order, as the sum of the term matrices does: the d-th terms of
+    every (sum, x-mask) slot are added at once, for d = 0, 1, ...  A sum with
+    an odd-Y term makes the block complex, and a real term's entries then have
+    imaginary part +0.0.
+    """
+    n = hs[0].n_qubits
+    if any(h.n_qubits != n for h in hs):
+        raise ValueError("Pauli sums differ in qubit count")
+    _check_cap(n)
+    terms = [t for h in hs for t in h.terms]
+    part = np.repeat(np.arange(len(hs)), [len(h.terms) for h in hs])
+    x, z = (np.array([getattr(t, mask) for t in terms], dtype=np.int64)
+            for mask in ("x_mask", "z_mask"))
+    n_y = sum((x & z) >> q & 1 for q in range(n))
+    odd = n_y % 2 == 1
+    # coeff * 1j**n_Y as Python forms it, bit for bit
+    powers = np.array([1j ** k for k in range(n + 1)])
+    phases = np.array([t.coefficient for t in terms]) * powers[n_y]
+    masks, slot = np.unique(x, return_inverse=True)
+    slot += part * len(masks)
+    order = np.argsort(slot, kind="stable")
+    depth = np.arange(len(order)) - np.searchsorted(slot[order], slot[order])
+    order = order[np.argsort(depth, kind="stable")]  # by depth, then by slot
+    x, z, slot, odd = x[order], z[order], slot[order], odd[order]
+    complex_sums = odd.any()
+    phases = phases[order] if complex_sums else phases.real[order]
+    signs = 1.0 - 2.0 * parity(np.arange(1 << n, dtype=np.int64), n)
+    sums = np.zeros((len(hs) * len(masks), len(rows)), dtype=complex if complex_sums else float)
+    start = 0
+    for end in np.cumsum(np.bincount(depth)):
+        at = slice(start, end)
+        values = phases[at, None] * signs[(rows ^ x[at, None]) & z[at, None]]
+        if complex_sums:  # as a real term's entries would be cast
+            values.imag[~odd[at]] = 0.0
+        if start:
+            sums[slot[at]] += values
+        else:
+            sums[slot[at]] = values
+        start = end
+    return masks, sums.reshape(len(hs), len(masks), len(rows))
+
+
 def sparse_parts(
     hs: Sequence[PauliHamiltonian],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,37 +217,20 @@ def sparse_parts(
 
     Returns (indptr, indices, data): the canonical CSR pattern (rows in
     order, ascending columns) of the union of the sums' nonzero entries,
-    and one row of data per sum, zero where that sum has no entry.  Each
-    term adds coeff * i**n_Y * (-1)**popcount(z & c), signs from one table,
-    at the entries (c ^ x, c) of its x-mask x in place, in term order, which
-    is exactly what the sum of their term matrices holds.
+    and one row of data per sum, zero where that sum has no entry: the
+    entries sparse_rows sums on every row, which are exactly what the sum
+    of the term matrices holds.
     """
-    n = hs[0].n_qubits
-    if any(h.n_qubits != n for h in hs):
-        raise ValueError("Pauli sums differ in qubit count")
-    _check_cap(n)
-    dim = 1 << n
-    cols = np.arange(dim, dtype=np.int64)
-    signs = 1.0 - 2.0 * parity(cols, n)
-    terms = [(k, t, (t.x_mask & t.z_mask).bit_count()) for k, h in enumerate(hs) for t in h.terms]
-    masks = {x: i for i, x in enumerate(dict.fromkeys(t.x_mask for _, t, _ in terms))}
-    block = np.zeros((len(hs), len(masks), dim),
-                     dtype=complex if any(n_y % 2 for *_, n_y in terms) else float)
-    filled = set()
-    for part, t, n_y in terms:
-        phase = t.coefficient * 1j ** n_y
-        data = (phase if n_y % 2 else phase.real) * signs[cols & t.z_mask]
-        slot = (part, masks[t.x_mask])  # a first term is not added to 0, so -0.0 stays
-        block[slot] = block[slot] + data if slot in filled else data
-        filled.add(slot)
-    flat = np.flatnonzero((block != 0).any(axis=0))  # mask index << n | column
-    col_at = flat & (dim - 1)
-    rows = col_at ^ np.array(list(masks), dtype=np.int64)[flat >> n]
-    order = np.argsort(rows << n | col_at)
+    dim = 1 << hs[0].n_qubits
+    masks, block = sparse_rows(hs, np.arange(dim, dtype=np.int64))
+    flat = np.flatnonzero((block != 0).any(axis=0))  # mask index * dim + row
+    rows = flat & (dim - 1)
+    cols = rows ^ masks[flat // dim]
+    order = np.argsort(rows * dim + cols)
     # the index type scipy would pick, so that building a matrix copies none
     index = np.int32 if max(dim, len(flat)) < 2**31 else np.int64
     indptr = np.r_[0, np.bincount(rows, minlength=dim).cumsum()].astype(index)
-    return (indptr, col_at[order].astype(index),
+    return (indptr, cols[order].astype(index),
             block.reshape(len(hs), -1)[:, flat[order]])
 
 

@@ -21,8 +21,8 @@ from functools import partial
 import numpy as np
 
 from mczeno.pauli import PauliHamiltonian, ham_matrix
-from mczeno.path import PathHamiltonian, Sector, s_grid
-from mczeno.spectral import EigenSolution, eig, path_eigensolutions, symmetry_sectors
+from mczeno.path import PathHamiltonian, Sector, s_grid, symmetry_sectors
+from mczeno.spectral import EigenSolution, eig, path_eigensolutions
 
 DENSE_STEP_DIMENSION = 384
 """Largest block (a sector, or a whole space without sectors) stepped dense;
@@ -127,17 +127,26 @@ def chebyshev_step(h, bounds: tuple[float, float], dt: float, psi: np.ndarray) -
     acts on psi's real and imaginary parts: dense, as two columns of one
     product; sparse, in two products (half the time of a two-column one).
     """
+    return _propagator(bounds, dt)(h, psi)
+
+
+def _propagator(bounds: tuple[float, float], dt: float):
+    """chebyshev_step for every h whose spectrum lies inside bounds, as a
+    function of (h, psi): the series' coefficients are computed once."""
     lo, hi = bounds
     centre, radius = (lo + hi) / 2.0, (hi - lo) / 2.0
-    series = partial(_chebyshev_sum, h, centre, radius,
-                     chebyshev_coefficients(radius * dt))
-    if np.iscomplexobj(h):
-        total = series(psi)
-    elif isinstance(h, np.ndarray):
-        total = series(np.column_stack([psi.real, psi.imag])) @ np.array([1.0, 1j])
-    else:
-        total = series(psi.real) + 1j * series(psi.imag)
-    return np.exp(-1j * centre * dt) * total
+    coefficients = chebyshev_coefficients(radius * dt)
+
+    def step(h, psi: np.ndarray) -> np.ndarray:
+        series = partial(_chebyshev_sum, h, centre, radius, coefficients)
+        if np.iscomplexobj(h):
+            total = series(psi)
+        elif isinstance(h, np.ndarray):
+            total = series(np.column_stack([psi.real, psi.imag])) @ np.array([1.0, 1j])
+        else:
+            total = series(psi.real) + 1j * series(psi.imag)
+        return np.exp(-1j * centre * dt) * total
+    return step
 
 
 def _block_matrix(p: PathHamiltonian, sector: Sector | None, s: float):
@@ -183,9 +192,8 @@ def evolve(
     blocks = ([(sector, z) for sector in sectors if (z := sector.project(psi)).any()]
               if sectors else [(None, psi)])
     for s in s_grid(n_steps)[1:]:
-        bounds = p.spectral_bounds(s)
-        blocks = [(sector, chebyshev_step(_block_matrix(p, sector, s), bounds, delta_t, z))
-                  for sector, z in blocks]
+        step = _propagator(p.spectral_bounds(s), delta_t)
+        blocks = [(sector, step(_block_matrix(p, sector, s), z)) for sector, z in blocks]
     psi = np.zeros_like(psi) if sectors else blocks[0][1]
     for sector, z in blocks if sectors else ():
         sector.embed(z, psi)

@@ -10,20 +10,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from mczeno.pauli import PauliHamiltonian, _check_cap, densify, sparse_parts
-from mczeno.path import Sector, s_grid
-
-SECTOR_DIMENSION = 256
-"""Smallest dimension whose path points are solved in symmetry sectors.  On
-random paths fixed by the spin swap and the chain mirror, at alpha 0.5, one
-full eigh of H(0.5) against the eighs of its four sectors took 0.03-0.05
-against 0.03-0.06 ms at 16 rows, 0.27-0.50 against 0.14 ms at 64, 4.9-6.4
-against 1.3-1.7 ms at 256 and 0.14-0.24 against 0.019-0.027 s at 1024, and
-building the path's sectors took 0.7-0.9, 1.2-1.4, 5-8 and 34-50 ms (two
-runs each with 1 and 2 OpenBLAS 0.3.31 threads on a shared 2-core x86_64
-machine; the thread counts differed by no more than the runs did, except
-one 2-thread run whose 64-row full eigh took 48 ms).  At 64 rows a point
-saves 0.1-0.4 ms, so the build takes 4-10 sectored points to repay; at 256
-rows one point repays most of it."""
+from mczeno.path import Sector, s_grid, symmetry_sectors
 
 POOL_DIMENSION = 768
 """Sectored points whose solved sectors all have fewer rows are solved on
@@ -238,12 +225,6 @@ def _one_ahead(points: Iterator) -> Iterator[EigenSolution]:
         ahead = point
     if ahead is not None:
         yield ahead()
-
-
-def symmetry_sectors(p) -> tuple:
-    """The sectors that solve p's points: p.sectors from SECTOR_DIMENSION
-    rows, else (), so that smaller paths never build them."""
-    return p.sectors if 1 << p.n_qubits >= SECTOR_DIMENSION else ()
 
 
 def sector_weights(p, states: np.ndarray) -> np.ndarray:

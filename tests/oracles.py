@@ -22,8 +22,9 @@ import numpy as np
 import scipy.sparse
 
 from mczeno.fermion import FermionIntegrals
-from mczeno.path import Sector, _permute_bits
-from mczeno.pauli import DIMENSION_CAP, PauliHamiltonian, PauliTerm, ham_matrix, parity
+from mczeno.path import Sector, _permute_bits, x_driver
+from mczeno.pauli import (DIMENSION_CAP, PauliHamiltonian, PauliTerm, ham_matrix, parity,
+                          sparse_parts)
 from mczeno.qae import chebyshev_step
 from mczeno.qzp import ZenoGrid, _check_complete, _check_initial_indices
 from mczeno.spectral import EigenSolution
@@ -404,18 +405,22 @@ def _orbits(p):
 
 
 def unique_sectors(p) -> tuple:
-    """p's Sectors as PathHamiltonian.sectors built them with the orbit pairs
-    found by np.unique over every pattern entry, each part summed by one
-    np.bincount of the values times their integer characters, and each
-    column's members gathered from the states inside the sector."""
+    """p's Sectors by the rule of PathHamiltonian.sectors, from the shared
+    pattern's rows of each orbit's least state a0: the orbit pairs (a, b)
+    with a <= b that those rows hold, found by np.unique, and each part's
+    entry sqrt(|a| / |b|) sum_j chi(g_j) P_(a0, j), summed by one
+    np.bincount in pattern order, mirrored below the diagonal as its
+    conjugate, with the real part on the diagonal; each column's members
+    gathered from the states inside the sector."""
     if not p.symmetries:
         return ()
-    indptr, indices, data = p._pattern
+    indptr, indices, data = sparse_parts((p.h_initial, p.h_final, x_driver(p.n_qubits)))
     states, images, least, size, to_least, fixed = _orbits(p)
     rows = np.repeat(states, np.diff(indptr))
-    pairs, pair_of = np.unique(least[rows] * len(states) + least[indices],
-                               return_inverse=True)
-    moves = to_least[rows] * len(images) + to_least[indices]
+    upper = (least[rows] == rows) & (least[indices] >= rows)
+    rows, columns, data = rows[upper], indices[upper], data[:, upper]
+    pairs, pair_of = np.unique(rows * len(states) + least[columns], return_inverse=True)
+    a, b = np.divmod(pairs, len(states))
 
     def sum_at(values):
         if np.iscomplexobj(values):
@@ -426,27 +431,31 @@ def unique_sectors(p) -> tuple:
     for c in range(len(images)):
         chi = np.array([(-1) ** (g & c).bit_count() for g in range(len(images))])
         inside = np.flatnonzero(~(fixed & (chi[:, None] < 0)).any(axis=0))
-        orbits, columns = np.unique(least[inside], return_inverse=True)
+        orbits, columns_of_inside = np.unique(least[inside], return_inverse=True)
         d = len(orbits)
         column_of = np.full(len(states), -1)
-        column_of[inside] = columns
-        weight = np.outer(chi, chi).ravel()[moves]
-        sums = np.array([sum_at(values * weight) for values in data])
-        a, b = np.divmod(pairs, len(states))
+        column_of[inside] = columns_of_inside
+        sums = np.array([sum_at(values * chi[to_least[columns]]) for values in data])
+        sums = sums * np.sqrt(size[a] / size[b])
+        if np.iscomplexobj(sums):
+            sums.imag[:, a == b] = 0.0
         kept = (column_of[a] >= 0) & (column_of[b] >= 0) & sums.any(axis=0)
-        a, b = a[kept], b[kept]
-        parts = sums[:, kept] / np.sqrt(size[a] * size[b])
+        ca, cb, parts = column_of[a[kept]], column_of[b[kept]], sums[:, kept]
+        off = ca != cb
+        entries = np.concatenate([ca * d + cb, cb[off] * d + ca[off]])
+        parts = np.concatenate([parts, parts[:, off].conj()], axis=1)
+        order = np.argsort(entries)
         # each inside state once per group element that maps its orbit's
         # least member to it, grouped by column: the member table
         repeats = len(images) // size[inside]
-        order = np.argsort(np.repeat(columns, repeats), kind="stable")
-        members, weights = (np.repeat(v, repeats)[order].reshape(d, -1) for v in
+        member_order = np.argsort(np.repeat(columns_of_inside, repeats), kind="stable")
+        members, weights = (np.repeat(v, repeats)[member_order].reshape(d, -1) for v in
                             (inside, chi[to_least[inside]] / np.sqrt(size[inside])))
-        first = np.zeros(len(order), dtype=bool)
+        first = np.zeros(len(member_order), dtype=bool)
         first[np.cumsum(repeats) - repeats] = True
         sectors.append(Sector(members, weights,
-                              np.where(first[order].reshape(d, -1), weights, 0.0),
-                              column_of[a] * d + column_of[b], parts))
+                              np.where(first[member_order].reshape(d, -1), weights, 0.0),
+                              entries[order], parts[:, order]))
     return tuple(sectors)
 
 

@@ -376,12 +376,12 @@ class TestRun:
         non-diagonal H(0) is still solved by one full eigh: its eigenvectors
         pick the initial state, and a sector basis there moves this qae
         energy from -0.6793 to -0.5651 Ha."""
-        import mczeno.spectral as spectral
+        import mczeno.path as path
 
         config = RunConfig(source=str(data_dir / "h2_sto3g_2.8.fcidump"), method="qae",
                            alpha=0.5)
         default = run(config)
-        monkeypatch.setattr(spectral, "SECTOR_DIMENSION", 1)
+        monkeypatch.setattr(path, "SECTOR_DIMENSION", 1)
         sectors = run(config)  # H(1) is solved in sectors, in another basis
         for key in ("final_energy_hartree", "ground_fidelity"):
             assert sectors[key] == pytest.approx(default[key], abs=1e-12)

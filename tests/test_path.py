@@ -16,7 +16,8 @@ from mczeno.pauli import (
     load_hamiltonian,
     parse_hamiltonian,
 )
-from mczeno.path import PathHamiltonian, Sector, discretize, h_at, x_driver
+from mczeno.path import (PathHamiltonian, Sector, discretize, h_at, symmetry_sectors,
+                         x_driver)
 from mczeno.qae import evolve
 from mczeno.spectral import dense_matrix, path_eigensolutions
 from oracles import (
@@ -366,6 +367,13 @@ class TestSymmetries:
         assert PathHamiltonian(h, h).symmetries == ()
 
 
+@functools.cache
+def random_symmetric_path(n: int, odd_y: bool) -> PathHamiltonian:
+    """A path at alpha 0.5 between two random sums fixed by the spin swap
+    and the chain mirror, real or with odd-Y terms."""
+    return PathHamiltonian(symmetric_sum(n, 1, odd_y), symmetric_sum(n, 2, odd_y), alpha=0.5)
+
+
 SECTORED = [name for name, p in bundled_clique_paths().items() if p.symmetries]
 """The bundled clique paths with symmetry sectors: H2 from text and FCIDUMP
 files under Jordan-Wigner, and H5."""
@@ -407,9 +415,27 @@ class TestSectorParts:
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "odd_y"])
     def test_random_symmetric_sectors_pinned_to_sorting_reference(self, n, odd_y):
-        p = PathHamiltonian(symmetric_sum(n, 1, odd_y), symmetric_sum(n, 2, odd_y), alpha=0.5)
+        p = random_symmetric_path(n, odd_y)
         assert len(p.sectors) == 4
         self.assert_pinned(p)
+
+    @staticmethod
+    def assert_hermitian(p):
+        for sector in p.sectors:
+            for k in range(3):
+                block = sector_part(sector, k)
+                assert np.array_equal(block, block.conj().T)
+
+    @pytest.mark.parametrize("name", SECTORED)
+    def test_bundled_sector_parts_exactly_hermitian(self, name):
+        self.assert_hermitian(bundled_clique_paths()[name])
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
+    @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "odd_y"])
+    def test_random_sector_parts_exactly_hermitian(self, n, odd_y):
+        p = random_symmetric_path(n, odd_y)
+        assert np.iscomplexobj(p.sectors[0].parts) == odd_y
+        self.assert_hermitian(p)
 
     @pytest.mark.parametrize("name, sizes", [
         ("h2_2.8_jw.txt:none", {1, 2}), ("h5_chain_sto3g_1.00.fcidump:jw", {1, 2, 4}),
@@ -462,3 +488,54 @@ class TestSectorParts:
                 out = x.copy()
                 sector.embed(z, out)
                 assert np.abs(out - (x + u @ z)).max() <= 1e-15
+
+
+class TestOrbitRows:
+    """A path solved in sectors reads one row per orbit: its sectors and
+    Gershgorin radii come from those rows and its diagonal from every
+    state's all-Z terms, so its runs never build the 2**n pattern."""
+
+    @pytest.mark.parametrize("method", ["qae", "qzp"])
+    def test_h5_runs_build_no_pattern(self, data_dir, method, monkeypatch):
+        from mczeno import driver
+
+        made = []
+
+        def record(*args, **kwargs):
+            made.append(PathHamiltonian(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(driver, "PathHamiltonian", record)
+        driver.run(driver.RunConfig(
+            source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"), method=method, alpha=0.5,
+            n_steps=10, trials=200, seed=13, delta_t=0.5))
+        [p] = made
+        assert "sectors" in vars(p) and "_pattern" not in vars(p)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("odd_y", [False, True], ids=["real", "odd_y"])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0])
+    def test_sectored_diagonal_is_the_sparse_diagonal(self, n, odd_y, s):
+        p = random_symmetric_path(n, odd_y)
+        assert symmetry_sectors(p)
+        reference = p.sparse_matrix(s).diagonal()
+        assert p.diagonal(s).tobytes() == np.ascontiguousarray(reference.real).tobytes()
+
+    @pytest.mark.parametrize("name", SECTORED)
+    @pytest.mark.parametrize("s", [0.3, 0.5])
+    def test_orbit_radii_are_the_pattern_radii(self, name, s):
+        """The radii of the orbits' least rows are those of the pattern's
+        rows, within rounding, and bound each sector's spectrum."""
+        p = bundled_clique_paths()[name]
+        lo, hi = p.spectral_bounds(s)
+        for sector in p.sectors:
+            values = np.linalg.eigvalsh(p.matrix(s, sector))
+            assert lo <= values[0] and values[-1] <= hi
+        indptr, indices, data = p._pattern
+        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        off = rows != indices
+        radii = [np.bincount(rows[off], weights=np.abs(d[off]), minlength=len(indptr) - 1)
+                 for d in data]
+        _, leasts, orbit, *_ = p._orbit_rows
+        assert np.allclose(np.array(radii)[:, leasts][:, orbit], radii, rtol=0, atol=1e-12)
+        assert np.allclose(p._off_sums, radii, rtol=0, atol=1e-12)

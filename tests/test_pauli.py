@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse
 
 from mczeno.pauli import (
+    DIMENSION_CAP,
     PauliHamiltonian,
     PauliTerm,
     commutes,
@@ -23,6 +24,7 @@ from mczeno.pauli import (
     save_hamiltonian,
     serialize_pauli,
     sparse_parts,
+    sparse_rows,
 )
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import load_qubit_hamiltonian
@@ -237,6 +239,23 @@ def _bundled_paths():
     return out
 
 
+def random_sums(n: int) -> list[PauliHamiltonian]:
+    """Three sums whose terms share a few x-masks, so that real and odd-Y
+    terms add into one entry, some to zero: the first real, the others with
+    odd-Y terms, whose real parts are zeros of either sign."""
+    rng = np.random.default_rng([n, 21])
+    x_masks = rng.integers(0, 1 << n, size=6)
+    hs = []
+    for odd_y in (False, True, True):
+        terms = []
+        for x, z in zip(rng.choice(x_masks, 12 * n), rng.integers(0, 1 << n, 12 * n)):
+            if odd_y or (int(x) & int(z)).bit_count() % 2 == 0:
+                c = float(rng.choice([-1.0, 0.5, 1.0]))
+                terms.append(PauliTerm(n, int(x), int(z), c))
+        hs.append(PauliHamiltonian(n, terms))
+    return hs
+
+
 class TestSparseParts:
     @pytest.mark.parametrize("name, hs", _bundled_paths(),
                              ids=lambda v: v if isinstance(v, str) else "")
@@ -269,19 +288,7 @@ class TestSparseParts:
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_random_sums_pinned_to_dict_reference(self, n):
-        """Three sums whose terms share a few x-masks, so that real and odd-Y
-        terms add into one entry, some to zero: the first real, the others
-        with odd-Y terms, whose real parts are zeros of either sign."""
-        rng = np.random.default_rng([n, 21])
-        x_masks = rng.integers(0, 1 << n, size=6)
-        hs = []
-        for odd_y in (False, True, True):
-            terms = []
-            for x, z in zip(rng.choice(x_masks, 12 * n), rng.integers(0, 1 << n, 12 * n)):
-                if odd_y or (int(x) & int(z)).bit_count() % 2 == 0:
-                    c = float(rng.choice([-1.0, 0.5, 1.0]))
-                    terms.append(PauliTerm(n, int(x), int(z), c))
-            hs.append(PauliHamiltonian(n, terms))
+        hs = random_sums(n)
         data = sparse_parts(hs)[2]
         assert np.iscomplexobj(data) and np.any(data == 0.0)
         self.assert_pinned(hs)
@@ -297,6 +304,55 @@ class TestSparseParts:
     def test_mismatched_registers_rejected(self):
         with pytest.raises(ValueError, match="qubit count"):
             sparse_parts((parse_hamiltonian("1.0 Z"), parse_hamiltonian("1.0 ZZ")))
+
+
+class TestSparseRows:
+    """sparse_rows on any rows, in any order, holds at each row exactly the
+    entries that sparse_parts stores there, in dtype, value and the sign of
+    every zero, and zeros at every other x-mask."""
+
+    @staticmethod
+    def assert_rows_match(hs, rows):
+        masks, block = sparse_rows(hs, rows)
+        indptr, indices, data = sparse_parts(hs)
+        dim = 1 << hs[0].n_qubits
+        assert masks.tolist() == sorted({t.x_mask for h in hs for t in h.terms})
+        assert block.shape == (len(hs), len(masks), len(rows))
+        pattern_rows = np.repeat(np.arange(dim), np.diff(indptr))
+        at = np.searchsorted(masks, pattern_rows ^ indices)
+        expected = np.zeros((len(hs), len(masks), dim), dtype=data.dtype)
+        expected[:, at, pattern_rows] = data
+        stored = np.zeros((len(masks), dim), dtype=bool)
+        stored[at, pattern_rows] = True
+        stored, expected = stored[:, rows], expected[:, :, rows]
+        assert same_bits(block[:, stored], expected[:, stored])
+        assert not block[:, ~stored].any()
+
+    @pytest.mark.parametrize("name, hs", _bundled_paths(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_bundled_paths_on_all_rows(self, name, hs):
+        self.assert_rows_match(hs, np.arange(1 << hs[0].n_qubits))
+
+    @pytest.mark.parametrize("name, hs", _bundled_paths(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_bundled_paths_on_chosen_rows(self, name, hs):
+        rows = np.random.default_rng(4).integers(0, 1 << hs[0].n_qubits, 40)
+        self.assert_rows_match(hs, rows)
+
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_random_sums_on_all_and_chosen_rows(self, n):
+        hs = random_sums(n)
+        self.assert_rows_match(hs, np.arange(1 << n))
+        self.assert_rows_match(hs, np.random.default_rng(n).permutation(1 << n)[:50])
+
+    def test_no_terms(self):
+        masks, block = sparse_rows([PauliHamiltonian(3, [])], np.arange(8))
+        assert masks.shape == (0,) and block.shape == (1, 0, 8)
+
+    def test_cap_enforced(self):
+        h = PauliHamiltonian(DIMENSION_CAP + 1, [PauliTerm(DIMENSION_CAP + 1, 1, 0, 1.0)])
+        with pytest.raises(ValueError, match="dimension cap"):
+            sparse_rows([h], np.arange(1))
 
 
 class TestIsAllZ:

@@ -490,10 +490,10 @@ class TestNonDiagonalInitialBasis:
         (e_3 + e_12)/sqrt2).  It must stay the full eigh's, whatever
         dimension the sectors start at.
         """
-        import mczeno.spectral as spectral
+        import mczeno.path as path
         from mczeno.driver import load_qubit_hamiltonian
 
-        monkeypatch.setattr(spectral, "SECTOR_DIMENSION", 1)
+        monkeypatch.setattr(path, "SECTOR_DIMENSION", 1)
         h, _ = load_qubit_hamiltonian(str(data_dir / "h2_sto3g_2.8.fcidump"))
         mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
         p = PathHamiltonian(mc, h, alpha=0.5)

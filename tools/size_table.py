@@ -11,9 +11,10 @@ in its own interpreter, so its peak RSS (VmHWM) is its own.  Its columns:
 - sparse assembly: ham_matrix of perfbench/synthetic.synthetic_hamiltonian
   (20 real terms per qubit) at SEED;
 - one dense eigh of that matrix;
-- sector build: PathHamiltonian.sectors, shared pattern included, on a fresh
-  path between two sums fixed by the spin swap and the chain mirror
-  (symmetric_sum: 5n random products, each with its three images);
+- sector build: PathHamiltonian.sectors, the rows of each orbit's least
+  state included, on a fresh path between two sums fixed by the spin swap
+  and the chain mirror (symmetric_sum: 5n random products, each with its
+  three images);
 - symmetry sectors: one sectored solve of that path's H(0.5) in the calling
   thread, each sector's p.matrix(0.5, sector) plus its eigh;
 - the sector dimensions, and the peak RSS.
