@@ -10,11 +10,10 @@ branch-and-bound search serves as the reference on small graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from mczeno.pauli import PauliHamiltonian, commutes, parity
+from mczeno.pauli import PauliHamiltonian, PauliTerm, parity
 
 BRUTE_FORCE_CAP = 24
 """Largest vertex count accepted by the exact clique search."""
@@ -45,15 +44,19 @@ class CliqueResult:
 
 def build_graph(h: PauliHamiltonian) -> CommutationGraph:
     """Graph with one vertex per term and edges between commuting pairs."""
-    terms = h.terms
-    dtype = np.min_scalar_type((1 << h.n_qubits) - 1)
+    adjacency = _commuting(h.terms, h.n_qubits)
+    np.fill_diagonal(adjacency, False)
+    weights = np.array([abs(t.coefficient) for t in h.terms], dtype=float)
+    return CommutationGraph(vertex_weights=weights, adjacency=adjacency)
+
+
+def _commuting(terms: list[PauliTerm], n_qubits: int) -> np.ndarray:
+    """Whether each pair of terms commutes: the symplectic form of
+    pauli.commutes, for all pairs at once."""
+    dtype = np.min_scalar_type((1 << n_qubits) - 1)
     x = np.array([t.x_mask for t in terms], dtype=dtype)
     z = np.array([t.z_mask for t in terms], dtype=dtype)
-    # the symplectic form of commutes(), for all pairs at once
-    adjacency = parity((x[:, None] & z) ^ (z[:, None] & x), h.n_qubits) == 0
-    np.fill_diagonal(adjacency, False)
-    weights = np.array([abs(t.coefficient) for t in terms], dtype=float)
-    return CommutationGraph(vertex_weights=weights, adjacency=adjacency)
+    return parity((x[:, None] & z) ^ (z[:, None] & x), n_qubits) == 0
 
 
 def greedy_max_clique(g: CommutationGraph) -> CliqueResult:
@@ -62,16 +65,16 @@ def greedy_max_clique(g: CommutationGraph) -> CliqueResult:
     At every round the heaviest vertex still compatible with the current
     selection joins it (ties broken toward the lowest vertex index), and
     incompatible vertices are discarded.  The loop runs until nothing
-    compatible remains, so the result is always maximal.  Compatibility
-    checks total at most V**2.
+    compatible remains, so the result is always maximal.  Each round reads
+    one adjacency row, so compatibility checks total at most V**2.
     """
     weights = g.vertex_weights
-    candidates = list(range(len(g)))
+    live = np.ones(len(g), dtype=bool)
     chosen: list[int] = []
-    while candidates:
-        best = max(candidates, key=lambda v: weights[v])
+    while live.any():
+        best = int(np.argmax(np.where(live, weights, -np.inf)))  # the first maximum
         chosen.append(best)
-        candidates = [v for v in candidates if v != best and g.adjacency[v, best]]
+        live &= g.adjacency[best]
     chosen.sort()
     return CliqueResult(tuple(chosen), float(weights[list(chosen)].sum()) if chosen else 0.0)
 
@@ -127,9 +130,7 @@ def mc_hamiltonian(h: PauliHamiltonian, c: CliqueResult) -> PauliHamiltonian:
     if any(v < 0 or v >= len(h.terms) for v in c.vertices):
         raise ValueError("clique vertex outside the Hamiltonian's term range")
     terms = [h.terms[v] for v in c.vertices]
-    if len(set(c.vertices)) != len(terms) or not all(
-        commutes(a, b) for a, b in combinations(terms, 2)
-    ):
+    if len(set(c.vertices)) != len(terms) or not _commuting(terms, h.n_qubits).all():
         raise ValueError("vertex set is not a clique of this Hamiltonian")
     if abs(sum(abs(t.coefficient) for t in terms) - c.weight) > 1e-9:
         raise ValueError("clique weight does not match the Hamiltonian's terms")

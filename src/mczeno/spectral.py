@@ -10,7 +10,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from mczeno.pauli import PauliHamiltonian, _check_cap, densify, sparse_parts
-from mczeno.path import Sector, s_grid, symmetry_sectors
+from mczeno.path import SECTOR_DIMENSION, Sector, s_grid, symmetry_sectors
 
 POOL_DIMENSION = 768
 """Sectored points whose solved sectors all have fewer rows are solved on
@@ -184,9 +184,13 @@ def path_eigensolutions(p, s_values: Iterable[float], *,
     When H(s) has at least SECTOR_DIMENSION rows and p has symmetry
     sectors (p.sectors), the point is solved sector by sector
     (_send_sectors), except at s = 0: there the eigenvectors seed initial
-    states by rank, so H(0) keeps the basis of one full eigh.  Elsewhere
-    only the eigenvalues and the eigenspaces of levels are used, and
-    neither depends on the basis.
+    states by rank, so H(0) keeps the basis of one full eigh.  From
+    SECTOR_DIMENSION rows a point with s > 0 where the X driver's weight
+    is 0 (s = 1, or any point of an alpha 0 path) conserves electron
+    number, and each block it solves, a sector's or the whole matrix, is
+    split into the components of its entries above rounding (_split_eigh).
+    Away from s = 0 only the eigenvalues and the eigenspaces of levels are
+    used, and neither depends on the basis.
 
     A sectored point whose solved sectors all have fewer than
     POOL_DIMENSION rows has its sector solves sent to a thread pool
@@ -253,7 +257,7 @@ def _send_point(p, s: float, reached: list[bool] | None):
     if p.is_diagonal(s):
         return lambda: _sorted_diagonal(p.diagonal(s))
     if s == 0.0 or not symmetry_sectors(p):
-        return lambda: EigenSolution(*np.linalg.eigh(p.matrix(s)))
+        return lambda: EigenSolution(*_solve(p, s, p.matrix(s)))
     return _send_sectors(p, s, reached)
 
 
@@ -264,12 +268,14 @@ def _sorted_diagonal(diagonal: np.ndarray) -> EigenSolution:
 
 def _send_sectors(p, s: float, reached: list[bool] | None):
     """A function returning the EigenSolution of H(s) in p's sectors
-    (p.sectors), from one eigh per sector, or per sector c with reached[c]
+    (p.sectors), from one solve per sector, or per sector c with reached[c]
     when reached is given: symmetry tapering (Bravyi, Gambetta, Mezzacapo &
-    Temme, arXiv:1701.08213) by a group of qubit permutations.  p.sectors is
-    built here, in the calling thread, and each sector's solve is sent to
-    the pool now, or made in the calling thread when the function is
-    called."""
+    Temme, arXiv:1701.08213) by a group of qubit permutations.  A sector's
+    solve (_solve) is one eigh, or at a point without the X driver one
+    stacked eigh per size of the block's electron-number components
+    (_split_eigh).  p.sectors is built here, in the calling thread, and
+    each sector's solve is sent to the pool now, or made in the calling
+    thread when the function is called."""
     sectors = [sector for c, sector in enumerate(p.sectors) if reached is None or reached[c]]
     pool = _sector_pool() if max(sector.dimension for sector in sectors) < POOL_DIMENSION else None
     if pool is None:
@@ -279,7 +285,67 @@ def _send_sectors(p, s: float, reached: list[bool] | None):
 
 
 def _solve_sector(p, sector: Sector, s: float) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(p.matrix(s, sector))
+    return _solve(p, s, p.matrix(s, sector))
+
+
+def _solve(p, s: float, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a block of H(s), a sector's or the whole matrix, or
+    _split_eigh where H(s) conserves electron number: at 0 < s without the X
+    driver, on a path of at least SECTOR_DIMENSION rows."""
+    if 0.0 < s and p.weights(s)[2] == 0.0 and 1 << p.n_qubits >= SECTOR_DIMENSION:
+        return _split_eigh(block)
+    return np.linalg.eigh(block)
+
+
+def _split_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors W of a Hermitian d x d block,
+    solved in the connected components of its entries above the rounding
+    bound d * eps * max|B_ij|, one stacked eigh per component size.
+
+    Without the X driver H(s) conserves (N_up, N_down), and the entries that
+    join states of different numbers are rounding residues of cancelling
+    Pauli strings: in H5's H(1) sector blocks they are at most 7.7e-17, the
+    bound is 1.5-2.8e-13, and the smallest kept entry is 7.7e-7.  Dropping
+    them moves no eigenvalue by more than eigh's own backward error.  The
+    components are found by label propagation over the kept entries.  A
+    component's rows keep their ascending order, the components go by size
+    and then least row, and W's columns follow the stable ascending sort of
+    every component's eigenvalues.  A block that is one component is one
+    eigh."""
+    d = len(block)
+    coupled = np.abs(block)
+    coupled = coupled > d * np.finfo(float).eps * coupled.max()
+    coupled.flat[::d + 1] = True
+    # each row takes the least label of the rows it couples to, then that
+    # label's own label, until no label moves
+    entries = np.flatnonzero(coupled)
+    neighbours, starts = entries % d, np.searchsorted(entries, np.arange(0, d * d, d))
+    labels = np.arange(d)
+    while True:
+        least = np.minimum.reduceat(labels[neighbours], starts)
+        least = least[least]
+        if np.array_equal(least, labels):
+            break
+        labels = least
+    _, component, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    if len(sizes) == 1:
+        return np.linalg.eigh(block)
+    grouped = np.lexsort((component, sizes[component]))
+    solved, start = [], 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        rows = grouped[start:start + size * count].reshape(count, size)
+        solved.append((rows, *np.linalg.eigh(block[rows[:, :, None], rows[:, None, :]])))
+        start += size * count
+    values = np.concatenate([stacked.ravel() for _, stacked, _ in solved])
+    ranks = np.argsort(values, kind="stable")
+    column = np.empty(d, np.intp)  # the W column of each of values
+    column[ranks] = np.arange(d)
+    w, start = np.zeros_like(block), 0
+    for rows, _, vectors in solved:
+        columns = column[start:start + rows.size].reshape(rows.shape)
+        w[rows[:, :, None], columns[:, None, :]] = vectors
+        start += rows.size
+    return values[ranks], w
 
 
 def _merge(p, sectors: list[Sector], solved: list[tuple]) -> EigenSolution:

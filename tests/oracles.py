@@ -13,13 +13,19 @@ parts, orbit pairs found by a sort, per-term parity folds summed in a
 dict, and qae steps on the whole space), kept so that the faster ones can
 be held to them.  complete_grid wraps such a list of whole solutions as the
 ZenoGrid that zeno_statistics runs, and zeno_law is the exact outcome law
-of the trials zeno_statistics samples from such a grid.
+of the trials zeno_statistics samples from such a grid.  split_eigh solves
+a block in the components of its entries above the rounding bound, found
+by scipy.sparse.csgraph, with one eigh per component, as the reference for
+spectral's split solve of points without the X driver.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 
 from mczeno.fermion import FermionIntegrals
 from mczeno.path import Sector, _permute_bits, x_driver
@@ -350,12 +356,13 @@ def complete_grid(solutions, initial_indices) -> ZenoGrid:
     return ZenoGrid(tuple(solutions), tuple(initial_indices))
 
 
-def scattered_sector_eigh(p, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and dense eigenvectors of H(s) from one eigh per sector of
-    p: each sector's U W is written into the columns of the stable ascending
-    merge of every sector's eigenvalues, in a Fortran-order array."""
+def scattered_sector_eigh(p, s: float, solve=None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and dense eigenvectors of H(s) from one solve per sector
+    of p, by default eigh: each sector's U W is written into the columns of
+    the stable ascending merge of every sector's eigenvalues, in a
+    Fortran-order array."""
     sectors = p.sectors
-    solved = [np.linalg.eigh(p.matrix(s, sector)) for sector in sectors]
+    solved = [(solve or np.linalg.eigh)(p.matrix(s, sector)) for sector in sectors]
     values = np.concatenate([v for v, _ in solved])
     columns = np.split(np.argsort(np.argsort(values, kind="stable")),
                        np.cumsum([sector.dimension for sector in sectors[:-1]]))
@@ -364,6 +371,45 @@ def scattered_sector_eigh(p, s: float) -> tuple[np.ndarray, np.ndarray]:
     for sector, (_, w), at in zip(sectors, solved, columns):
         vectors[:, at] = sector_basis(sector, len(values)) @ w
     return np.sort(values), vectors
+
+
+def split_components(block: np.ndarray) -> list[np.ndarray]:
+    """The rows of each connected component of the entries of a Hermitian
+    d x d block above the rounding bound d * eps * max|B_ij|, found by
+    scipy.sparse.csgraph: ascending in each component, the components by
+    size and then least row."""
+    magnitude = np.abs(block)
+    coupled = magnitude > len(block) * np.finfo(float).eps * magnitude.max()
+    _, labels = scipy.sparse.csgraph.connected_components(scipy.sparse.csr_matrix(coupled),
+                                                          directed=False)
+    components = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)]
+    return sorted(components, key=lambda rows: (len(rows), rows[0]))
+
+
+def split_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a Hermitian block from one eigh per
+    component of split_components, each component's W written into the
+    block's rows of that component and the columns of the stable ascending
+    merge of every component's eigenvalues, in split_components' order."""
+    components = split_components(block)
+    solved = [np.linalg.eigh(block[np.ix_(rows, rows)]) for rows in components]
+    values = np.concatenate([v for v, _ in solved])
+    columns = np.split(np.argsort(np.argsort(values, kind="stable")),
+                       np.cumsum([len(rows) for rows in components[:-1]]))
+    vectors = np.zeros_like(block)
+    for rows, (_, w), at in zip(components, solved, columns):
+        vectors[np.ix_(rows, at)] = w
+    return np.sort(values), vectors
+
+
+def split_eigh_shapes(block: np.ndarray) -> list[tuple[int, ...]]:
+    """The shapes of the eigh calls that split a block: the block's own when
+    it is one component of split_components, else (count, size, size) for
+    each component size, one stacked call each."""
+    components = split_components(block)
+    if len(components) == 1:
+        return [block.shape]
+    return [(count, size, size) for size, count in Counter(map(len, components)).items()]
 
 
 def sector_basis(sector, dim: int) -> np.ndarray:

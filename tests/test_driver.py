@@ -30,15 +30,23 @@ from mczeno.path import PathHamiltonian
 from mczeno.qae import evolve
 from mczeno.qzp import initial_eigenstate, zeno_grid, zeno_statistics
 from mczeno.spectral import eig
-
-
-H5_SECTOR_SHAPES = [(288, 288), (240, 240), (256, 256), (240, 240)]
+from test_spectral import point_eigh_shapes
 
 
 def sector_dimensions(name: str) -> list[int]:
     """The symmetry_sectors of a run record: H5's four sectors, and none on
     the 16-dimensional fixtures."""
     return [288, 240, 256, 240] if name.startswith("h5") else []
+
+
+def h1_eigh_shapes(data_dir, name: str) -> list[tuple[int, ...]]:
+    """The shapes of the eigh calls that solve H(1) of a fixture's clique
+    path: one 16-row eigh, or on H5 every sector split by component size."""
+    h, _ = load_qubit_hamiltonian(str(data_dir / name))
+    if not name.startswith("h5"):
+        return [(16, 16)]
+    mc = mc_hamiltonian(h, greedy_max_clique(build_graph(h)))
+    return point_eigh_shapes(PathHamiltonian(mc, h, alpha=0.5), 1.0)
 
 
 class TestRunConfig:
@@ -273,17 +281,19 @@ class TestRun:
         assert self.h5_qzp_peak(data_dir, 5000) < self.H5_QZP_PEAK_BYTES
 
     @pytest.mark.parametrize("name, shapes", [
-        ("gapped_four_qubit.txt", [(16, 16)] * 6),
-        ("h2_2.8_jw.txt", [(16, 16)] * 7),
-        ("h5_chain_sto3g_1.00.fcidump", H5_SECTOR_SHAPES + [(288, 288), (256, 256)] * 5),
+        ("gapped_four_qubit.txt", [(16, 16)] * 5),
+        ("h2_2.8_jw.txt", [(16, 16)] * 6),
+        ("h5_chain_sto3g_1.00.fcidump", [(288, 288), (256, 256)] * 5),
     ])
     def test_qzp_solves_each_grid_point_once(self, data_dir, monkeypatch, name, shapes):
         """The exact stage's H(1) solution is the last grid point of qzp.  A
         diagonal H(0) (gapped, H5) is sorted, not diagonalized; H5's H(1) is
-        solved in all four symmetry sectors, and each interior point only in
-        the two that the rank-0 start reaches.  Sector solves run on a pool,
-        so the shapes of the exact stage and of the grid are compared as
-        multisets."""
+        solved in all four symmetry sectors, each split by component size,
+        and each interior point only in the two that the rank-0 start
+        reaches.  Sector solves run on a pool, so the shapes of the exact
+        stage and of the grid are compared as multisets."""
+        h1 = h1_eigh_shapes(data_dir, name)
+        shapes = h1 + shapes
         calls = []
         original = np.linalg.eigh
 
@@ -295,7 +305,7 @@ class TestRun:
         config = RunConfig(source=str(data_dir / name), method="qzp", alpha=0.5,
                            n_steps=6, trials=20, seed=1)
         record = run(config)
-        exact = len(sector_dimensions(name))
+        exact = len(h1) if sector_dimensions(name) else 0
         assert sorted(calls[:exact]) == sorted(shapes[:exact])
         assert sorted(calls[exact:]) == sorted(shapes[exact:])
         assert record["symmetry_sectors"] == sector_dimensions(name)
@@ -313,19 +323,25 @@ class TestRun:
         """A LinAlgError in a pool worker's eigh comes out of run() as the
         StageError of the stage whose point it solved: the exact stage's
         H(1), or the last interior point of the grid, which was sent one
-        point ahead.  H5's 256-row sector is solved once at H(1) and at
-        each of the 5 interior points."""
+        point ahead.  H5's 256-row sector is solved once at H(1), split by
+        component size, and at each of the 5 interior points; every eigh of
+        the failing solve of that sector raises."""
         if spectral._sector_pool() is None:
             pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
-        calls = itertools.count(1)
-        original = np.linalg.eigh
+        solves, solving = itertools.count(1), threading.local()
+        solve_sector, original = spectral._solve_sector, np.linalg.eigh
+
+        def counted_solve(p, sector, s):
+            solving.fails = sector.dimension == 256 and next(solves) == failing
+            return solve_sector(p, sector, s)
 
         def failing_eigh(m):
-            if len(m) == 256 and next(calls) == failing:
+            if getattr(solving, "fails", False):
                 assert threading.current_thread() is not threading.main_thread()
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return original(m)
 
+        monkeypatch.setattr(spectral, "_solve_sector", counted_solve)
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         config = RunConfig(source=str(data_dir / "h5_chain_sto3g_1.00.fcidump"), method="qzp",
                            alpha=0.5, n_steps=6, trials=20, seed=1)
@@ -335,15 +351,17 @@ class TestRun:
         assert isinstance(error.value.__cause__, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("name, shapes", [
-        ("gapped_four_qubit.txt", [(16, 16)]),
-        ("h5_chain_sto3g_1.00.fcidump", H5_SECTOR_SHAPES),
-        ("h2_2.8_jw.txt", [(16, 16), (16, 16)]),
+        ("gapped_four_qubit.txt", []),
+        ("h5_chain_sto3g_1.00.fcidump", []),
+        ("h2_2.8_jw.txt", [(16, 16)]),
     ])
     def test_qae_solves_only_the_endpoints(self, data_dir, monkeypatch, name, shapes):
         """The exact stage's H(1) solution gives qae its final observables,
         and the steps diagonalize nothing.  H(0) is solved too only when the
         clique is not diagonal (h2_2.8_jw), for the initial eigenstate; H5's
-        H(1) is solved in four symmetry sectors, on a pool, so in any order."""
+        H(1) is solved in four symmetry sectors, each split by component
+        size, on a pool, so in any order."""
+        shapes = h1_eigh_shapes(data_dir, name) + shapes
         calls = []
         original = np.linalg.eigh
 

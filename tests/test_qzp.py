@@ -38,7 +38,7 @@ from oracles import (
     zeno_trajectory,
 )
 from test_path import odd_y_path
-from test_spectral import clique_path, sectored_path
+from test_spectral import clique_path, point_eigh_shapes, sectored_path
 
 
 def fixture_path(data_dir, name, alpha):
@@ -856,17 +856,17 @@ class TestReachedSectors:
         assert results[0] == results[1]
 
     def test_zeno_statistics_solves_reached_sectors(self, data_dir, monkeypatch):
-        """zeno_grid solves H(1) in four sectors, then the interior points in
-        the two the start reaches, each compared as a multiset, since
-        sectors are solved on a pool."""
+        """zeno_grid solves H(1) in four sectors, each split by component
+        size, then the interior points in the two the start reaches, each
+        compared as a multiset, since sectors are solved on a pool."""
         p = clique_path(data_dir, self.H5, 0.5)
+        h1 = point_eigh_shapes(p, 1.0)
         shapes = []
         original = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or original(m))
         zeno_statistics(zeno_grid(p, 3, [0]), 10, 1)
-        h1 = [(288, 288), (240, 240), (256, 256), (240, 240)]
-        assert len(shapes) == 8
-        assert [sorted(shapes[:4]), sorted(shapes[4:])] == [
+        assert len(shapes) == len(h1) + 4
+        assert [sorted(shapes[:len(h1)]), sorted(shapes[len(h1):])] == [
             sorted(h1), sorted([(288, 288), (256, 256)] * 2)]
 
     def test_zeno_run_rejects_restricted_grid(self, data_dir):

@@ -1,5 +1,6 @@
 """Eigensolutions, complete bases, and path spectra."""
 
+import dataclasses
 import functools
 import multiprocessing
 import os
@@ -15,8 +16,8 @@ import pytest
 from mczeno.clique import build_graph, greedy_max_clique, mc_hamiltonian
 from mczeno.driver import RunConfig, load_qubit_hamiltonian, run
 from mczeno.fermion import FermionIntegrals, jordan_wigner
-from mczeno.pauli import PauliHamiltonian, PauliTerm, is_all_z, parse_hamiltonian
-from mczeno.path import PathHamiltonian, s_grid
+from mczeno.pauli import PauliHamiltonian, PauliTerm, ham_matrix, is_all_z, parse_hamiltonian
+from mczeno.path import PathHamiltonian, s_grid, symmetry_sectors
 from mczeno import qzp, spectral
 from mczeno.qzp import zeno_grid, zeno_statistics
 from mczeno.spectral import (
@@ -35,6 +36,9 @@ from oracles import (
     scattered_sector_eigh,
     sector_basis,
     solved_sectors,
+    split_components,
+    split_eigh,
+    split_eigh_shapes,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -214,6 +218,16 @@ def check_against_full_eigh(h: np.ndarray, solution: EigenSolution) -> None:
 H5_SECTORS = [(288, 288), (240, 240), (256, 256), (240, 240)]
 
 
+def point_eigh_shapes(p, s: float) -> list[tuple[int, ...]]:
+    """The shapes of the eigh calls that solve a sectored point s of p in all
+    its sectors: one per sector, or at a point without the X driver those of
+    each sector's split solve (oracles.split_eigh_shapes)."""
+    blocks = [p.matrix(s, sector) for sector in p.sectors]
+    if p.weights(s)[2] != 0.0:
+        return [block.shape for block in blocks]
+    return [shape for block in blocks for shape in split_eigh_shapes(block)]
+
+
 class TestSectorSolve:
     H5 = "h5_chain_sto3g_1.00.fcidump"
 
@@ -222,9 +236,13 @@ class TestSectorSolve:
         p = clique_path(data_dir, self.H5, alpha)
         assert len(p.symmetries) == 2 and is_all_z(p.h_initial)
         grid = s_grid(4)
+        shapes = [shape for s in grid[1:] for shape in point_eigh_shapes(p, s)]
+        # a stacked call per component size where the X driver vanishes
+        assert (shapes.count((256, 256)), shapes.count((288, 288))) == (
+            (0, 0) if alpha == 0.0 else (3, 3))
         solutions = list(path_eigensolutions(p, grid))
         # s = 0 is sorted; every other point is solved in four sectors
-        assert sorted(eigh_shapes) == sorted(H5_SECTORS * 4)
+        assert sorted(eigh_shapes) == sorted(shapes)
         for s, solution in zip(grid, solutions):
             check_against_full_eigh(p.matrix(s), solution)
 
@@ -235,9 +253,11 @@ class TestSectorSolve:
         p = chain_paths[name]
         assert [sector.dimension for sector in p.sectors] == dimensions
         for s in (0.25, 0.5, 1.0):
+            shapes = point_eigh_shapes(p, s)
+            assert (shapes == [(d, d) for d in dimensions]) == (s < 1.0)
             eigh_shapes.clear()
             solution = next(path_eigensolutions(p, [s]))
-            assert sorted(eigh_shapes) == sorted((d, d) for d in dimensions)
+            assert sorted(eigh_shapes) == sorted(shapes)
             check_against_full_eigh(p.matrix(s), solution)
 
     @pytest.mark.parametrize("n", [6, 8])
@@ -334,14 +354,16 @@ class TestSectorFrame:
 
     @pytest.mark.parametrize("name", ["h5", "real", "odd_y"])
     def test_eigenvectors_equal_dense_scatter(self, data_dir, name):
+        """At s = 1 each sector is split (oracles.split_eigh), which on the
+        random paths leaves one component, one eigh."""
         p = sectored_path(data_dir, name)
-        for s in (0.5, 1.0):
+        for s, solve in ((0.5, None), (1.0, split_eigh)):
             solution = next(path_eigensolutions(p, [s]))
             assert solved_sectors(solution, p) == [0, 1, 2, 3]
             assert [w.shape for _, _, w in solution.blocks] == [
                 (sector.dimension,) * 2 for sector in p.sectors]
             assert "eigenvectors" not in vars(solution)
-            values, vectors = scattered_sector_eigh(p, s)
+            values, vectors = scattered_sector_eigh(p, s, solve)
             assert np.array_equal(solution.eigenvalues, values)
             assert solution.eigenvectors.dtype == vectors.dtype
             assert solution.eigenvectors.flags.f_contiguous
@@ -458,11 +480,12 @@ class TestReachedSectorSolve:
         dim = 1 << p.n_qubits
         start = np.column_stack([self.sector_state(p, c, c) for c in (1, 3)])
         assert np.abs(sector_weights(p, start) - [[0, 0], [1, 0], [0, 0], [0, 1]]).max() <= 1e-15
-        h0, solution, h1 = path_eigensolutions(p, [0.0, 0.5, 1.0], start=start)
         dimensions = [sector.dimension for sector in p.sectors]
         h0_shapes = [] if p.is_diagonal(0.0) else [(dim, dim)]
-        assert sorted(eigh_shapes) == sorted(h0_shapes + [(dimensions[c],) * 2
-                                                          for c in [1, 3, 0, 1, 2, 3]])
+        shapes = h0_shapes + [(dimensions[c],) * 2 for c in (1, 3)] + point_eigh_shapes(p, 1.0)
+        eigh_shapes.clear()
+        h0, solution, h1 = path_eigensolutions(p, [0.0, 0.5, 1.0], start=start)
+        assert sorted(eigh_shapes) == sorted(shapes)
         assert len(h0.eigenvalues) == len(h1.eigenvalues) == dim
         blocks = [np.linalg.eigh(p.matrix(0.5, p.sectors[c]))[0] for c in (1, 3)]
         assert np.array_equal(solution.eigenvalues, np.sort(np.concatenate(blocks)))
@@ -733,6 +756,131 @@ class TestDiagonalPoints:
         assert not p.is_diagonal(0.5)
 
 
+def point_blocks(p, s: float) -> list[np.ndarray]:
+    """The blocks that solve point s of p: one per sector of
+    symmetry_sectors(p), else the whole matrix."""
+    return [p.matrix(s, sector) for sector in symmetry_sectors(p)] or [p.matrix(s)]
+
+
+def check_split(block: np.ndarray) -> int:
+    """_split_eigh of a Hermitian block against one full eigvalsh, for
+    orthonormal W and a small residue ||BW - W Lambda||_F, and bit for bit
+    against oracles.split_eigh; returns the block's component count."""
+    values, vectors = spectral._split_eigh(block)
+    assert np.abs(values - np.linalg.eigvalsh(block)).max() <= 1e-13
+    assert np.abs(vectors.conj().T @ vectors - np.eye(len(block))).max() <= 1e-12
+    assert np.linalg.norm(block @ vectors - vectors * values) <= 1e-12
+    want_values, want_vectors = split_eigh(block)
+    assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
+    return len(split_components(block))
+
+
+def number_labels(states: np.ndarray, n: int, mapping: str) -> tuple[np.ndarray, np.ndarray]:
+    """(N_up, N_down) of each basis state: under Jordan-Wigner bits 0..M-1
+    count N_up and bits M..2M-1 N_down; parity's occupations decode as
+    b ^ (b << 1), masked to n bits."""
+    occupations = states if mapping == "jw" else (states ^ states << 1) & ((1 << n) - 1)
+    m = n // 2
+    up = sum(occupations >> q & 1 for q in range(m))
+    return up, sum(occupations >> q & 1 for q in range(m, n))
+
+
+class TestSplitSolve:
+    """A point without the X driver (0 < s, alpha s (1 - s) = 0) on a path
+    of SECTOR_DIMENSION rows or more is solved in the components of each
+    block's entries above d * eps * max|B_ij|: one stacked eigh per
+    component size (spectral._split_eigh)."""
+
+    def test_zero_x_points_of_bundled_fixtures(self, data_dir):
+        """Every point with s > 0 of each fixture's clique path at alpha 0,
+        in its sectors or whole.  The molecular ones split into components."""
+        for source in sorted(data_dir.iterdir()):
+            h, _ = load_qubit_hamiltonian(str(source))
+            p = PathHamiltonian(mc_hamiltonian(h, greedy_max_clique(build_graph(h))), h)
+            counts = [check_split(block) for s in s_grid(4)[1:] for block in point_blocks(p, s)]
+            assert min(counts) > 1 or not source.name.startswith(("h2", "h5")), source.name
+
+    @pytest.mark.parametrize("n, odd_y", [
+        pytest.param(n, odd_y, id=f"{n}-{'odd_y' if odd_y else 'real'}")
+        for n in (4, 6, 8, 10, 12) for odd_y in (False, True) if n < 12 or not odd_y
+    ])
+    def test_random_symmetric_paths(self, n, odd_y):
+        """s = 1 of random paths fixed by the spin swap and the chain mirror,
+        of 3 random terms and their images each.  The odd-Y ones of 8 or more
+        qubits and the real 12-qubit one split into three components per
+        sector; the others are one component, one eigh.  (The 12-qubit odd-Y
+        path, of four complex sectors of 1008-1072 rows, takes ~5 s.)"""
+        p = PathHamiltonian(symmetric_sum(n, 1, odd_y, 3), symmetric_sum(n, 2, odd_y, 3),
+                            alpha=0.5)
+        counts = [check_split(block) for block in point_blocks(p, 1.0)]
+        assert set(counts) == {3 if n == 12 or odd_y and n >= 8 else 1}
+
+    def test_parity_h5(self, data_dir, eigh_shapes):
+        """Parity-mapped H5 has no qubit-permutation symmetry, so its s = 1
+        is split on the whole 1024-row space, and its s = 0.5 at alpha 0.5
+        is one eigh."""
+        h, _ = load_qubit_hamiltonian(str(data_dir / TestSectorSolve.H5), "parity")
+        p = PathHamiltonian(mc_hamiltonian(h, greedy_max_clique(build_graph(h))), h, alpha=0.5)
+        assert not p.symmetries
+        h1 = p.matrix(1.0)
+        shapes = split_eigh_shapes(h1)
+        eigh_shapes.clear()
+        _, solution = path_eigensolutions(p, [0.5, 1.0])
+        assert eigh_shapes == [(1024, 1024)] + shapes and len(shapes) > 1
+        assert [rows for rows, _, _ in solution.blocks] == [slice(None)]
+        check_against_full_eigh(h1, solution)
+        assert check_split(h1) > 1
+
+    def test_real_coupling_is_not_split(self, eigh_shapes):
+        """Three random blocks of 5, 5 and 7 rows, shuffled: 1e-17 entries
+        between them leave three components, the two of 5 rows stacked in
+        one eigh; 1e-8 ones join all three into one eigh of the whole."""
+        rng = np.random.default_rng(5)
+        block = np.zeros((17, 17))
+        for rows in (slice(0, 5), slice(5, 10), slice(10, 17)):
+            part = rng.normal(size=(rows.stop - rows.start,) * 2)
+            block[rows, rows] = part + part.T
+        order = rng.permutation(17)
+        for entry, components, shapes in ((1e-17, 3, [(2, 5, 5), (1, 7, 7)]),
+                                          (1e-8, 1, [(17, 17)])):
+            coupled = block.copy()
+            coupled[0, 16] = coupled[16, 0] = coupled[4, 9] = coupled[9, 4] = entry
+            coupled = coupled[np.ix_(order, order)]
+            eigh_shapes.clear()
+            spectral._split_eigh(coupled)
+            assert sorted(eigh_shapes) == sorted(shapes)
+            assert check_split(coupled) == components
+
+
+class TestNumberResidue:
+    """H_p conserves (N_up, N_down), and its entries that join
+    different numbers are rounding residues of cancelling Pauli strings,
+    which is what lets a point without the X driver split."""
+
+    @pytest.mark.parametrize("mapping", ["jw", "parity"])
+    def test_entries_between_numbers_are_residues(self, data_dir, mapping):
+        h, _ = load_qubit_hamiltonian(str(data_dir / TestSectorSolve.H5), mapping)
+        up, down = number_labels(np.arange(1 << h.n_qubits), h.n_qubits, mapping)
+        entries = ham_matrix(h).tocoo()
+        between = (up[entries.row] != up[entries.col]) | (down[entries.row] != down[entries.col])
+        assert np.abs(entries.data[between]).max() <= 1e-16
+        assert np.abs(entries.data[~between]).min() > 1e-16
+        assert between.any()
+
+    def test_sector_components_hold_one_number_pair(self, data_dir):
+        """Each component of H5's H(1) in each sector holds the states of one
+        unordered {N_up, N_down} pair: the sectors mix the spin swap's
+        images, so (3, 2) and (2, 3) share an orbit."""
+        p = clique_path(data_dir, TestSectorSolve.H5, 0.5)
+        up, down = number_labels(np.arange(1 << p.n_qubits), p.n_qubits, "jw")
+        pair = np.minimum(up, down) * p.n_qubits + np.maximum(up, down)
+        for sector in p.sectors:
+            components = split_components(p.matrix(1.0, sector))
+            assert len(components) > 1
+            for rows in components:
+                assert len(np.unique(pair[sector.members[rows]])) == 1
+
+
 @pytest.fixture
 def sector_pool():
     """The pool that solves sectors; skipped where no loaded OpenBLAS can set
@@ -752,9 +900,14 @@ class TestSectorPool:
     """Sectored points are solved on a pool of one-BLAS-thread workers, one
     point ahead, with the same results as in the calling thread."""
 
-    @pytest.mark.parametrize("name", ["h5", "odd_y"])
-    def test_pool_and_calling_thread_agree(self, data_dir, sector_pool, monkeypatch, name):
-        p = sectored_path(data_dir, name)
+    @pytest.mark.parametrize("name, alpha", [
+        ("h5", 0.5), ("odd_y", 0.5), ("h5", 0.0), ("odd_y", 0.0),
+    ], ids=["h5", "odd_y", "h5-alpha0", "odd_y-alpha0"])
+    def test_pool_and_calling_thread_agree(self, data_dir, sector_pool, monkeypatch, name,
+                                           alpha):
+        """Both solve every point but s = 0, s = 1 and, at alpha 0, every
+        interior one by the split solve."""
+        p = dataclasses.replace(sectored_path(data_dir, name), alpha=alpha)
         n_steps = 10
 
         def solve():
@@ -828,11 +981,13 @@ class TestSectorPool:
     def test_h0_eigh_runs_after_h1_sector_solves(self, data_dir, sector_pool, monkeypatch,
                                                  solve):
         """The ends are solved H(1) first: H(0)'s full eigh, 1024 rows in the
-        calling thread, starts after all four of H(1)'s pooled sector solves
-        have ended, and runs beside no pooled solve."""
+        calling thread, starts after every eigh of H(1)'s four pooled sector
+        solves, split by component size, has ended, and runs beside no
+        pooled solve."""
         h, _ = load_qubit_hamiltonian(str(data_dir / TestSectorSolve.H5))
         p = PathHamiltonian(h, h, alpha=0.5)
         assert not p.is_diagonal(0.0) and len(p.sectors) == 4
+        h1_calls = len(point_eigh_shapes(p, 1.0))  # H(1) = H_p is split
         caller, calls = threading.current_thread(), []
         original = np.linalg.eigh
 
@@ -848,7 +1003,7 @@ class TestSectorPool:
         monkeypatch.setattr(np.linalg, "eigh", original)
         [(begin, end)] = [(b, e) for c, n, b, e in calls if n == 1024 and c]
         pooled = [(b, e) for c, _, b, e in calls if not c]
-        assert sum(e < begin for _, e in pooled) == 4
+        assert sum(e < begin for _, e in pooled) == h1_calls > 4
         assert all(e < begin or b > end for b, e in pooled)
 
     def test_one_point_ahead(self, data_dir, sector_pool, monkeypatch):
